@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .core import PipelineConfig, PipelineError, derive_seed, make_rng
+from .core import PipelineConfig, PipelineError, derive_seed, make_rng, save_json
 from .cot import (CotHead, build_default_vocab, make_cot_label, tokenize,
                   train_cot_head)
 from .flow import FlowExpert, init_flow_expert, train_step
@@ -48,11 +48,11 @@ def _write_loss_csv(path, rows) -> None:
 def cmd_gen(args) -> int:
     cfg = _load_config(args.config)
     scenario = SCENARIOS[args.scenario]
-    os.makedirs(args.out, exist_ok=True)
     scen_idx = sorted(SCENARIOS).index(args.scenario)
     for i in range(args.episodes):
         seed = derive_seed(args.seed, scen_idx, args.variant, i)
         ep = gen_episode(scenario, args.variant, args.frames, seed, cfg)
+        os.makedirs(args.out, exist_ok=True)
         write_episode(ep, os.path.join(args.out, f"{args.scenario}_v{args.variant}_{i:03d}.jsonl"))
     print(f"wrote {args.episodes} episode(s) to {args.out}")
     return 0
@@ -191,9 +191,7 @@ def cmd_infer(args) -> int:
     outputs, report = run_inference_loop(ep, gnn_w, expert, head,
                                          _schedule_from_args(args), cfg,
                                          seed=args.seed, euler_steps=args.steps)
-    with open(args.out, "w") as f:
-        json.dump(outputs_to_dict(outputs), f)
-        f.write("\n")
+    save_json(args.out, outputs_to_dict(outputs))
     n_cot = sum(1 for o in outputs if o.cot_text is not None)
     print(f"{len(outputs)} frame(s), {n_cot} with reasoning; "
           f"mean frame {report.frame_ms['mean_ms']:.2f} ms -> {args.out}")
@@ -327,14 +325,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except PipelineError as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 3
+    except (PipelineError, OSError, json.JSONDecodeError) as exc:
+        sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
+        return 2 if isinstance(exc, PipelineError) else 3
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ episode start); joint configurations are 1-D float arrays in radians.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -22,6 +22,24 @@ class PipelineError(Exception):
 
 class ShapeMismatch(PipelineError):
     pass
+
+
+class InvalidSetting(PipelineError, ValueError):
+    """A setting out of range: a count or period below 1, or a rate that is
+    not positive."""
+
+
+def save_json(path, obj, indent=None) -> None:
+    """Write obj as one JSON document plus a newline. json.dumps encodes in
+    one shot (through the C encoder when indent is None), where json.dump
+    streams through the pure-Python encoder; the bytes are the same."""
+    with open(path, "w") as f:
+        f.write(json.dumps(obj, indent=indent) + "\n")
+
+
+def load_json(path):
+    with open(path) as f:
+        return json.load(f)
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -140,18 +158,43 @@ class BoundingBox:
 
 @dataclass
 class DepthGrid:
-    """Metric depth image, meters. Non-positive values encode invalid depth."""
+    """Metric depth image, meters, kept sparse: a constant background `far`
+    under an ordered list of rectangular patches (x0, y0, values), each
+    values a (rows, cols) float array; a later patch covers an earlier one.
+    Memory scales with patch pixels, not with width x height. Non-positive
+    (or non-finite) values encode invalid depth."""
 
     width: int
     height: int
-    values: np.ndarray  # (height, width) float64
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float).reshape(self.height, self.width)
+    far: float
+    patches: list = field(default_factory=list)
 
     @classmethod
     def constant(cls, width: int, height: int, value: float) -> "DepthGrid":
-        return cls(width, height, np.full((height, width), float(value)))
+        return cls(width, height, float(value))
+
+    def at(self, u: int, v: int) -> float:
+        """Depth at integer pixel column u, row v (inside the image)."""
+        for x0, y0, vals in reversed(self.patches):
+            i, j = v - y0, u - x0
+            if i >= 0 and j >= 0:
+                h, w = vals.shape
+                if i < h and j < w:
+                    return vals.item(i, j)
+        return self.far
+
+    def window(self, x0: int, y0: int, x1: int, y1: int) -> np.ndarray:
+        """Dense copy of columns x0:x1, rows y0:y1, clipped to the image."""
+        x0, y0 = max(x0, 0), max(y0, 0)
+        x1, y1 = max(min(x1, self.width), x0), max(min(y1, self.height), y0)
+        out = np.full((y1 - y0, x1 - x0), self.far)
+        for px, py, vals in self.patches:
+            h, w = vals.shape
+            ax0, ay0, ax1, ay1 = max(x0, px), max(y0, py), min(x1, px + w), min(y1, py + h)
+            if ax0 < ax1 and ay0 < ay1:
+                out[ay0 - y0:ay1 - y0, ax0 - x0:ax1 - x0] = \
+                    vals[ay0 - py:ay1 - py, ax0 - px:ax1 - px]
+        return out
 
 
 @dataclass
@@ -185,7 +228,8 @@ def validate_frame(frame: FrameRecord, cfg: "PipelineConfig") -> ValidationRepor
             rep.violations.append(f"degenerate bounding box: {b.label}")
         elif not b.is_valid(w, h):
             rep.violations.append(f"box out of image bounds: {b.label}")
-    if np.isnan(frame.depth.values).any():
+    if np.isnan(frame.depth.far) or any(np.isnan(vals).any()
+                                        for _, _, vals in frame.depth.patches):
         rep.violations.append("NaN depth values")
     if frame.q.size != cfg.j_total:
         rep.violations.append(f"joint dof mismatch: got {frame.q.size}, expected {cfg.j_total}")
@@ -227,74 +271,27 @@ class PipelineConfig:
     cot_max_len: int = 96
 
     def to_dict(self) -> dict:
-        return {
-            "intrinsics": self.intrinsics.to_dict(),
-            "extrinsics": self.extrinsics.to_dict(),
-            "chains": [c.to_dict() for c in self.chains],
-            "j_total": self.j_total,
-            "joint_limits": list(self.joint_limits),
-            "sigma": self.sigma,
-            "seed": self.seed,
-            "max_gap": self.max_gap,
-            "camera_rate_hz": self.camera_rate_hz,
-            "control_rate_hz": self.control_rate_hz,
-            "scenario_names": list(self.scenario_names),
-            "gnn_dims": list(self.gnn_dims),
-            "flow_horizon": self.flow_horizon,
-            "flow_hidden": self.flow_hidden,
-            "flow_alpha": self.flow_alpha,
-            "flow_beta": self.flow_beta,
-            "euler_steps": self.euler_steps,
-            "cot_dt_frames": self.cot_dt_frames,
-            "cot_window": self.cot_window,
-            "cot_hidden": self.cot_hidden,
-            "cot_embed": self.cot_embed,
-            "lambda_cot": self.lambda_cot,
-            "lambda_action": self.lambda_action,
-            "dropout_p": self.dropout_p,
-            "cot_max_len": self.cot_max_len,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d.update(intrinsics=self.intrinsics.to_dict(), extrinsics=self.extrinsics.to_dict(),
+                 chains=[c.to_dict() for c in self.chains])
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in d.items()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
+        """Inverse of to_dict; each scalar is cast to its default's type."""
         from .kinematics import KinematicChain
-        return cls(
-            intrinsics=CameraIntrinsics.from_dict(d["intrinsics"]),
-            extrinsics=RigidTransform.from_dict(d["extrinsics"]),
-            chains=[KinematicChain.from_dict(c) for c in d["chains"]],
-            j_total=int(d["j_total"]),
-            joint_limits=tuple(d["joint_limits"]),
-            sigma=float(d["sigma"]),
-            seed=int(d["seed"]),
-            max_gap=float(d["max_gap"]),
-            camera_rate_hz=float(d["camera_rate_hz"]),
-            control_rate_hz=float(d["control_rate_hz"]),
-            scenario_names=tuple(d["scenario_names"]),
-            gnn_dims=tuple(d["gnn_dims"]),
-            flow_horizon=int(d["flow_horizon"]),
-            flow_hidden=int(d["flow_hidden"]),
-            flow_alpha=float(d["flow_alpha"]),
-            flow_beta=float(d["flow_beta"]),
-            euler_steps=int(d["euler_steps"]),
-            cot_dt_frames=int(d["cot_dt_frames"]),
-            cot_window=int(d["cot_window"]),
-            cot_hidden=int(d["cot_hidden"]),
-            cot_embed=int(d["cot_embed"]),
-            lambda_cot=float(d["lambda_cot"]),
-            lambda_action=float(d["lambda_action"]),
-            dropout_p=float(d["dropout_p"]),
-            cot_max_len=int(d["cot_max_len"]),
-        )
+        scalars = {f.name: (tuple if isinstance(f.default, tuple) else type(f.default))(d[f.name])
+                   for f in fields(cls) if f.default is not MISSING}
+        return cls(intrinsics=CameraIntrinsics.from_dict(d["intrinsics"]),
+                   extrinsics=RigidTransform.from_dict(d["extrinsics"]),
+                   chains=[KinematicChain.from_dict(c) for c in d["chains"]], **scalars)
 
     def save(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=2)
-            f.write("\n")
+        save_json(path, self.to_dict(), indent=2)
 
     @classmethod
     def load(cls, path) -> "PipelineConfig":
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
+        return cls.from_dict(load_json(path))
 
     @property
     def context_dim(self) -> int:

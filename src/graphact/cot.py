@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PipelineError
+from .core import PipelineError, load_json, save_json
 from .sim import SCENARIOS, EmptyEpisode, Episode, InstructionScenario, Scene
 
 PAD, END, SEP = "<pad>", "<end>", "<sep>"
@@ -149,14 +149,11 @@ class TokenVocab:
         return self.ids[END]
 
     def save(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.tokens, f)
-            f.write("\n")
+        save_json(path, self.tokens)
 
     @classmethod
     def load(cls, path) -> "TokenVocab":
-        with open(path) as f:
-            return cls(json.load(f))
+        return cls(load_json(path))
 
 
 def build_default_vocab(max_frame: int = 360, value_range: float = 3.2) -> TokenVocab:
@@ -294,14 +291,11 @@ class CotHead:
         return head
 
     def save(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f)
-            f.write("\n")
+        save_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path) -> "CotHead":
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
+        return cls.from_dict(load_json(path))
 
 
 def train_cot_head(head: CotHead, dataset: list, lr: float, epochs: int,

@@ -11,12 +11,11 @@ gradient descent with optional momentum; gradients are hand-derived and
 verified against central differences by grad_check.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import PipelineError, ShapeMismatch
+from .core import PipelineError, ShapeMismatch, load_json, save_json
 
 
 class EmptyBatch(PipelineError):
@@ -114,14 +113,11 @@ class FlowExpert:
                    alpha=float(d["alpha"]), beta=float(d["beta"]), sigma=float(d["sigma"]))
 
     def save(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f)
-            f.write("\n")
+        save_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path) -> "FlowExpert":
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
+        return cls.from_dict(load_json(path))
 
 
 def init_flow_expert(rng: np.random.Generator, horizon: int, j_dim: int,

@@ -2,12 +2,11 @@
 graph convolution with self-loops, then ReLU. Inference only; weights are
 loaded from file and never trained here."""
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PipelineError, ShapeMismatch
+from .core import PipelineError, ShapeMismatch, load_json, save_json
 from .graph import END_EFFECTOR, JOINT, OBJECT, PoseObjectGraph, adjacency_matrix
 
 LN_EPS = 1e-5
@@ -61,14 +60,11 @@ class GnnWeights:
                    layer2_w=arr(doc["layer2"]["w"]), layer2_b=arr(doc["layer2"]["b"]))
 
     def save(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f)
-            f.write("\n")
+        save_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path) -> "GnnWeights":
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
+        return cls.from_dict(load_json(path))
 
 
 def init_gnn_weights(rng: np.random.Generator, d: int = 32, h: int = 32,

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import PipelineConfig, PipelineError, make_rng
+from .core import InvalidSetting, PipelineConfig, PipelineError, make_rng
 from .cot import CotHead, detokenize, generate_cot
 from .flow import FlowExpert, sample_actions
 from .gnn import GnnWeights, encode, pooled_embedding
@@ -31,9 +31,9 @@ class InferenceSchedule:
 
     def __post_init__(self):
         if self.cot_period is not None and self.cot_period < 1:
-            raise ValueError("cot_period must be >= 1 when set")
+            raise InvalidSetting(f"cot_period must be >= 1 when set, got {self.cot_period}")
         if self.rate_budget_hz <= 0:
-            raise ValueError("rate_budget_hz must be positive")
+            raise InvalidSetting(f"rate_budget_hz must be positive, got {self.rate_budget_hz}")
 
     def wants_cot(self, frame_index: int) -> bool:
         if self.cot_period is not None:
@@ -92,8 +92,11 @@ def run_inference_loop(episode: Episode, gnn_w: GnnWeights, expert: FlowExpert,
     """
     if not episode.frames:
         raise EmptyEpisode("cannot run inference on an empty episode")
-    euler_steps = euler_steps or cfg.euler_steps
-    max_cot_len = max_cot_len or cfg.cot_max_len
+    euler_steps = cfg.euler_steps if euler_steps is None else euler_steps
+    max_cot_len = cfg.cot_max_len if max_cot_len is None else max_cot_len
+    for name, value in (("euler_steps", euler_steps), ("max_cot_len", max_cot_len)):
+        if value < 1:
+            raise InvalidSetting(f"{name} must be >= 1, got {value}")
     onehot = scenario_onehot(cfg, episode.scenario.name)
     rng = make_rng(seed)
     stage_times = {"graph_build": [], "encode": [], "cot_generation": [], "action_sampling": []}
@@ -147,6 +150,6 @@ def run_inference_loop(episode: Episode, gnn_w: GnnWeights, expert: FlowExpert,
 def outputs_to_dict(outputs: list) -> dict:
     """Deterministic serialization of loop outputs (no timings)."""
     return {"frames": [{"index": o.index, "t": float(o.t),
-                        "actions": [[float(v) for v in row] for row in o.actions],
+                        "actions": o.actions.tolist(),
                         "cot": o.cot_text}
                        for o in outputs]}

@@ -1,6 +1,8 @@
 """Pinhole geometry: box centers, depth lookup, backprojection, and the
 forward-projection oracle used to verify it."""
 
+import math
+
 import numpy as np
 
 from .core import BoundingBox, CameraIntrinsics, DepthGrid, PipelineError, RigidTransform
@@ -29,6 +31,7 @@ def depth_at(depth: DepthGrid, p, window: int = 3) -> float:
     Invalid values are non-positive (or non-finite). When the center pixel is
     invalid, returns the median of valid values in the window x window
     neighborhood; raises NoValidDepth when the whole neighborhood is invalid.
+    Reads only that pixel and neighborhood, never the whole image.
     """
     if window < 1 or window % 2 == 0:
         raise ValueError("window must be a positive odd integer")
@@ -36,11 +39,11 @@ def depth_at(depth: DepthGrid, p, window: int = 3) -> float:
     v = int(round(float(p[1])))
     u = min(max(u, 0), depth.width - 1)
     v = min(max(v, 0), depth.height - 1)
-    val = depth.values[v, u]
-    if np.isfinite(val) and val > 0:
-        return float(val)
+    val = depth.at(u, v)
+    if math.isfinite(val) and val > 0:
+        return val
     r = window // 2
-    patch = depth.values[max(v - r, 0):v + r + 1, max(u - r, 0):u + r + 1]
+    patch = depth.window(u - r, v - r, u + r + 1, v + r + 1)
     valid = patch[np.isfinite(patch) & (patch > 0)]
     if valid.size == 0:
         raise NoValidDepth(f"no valid depth near pixel ({u}, {v})")

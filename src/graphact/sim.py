@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (BoundingBox, CameraIntrinsics, DepthGrid, FrameRecord,
-                   PipelineConfig, PipelineError, RigidTransform, make_rng)
+                   InvalidSetting, PipelineConfig, PipelineError, RigidTransform,
+                   make_rng)
 from .kinematics import default_chains
 from .projection import BehindCamera, project
 
@@ -24,6 +25,10 @@ class InvalidVariant(PipelineError):
 
 class EmptyEpisode(PipelineError):
     pass
+
+
+class MalformedEpisode(PipelineError):
+    """An episode file line breaks the format write_episode produces."""
 
 
 TRANSLATE_JITTER = 0.10          # meters, per horizontal axis
@@ -153,8 +158,8 @@ def render_frame(scene: Scene, q, t: float, K: CameraIntrinsics, T: RigidTransfo
                  omitted: list = None) -> FrameRecord:
     """Forward-project each object into a detection box and depth patch.
 
-    Depth is written only inside detection boxes over a constant far
-    background; overlapping boxes keep the nearer surface. Objects behind the
+    Depth is one patch per detection box over a constant far background;
+    where boxes overlap, the later patch holds the nearer surface. Objects behind the
     camera raise BehindCamera; objects projecting outside the image (or
     within a pixel of its border) are omitted and recorded in `omitted`.
     """
@@ -177,7 +182,7 @@ def render_frame(scene: Scene, q, t: float, K: CameraIntrinsics, T: RigidTransfo
         box = BoundingBox(label=obj.label, x_min=u - hu, y_min=v - hv,
                           x_max=u + hu, y_max=v + hv)
         x0, y0, x1, y1 = _box_region(box, K.width, K.height)
-        grid.values[y0:y1, x0:x1] = np.minimum(grid.values[y0:y1, x0:x1], z)
+        grid.patches.append((x0, y0, np.minimum(grid.window(x0, y0, x1, y1), z)))
         detections.append(box)
     return FrameRecord(t=t, detections=detections, depth=grid, q=np.asarray(q, dtype=float))
 
@@ -222,7 +227,6 @@ class Episode:
     seed: int = 0
     K: CameraIntrinsics = None
     T: RigidTransform = None
-    far: float = DEFAULT_FAR
     omitted: list = field(default_factory=list)
 
     def __len__(self) -> int:
@@ -236,7 +240,7 @@ def gen_episode(scenario: InstructionScenario, variant: int, n_frames: int,
     frames rendered at the camera rate. The scene is reproducible from the
     recorded seed (it consumes the generator's first draws)."""
     if n_frames < 1:
-        raise ValueError("n_frames must be >= 1")
+        raise InvalidSetting(f"n_frames must be >= 1, got {n_frames}")
     cfg = cfg or default_config()
     rng = make_rng(seed)
     scene = gen_scene(scenario, variant, rng)
@@ -253,7 +257,7 @@ def gen_episode(scenario: InstructionScenario, variant: int, n_frames: int,
               for i in range(n_frames)]
     return Episode(frames=frames, scene=scene, scenario=scenario, trajectory=trajectory,
                    variant=variant, seed=seed, K=cfg.intrinsics, T=cfg.extrinsics,
-                   far=far, omitted=omitted)
+                   omitted=omitted)
 
 
 def write_episode(ep: Episode, path) -> None:
@@ -269,44 +273,68 @@ def write_episode(ep: Episode, path) -> None:
             for det in frame.detections:
                 x0, y0, x1, y1 = _box_region(det, frame.depth.width, frame.depth.height)
                 boxes.append({"x0": x0, "y0": y0, "x1": x1, "y1": y1,
-                              "values": [float(v) for v in
-                                         frame.depth.values[y0:y1, x0:x1].ravel()]})
+                              "values": frame.depth.window(x0, y0, x1, y1).ravel().tolist()})
             line = {"t": float(frame.t),
                     "q": [float(v) for v in frame.q],
                     "detections": [d.to_dict() for d in frame.detections],
                     "depth": {"w": frame.depth.width, "h": frame.depth.height,
                               "boxes": boxes},
-                    "far": float(ep.far)}
+                    "far": float(frame.depth.far)}
             f.write(json.dumps(line) + "\n")
 
 
+def _decode_frame(rec: dict, width: int, height: int) -> FrameRecord:
+    far = float(rec["far"])
+    if not math.isfinite(far):
+        raise MalformedEpisode(f"non-finite far depth {far}")
+    if (rec["depth"]["w"], rec["depth"]["h"]) != (width, height):
+        raise MalformedEpisode(f"depth size {rec['depth']['w']}x{rec['depth']['h']} "
+                               f"differs from the header resolution {width}x{height}")
+    grid = DepthGrid.constant(width, height, far)
+    for b in rec["depth"]["boxes"]:
+        x0, y0, x1, y1 = b["x0"], b["y0"], b["x1"], b["y1"]
+        if not all(type(c) is int for c in (x0, y0, x1, y1)) or not (
+                0 <= x0 < x1 <= width and 0 <= y0 < y1 <= height):
+            raise MalformedEpisode(f"depth box {[x0, y0, x1, y1]} outside the "
+                                   f"{width}x{height} image")
+        vals = np.array(b["values"], dtype=float)
+        if vals.shape != ((x1 - x0) * (y1 - y0),):
+            raise MalformedEpisode(f"depth box {[x0, y0, x1, y1]} holds {vals.size} "
+                                   f"values, expected {(x1 - x0) * (y1 - y0)}")
+        grid.patches.append((x0, y0, vals.reshape(y1 - y0, x1 - x0)))
+    return FrameRecord(t=float(rec["t"]),
+                       detections=[BoundingBox.from_dict(d) for d in rec["detections"]],
+                       depth=grid, q=np.array(rec["q"], dtype=float))
+
+
 def load_episode(path) -> Episode:
-    """Inverse of write_episode; the scene is regenerated from the header seed."""
+    """Inverse of write_episode; the scene is regenerated from the header seed.
+
+    Lines are decoded one at a time and each frame keeps the file's box
+    patches as its depth, so memory grows with box pixels, not image size.
+    A header or frame that breaks the format raises MalformedEpisode.
+    """
     with open(path) as f:
-        lines = [json.loads(l) for l in f if l.strip()]
-    if len(lines) < 2:
+        records = (json.loads(line) for line in f if line.strip())
+        header = next(records, None)
+        if header is None:
+            raise EmptyEpisode(f"episode file {path} is empty")
+        try:
+            if header["scenario"] not in SCENARIOS:
+                raise MalformedEpisode(f"unknown scenario {header['scenario']!r}")
+            scenario = SCENARIOS[header["scenario"]]
+            K = CameraIntrinsics.from_dict(header["K"])
+            T = RigidTransform.from_dict(header["T"])
+            width, height = header["resolution"]
+            seed, variant = int(header["seed"]), int(header["variant"])
+            frames = [_decode_frame(rec, width, height) for rec in records]
+        except json.JSONDecodeError:
+            raise  # not JSON at all: an I/O-level failure
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedEpisode(f"{path}: {type(exc).__name__}: {exc}") from exc
+    if not frames:
         raise EmptyEpisode(f"episode file {path} has no frames")
-    header = lines[0]
-    scenario = SCENARIOS[header["scenario"]]
-    K = CameraIntrinsics.from_dict(header["K"])
-    T = RigidTransform.from_dict(header["T"])
-    seed = int(header["seed"])
-    scene = gen_scene(scenario, int(header["variant"]), make_rng(seed))
-    frames = []
-    trajectory = []
-    far = DEFAULT_FAR
-    for rec in lines[1:]:
-        far = float(rec["far"])
-        grid = DepthGrid.constant(int(rec["depth"]["w"]), int(rec["depth"]["h"]), far)
-        for b in rec["depth"]["boxes"]:
-            vals = np.array(b["values"], dtype=float)
-            h, w = b["y1"] - b["y0"], b["x1"] - b["x0"]
-            grid.values[b["y0"]:b["y1"], b["x0"]:b["x1"]] = vals.reshape(h, w)
-        q = np.array(rec["q"], dtype=float)
-        frames.append(FrameRecord(t=float(rec["t"]),
-                                  detections=[BoundingBox.from_dict(d)
-                                              for d in rec["detections"]],
-                                  depth=grid, q=q))
-        trajectory.append(q)
-    return Episode(frames=frames, scene=scene, scenario=scenario, trajectory=trajectory,
-                   variant=int(header["variant"]), seed=seed, K=K, T=T, far=far)
+    scene = gen_scene(scenario, variant, make_rng(seed))
+    return Episode(frames=frames, scene=scene, scenario=scenario,
+                   trajectory=[frame.q for frame in frames], variant=variant,
+                   seed=seed, K=K, T=T)

@@ -98,8 +98,9 @@ def align_streams(head: SampleStream, others: list, max_gap: float) -> list:
 def read_stream_log(path) -> list:
     """Parse a multi-stream JSONL log: one {stream, t, payload} object per line.
 
-    Head payloads may carry detections (list of {label, box}) and a depth grid
-    {w, h, values}; other payloads pass through as parsed.
+    Head payloads may carry detections (list of {label, box}) and a dense
+    depth grid {w, h, values}, kept as one full-image patch; other payloads
+    pass through as parsed.
     """
     streams = {}
     with open(path) as f:
@@ -115,8 +116,9 @@ def read_stream_log(path) -> list:
                 payload["detections"] = [BoundingBox.from_dict(d) for d in payload["detections"]]
                 if "depth" in payload and isinstance(payload["depth"], dict):
                     dd = payload["depth"]
-                    payload["depth"] = DepthGrid(int(dd["w"]), int(dd["h"]),
-                                                 np.array(dd["values"], dtype=float))
+                    w, h = int(dd["w"]), int(dd["h"])
+                    values = np.array(dd["values"], dtype=float).reshape(h, w)
+                    payload["depth"] = DepthGrid(w, h, far=0.0, patches=[(0, 0, values)])
             streams.setdefault(name, []).append((float(rec["t"]), payload))
     out = []
     for name, samples in streams.items():

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from graphact import default_config
 from graphact.cli import main
@@ -207,3 +211,100 @@ def test_pipeline_config_env_var(tmp_path, workspace, monkeypatch):
     out = tmp_path / "g"
     assert main(["graph", "--episode", str(workspace["episode"]), "--out", str(out)]) == 0
     assert len(os.listdir(out)) == 6
+
+
+def _infer_argv(workspace, episode, out, *extra):
+    return ["infer", "--episode", str(episode), "--gnn", str(workspace["gnn"]),
+            "--expert", str(workspace["expert"]), "--cot-head", str(workspace["head"]),
+            "--out", str(out), *extra]
+
+
+def _one_json_error_line(err: str) -> dict:
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    return json.loads(lines[0])
+
+
+@pytest.mark.parametrize("flag,value", [("--steps", "0"), ("--steps", "-3"),
+                                        ("--cot-period", "0"), ("--rate-hz", "0")])
+def test_infer_rejects_out_of_range_settings(flag, value, tmp_path, workspace, capsys):
+    out = tmp_path / "o.json"
+    assert main(_infer_argv(workspace, workspace["episode"], out, flag, value)) == 2
+    assert _one_json_error_line(capsys.readouterr().err)["error"] == "InvalidSetting"
+    assert not out.exists()
+
+
+def test_gen_rejects_zero_frames(tmp_path, capsys):
+    out = tmp_path / "eps"
+    assert main(["gen", "--scenario", "food", "--variant", "0", "--frames", "0",
+                 "--out", str(out)]) == 2
+    assert _one_json_error_line(capsys.readouterr().err)["error"] == "InvalidSetting"
+    assert not out.exists()
+
+
+def _corrupt(lines, what):
+    header, frame = json.loads(lines[0]), json.loads(lines[1])
+    box = frame["depth"]["boxes"][0]
+    if what == "scenario":
+        header["scenario"] = "kitchen"
+    elif what == "values_length":
+        box["values"] = box["values"][:-1]
+    elif what == "box_outside":
+        box["x0"], box["x1"] = box["x0"] + 640, box["x1"] + 640
+    else:
+        frame["far"] = float("nan")
+    return [json.dumps(header), json.dumps(frame)] + lines[2:]
+
+
+@pytest.mark.parametrize("what", ["scenario", "values_length", "box_outside", "far_nan"])
+def test_infer_malformed_episode_exit_2(what, tmp_path, workspace, capsys):
+    lines = workspace["episode"].read_text().splitlines()
+    episode = tmp_path / "bad.jsonl"
+    episode.write_text("\n".join(_corrupt(lines, what)) + "\n")
+    out = tmp_path / "o.json"
+    assert main(_infer_argv(workspace, episode, out)) == 2
+    assert _one_json_error_line(capsys.readouterr().err)["error"] == "MalformedEpisode"
+    assert not out.exists()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_fuzz_corrupt_episode_line_exit_contract(data, workspace):
+    """One corrupted line (header or frame) ends in exit 0, 2 or 3; a failure
+    leaves exactly one JSON line on stderr and no output file."""
+    lines = workspace["episode"].read_text().splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1), label="line")
+    rec = json.loads(lines[i])
+    kinds = ["drop_key", "truncate"] + (["scenario"] if i == 0 else ["values", "box", "far"])
+    kind = data.draw(st.sampled_from(kinds), label="kind")
+    if kind == "truncate":
+        lines[i] = lines[i][:data.draw(st.integers(0, len(lines[i]) - 1))]
+    else:
+        if kind == "drop_key":
+            del rec[data.draw(st.sampled_from(sorted(rec)))]
+        elif kind == "scenario":
+            rec["scenario"] = data.draw(st.text(max_size=8))
+        elif kind == "far":
+            rec["far"] = data.draw(st.floats(allow_nan=True, allow_infinity=True))
+        else:
+            boxes = rec["depth"]["boxes"]
+            box = boxes[data.draw(st.integers(0, len(boxes) - 1))]
+            if kind == "values":
+                box["values"] = (box["values"] * 2)[:data.draw(
+                    st.integers(0, len(box["values"]) + 3))]
+            else:
+                box[data.draw(st.sampled_from(["x0", "y0", "x1", "y1"]))] = \
+                    data.draw(st.integers(-700, 1300))
+        lines[i] = json.dumps(rec)
+    with tempfile.TemporaryDirectory() as tmp:
+        episode, out = os.path.join(tmp, "ep.jsonl"), os.path.join(tmp, "o.json")
+        with open(episode, "w") as f:
+            f.write("\n".join(lines) + "\n")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(_infer_argv(workspace, episode, out))
+        event(f"{kind}: exit {code}")
+        assert code in (0, 2, 3)
+        if code:
+            assert set(_one_json_error_line(err.getvalue())) == {"error", "message"}
+        assert os.path.exists(out) == (code == 0)

@@ -81,11 +81,17 @@ def test_validate_joint_limit_breach(cfg):
 def test_validate_nan_depth_and_dof_mismatch(cfg):
     K = cfg.intrinsics
     bad_depth = DepthGrid.constant(K.width, K.height, 2.0)
-    bad_depth.values[5, 5] = np.nan
+    bad_depth.patches.append((5, 5, np.array([[np.nan]])))
     report = validate_frame(_frame(cfg, depth=bad_depth), cfg)
     assert any("NaN" in v for v in report.violations)
     report = validate_frame(_frame(cfg, q=np.zeros(cfg.j_total - 1)), cfg)
     assert any("dof mismatch" in v for v in report.violations)
+
+
+def test_validate_nan_far_depth(cfg):
+    K = cfg.intrinsics
+    report = validate_frame(_frame(cfg, depth=DepthGrid.constant(K.width, K.height, np.nan)), cfg)
+    assert any("NaN" in v for v in report.violations)
 
 
 def test_config_json_roundtrip(cfg, tmp_path):

@@ -3,6 +3,7 @@ import pytest
 from graphact import (CotHead, InferenceSchedule, SCENARIOS, build_default_vocab,
                       default_config, gen_episode, init_flow_expert,
                       init_gnn_weights, make_rng, run_inference_loop)
+from graphact.core import InvalidSetting
 from graphact.inference import outputs_to_dict
 from graphact.sim import EmptyEpisode
 
@@ -72,6 +73,18 @@ def test_empty_episode_raises(artifacts):
     ep.frames = []
     with pytest.raises(EmptyEpisode):
         run_inference_loop(ep, *artifacts, InferenceSchedule(), CFG)
+
+
+def test_zero_counts_are_rejected_not_defaulted(artifacts):
+    ep = gen_episode(SCENARIOS["food"], 0, 2, seed=37, cfg=CFG)
+    for kwargs in ({"euler_steps": 0}, {"max_cot_len": 0}, {"euler_steps": -1}):
+        with pytest.raises(InvalidSetting):
+            run_inference_loop(ep, *artifacts, InferenceSchedule(), CFG, **kwargs)
+    one, _ = run_inference_loop(ep, *artifacts, InferenceSchedule(), CFG, euler_steps=1,
+                                max_cot_len=1)
+    default, _ = run_inference_loop(ep, *artifacts, InferenceSchedule(), CFG)
+    assert outputs_to_dict(one) != outputs_to_dict(default)
+    assert len(one[0].cot_text.split()) <= 1
 
 
 def test_schedule_validation():

@@ -78,7 +78,7 @@ def test_render_object_on_optical_axis():
     # 1-ulp slack: the object position goes through T and back through T^-1
     assert abs((box.x_min + box.x_max) / 2 - K.cx) < 1e-9
     assert abs((box.y_min + box.y_max) / 2 - K.cy) < 1e-9
-    assert abs(frame.depth.values[int(K.cy), int(K.cx)] - 1.5) < 1e-12
+    assert abs(frame.depth.at(int(K.cx), int(K.cy)) - 1.5) < 1e-12
 
 
 def test_render_build_graph_roundtrip():
@@ -100,8 +100,8 @@ def test_render_two_objects_disjoint_boxes():
     assert len(frame.detections) == 2
     (ua, va), (ub, vb) = [((d.x_min + d.x_max) / 2, (d.y_min + d.y_max) / 2)
                           for d in frame.detections]
-    assert abs(frame.depth.values[int(round(va)), int(round(ua))] - 1.2) < 1e-12
-    assert abs(frame.depth.values[int(round(vb)), int(round(ub))] - 0.9) < 1e-12
+    assert abs(frame.depth.at(int(round(ua)), int(round(va))) - 1.2) < 1e-12
+    assert abs(frame.depth.at(int(round(ub)), int(round(vb))) - 0.9) < 1e-12
 
 
 def test_render_overlap_keeps_nearer_depth():
@@ -112,7 +112,7 @@ def test_render_overlap_keeps_nearer_depth():
                            SceneObject("near", near, 0.0)],
                   table_bounds=((0, 1),) * 3)
     frame = render_frame(scene, np.zeros(CFG.j_total), 0.0, K, T)
-    assert frame.depth.values[int(K.cy), int(K.cx)] == 1.0
+    assert frame.depth.at(int(K.cx), int(K.cy)) == 1.0
 
 
 def test_render_behind_camera_raises():
@@ -130,7 +130,7 @@ def test_render_off_image_omitted_and_recorded():
     omitted = []
     frame = render_frame(scene, np.zeros(CFG.j_total), 0.0, K, T, omitted=omitted)
     assert frame.detections == [] and omitted == ["gone"]
-    assert (frame.depth.values == DEFAULT_FAR).all()
+    assert (frame.depth.window(0, 0, K.width, K.height) == DEFAULT_FAR).all()
 
 
 def test_depth_fallback_via_injected_invalid_pixels():
@@ -140,8 +140,8 @@ def test_depth_fallback_via_injected_invalid_pixels():
     box = frame.detections[0]
     u = int(round((box.x_min + box.x_max) / 2))
     v = int(round((box.y_min + box.y_max) / 2))
-    true_depth = frame.depth.values[v, u]
-    frame.depth.values[v, u] = 0.0  # punch a hole at the center pixel
+    true_depth = frame.depth.at(u, v)
+    frame.depth.patches.append((u, v, np.array([[0.0]])))  # punch a hole at the center pixel
     assert depth_at(frame.depth, ((box.x_min + box.x_max) / 2,
                                   (box.y_min + box.y_max) / 2)) == true_depth
 
@@ -191,7 +191,9 @@ def test_episode_file_roundtrip(tmp_path):
         assert fa.t == fb.t
         assert np.array_equal(fa.q, fb.q)
         assert [d.to_dict() for d in fa.detections] == [d.to_dict() for d in fb.detections]
-        assert np.array_equal(fa.depth.values, fb.depth.values)
+        w, h = fb.depth.width, fb.depth.height
+        assert (fa.depth.width, fa.depth.height) == (w, h)
+        assert np.array_equal(fa.depth.window(0, 0, w, h), fb.depth.window(0, 0, w, h))
 
 
 def test_episode_files_byte_identical_across_runs(tmp_path):

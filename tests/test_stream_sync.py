@@ -109,5 +109,5 @@ def test_read_stream_log_roundtrip(tmp_path):
     frames = align_streams(streams["head"], [streams[CONTROL_STREAM]], max_gap=0.1)
     assert len(frames) == 1
     assert frames[0].detections[0].label == "egg"
-    assert frames[0].depth.values[1, 0] == 3.0
+    assert frames[0].depth.at(0, 1) == 3.0
     assert np.array_equal(frames[0].q, [0.1, 0.2])
