@@ -14,14 +14,15 @@ import sys
 
 import numpy as np
 
-from .core import PipelineConfig, PipelineError, derive_seed, make_rng, save_json
+from .core import (InvalidSetting, PipelineConfig, PipelineError, derive_seed, make_rng,
+                   save_json)
 from .cot import (CotHead, build_default_vocab, make_cot_label, tokenize,
                   train_cot_head)
 from .flow import FlowExpert, init_flow_expert, train_step
 from .gnn import GnnWeights, encode, init_gnn_weights, pooled_embedding
 from .graph import GraphOptions, build_graph, graph_to_json
-from .inference import (InferenceSchedule, make_context, outputs_to_dict,
-                        run_inference_loop, scenario_onehot)
+from .inference import (ArtifactLoadError, InferenceSchedule, check_artifacts, make_context,
+                        outputs_to_dict, run_inference_loop, scenario_onehot)
 from .selfcheck import run_selfcheck
 from .sim import SCENARIOS, default_config, gen_episode, load_episode, write_episode
 
@@ -141,6 +142,8 @@ def cmd_train_expert(args) -> int:
 
 
 def cmd_train_cot(args) -> int:
+    if args.epochs < 1:
+        raise InvalidSetting(f"--epochs must be >= 1, got {args.epochs}")
     cfg = _load_config(args.config)
     gnn_w = GnnWeights.load(args.gnn) if args.gnn else _gnn_for_seed(cfg, args.seed)
     vocab = build_default_vocab()
@@ -173,21 +176,25 @@ def _schedule_from_args(args) -> InferenceSchedule:
                              rate_budget_hz=args.rate_hz, pace=args.pace)
 
 
-def _load_artifacts(args):
+def _load_artifacts(args, cfg):
+    """Load the three artifacts and check them against cfg, so a mismatch
+    exits 2 before the first frame instead of failing mid-loop."""
     try:
         gnn_w = GnnWeights.load(args.gnn)
         expert = FlowExpert.load(args.expert)
         head = CotHead.load(args.cot_head)
-    except (OSError, KeyError, ValueError) as exc:
-        from .inference import ArtifactLoadError
+    except PipelineError:
+        raise  # already named, e.g. InvalidSetting, which is also a ValueError
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ArtifactLoadError(str(exc)) from exc
+    check_artifacts(cfg, gnn_w, expert, head)
     return gnn_w, expert, head
 
 
 def cmd_infer(args) -> int:
     cfg = _load_config(args.config)
     ep = load_episode(args.episode)
-    gnn_w, expert, head = _load_artifacts(args)
+    gnn_w, expert, head = _load_artifacts(args, cfg)
     outputs, report = run_inference_loop(ep, gnn_w, expert, head,
                                          _schedule_from_args(args), cfg,
                                          seed=args.seed, euler_steps=args.steps)
@@ -199,9 +206,11 @@ def cmd_infer(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.repeat < 1:
+        raise InvalidSetting(f"--repeat must be >= 1, got {args.repeat}")
     cfg = _load_config(args.config)
     ep = load_episode(args.episode)
-    gnn_w, expert, head = _load_artifacts(args)
+    gnn_w, expert, head = _load_artifacts(args, cfg)
     schedule = InferenceSchedule()  # free-running
     reports = []
     for _ in range(args.repeat):

@@ -29,6 +29,15 @@ class InvalidSetting(PipelineError, ValueError):
     not positive."""
 
 
+def check_shapes(owner: str, expected: dict) -> None:
+    """expected: parameter name -> (array, shape it must have). Raises
+    ShapeMismatch naming the first parameter whose shape differs."""
+    for name, (arr, shape) in expected.items():
+        if np.shape(arr) != tuple(shape):
+            raise ShapeMismatch(f"{owner} parameter {name} has shape {np.shape(arr)}, "
+                                f"expected {tuple(shape)}")
+
+
 def save_json(path, obj, indent=None) -> None:
     """Write obj as one JSON document plus a newline. json.dumps encodes in
     one shot (through the C encoder when indent is None), where json.dump

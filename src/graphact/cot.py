@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PipelineError, load_json, save_json
+from .core import InvalidSetting, PipelineError, check_shapes, load_json, save_json
 from .sim import SCENARIOS, EmptyEpisode, Episode, InstructionScenario, Scene
 
 PAD, END, SEP = "<pad>", "<end>", "<sep>"
@@ -222,6 +222,25 @@ class CotHead:
         self.b1 = np.zeros(hidden)
         self.w2 = mat(hidden, V)
         self.b2 = np.zeros(V)
+        self.check()
+
+    def check(self) -> None:
+        """Raise a PipelineError when the window is below 1, the vocabulary
+        lacks <pad> or <end>, or a parameter's shape disagrees with the
+        vocabulary, window and context_dim."""
+        if self.window < 1:
+            raise InvalidSetting(f"cot head window must be >= 1, got {self.window}")
+        missing = [tok for tok in (PAD, END) if tok not in self.vocab.ids]
+        if missing:
+            raise UnknownToken(f"cot head vocabulary lacks {', '.join(missing)}")
+        V = len(self.vocab)
+        ctx_embed, hidden = np.size(self.bc), np.size(self.b1)
+        embed = np.shape(self.emb)[1] if np.ndim(self.emb) == 2 else -1
+        check_shapes("cot head", {
+            "wc": (self.wc, (self.context_dim, ctx_embed)), "bc": (self.bc, (ctx_embed,)),
+            "emb": (self.emb, (V, embed)),
+            "w1": (self.w1, (ctx_embed + self.window * embed, hidden)),
+            "b1": (self.b1, (hidden,)), "w2": (self.w2, (hidden, V)), "b2": (self.b2, (V,))})
 
     def params(self) -> list:
         return [("wc", self.wc), ("bc", self.bc), ("emb", self.emb),
@@ -288,6 +307,7 @@ class CotHead:
         head.window = int(d["window"])
         for name in ("wc", "bc", "emb", "w1", "b1", "w2", "b2"):
             setattr(head, name, np.array(d[name], dtype=float))
+        head.check()
         return head
 
     def save(self, path) -> None:
@@ -352,18 +372,30 @@ def grad_check_cot(head: CotHead, sample, h: float = 1e-5, n_params: int = 100,
 
 def generate_cot(head: CotHead, context, max_len: int) -> list:
     """Greedy argmax decoding until <end> or max_len; ties break to the
-    lowest token id, so decoding is deterministic."""
+    lowest token id, so decoding is deterministic.
+
+    The input row [context projection, window embeddings] is preallocated:
+    the projection is written once, and each token shifts the embedding
+    slots by one and writes the new token's embedding at the end. Each step
+    sees the same row that concatenating the projection and the window's
+    embeddings would build, so the decoded ids do not change.
+    """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    window = [head.vocab.pad_id] * head.window
+    n_ctx, embed = head.wc.shape[1], head.emb.shape[1]
+    x = np.empty((1, head.w1.shape[0]))
+    x[0, :n_ctx] = np.ravel(context) @ head.wc + head.bc
+    x[0, n_ctx:] = np.tile(head.emb[head.vocab.pad_id], head.window)
+    end_id = head.vocab.end_id
     out = []
     for _ in range(max_len):
-        logits, _ = head._forward(context, np.array([window], dtype=int))
+        logits = np.tanh(x @ head.w1 + head.b1) @ head.w2 + head.b2
         nxt = int(np.argmax(logits[0]))
-        if nxt == head.vocab.end_id:
+        if nxt == end_id:
             break
         out.append(nxt)
-        window = window[1:] + [nxt]
+        x[0, n_ctx:-embed] = x[0, n_ctx + embed:]
+        x[0, -embed:] = head.emb[nxt]
     return out
 
 

@@ -15,7 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import PipelineError, ShapeMismatch, load_json, save_json
+from .core import (InvalidSetting, PipelineError, ShapeMismatch, check_shapes, load_json,
+                   save_json)
+
+# Redraws sample_tau allows before it gives up; an ordinary Beta draw lands
+# strictly inside (0, 1) on the first try.
+TAU_MAX_DRAWS = 100
 
 
 class EmptyBatch(PipelineError):
@@ -23,6 +28,10 @@ class EmptyBatch(PipelineError):
 
 
 class InvalidShapeParam(PipelineError):
+    pass
+
+
+class DegenerateTau(PipelineError):
     pass
 
 
@@ -45,6 +54,15 @@ class FlowExpert:
     beta: float = 1.0
     sigma: float = 1.0
     _velocity: dict = field(default_factory=dict, repr=False)  # momentum buffers
+
+    def __post_init__(self):
+        if self.sigma < 0:
+            raise InvalidSetting(f"expert sigma must be non-negative, got {self.sigma}")
+        h1, h2 = np.size(self.b1), np.size(self.b2)
+        check_shapes("expert", {
+            "w1": (self.w1, (self.input_dim, h1)), "b1": (self.b1, (h1,)),
+            "w2": (self.w2, (h1, h2)), "b2": (self.b2, (h2,)),
+            "w3": (self.w3, (h2, self.action_dim)), "b3": (self.b3, (self.action_dim,))})
 
     @property
     def action_dim(self) -> int:
@@ -135,13 +153,19 @@ def init_flow_expert(rng: np.random.Generator, horizon: int, j_dim: int,
 
 
 def sample_tau(alpha: float, beta: float, rng: np.random.Generator) -> float:
-    """Beta(alpha, beta) draw, guaranteed strictly inside (0, 1)."""
+    """Beta(alpha, beta) draw, guaranteed strictly inside (0, 1).
+
+    A draw on an endpoint is redrawn, at most TAU_MAX_DRAWS draws in all;
+    then DegenerateTau is raised rather than looping forever.
+    """
     if alpha <= 0 or beta <= 0:
         raise InvalidShapeParam(f"Beta shape parameters must be positive, got ({alpha}, {beta})")
-    x = rng.beta(alpha, beta)
-    while not 0.0 < x < 1.0:
+    for _ in range(TAU_MAX_DRAWS):
         x = rng.beta(alpha, beta)
-    return float(x)
+        if 0.0 < x < 1.0:
+            return float(x)
+    raise DegenerateTau(f"Beta({alpha}, {beta}) gave no draw strictly inside (0, 1) "
+                        f"in {TAU_MAX_DRAWS} draws")
 
 
 def interpolate(A: np.ndarray, eps: np.ndarray, tau: float) -> np.ndarray:
@@ -271,11 +295,20 @@ def sample_actions(expert: FlowExpert, context: np.ndarray, steps: int,
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    A = rng.normal(0.0, expert.sigma, size=expert.action_dim)
-    dtau = 1.0 / steps
     ctx = np.ravel(context)
+    if ctx.size != expert.context_dim:
+        raise ShapeMismatch(f"context has {ctx.size} entries, expert expects "
+                            f"{expert.context_dim}")
+    # One input row [A, context, tau] for every step: the context is written
+    # once, A is updated in place and tau is rewritten, so each step builds
+    # the same row the concatenation [A, ctx, [tau]] would.
+    d_a = expert.action_dim
+    x = np.empty((1, expert.input_dim))
+    x[0, :d_a] = rng.normal(0.0, expert.sigma, size=d_a)
+    x[0, d_a:-1] = ctx
+    A = x[0, :d_a]
+    dtau = 1.0 / steps
     for k in range(steps):
-        tau = k * dtau
-        x = np.concatenate([A, ctx, [tau]])
-        A = A - expert.forward(x[None, :])[0] * dtau
-    return A.reshape(expert.horizon, expert.j_dim)
+        x[0, -1] = k * dtau
+        A -= expert.forward(x)[0] * dtau
+    return A.reshape(expert.horizon, expert.j_dim).copy()

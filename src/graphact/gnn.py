@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PipelineError, ShapeMismatch, load_json, save_json
+from .core import PipelineError, ShapeMismatch, check_shapes, load_json, save_json
 from .graph import END_EFFECTOR, JOINT, OBJECT, PoseObjectGraph, adjacency_matrix
 
 LN_EPS = 1e-5
@@ -34,13 +34,11 @@ class GnnWeights:
         return self.lift_w.shape[1], self.layer1_w.shape[1], self.layer2_w.shape[1]
 
     def __post_init__(self):
-        d, h, d_out = self.dims
-        if self.lift_w.shape != (INPUT_DIM, d) or self.lift_b.shape != (d,):
-            raise ShapeMismatch("lift weights inconsistent")
-        if self.layer1_w.shape != (d, h) or self.layer1_b.shape != (h,):
-            raise ShapeMismatch("layer1 weights inconsistent")
-        if self.layer2_w.shape != (h, d_out) or self.layer2_b.shape != (d_out,):
-            raise ShapeMismatch("layer2 weights inconsistent")
+        d, h, d_out = np.size(self.lift_b), np.size(self.layer1_b), np.size(self.layer2_b)
+        check_shapes("gnn", {
+            "lift.w": (self.lift_w, (INPUT_DIM, d)), "lift.b": (self.lift_b, (d,)),
+            "layer1.w": (self.layer1_w, (d, h)), "layer1.b": (self.layer1_b, (h,)),
+            "layer2.w": (self.layer2_w, (h, d_out)), "layer2.b": (self.layer2_b, (d_out,))})
 
     def to_dict(self) -> dict:
         d, h, d_out = self.dims
@@ -106,20 +104,23 @@ def normalized_adjacency(A: np.ndarray) -> np.ndarray:
     return A_hat * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
 
 
-def graph_conv(H: np.ndarray, A: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if A.shape[0] != A.shape[1] or A.shape[0] != H.shape[0]:
-        raise ShapeMismatch(f"adjacency {A.shape} does not match features {H.shape}")
+def graph_conv(H: np.ndarray, A_hat: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A_hat @ H @ W + b, with A_hat the normalized adjacency
+    (normalized_adjacency of the graph's adjacency matrix)."""
+    if A_hat.shape[0] != A_hat.shape[1] or A_hat.shape[0] != H.shape[0]:
+        raise ShapeMismatch(f"adjacency {A_hat.shape} does not match features {H.shape}")
     if H.shape[1] != W.shape[0]:
         raise ShapeMismatch(f"features {H.shape} do not match weight {W.shape}")
-    return normalized_adjacency(A) @ H @ W + b
+    return A_hat @ H @ W + b
 
 
 def encode(g: PoseObjectGraph, w: GnnWeights) -> np.ndarray:
-    """H1 = ReLU(conv(LN(H0))); H2 = ReLU(conv(LN(H1))); returns H2."""
-    A = adjacency_matrix(g)
+    """H1 = ReLU(conv(LN(H0))); H2 = ReLU(conv(LN(H1))); returns H2.
+    Both layers share one normalized adjacency."""
+    A_hat = normalized_adjacency(adjacency_matrix(g))
     H = initial_embedding(g, w)
-    H = np.maximum(graph_conv(layer_norm(H), A, w.layer1_w, w.layer1_b), 0.0)
-    H = np.maximum(graph_conv(layer_norm(H), A, w.layer2_w, w.layer2_b), 0.0)
+    H = np.maximum(graph_conv(layer_norm(H), A_hat, w.layer1_w, w.layer1_b), 0.0)
+    H = np.maximum(graph_conv(layer_norm(H), A_hat, w.layer2_w, w.layer2_b), 0.0)
     return H
 
 

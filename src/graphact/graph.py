@@ -69,12 +69,12 @@ def build_graph(frame, K: CameraIntrinsics, T: RigidTransform, chains: list,
         p_base = transform_point(T, backproject(center, d, K))
         nodes.append(GraphNode(id=len(nodes), kind=OBJECT, label=det.label, position=p_base))
 
-    edges = []
     q = np.asarray(frame.q, dtype=float).reshape(-1) if frame.q is not None else np.zeros(0)
     total_dof = sum(c.dof for c in chains)
     if q.size != total_dof:
         raise DofMismatch(f"frame has {q.size} joint values, chains expect {total_dof}")
     n_objects = len(nodes)
+    ee_ids, chain_edges = [], []
     offset = 0
     for chain in chains:
         positions = fk_positions(chain, q[offset:offset + chain.dof])
@@ -87,16 +87,13 @@ def build_graph(frame, K: CameraIntrinsics, T: RigidTransform, chains: list,
         ee_id = len(nodes)
         nodes.append(GraphNode(id=ee_id, kind=END_EFFECTOR,
                                label=f"{chain.name}/ee", position=positions[-1]))
+        ee_ids.append(ee_id)
         if opts.joints_as_nodes and opts.kinematic_edges:
-            for i in range(first_id, ee_id):
-                edges.append((i, i + 1))
+            chain_edges.extend((i, i + 1) for i in range(first_id, ee_id))
 
-    for obj_id in range(n_objects):
-        for node in nodes[n_objects:]:
-            if node.kind == END_EFFECTOR:
-                edges.append((obj_id, node.id))
-
-    edges = sorted(set((min(i, j), max(i, j)) for i, j in edges))
+    # Every object id is below every robot id, and robot ids grow chain by
+    # chain, so this list is already sorted, with i < j and no duplicates.
+    edges = [(obj_id, ee_id) for obj_id in range(n_objects) for ee_id in ee_ids] + chain_edges
     return PoseObjectGraph(t=frame.t, nodes=nodes, edges=edges)
 
 

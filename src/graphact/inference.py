@@ -19,6 +19,26 @@ class ArtifactLoadError(PipelineError):
     pass
 
 
+class ArtifactMismatch(PipelineError):
+    """A loaded artifact's dimensions disagree with the pipeline config."""
+
+
+def check_artifacts(cfg: PipelineConfig, gnn_w: GnnWeights, expert: FlowExpert,
+                    cot_head: CotHead) -> None:
+    """Raise ArtifactMismatch naming the first artifact dimension that
+    differs from cfg. Each artifact's own weight shapes are checked when it
+    is built or loaded; this ties them to the config before any frame runs."""
+    pairs = (("gnn dims", gnn_w.dims, tuple(cfg.gnn_dims), "gnn_dims"),
+             ("expert horizon", expert.horizon, cfg.flow_horizon, "flow_horizon"),
+             ("expert j_dim", expert.j_dim, cfg.j_total, "j_total"),
+             ("expert context_dim", expert.context_dim, cfg.context_dim, "context_dim"),
+             ("cot head context_dim", cot_head.context_dim, cfg.context_dim, "context_dim"),
+             ("cot head window", cot_head.window, cfg.cot_window, "cot_window"))
+    for what, got, want, key in pairs:
+        if got != want:
+            raise ArtifactMismatch(f"{what} {got} does not match config {key} {want}")
+
+
 @dataclass
 class InferenceSchedule:
     """Reasoning cadence: first frame by default, every cot_period frames
@@ -43,12 +63,22 @@ class InferenceSchedule:
 
 @dataclass
 class BenchReport:
-    """Per-stage timings in milliseconds plus the achieved frame rate."""
+    """Raw per-stage and per-frame timings in milliseconds plus the achieved
+    frame rate. The summaries (mean, p95, count) are computed when read, so
+    a loop pays only for appending its samples."""
 
-    stages: dict = field(default_factory=dict)  # stage -> {mean_ms, p95_ms, count}
-    frame_ms: dict = field(default_factory=dict)
+    stage_samples: dict = field(default_factory=dict)  # stage -> [ms]
+    frame_samples: list = field(default_factory=list)  # [ms], one per frame
     achieved_hz: float = 0.0
-    frame_samples: list = field(default_factory=list)  # raw per-frame ms
+
+    @property
+    def stages(self) -> dict:
+        """stage -> {mean_ms, p95_ms, count}, for stages that ran."""
+        return {name: _summarize(ts) for name, ts in self.stage_samples.items() if ts}
+
+    @property
+    def frame_ms(self) -> dict:
+        return _summarize(self.frame_samples)
 
     def to_dict(self) -> dict:
         return {"stages": self.stages, "frame_ms": self.frame_ms,
@@ -139,10 +169,8 @@ def run_inference_loop(episode: Episode, gnn_w: GnnWeights, expert: FlowExpert,
 
     total = time.perf_counter() - loop_start
     report = BenchReport(
-        stages={name: _summarize(ts) for name, ts in stage_times.items() if ts},
-        frame_ms=_summarize(frame_times),
+        stage_samples=stage_times, frame_samples=frame_times,
         achieved_hz=float(len(episode.frames) / total) if total > 0 else 0.0,
-        frame_samples=frame_times,
     )
     return outputs, report
 

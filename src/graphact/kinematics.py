@@ -54,8 +54,8 @@ class KinematicChain:
                    links=tuple(DhLink.from_dict(l) for l in d["links"]))
 
 
-def dh_transform(link: DhLink, theta: float) -> RigidTransform:
-    """Link transform for joint angle theta (theta_offset added internally)."""
+def _dh_arrays(link: DhLink, theta: float) -> tuple:
+    """(R, t) of the link transform for joint angle theta."""
     th = theta + link.theta_offset
     ct, st = math.cos(th), math.sin(th)
     ca, sa = math.cos(link.alpha), math.sin(link.alpha)
@@ -63,23 +63,31 @@ def dh_transform(link: DhLink, theta: float) -> RigidTransform:
                   [st, ct * ca, -ct * sa],
                   [0.0, sa, ca]])
     t = np.array([link.a * ct, link.a * st, link.d])
-    return RigidTransform(R, t, check=False)
+    return R, t
+
+
+def dh_transform(link: DhLink, theta: float) -> RigidTransform:
+    """Link transform for joint angle theta (theta_offset added internally)."""
+    return RigidTransform(*_dh_arrays(link, theta), check=False)
 
 
 def fk_positions(chain: KinematicChain, q_slice) -> list:
     """Base-frame origins of every joint frame plus the end effector, chain order.
 
     Returns dof + 1 points: the chain base origin, each intermediate joint
-    origin, and finally the end-effector origin.
+    origin, and finally the end-effector origin. The chain is composed on
+    plain (R, t) arrays with the products RigidTransform.compose takes.
     """
     q = np.asarray(q_slice, dtype=float).reshape(-1)
     if q.size != chain.dof:
         raise DofMismatch(f"chain '{chain.name}' expects {chain.dof} joints, got {q.size}")
-    positions = [chain.base.translation.copy()]
-    T = chain.base
+    R, t = chain.base.rotation, chain.base.translation
+    positions = [t.copy()]
     for link, theta in zip(chain.links, q):
-        T = T.compose(dh_transform(link, theta))
-        positions.append(T.translation.copy())
+        R_link, t_link = _dh_arrays(link, theta)
+        t = R @ t_link + t
+        R = R @ R_link
+        positions.append(t)
     return positions
 
 

@@ -6,6 +6,7 @@ dropped, not interpolated.
 """
 
 import json
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -53,7 +54,7 @@ def _check_stream(s: SampleStream) -> list:
     if not s.samples:
         raise EmptyStream(f"stream '{s.name}' has no samples")
     ts = s.timestamps()
-    if any(b <= a for a, b in zip(ts, ts[1:])):
+    if any(map(operator.le, ts[1:], ts)):
         raise NonMonotoneTimestamps(f"stream '{s.name}' timestamps not strictly increasing")
     return ts
 

@@ -308,3 +308,74 @@ def test_fuzz_corrupt_episode_line_exit_contract(data, workspace):
         if code:
             assert set(_one_json_error_line(err.getvalue())) == {"error", "message"}
         assert os.path.exists(out) == (code == 0)
+
+
+def test_train_cot_rejects_zero_epochs(tmp_path, workspace, capsys):
+    out = tmp_path / "h.json"
+    assert main(["train-cot", "--data", str(workspace["data"]), "--epochs", "0",
+                 "--out", str(out)]) == 2
+    assert _one_json_error_line(capsys.readouterr().err)["error"] == "InvalidSetting"
+    assert not out.exists()
+
+
+def test_bench_rejects_zero_repeat(tmp_path, workspace, capsys):
+    out = tmp_path / "bench.json"
+    assert main(["bench", "--episode", str(workspace["episode"]),
+                 "--gnn", str(workspace["gnn"]), "--expert", str(workspace["expert"]),
+                 "--cot-head", str(workspace["head"]), "--repeat", "0",
+                 "--out", str(out)]) == 2
+    assert _one_json_error_line(capsys.readouterr().err)["error"] == "InvalidSetting"
+    assert not out.exists()
+    assert capsys.readouterr().out == ""
+
+
+def _edit_artifact(src, dst, edit):
+    doc = json.loads(src.read_text())
+    edit(doc)
+    dst.write_text(json.dumps(doc))
+    return dst
+
+
+# (artifact, edit of its JSON, config override, error, word in the message)
+ARTIFACT_CASES = {
+    "cot_w2_columns": ("head", lambda d: d.update(w2=[r[:10] for r in d["w2"]]), {},
+                       "ShapeMismatch", "w2"),
+    "cot_window": ("head", lambda d: d.update(window=4), {}, "ShapeMismatch", "w1"),
+    "cot_emb_rows": ("head", lambda d: d.update(emb=d["emb"][:-1]), {}, "ShapeMismatch", "emb"),
+    "cot_tokens_not_a_list": ("head", lambda d: d.update(tokens=5), {}, "ArtifactLoadError",
+                              "int"),
+    "cot_window_zero": ("head", lambda d: d.update(window=0), {}, "InvalidSetting", "window"),
+    "cot_vocab_without_pad": ("head", lambda d: d["tokens"].__setitem__(0, "pad"), {},
+                              "UnknownToken", "<pad>"),
+    "expert_negative_sigma": ("expert", lambda d: d.update(sigma=-1.0), {}, "InvalidSetting",
+                              "sigma"),
+    "expert_w3_columns": ("expert", lambda d: d.update(w3=[r[:-1] for r in d["w3"]]), {},
+                          "ShapeMismatch", "w3"),
+    "expert_horizon": ("expert", lambda d: d.update(horizon=29), {}, "ShapeMismatch", "w1"),
+    "config_flow_horizon": (None, None, {"flow_horizon": 4}, "ArtifactMismatch", "horizon"),
+    "config_gnn_dims": (None, None, {"gnn_dims": (16, 16, 32)}, "ArtifactMismatch", "gnn dims"),
+    "config_cot_window": (None, None, {"cot_window": 4}, "ArtifactMismatch", "window"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ARTIFACT_CASES))
+def test_infer_checks_artifacts_before_first_frame(case, tmp_path, workspace, capsys):
+    """A wrong-shape artifact, or one that disagrees with the config, exits 2
+    with a named mismatch and writes nothing."""
+    kind, edit, overrides, error, word = ARTIFACT_CASES[case]
+    paths = {k: workspace[k] for k in ("gnn", "expert", "head")}
+    if kind is not None:
+        paths[kind] = _edit_artifact(paths[kind], tmp_path / f"{kind}.json", edit)
+    cfg_path = tmp_path / "cfg.json"
+    cfg = default_config()
+    for key, value in overrides.items():
+        setattr(cfg, key, value)
+    cfg.save(cfg_path)
+    out = tmp_path / "o.json"
+    assert main(["infer", "--episode", str(workspace["episode"]), "--gnn", str(paths["gnn"]),
+                 "--expert", str(paths["expert"]), "--cot-head", str(paths["head"]),
+                 "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = _one_json_error_line(capsys.readouterr().err)
+    assert err["error"] == error
+    assert word in err["message"]
+    assert not out.exists()

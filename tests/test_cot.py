@@ -179,6 +179,44 @@ def test_cot_grad_check():
     assert grad_check_cot(head, sample, h=1e-5, n_params=100, rng=make_rng(9)) < 1e-4
 
 
+def _concat_decode(head, context, max_len):
+    """Reference decoder: rebuilds [context projection, window embeddings]
+    by concatenation for every token, through the teacher-forcing path."""
+    window = [head.vocab.pad_id] * head.window
+    out = []
+    for _ in range(max_len):
+        logits, _ = head._forward(context, np.array([window], dtype=int))
+        nxt = int(np.argmax(logits[0]))
+        if nxt == head.vocab.end_id:
+            break
+        out.append(nxt)
+        window = window[1:] + [nxt]
+    return out
+
+
+def test_generate_cot_bit_exact_against_concat_decode():
+    vocab, samples = _memorization_setup()
+    trained = CotHead(vocab, context_dim=4, window=8, rng=make_rng(30))
+    train_cot_head(trained, samples, lr=0.5, epochs=60, rng=make_rng(31))
+    rng = make_rng(32)
+    cases = []
+    for k in range(60):
+        if k % 3 == 0:
+            # near a training context, where the trained head stops on <end>
+            ctx = samples[k % 2][0] + rng.normal(0.0, 0.05, size=4)
+            cases.append((trained, ctx, 120))
+        else:
+            head = CotHead(vocab, context_dim=4, window=1 + k % 8, rng=make_rng(100 + k))
+            cases.append((head, rng.normal(size=4), 1 if k % 5 == 0 else 40))
+    early_end = 0
+    for head, ctx, max_len in cases:
+        want = _concat_decode(head, ctx, max_len)
+        assert generate_cot(head, ctx, max_len) == want
+        early_end += len(want) < max_len
+    assert early_end > 0
+    assert any(max_len == 1 for _, _, max_len in cases)
+
+
 def test_generate_untrained_emits_max_len():
     vocab, _ = _memorization_setup()
     head = CotHead(vocab, context_dim=4, rng=make_rng(10))

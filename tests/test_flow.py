@@ -5,7 +5,7 @@ from graphact import (FlowExpert, fm_loss, grad_check, init_flow_expert,
                       interpolate, make_rng, sample_actions, sample_tau,
                       target_field, train_step)
 from graphact.core import ShapeMismatch
-from graphact.flow import EmptyBatch, InvalidShapeParam
+from graphact.flow import TAU_MAX_DRAWS, DegenerateTau, EmptyBatch, InvalidShapeParam
 
 
 def _tiny_expert(rng=None, sigma=1.0, alpha=1.0, beta=1.0, **kw):
@@ -31,6 +31,20 @@ def test_sample_tau_beta_mean():
     rng = make_rng(2)
     draws = np.array([sample_tau(2.0, 1.0, rng) for _ in range(100_000)])
     assert abs(draws.mean() - 2.0 / 3.0) < 0.01
+
+
+def test_sample_tau_bounded_redraws():
+    class StuckAtZero:
+        calls = 0
+
+        def beta(self, a, b):
+            self.calls += 1
+            return 0.0
+
+    stub = StuckAtZero()
+    with pytest.raises(DegenerateTau):
+        sample_tau(1.5, 1.0, stub)
+    assert stub.calls == TAU_MAX_DRAWS
 
 
 def test_sample_tau_invalid_params():
@@ -167,6 +181,35 @@ def test_sampler_single_step_formula():
     x = np.concatenate([eps, ctx, [0.0]])
     expected = eps - expert.forward(x[None, :])[0]
     assert np.array_equal(out.ravel(), expected)
+
+
+def _concat_euler(expert, context, steps, rng):
+    """Reference sampler: concatenates [A, context, tau] for every step."""
+    A = rng.normal(0.0, expert.sigma, size=expert.action_dim)
+    dtau = 1.0 / steps
+    ctx = np.ravel(context)
+    for k in range(steps):
+        x = np.concatenate([A, ctx, [k * dtau]])
+        A = A - expert.forward(x[None, :])[0] * dtau
+    return A.reshape(expert.horizon, expert.j_dim)
+
+
+@pytest.mark.parametrize("steps", [1, 10])
+def test_sampler_bit_exact_against_concat_euler(steps):
+    for seed in range(6):
+        horizon, j_dim, context_dim = ((30, 14, 48), (2, 2, 3), (4, 3, 0))[seed % 3]
+        expert = init_flow_expert(make_rng(seed), horizon=horizon, j_dim=j_dim,
+                                  context_dim=context_dim, sigma=0.5 + seed)
+        ctx = make_rng(50 + seed).normal(size=context_dim)
+        got = sample_actions(expert, ctx, steps, make_rng(70 + seed))
+        want = _concat_euler(expert, ctx, steps, make_rng(70 + seed))
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_sampler_rejects_wrong_context_size():
+    with pytest.raises(ShapeMismatch):
+        sample_actions(_tiny_expert(), np.zeros(4), 10, make_rng(0))
 
 
 def test_sampler_deterministic():

@@ -6,7 +6,8 @@ import pytest
 from graphact import (GnnWeights, GraphNode, PoseObjectGraph, encode,
                       graph_conv, init_gnn_weights, initial_embedding,
                       layer_norm, make_rng, pooled_embedding)
-from graphact.gnn import INPUT_DIM, KIND_ORDER, LN_EPS, EmptyGraph, node_inputs
+from graphact.gnn import (INPUT_DIM, KIND_ORDER, LN_EPS, EmptyGraph, node_inputs,
+                          normalized_adjacency)
 from graphact.core import ShapeMismatch
 
 
@@ -108,7 +109,7 @@ def test_layer_norm_row_statistics():
 
 def test_graph_conv_single_node_identity():
     H = np.array([[0.3, -0.7]])
-    got = graph_conv(H, np.zeros((1, 1)), np.eye(2), np.zeros(2))
+    got = graph_conv(H, normalized_adjacency(np.zeros((1, 1))), np.eye(2), np.zeros(2))
     assert np.abs(got - H).max() < 1e-15
 
 
@@ -123,7 +124,7 @@ def test_graph_conv_path_graph_against_oracle():
     A = np.zeros((3, 3))
     A[0, 1] = A[1, 0] = A[1, 2] = A[2, 1] = 1.0
     H = np.eye(3)
-    got = graph_conv(H, A, np.eye(3), np.zeros(3))
+    got = graph_conv(H, normalized_adjacency(A), np.eye(3), np.zeros(3))
     assert np.abs(got - _oracle_norm_adj(A) @ H).max() < 1e-12
 
 

@@ -1,3 +1,6 @@
+import json
+
+import numpy as np
 import pytest
 
 from graphact import (CotHead, InferenceSchedule, SCENARIOS, build_default_vocab,
@@ -31,6 +34,24 @@ def test_default_schedule_single_cot(artifacts):
     assert set(report.stages) == {"graph_build", "encode", "cot_generation",
                                   "action_sampling"}
     assert report.stages["cot_generation"]["count"] == 1
+
+
+def test_report_summaries_match_eager_summaries(artifacts):
+    """to_dict() summarizes the raw samples on read exactly as the loop once
+    did eagerly: mean and p95 per stage that ran, then per frame."""
+    ep = gen_episode(SCENARIOS["food"], 0, 9, seed=38, cfg=CFG)
+    _, report = run_inference_loop(ep, *artifacts, InferenceSchedule(cot_period=4), CFG)
+
+    def eager(samples):
+        arr = np.asarray(samples, dtype=float)
+        return {"mean_ms": float(arr.mean()), "p95_ms": float(np.percentile(arr, 95)),
+                "count": int(arr.size)}
+
+    assert len(report.frame_samples) == 9
+    assert [len(v) for v in report.stage_samples.values()] == [9, 9, 3, 9]
+    want = {"stages": {name: eager(ts) for name, ts in report.stage_samples.items()},
+            "frame_ms": eager(report.frame_samples), "achieved_hz": report.achieved_hz}
+    assert json.dumps(report.to_dict()) == json.dumps(want)
 
 
 def test_cot_period_schedule(artifacts):

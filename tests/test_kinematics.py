@@ -98,6 +98,26 @@ def test_fk_matches_matrix_oracle_random_configs():
             assert np.abs(g - e).max() < 1e-12
 
 
+def _compose_chain(chain, q):
+    """Reference FK: RigidTransform.compose link by link."""
+    T = chain.base
+    pts = [T.translation.copy()]
+    for link, theta in zip(chain.links, q):
+        T = T.compose(dh_transform(link, theta))
+        pts.append(T.translation.copy())
+    return pts
+
+
+def test_fk_bit_exact_against_compose_chain():
+    rng = np.random.default_rng(7)
+    for chain in default_chains():
+        for _ in range(50):
+            q = rng.uniform(-np.pi, np.pi, size=7)
+            got, want = fk_positions(chain, q), _compose_chain(chain, q)
+            assert len(got) == len(want) == 8
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
 def test_reachability_bound():
     chain = default_chains()[0]
     rng = np.random.default_rng(5)
