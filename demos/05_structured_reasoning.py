@@ -14,7 +14,7 @@ from graphact import (SCENARIOS, build_default_vocab, ce_loss, gen_episode,
                       default_config, detokenize, generate_cot, make_cot_label,
                       make_rng, sample_dropout, tokenize, total_loss,
                       train_cot_head)
-from graphact.cot import CotHead
+from graphact.cot import init_cot_head
 
 cfg = default_config()
 vocab = build_default_vocab()
@@ -37,7 +37,7 @@ for variant in range(3):
     samples.append((context, ids))
 
 print("\ntraining the reasoning head to memorize the three labels:")
-head = CotHead(vocab, context_dim=4, window=8, rng=make_rng(0))
+head = init_cot_head(vocab, context_dim=4, window=8, rng=make_rng(0))
 curve = train_cot_head(head, samples, lr=0.5, epochs=250, rng=make_rng(1))
 print(f"  mean per-token loss {curve[0]:.3f} -> {curve[-1]:.4f}")
 

@@ -8,9 +8,9 @@ run comfortably inside a real-time budget.
 
 import numpy as np
 
-from graphact import (CotHead, InferenceSchedule, SCENARIOS, build_default_vocab,
+from graphact import (InferenceSchedule, SCENARIOS, build_default_vocab,
                       build_graph, default_config, encode, gen_episode,
-                      init_flow_expert, init_gnn_weights, make_cot_label,
+                      init_cot_head, init_flow_expert, init_gnn_weights, make_cot_label,
                       make_context, make_rng, pooled_embedding,
                       run_inference_loop, scenario_onehot, tokenize,
                       train_cot_head)
@@ -26,8 +26,8 @@ expert = init_flow_expert(make_rng(1), horizon=cfg.flow_horizon, j_dim=cfg.j_tot
 # teach the reasoning head this episode's ground-truth label so the emitted
 # text is meaningful (see demo 05 for the label machinery itself)
 vocab = build_default_vocab()
-head = CotHead(vocab, context_dim=cfg.context_dim, window=cfg.cot_window,
-               rng=make_rng(2))
+head = init_cot_head(vocab, context_dim=cfg.context_dim, window=cfg.cot_window,
+                     rng=make_rng(2))
 g0 = build_graph(episode.frames[0], cfg.intrinsics, cfg.extrinsics, cfg.chains)
 context0 = make_context(pooled_embedding(encode(g0, gnn_w)), episode.frames[0].q,
                         scenario_onehot(cfg, "food"))

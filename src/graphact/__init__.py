@@ -21,7 +21,7 @@ from .flow import (FlowExpert, fm_loss, grad_check, init_flow_expert, interpolat
                    sample_actions, sample_tau, target_field, train_step)
 from .cot import (CotHead, CotLabel, TokenVocab, build_default_vocab, ce_loss,
                   detokenize, future_indices, generate_cot, grad_check_cot,
-                  make_cot_label, sample_dropout, tokenize, total_loss,
+                  init_cot_head, make_cot_label, sample_dropout, tokenize, total_loss,
                   train_cot_head)
 from .sim import (SCENARIOS, Episode, InstructionScenario, Scene, default_config,
                   gen_episode, gen_scene, load_episode, render_frame, write_episode)

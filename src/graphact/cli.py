@@ -16,8 +16,8 @@ import numpy as np
 
 from .core import (InvalidSetting, PipelineConfig, PipelineError, derive_seed, make_rng,
                    save_json)
-from .cot import (CotHead, build_default_vocab, make_cot_label, tokenize,
-                  train_cot_head)
+from .cot import (CotHead, build_default_vocab, init_cot_head, make_cot_label, tokenize,
+                  train_cot_head, write_cot_dataset)
 from .flow import FlowExpert, init_flow_expert, train_step
 from .gnn import GnnWeights, encode, init_gnn_weights, pooled_embedding
 from .graph import GraphOptions, build_graph, graph_to_json
@@ -73,26 +73,27 @@ def cmd_graph(args) -> int:
     return 0
 
 
-def _gnn_for_seed(cfg: PipelineConfig, seed: int) -> GnnWeights:
+def _new_gnn(cfg: PipelineConfig, rng: np.random.Generator) -> GnnWeights:
     d, h, d_out = cfg.gnn_dims
-    return init_gnn_weights(make_rng(seed), d=d, h=h, d_out=d_out)
+    return init_gnn_weights(rng, d=d, h=h, d_out=d_out)
+
+
+def _new_expert(cfg: PipelineConfig, rng: np.random.Generator) -> FlowExpert:
+    return init_flow_expert(rng, horizon=cfg.flow_horizon, j_dim=cfg.j_total,
+                            context_dim=cfg.context_dim, hidden=cfg.flow_hidden,
+                            alpha=cfg.flow_alpha, beta=cfg.flow_beta, sigma=cfg.sigma)
+
+
+def _new_head(cfg: PipelineConfig, rng: np.random.Generator) -> CotHead:
+    return init_cot_head(build_default_vocab(), context_dim=cfg.context_dim,
+                         window=cfg.cot_window, embed=cfg.cot_embed, hidden=cfg.cot_hidden,
+                         rng=rng)
 
 
 def cmd_init_weights(args) -> int:
     cfg = _load_config(args.config)
-    if args.kind == "gnn":
-        _gnn_for_seed(cfg, args.seed).save(args.out)
-    elif args.kind == "expert":
-        expert = init_flow_expert(make_rng(args.seed), horizon=cfg.flow_horizon,
-                                  j_dim=cfg.j_total, context_dim=cfg.context_dim,
-                                  hidden=cfg.flow_hidden, alpha=cfg.flow_alpha,
-                                  beta=cfg.flow_beta, sigma=cfg.sigma)
-        expert.save(args.out)
-    else:
-        vocab = build_default_vocab()
-        CotHead(vocab, context_dim=cfg.context_dim, window=cfg.cot_window,
-                hidden=cfg.cot_hidden, embed=cfg.cot_embed,
-                rng=make_rng(args.seed)).save(args.out)
+    new = {"gnn": _new_gnn, "expert": _new_expert, "cot": _new_head}[args.kind]
+    new(cfg, make_rng(args.seed)).save(args.out)
     print(f"wrote {args.kind} weights to {args.out}")
     return 0
 
@@ -117,18 +118,18 @@ def _action_chunk(ep, t: int, horizon: int) -> np.ndarray:
 
 
 def cmd_train_expert(args) -> int:
+    for flag, value in (("--steps", args.steps), ("--batch", args.batch)):
+        if value < 1:
+            raise InvalidSetting(f"{flag} must be >= 1, got {value}")
     cfg = _load_config(args.config)
-    gnn_w = GnnWeights.load(args.gnn) if args.gnn else _gnn_for_seed(cfg, args.seed)
+    gnn_w = GnnWeights.load(args.gnn) if args.gnn else _new_gnn(cfg, make_rng(args.seed))
     dataset = []
     for path in _episode_files(args.data):
         ep = load_episode(path)
         for t, frame in enumerate(ep.frames):
             dataset.append((_action_chunk(ep, t, cfg.flow_horizon),
                             _frame_context(frame, ep, cfg, gnn_w)))
-    expert = init_flow_expert(make_rng(derive_seed(args.seed, 0)),
-                              horizon=cfg.flow_horizon, j_dim=cfg.j_total,
-                              context_dim=cfg.context_dim, hidden=cfg.flow_hidden,
-                              alpha=cfg.flow_alpha, beta=cfg.flow_beta, sigma=cfg.sigma)
+    expert = _new_expert(cfg, make_rng(derive_seed(args.seed, 0)))
     rng = make_rng(derive_seed(args.seed, 1))
     rows = []
     for step in range(args.steps):
@@ -137,7 +138,7 @@ def cmd_train_expert(args) -> int:
     expert.save(args.out)
     _write_loss_csv(_loss_csv_path(args.out), rows)
     print(f"trained expert on {len(dataset)} samples; "
-          f"loss {rows[0][1]:.4f} -> {rows[-1][1]:.4f}" if rows else "no steps run")
+          f"loss {rows[0][1]:.4f} -> {rows[-1][1]:.4f}")
     return 0
 
 
@@ -145,8 +146,9 @@ def cmd_train_cot(args) -> int:
     if args.epochs < 1:
         raise InvalidSetting(f"--epochs must be >= 1, got {args.epochs}")
     cfg = _load_config(args.config)
-    gnn_w = GnnWeights.load(args.gnn) if args.gnn else _gnn_for_seed(cfg, args.seed)
-    vocab = build_default_vocab()
+    gnn_w = GnnWeights.load(args.gnn) if args.gnn else _new_gnn(cfg, make_rng(args.seed))
+    head = _new_head(cfg, make_rng(derive_seed(args.seed, 0)))
+    vocab = head.vocab
     samples = []
     for path in _episode_files(args.data):
         ep = load_episode(path)
@@ -156,11 +158,7 @@ def cmd_train_cot(args) -> int:
             ids = tokenize(label.to_text(), vocab) + [vocab.end_id]
             samples.append((_frame_context(ep.frames[t], ep, cfg, gnn_w), ids, label.to_text()))
     if args.dump_dataset:
-        from .cot import write_cot_dataset
         write_cot_dataset(args.dump_dataset, samples)
-    head = CotHead(vocab, context_dim=cfg.context_dim, window=cfg.cot_window,
-                   hidden=cfg.cot_hidden, embed=cfg.cot_embed,
-                   rng=make_rng(derive_seed(args.seed, 0)))
     dataset = [(ctx, ids) for ctx, ids, _ in samples]
     curve = train_cot_head(head, dataset, args.lr, args.epochs, make_rng(derive_seed(args.seed, 1)))
     head.save(args.out)
@@ -185,7 +183,7 @@ def _load_artifacts(args, cfg):
         head = CotHead.load(args.cot_head)
     except PipelineError:
         raise  # already named, e.g. InvalidSetting, which is also a ValueError
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactLoadError(str(exc)) from exc
     check_artifacts(cfg, gnn_w, expert, head)
     return gnn_w, expert, head

@@ -51,6 +51,56 @@ def load_json(path):
         return json.load(f)
 
 
+def fan_in_normal(rng: np.random.Generator, n_in: int, n_out: int) -> np.ndarray:
+    """(n_in, n_out) weights drawn from N(0, 1/n_in)."""
+    return rng.normal(0.0, 1.0 / np.sqrt(n_in), size=(n_in, n_out))
+
+
+class Model:
+    """A learned model: float arrays named by PARAMS, in a fixed order.
+    Subclasses define to_dict/from_dict, which fix their file format; save
+    and load are the JSON round trip through them."""
+
+    PARAMS = ()
+
+    def params(self) -> list:
+        """[(name, array)] in PARAMS order; the arrays, not copies."""
+        return [(name, getattr(self, name)) for name in self.PARAMS]
+
+    def save(self, path) -> None:
+        save_json(path, self.to_dict())
+
+    @classmethod
+    def load(cls, path):
+        return cls.from_dict(load_json(path))
+
+
+def max_grad_error(model: Model, grads: dict, loss, h: float, n_params: int,
+                   rng: np.random.Generator) -> float:
+    """Max relative error |an - cd| / (|an| + |cd| + 1e-12) between the
+    analytic gradients grads[name] and central differences of loss(), a
+    function of the model's current parameters, over n_params entries drawn
+    without replacement from all of model.params()."""
+    params = model.params()
+    bounds = np.cumsum([0] + [p.size for _, p in params])
+    total = int(bounds[-1])
+    worst = 0.0
+    for flat_idx in rng.choice(total, size=min(n_params, total), replace=False):
+        k = int(np.searchsorted(bounds, flat_idx, side="right") - 1)
+        name, p = params[k]
+        idx = np.unravel_index(int(flat_idx - bounds[k]), p.shape)
+        orig = p[idx]
+        p[idx] = orig + h
+        lp = loss()
+        p[idx] = orig - h
+        lm = loss()
+        p[idx] = orig
+        cd = (lp - lm) / (2.0 * h)
+        an = grads[name][idx]
+        worst = max(worst, abs(an - cd) / (abs(an) + abs(cd) + 1e-12))
+    return worst
+
+
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded PCG64 generator (see RNG_ALGORITHM)."""
     return np.random.default_rng(seed)

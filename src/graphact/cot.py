@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvalidSetting, PipelineError, check_shapes, load_json, save_json
+from .core import (InvalidSetting, Model, PipelineError, check_shapes, fan_in_normal, load_json,
+                   max_grad_error, save_json)
 from .sim import SCENARIOS, EmptyEpisode, Episode, InstructionScenario, Scene
 
 PAD, END, SEP = "<pad>", "<end>", "<sep>"
@@ -198,33 +199,25 @@ def ce_loss(logits: np.ndarray, targets) -> float:
     return float(np.sum(lse - logits[np.arange(targets.size), targets]))
 
 
-class CotHead:
+@dataclass
+class CotHead(Model):
     """Context projection + single-hidden-layer next-token network over a
-    fixed window of previous tokens."""
+    fixed window of previous tokens. init_cot_head draws a random one."""
 
-    def __init__(self, vocab: TokenVocab, context_dim: int, window: int = 8,
-                 embed: int = 16, ctx_embed: int = 16, hidden: int = 64,
-                 rng: np.random.Generator = None):
-        rng = rng if rng is not None else np.random.default_rng(0)
-        V = len(vocab)
-        self.vocab = vocab
-        self.context_dim = context_dim
-        self.window = window
-        x_dim = ctx_embed + window * embed
+    vocab: TokenVocab
+    context_dim: int
+    window: int
+    wc: np.ndarray    # (context_dim, ctx_embed)
+    bc: np.ndarray    # (ctx_embed,)
+    emb: np.ndarray   # (V, embed)
+    w1: np.ndarray    # (ctx_embed + window * embed, hidden)
+    b1: np.ndarray    # (hidden,)
+    w2: np.ndarray    # (hidden, V)
+    b2: np.ndarray    # (V,)
 
-        def mat(n_in, n_out):
-            return rng.normal(0.0, 1.0 / np.sqrt(n_in), size=(n_in, n_out))
+    PARAMS = ("wc", "bc", "emb", "w1", "b1", "w2", "b2")
 
-        self.wc = mat(context_dim, ctx_embed)
-        self.bc = np.zeros(ctx_embed)
-        self.emb = rng.normal(0.0, 0.1, size=(V, embed))
-        self.w1 = mat(x_dim, hidden)
-        self.b1 = np.zeros(hidden)
-        self.w2 = mat(hidden, V)
-        self.b2 = np.zeros(V)
-        self.check()
-
-    def check(self) -> None:
+    def __post_init__(self):
         """Raise a PipelineError when the window is below 1, the vocabulary
         lacks <pad> or <end>, or a parameter's shape disagrees with the
         vocabulary, window and context_dim."""
@@ -241,10 +234,6 @@ class CotHead:
             "emb": (self.emb, (V, embed)),
             "w1": (self.w1, (ctx_embed + self.window * embed, hidden)),
             "b1": (self.b1, (hidden,)), "w2": (self.w2, (hidden, V)), "b2": (self.b2, (V,))})
-
-    def params(self) -> list:
-        return [("wc", self.wc), ("bc", self.bc), ("emb", self.emb),
-                ("w1", self.w1), ("b1", self.b1), ("w2", self.w2), ("b2", self.b2)]
 
     def _windows(self, token_ids) -> np.ndarray:
         """(T, window) matrix of the previous tokens for each position."""
@@ -300,22 +289,23 @@ class CotHead:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CotHead":
-        vocab = TokenVocab(d["tokens"])
-        head = cls.__new__(cls)
-        head.vocab = vocab
-        head.context_dim = int(d["context_dim"])
-        head.window = int(d["window"])
-        for name in ("wc", "bc", "emb", "w1", "b1", "w2", "b2"):
-            setattr(head, name, np.array(d[name], dtype=float))
-        head.check()
-        return head
+        return cls(TokenVocab(d["tokens"]), int(d["context_dim"]), int(d["window"]),
+                   **{name: np.array(d[name], dtype=float) for name in cls.PARAMS})
 
-    def save(self, path) -> None:
-        save_json(path, self.to_dict())
 
-    @classmethod
-    def load(cls, path) -> "CotHead":
-        return cls.from_dict(load_json(path))
+def init_cot_head(vocab: TokenVocab, context_dim: int, window: int = 8, embed: int = 16,
+                  ctx_embed: int = 16, hidden: int = 64,
+                  rng: np.random.Generator = None) -> CotHead:
+    """Seeded random head, drawn in the order wc, emb, w1, w2: fan-in normal
+    projections, N(0, 0.1^2) token embeddings, zero biases."""
+    rng = rng if rng is not None else np.random.default_rng(0)
+    V = len(vocab)
+    wc = fan_in_normal(rng, context_dim, ctx_embed)
+    emb = rng.normal(0.0, 0.1, size=(V, embed))
+    w1 = fan_in_normal(rng, ctx_embed + window * embed, hidden)
+    w2 = fan_in_normal(rng, hidden, V)
+    return CotHead(vocab, context_dim, window, wc=wc, bc=np.zeros(ctx_embed), emb=emb,
+                   w1=w1, b1=np.zeros(hidden), w2=w2, b2=np.zeros(V))
 
 
 def train_cot_head(head: CotHead, dataset: list, lr: float, epochs: int,
@@ -344,30 +334,8 @@ def grad_check_cot(head: CotHead, sample, h: float = 1e-5, n_params: int = 100,
     rng = rng if rng is not None else np.random.default_rng(0)
     context, token_ids = sample
     _, grads = head.loss_and_grads(context, token_ids)
-
-    def loss_only():
-        return head.loss_and_grads(context, token_ids)[0]
-
-    names = [name for name, _ in head.params()]
-    sizes = [p.size for _, p in head.params()]
-    bounds = np.cumsum([0] + sizes)
-    picks = rng.choice(bounds[-1], size=min(n_params, int(bounds[-1])), replace=False)
-    arrays = dict(head.params())
-    worst = 0.0
-    for flat_idx in picks:
-        k = int(np.searchsorted(bounds, flat_idx, side="right") - 1)
-        p = arrays[names[k]]
-        idx = np.unravel_index(int(flat_idx - bounds[k]), p.shape)
-        orig = p[idx]
-        p[idx] = orig + h
-        lp = loss_only()
-        p[idx] = orig - h
-        lm = loss_only()
-        p[idx] = orig
-        cd = (lp - lm) / (2.0 * h)
-        an = grads[names[k]][idx]
-        worst = max(worst, abs(an - cd) / (abs(an) + abs(cd) + 1e-12))
-    return worst
+    return max_grad_error(head, grads, lambda: head.loss_and_grads(context, token_ids)[0],
+                          h, n_params, rng)
 
 
 def generate_cot(head: CotHead, context, max_len: int) -> list:

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (InvalidSetting, PipelineError, ShapeMismatch, check_shapes, load_json,
-                   save_json)
+from .core import (InvalidSetting, Model, PipelineError, ShapeMismatch, check_shapes,
+                   fan_in_normal, max_grad_error)
 
 # Redraws sample_tau allows before it gives up; an ordinary Beta draw lands
 # strictly inside (0, 1) on the first try.
@@ -36,7 +36,7 @@ class DegenerateTau(PipelineError):
 
 
 @dataclass
-class FlowExpert:
+class FlowExpert(Model):
     """Vector-field MLP: input [A_flat, context, tau] -> velocity (D_a,)."""
 
     horizon: int                 # H_a, action chunk length
@@ -55,6 +55,8 @@ class FlowExpert:
     sigma: float = 1.0
     _velocity: dict = field(default_factory=dict, repr=False)  # momentum buffers
 
+    PARAMS = ("w1", "b1", "w2", "b2", "w3", "b3")
+
     def __post_init__(self):
         if self.sigma < 0:
             raise InvalidSetting(f"expert sigma must be non-negative, got {self.sigma}")
@@ -71,10 +73,6 @@ class FlowExpert:
     @property
     def input_dim(self) -> int:
         return self.action_dim + self.context_dim + 1
-
-    def params(self) -> list:
-        return [("w1", self.w1), ("b1", self.b1), ("w2", self.w2),
-                ("b2", self.b2), ("w3", self.w3), ("b3", self.b3)]
 
     def forward(self, X: np.ndarray) -> np.ndarray:
         """Batched field evaluation; X is (B, input_dim)."""
@@ -105,51 +103,30 @@ class FlowExpert:
         grads["b1"] = dz1.sum(axis=0)
         return grads
 
-    def field(self, A_flat: np.ndarray, context: np.ndarray, tau: float) -> np.ndarray:
-        x = np.concatenate([np.ravel(A_flat), np.ravel(context), [tau]])
-        return self.forward(x[None, :])[0]
-
     def to_dict(self) -> dict:
         return {
             "horizon": self.horizon, "j_dim": self.j_dim, "context_dim": self.context_dim,
             "learning_rate": self.learning_rate, "momentum": self.momentum,
             "alpha": self.alpha, "beta": self.beta, "sigma": self.sigma,
-            "w1": self.w1.tolist(), "b1": self.b1.tolist(),
-            "w2": self.w2.tolist(), "b2": self.b2.tolist(),
-            "w3": self.w3.tolist(), "b3": self.b3.tolist(),
+            **{name: p.tolist() for name, p in self.params()},
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "FlowExpert":
-        def arr(x):
-            return np.array(x, dtype=float)
         return cls(horizon=int(d["horizon"]), j_dim=int(d["j_dim"]),
                    context_dim=int(d["context_dim"]),
-                   w1=arr(d["w1"]), b1=arr(d["b1"]), w2=arr(d["w2"]), b2=arr(d["b2"]),
-                   w3=arr(d["w3"]), b3=arr(d["b3"]),
+                   **{name: np.array(d[name], dtype=float) for name in cls.PARAMS},
                    learning_rate=float(d["learning_rate"]), momentum=float(d["momentum"]),
                    alpha=float(d["alpha"]), beta=float(d["beta"]), sigma=float(d["sigma"]))
-
-    def save(self, path) -> None:
-        save_json(path, self.to_dict())
-
-    @classmethod
-    def load(cls, path) -> "FlowExpert":
-        return cls.from_dict(load_json(path))
 
 
 def init_flow_expert(rng: np.random.Generator, horizon: int, j_dim: int,
                      context_dim: int, hidden: int = 64, **hyper) -> FlowExpert:
     d_a = horizon * j_dim
-    d_in = d_a + context_dim + 1
-
-    def mat(n_in, n_out):
-        return rng.normal(0.0, 1.0 / np.sqrt(n_in), size=(n_in, n_out))
-
     return FlowExpert(horizon=horizon, j_dim=j_dim, context_dim=context_dim,
-                      w1=mat(d_in, hidden), b1=np.zeros(hidden),
-                      w2=mat(hidden, hidden), b2=np.zeros(hidden),
-                      w3=mat(hidden, d_a), b3=np.zeros(d_a), **hyper)
+                      w1=fan_in_normal(rng, d_a + context_dim + 1, hidden), b1=np.zeros(hidden),
+                      w2=fan_in_normal(rng, hidden, hidden), b2=np.zeros(hidden),
+                      w3=fan_in_normal(rng, hidden, d_a), b3=np.zeros(d_a), **hyper)
 
 
 def sample_tau(alpha: float, beta: float, rng: np.random.Generator) -> float:
@@ -254,35 +231,8 @@ def grad_check(expert: FlowExpert, sample, h: float = 1e-5,
     U = target_field(A, eps).ravel()[None, :]
 
     _, grads = _loss_and_grads(expert, X, U)
-
-    def loss_only():
-        V = expert.forward(X)
-        return float(np.sum((V - U) ** 2))
-
-    names = [name for name, _ in expert.params()]
-    sizes = [p.size for _, p in expert.params()]
-    total = sum(sizes)
-    picks = rng.choice(total, size=min(n_params, total), replace=False)
-    bounds = np.cumsum([0] + sizes)
-
-    worst = 0.0
-    arrays = dict(expert.params())
-    for flat_idx in picks:
-        k = int(np.searchsorted(bounds, flat_idx, side="right") - 1)
-        name = names[k]
-        p = arrays[name]
-        idx = np.unravel_index(int(flat_idx - bounds[k]), p.shape)
-        orig = p[idx]
-        p[idx] = orig + h
-        lp = loss_only()
-        p[idx] = orig - h
-        lm = loss_only()
-        p[idx] = orig
-        cd = (lp - lm) / (2.0 * h)
-        an = grads[name][idx]
-        rel = abs(an - cd) / (abs(an) + abs(cd) + 1e-12)
-        worst = max(worst, rel)
-    return worst
+    return max_grad_error(expert, grads, lambda: float(np.sum((expert.forward(X) - U) ** 2)),
+                          h, n_params, rng)
 
 
 def sample_actions(expert: FlowExpert, context: np.ndarray, steps: int,

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PipelineError, ShapeMismatch, check_shapes, load_json, save_json
+from .core import Model, PipelineError, ShapeMismatch, check_shapes, fan_in_normal
 from .graph import END_EFFECTOR, JOINT, OBJECT, PoseObjectGraph, adjacency_matrix
 
 LN_EPS = 1e-5
@@ -21,13 +21,16 @@ class EmptyGraph(PipelineError):
 
 
 @dataclass
-class GnnWeights:
+class GnnWeights(Model):
     lift_w: np.ndarray   # (INPUT_DIM, d)
     lift_b: np.ndarray   # (d,)
     layer1_w: np.ndarray  # (d, h)
     layer1_b: np.ndarray  # (h,)
     layer2_w: np.ndarray  # (h, d_out)
     layer2_b: np.ndarray  # (d_out,)
+
+    # Saved nested: "lift_w" is doc["lift"]["w"].
+    PARAMS = ("lift_w", "lift_b", "layer1_w", "layer1_b", "layer2_w", "layer2_b")
 
     @property
     def dims(self) -> tuple:
@@ -42,37 +45,27 @@ class GnnWeights:
 
     def to_dict(self) -> dict:
         d, h, d_out = self.dims
-        return {
-            "dims": {"d": d, "h": h, "d_out": d_out},
-            "lift": {"w": self.lift_w.tolist(), "b": self.lift_b.tolist()},
-            "layer1": {"w": self.layer1_w.tolist(), "b": self.layer1_b.tolist()},
-            "layer2": {"w": self.layer2_w.tolist(), "b": self.layer2_b.tolist()},
-        }
+        doc = {"dims": {"d": d, "h": h, "d_out": d_out}}
+        for name, p in self.params():
+            layer, part = name.split("_")
+            doc.setdefault(layer, {})[part] = p.tolist()
+        return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GnnWeights":
-        def arr(x):
-            return np.array(x, dtype=float)
-        return cls(lift_w=arr(doc["lift"]["w"]), lift_b=arr(doc["lift"]["b"]),
-                   layer1_w=arr(doc["layer1"]["w"]), layer1_b=arr(doc["layer1"]["b"]),
-                   layer2_w=arr(doc["layer2"]["w"]), layer2_b=arr(doc["layer2"]["b"]))
-
-    def save(self, path) -> None:
-        save_json(path, self.to_dict())
-
-    @classmethod
-    def load(cls, path) -> "GnnWeights":
-        return cls.from_dict(load_json(path))
+        arrays = {}
+        for name in cls.PARAMS:
+            layer, part = name.split("_")
+            arrays[name] = np.array(doc[layer][part], dtype=float)
+        return cls(**arrays)
 
 
 def init_gnn_weights(rng: np.random.Generator, d: int = 32, h: int = 32,
                      d_out: int = 32) -> GnnWeights:
     """Seeded random init, 1/sqrt(fan_in) scale, zero biases."""
-    def mat(n_in, n_out):
-        return rng.normal(0.0, 1.0 / np.sqrt(n_in), size=(n_in, n_out))
-    return GnnWeights(lift_w=mat(INPUT_DIM, d), lift_b=np.zeros(d),
-                      layer1_w=mat(d, h), layer1_b=np.zeros(h),
-                      layer2_w=mat(h, d_out), layer2_b=np.zeros(d_out))
+    return GnnWeights(lift_w=fan_in_normal(rng, INPUT_DIM, d), lift_b=np.zeros(d),
+                      layer1_w=fan_in_normal(rng, d, h), layer1_b=np.zeros(h),
+                      layer2_w=fan_in_normal(rng, h, d_out), layer2_b=np.zeros(d_out))
 
 
 def node_inputs(g: PoseObjectGraph) -> np.ndarray:

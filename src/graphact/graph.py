@@ -33,9 +33,6 @@ class PoseObjectGraph:
     nodes: list
     edges: list  # list[(i, j)] with i < j, no duplicates, no self-loops
 
-    def nodes_of_kind(self, kind: str) -> list:
-        return [n for n in self.nodes if n.kind == kind]
-
 
 @dataclass
 class GraphOptions:

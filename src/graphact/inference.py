@@ -11,7 +11,7 @@ from .core import InvalidSetting, PipelineConfig, PipelineError, make_rng
 from .cot import CotHead, detokenize, generate_cot
 from .flow import FlowExpert, sample_actions
 from .gnn import GnnWeights, encode, pooled_embedding
-from .graph import GraphOptions, build_graph
+from .graph import build_graph
 from .sim import EmptyEpisode, Episode
 
 
@@ -23,11 +23,16 @@ class ArtifactMismatch(PipelineError):
     """A loaded artifact's dimensions disagree with the pipeline config."""
 
 
+class NonFiniteWeight(PipelineError):
+    """A loaded artifact holds a NaN or infinite parameter entry."""
+
+
 def check_artifacts(cfg: PipelineConfig, gnn_w: GnnWeights, expert: FlowExpert,
                     cot_head: CotHead) -> None:
     """Raise ArtifactMismatch naming the first artifact dimension that
-    differs from cfg. Each artifact's own weight shapes are checked when it
-    is built or loaded; this ties them to the config before any frame runs."""
+    differs from cfg, or NonFiniteWeight naming the first parameter with a
+    NaN or infinite entry. Each artifact's own weight shapes are checked when
+    it is built or loaded; this ties them to the config before any frame runs."""
     pairs = (("gnn dims", gnn_w.dims, tuple(cfg.gnn_dims), "gnn_dims"),
              ("expert horizon", expert.horizon, cfg.flow_horizon, "flow_horizon"),
              ("expert j_dim", expert.j_dim, cfg.j_total, "j_total"),
@@ -37,6 +42,10 @@ def check_artifacts(cfg: PipelineConfig, gnn_w: GnnWeights, expert: FlowExpert,
     for what, got, want, key in pairs:
         if got != want:
             raise ArtifactMismatch(f"{what} {got} does not match config {key} {want}")
+    for what, model in (("gnn", gnn_w), ("expert", expert), ("cot head", cot_head)):
+        for name, p in model.params():
+            if not np.isfinite(p).all():
+                raise NonFiniteWeight(f"{what} parameter {name} has a non-finite entry")
 
 
 @dataclass
@@ -113,8 +122,7 @@ def make_context(pooled: np.ndarray, q: np.ndarray, onehot: np.ndarray) -> np.nd
 def run_inference_loop(episode: Episode, gnn_w: GnnWeights, expert: FlowExpert,
                        cot_head: CotHead, schedule: InferenceSchedule,
                        cfg: PipelineConfig, seed: int = 0,
-                       euler_steps: int = None, graph_opts: GraphOptions = None,
-                       max_cot_len: int = None) -> tuple:
+                       euler_steps: int = None, max_cot_len: int = None) -> tuple:
     """Run the per-frame pipeline over an episode.
 
     Returns (outputs, report): one FrameOutput per frame (reasoning text only
@@ -138,7 +146,7 @@ def run_inference_loop(episode: Episode, gnn_w: GnnWeights, expert: FlowExpert,
 
         t0 = time.perf_counter()
         g = build_graph(frame, episode.K or cfg.intrinsics, episode.T or cfg.extrinsics,
-                        cfg.chains, graph_opts)
+                        cfg.chains)
         stage_times["graph_build"].append((time.perf_counter() - t0) * 1e3)
 
         t0 = time.perf_counter()

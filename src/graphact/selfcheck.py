@@ -8,7 +8,7 @@ can verify itself without the test tree.
 import numpy as np
 
 from .core import CameraIntrinsics, make_rng
-from .cot import CotHead, build_default_vocab, ce_loss, grad_check_cot, total_loss
+from .cot import build_default_vocab, ce_loss, grad_check_cot, init_cot_head, total_loss
 from .flow import (grad_check, init_flow_expert, interpolate, fm_loss,
                    sample_actions)
 from .projection import backproject, project
@@ -33,7 +33,7 @@ def _check_flow_gradients(rng) -> tuple:
 
 def _check_cot_gradients(rng) -> tuple:
     vocab = build_default_vocab(max_frame=40, value_range=0.5)
-    head = CotHead(vocab, context_dim=4, window=4, rng=rng)
+    head = init_cot_head(vocab, context_dim=4, window=4, rng=rng)
     sample = (rng.normal(size=4), [5, 9, 2, vocab.end_id])
     err = grad_check_cot(head, sample, h=1e-5, n_params=100, rng=rng)
     return "cot_gradients", err < 1e-4, f"max rel error {err:.3e}"

@@ -11,13 +11,14 @@ import time
 import numpy as np
 import pytest
 
-from graphact import (CameraIntrinsics, CotHead, InferenceSchedule, SCENARIOS,
+from graphact import (CameraIntrinsics, InferenceSchedule, SCENARIOS,
                       adjacency_matrix, backproject, build_default_vocab,
                       build_graph, ce_loss, default_config, future_indices,
-                      gen_episode, grad_check, grad_check_cot, init_flow_expert,
-                      init_gnn_weights, interpolate, fm_loss, make_cot_label,
-                      make_rng, project, render_frame, run_inference_loop,
-                      sample_actions, sample_dropout, total_loss, train_step)
+                      gen_episode, grad_check, grad_check_cot, init_cot_head,
+                      init_flow_expert, init_gnn_weights, interpolate, fm_loss,
+                      make_cot_label, make_rng, project, render_frame,
+                      run_inference_loop, sample_actions, sample_dropout,
+                      total_loss, train_step)
 from graphact.cli import main as cli_main
 from graphact.cot import ALL_PRESENT, NONE_PRESENT, SOME_MISSING
 from graphact.graph import END_EFFECTOR, OBJECT, GraphOptions
@@ -206,7 +207,7 @@ def test_criterion_06_gradient_fidelity():
         err_flow = grad_check(expert, (rng.normal(size=(3, 2)), rng.normal(size=5)),
                               h=1e-5, n_params=100, rng=rng)
         vocab = build_default_vocab(max_frame=30, value_range=0.5)
-        head = CotHead(vocab, context_dim=5, window=4, rng=rng)
+        head = init_cot_head(vocab, context_dim=5, window=4, rng=rng)
         ids = [int(i) for i in rng.integers(0, len(vocab), size=6)] + [vocab.end_id]
         err_cot = grad_check_cot(head, (rng.normal(size=5), ids),
                                  h=1e-5, n_params=100, rng=rng)
@@ -311,8 +312,8 @@ def test_criterion_11_hybrid_schedule_and_latency():
         gnn_w = init_gnn_weights(make_rng(0), d=d, h=h, d_out=d_out)
         expert = init_flow_expert(make_rng(1), horizon=CFG.flow_horizon,
                                   j_dim=CFG.j_total, context_dim=CFG.context_dim)
-        head = CotHead(build_default_vocab(), context_dim=CFG.context_dim,
-                       window=CFG.cot_window, rng=make_rng(2))
+        head = init_cot_head(build_default_vocab(), context_dim=CFG.context_dim,
+                             window=CFG.cot_window, rng=make_rng(2))
         # warm-up pass so first-frame timing reflects reasoning, not numpy init
         run_inference_loop(ep, gnn_w, expert, head, InferenceSchedule(), CFG)
         outputs, report = run_inference_loop(ep, gnn_w, expert, head,

@@ -191,6 +191,15 @@ def test_infer_bad_artifact_exit_code(tmp_path, workspace, capsys):
     assert err["error"] == "ArtifactLoadError"
 
 
+def test_infer_missing_artifact_is_io_error(tmp_path, workspace, capsys):
+    out = tmp_path / "o.json"
+    argv = _infer_argv(workspace, workspace["episode"], out)
+    argv[argv.index("--expert") + 1] = str(tmp_path / "missing.json")
+    assert main(argv) == 3
+    assert _one_json_error_line(capsys.readouterr().err)["error"] == "FileNotFoundError"
+    assert not out.exists()
+
+
 def test_train_cot_deterministic(tmp_path, workspace):
     outs = []
     for name in ("h1.json", "h2.json"):
@@ -318,6 +327,15 @@ def test_train_cot_rejects_zero_epochs(tmp_path, workspace, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--steps", "--batch"])
+def test_train_expert_rejects_zero_counts(flag, tmp_path, workspace, capsys):
+    out = tmp_path / "e.json"
+    assert main(["train-expert", "--data", str(workspace["data"]), flag, "0",
+                 "--out", str(out)]) == 2
+    assert _one_json_error_line(capsys.readouterr().err)["error"] == "InvalidSetting"
+    assert not out.exists() and not out.with_suffix(".loss.csv").exists()
+
+
 def test_bench_rejects_zero_repeat(tmp_path, workspace, capsys):
     out = tmp_path / "bench.json"
     assert main(["bench", "--episode", str(workspace["episode"]),
@@ -355,6 +373,12 @@ ARTIFACT_CASES = {
     "config_flow_horizon": (None, None, {"flow_horizon": 4}, "ArtifactMismatch", "horizon"),
     "config_gnn_dims": (None, None, {"gnn_dims": (16, 16, 32)}, "ArtifactMismatch", "gnn dims"),
     "config_cot_window": (None, None, {"cot_window": 4}, "ArtifactMismatch", "window"),
+    "gnn_nan": ("gnn", lambda d: d["layer2"]["b"].__setitem__(0, float("nan")), {},
+                "NonFiniteWeight", "layer2_b"),
+    "expert_nan": ("expert", lambda d: d["w3"][0].__setitem__(0, float("nan")), {},
+                   "NonFiniteWeight", "w3"),
+    "cot_inf": ("head", lambda d: d["emb"][0].__setitem__(0, float("inf")), {},
+                "NonFiniteWeight", "emb"),
 }
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from graphact import (SCENARIOS, TokenVocab, build_default_vocab, ce_loss,
                       default_config, detokenize, future_indices, gen_episode,
-                      generate_cot, grad_check_cot, make_cot_label, make_rng,
+                      generate_cot, grad_check_cot, init_cot_head, make_cot_label, make_rng,
                       sample_dropout, tokenize, total_loss, train_cot_head)
 from graphact.cot import (ALL_PRESENT, NONE_PRESENT, SOME_MISSING, CotHead,
                           EmptyDataset, InvalidProbability, UnknownToken,
@@ -150,7 +151,7 @@ def _memorization_setup():
 
 def test_train_cot_head_memorizes():
     vocab, samples = _memorization_setup()
-    head = CotHead(vocab, context_dim=4, window=8, rng=make_rng(1))
+    head = init_cot_head(vocab, context_dim=4, window=8, rng=make_rng(1))
     curve = train_cot_head(head, samples, lr=0.5, epochs=200, rng=make_rng(2))
     assert curve[-1] < 0.05
     assert curve[-1] < curve[0]
@@ -160,21 +161,21 @@ def test_train_cot_head_memorizes():
 
 def test_train_cot_head_zero_lr_flat():
     vocab, samples = _memorization_setup()
-    head = CotHead(vocab, context_dim=4, window=8, rng=make_rng(3))
+    head = init_cot_head(vocab, context_dim=4, window=8, rng=make_rng(3))
     curve = train_cot_head(head, samples, lr=0.0, epochs=3, rng=make_rng(4))
     assert curve[0] == curve[1] == curve[2]
 
 
 def test_train_cot_head_empty_dataset():
     vocab, _ = _memorization_setup()
-    head = CotHead(vocab, context_dim=4, rng=make_rng(5))
+    head = init_cot_head(vocab, context_dim=4, rng=make_rng(5))
     with pytest.raises(EmptyDataset):
         train_cot_head(head, [], lr=0.1, epochs=1, rng=make_rng(6))
 
 
 def test_cot_grad_check():
     vocab = build_default_vocab(max_frame=20, value_range=0.3)
-    head = CotHead(vocab, context_dim=4, window=4, rng=make_rng(7))
+    head = init_cot_head(vocab, context_dim=4, window=4, rng=make_rng(7))
     sample = (make_rng(8).normal(size=4), [3, 11, 5, 2, vocab.end_id])
     assert grad_check_cot(head, sample, h=1e-5, n_params=100, rng=make_rng(9)) < 1e-4
 
@@ -196,7 +197,7 @@ def _concat_decode(head, context, max_len):
 
 def test_generate_cot_bit_exact_against_concat_decode():
     vocab, samples = _memorization_setup()
-    trained = CotHead(vocab, context_dim=4, window=8, rng=make_rng(30))
+    trained = init_cot_head(vocab, context_dim=4, window=8, rng=make_rng(30))
     train_cot_head(trained, samples, lr=0.5, epochs=60, rng=make_rng(31))
     rng = make_rng(32)
     cases = []
@@ -206,7 +207,7 @@ def test_generate_cot_bit_exact_against_concat_decode():
             ctx = samples[k % 2][0] + rng.normal(0.0, 0.05, size=4)
             cases.append((trained, ctx, 120))
         else:
-            head = CotHead(vocab, context_dim=4, window=1 + k % 8, rng=make_rng(100 + k))
+            head = init_cot_head(vocab, context_dim=4, window=1 + k % 8, rng=make_rng(100 + k))
             cases.append((head, rng.normal(size=4), 1 if k % 5 == 0 else 40))
     early_end = 0
     for head, ctx, max_len in cases:
@@ -219,14 +220,14 @@ def test_generate_cot_bit_exact_against_concat_decode():
 
 def test_generate_untrained_emits_max_len():
     vocab, _ = _memorization_setup()
-    head = CotHead(vocab, context_dim=4, rng=make_rng(10))
+    head = init_cot_head(vocab, context_dim=4, rng=make_rng(10))
     out = generate_cot(head, np.zeros(4), 17)
     assert len(out) <= 17
 
 
 def test_generate_tie_break_lowest_id():
     vocab, _ = _memorization_setup()
-    head = CotHead(vocab, context_dim=4, rng=make_rng(11))
+    head = init_cot_head(vocab, context_dim=4, rng=make_rng(11))
     for _, p in head.params():
         p[:] = 0.0  # all logits equal -> argmax must pick token id 0
     out = generate_cot(head, np.zeros(4), 5)
@@ -278,7 +279,7 @@ def test_cot_dataset_jsonl_roundtrip(tmp_path):
 
 def test_head_json_roundtrip(tmp_path):
     vocab = build_default_vocab(max_frame=10, value_range=0.2)
-    head = CotHead(vocab, context_dim=3, window=4, rng=make_rng(14))
+    head = init_cot_head(vocab, context_dim=3, window=4, rng=make_rng(14))
     path = tmp_path / "head.json"
     head.save(path)
     loaded = CotHead.load(path)
@@ -286,3 +287,8 @@ def test_head_json_roundtrip(tmp_path):
     ids = [1, 4, 2]
     assert np.array_equal(loaded.sequence_logits(ctx, ids),
                           head.sequence_logits(ctx, ids))
+    again = tmp_path / "again.json"
+    loaded.save(again)
+    assert again.read_bytes() == path.read_bytes()
+    assert list(json.loads(path.read_text())) == [
+        "tokens", "context_dim", "window", "wc", "bc", "emb", "w1", "b1", "w2", "b2"]

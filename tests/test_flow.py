@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -228,3 +230,9 @@ def test_expert_json_roundtrip(tmp_path):
     assert loaded.alpha == 2.5 and loaded.beta == 0.5
     x = make_rng(26).normal(size=(1, expert.input_dim))
     assert np.array_equal(loaded.forward(x), expert.forward(x))
+    again = tmp_path / "again.json"
+    loaded.save(again)
+    assert again.read_bytes() == path.read_bytes()
+    assert list(json.loads(path.read_text())) == [
+        "horizon", "j_dim", "context_dim", "learning_rate", "momentum", "alpha", "beta",
+        "sigma", "w1", "b1", "w2", "b2", "w3", "b3"]

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -209,3 +210,10 @@ def test_weights_json_roundtrip(tmp_path):
             [("lw", loaded.lift_w), ("l1", loaded.layer1_w), ("l2", loaded.layer2_w)]):
         assert np.array_equal(a, b)
     assert loaded.dims == (4, 5, 6)
+    again = tmp_path / "again.json"
+    loaded.save(again)
+    assert again.read_bytes() == path.read_bytes()
+    doc = json.loads(path.read_text())
+    assert list(doc) == ["dims", "lift", "layer1", "layer2"]
+    assert list(doc["dims"]) == ["d", "h", "d_out"]
+    assert all(list(doc[layer]) == ["w", "b"] for layer in ("lift", "layer1", "layer2"))

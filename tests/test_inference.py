@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from graphact import (CotHead, InferenceSchedule, SCENARIOS, build_default_vocab,
-                      default_config, gen_episode, init_flow_expert,
+from graphact import (InferenceSchedule, SCENARIOS, build_default_vocab,
+                      default_config, gen_episode, init_cot_head, init_flow_expert,
                       init_gnn_weights, make_rng, run_inference_loop)
 from graphact.core import InvalidSetting
 from graphact.inference import outputs_to_dict
@@ -19,8 +19,8 @@ def artifacts():
     gnn_w = init_gnn_weights(make_rng(0), d=d, h=h, d_out=d_out)
     expert = init_flow_expert(make_rng(1), horizon=4, j_dim=CFG.j_total,
                               context_dim=CFG.context_dim, sigma=CFG.sigma)
-    head = CotHead(build_default_vocab(), context_dim=CFG.context_dim,
-                   window=CFG.cot_window, rng=make_rng(2))
+    head = init_cot_head(build_default_vocab(), context_dim=CFG.context_dim,
+                         window=CFG.cot_window, rng=make_rng(2))
     return gnn_w, expert, head
 
 
