@@ -4,8 +4,8 @@ Labels are generated rule-based from simulator state: what is on the desk,
 whether the task's required objects are present (with a missing-item
 suggestion when not), a grasp plan, and imagined future object positions and
 robot state. A small autoregressive head memorizes the labels and reproduces
-them verbatim under greedy decoding; the Bernoulli dropout gate combines the
-reasoning and action losses for co-training.
+them verbatim under greedy decoding. The paper's Bernoulli dropout gate and
+loss combiner are shown as formulas; no training path calls them.
 """
 
 import numpy as np
@@ -52,6 +52,6 @@ l_cot = ce_loss(np.zeros((3, len(vocab))), [1, 2, 3])
 l_action = 0.42
 for _ in range(3):
     d = sample_dropout(0.5, rng)
-    combined = total_loss(l_cot, l_action, d, lambda_cot=1.0, lambda_action=1.0)
+    combined = total_loss(l_cot, l_action, d, w_cot=1.0, w_action=1.0)
     kind = "action only (dropped)" if d else "reasoning + action"
     print(f"  d={d}: total {combined:.3f}  ({kind})")

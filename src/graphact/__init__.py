@@ -3,18 +3,17 @@
 Builds per-frame 3D scene graphs from synchronized detections, depth, and
 joint streams; encodes them with a small graph network; generates action
 chunks with a flow-matching expert; and supervises a structured reasoning
-head co-trained with Bernoulli dropout. A synthetic scene generator provides
-exact ground truth for every stage.
+head (the paper's Bernoulli-dropout loss combiner is a formula here, not a
+training path). A synthetic scene generator provides exact ground truth.
 """
 
 from .core import (BoundingBox, CameraIntrinsics, DepthGrid, FrameRecord,
                    PipelineConfig, PipelineError, RigidTransform, ShapeMismatch,
-                   ValidationReport, derive_seed, make_rng, validate_frame)
-from .stream_sync import SampleStream, SyncedFrame, align_streams
+                   derive_seed, make_rng)
+from .stream_sync import SampleStream, align_streams
 from .kinematics import DhLink, KinematicChain, default_chains, dh_transform, fk_positions
 from .projection import backproject, bbox_center, depth_at, project, transform_point
-from .graph import (GraphNode, GraphOptions, PoseObjectGraph, adjacency_matrix,
-                    build_graph, graph_from_json, graph_to_json)
+from .graph import GraphNode, PoseObjectGraph, adjacency_matrix, build_graph, graph_to_json
 from .gnn import (GnnWeights, encode, graph_conv, init_gnn_weights,
                   initial_embedding, layer_norm, pooled_embedding)
 from .flow import (FlowExpert, fm_loss, grad_check, init_flow_expert, interpolate,

@@ -20,7 +20,7 @@ from .cot import (CotHead, build_default_vocab, init_cot_head, make_cot_label, t
                   train_cot_head, write_cot_dataset)
 from .flow import FlowExpert, init_flow_expert, train_step
 from .gnn import GnnWeights, encode, init_gnn_weights, pooled_embedding
-from .graph import GraphOptions, build_graph, graph_to_json
+from .graph import build_graph, graph_to_json
 from .inference import (ArtifactLoadError, InferenceSchedule, check_artifacts, make_context,
                         outputs_to_dict, run_inference_loop, scenario_onehot)
 from .selfcheck import run_selfcheck
@@ -62,11 +62,9 @@ def cmd_gen(args) -> int:
 def cmd_graph(args) -> int:
     cfg = _load_config(args.config)
     ep = load_episode(args.episode)
-    opts = GraphOptions(joints_as_nodes=not args.paper_literal,
-                        kinematic_edges=not args.paper_literal)
     os.makedirs(args.out, exist_ok=True)
     for i, frame in enumerate(ep.frames):
-        g = build_graph(frame, ep.K, ep.T, cfg.chains, opts)
+        g = build_graph(frame, ep.K, ep.T, cfg.chains, args.paper_literal)
         with open(os.path.join(args.out, f"graph_{i:05d}.json"), "w") as f:
             f.write(graph_to_json(g) + "\n")
     print(f"wrote {len(ep.frames)} graph(s) to {args.out}")
@@ -118,9 +116,6 @@ def _action_chunk(ep, t: int, horizon: int) -> np.ndarray:
 
 
 def cmd_train_expert(args) -> int:
-    for flag, value in (("--steps", args.steps), ("--batch", args.batch)):
-        if value < 1:
-            raise InvalidSetting(f"{flag} must be >= 1, got {value}")
     cfg = _load_config(args.config)
     gnn_w = GnnWeights.load(args.gnn) if args.gnn else _new_gnn(cfg, make_rng(args.seed))
     dataset = []
@@ -143,8 +138,6 @@ def cmd_train_expert(args) -> int:
 
 
 def cmd_train_cot(args) -> int:
-    if args.epochs < 1:
-        raise InvalidSetting(f"--epochs must be >= 1, got {args.epochs}")
     cfg = _load_config(args.config)
     gnn_w = GnnWeights.load(args.gnn) if args.gnn else _new_gnn(cfg, make_rng(args.seed))
     head = _new_head(cfg, make_rng(derive_seed(args.seed, 0)))
@@ -204,8 +197,6 @@ def cmd_infer(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.repeat < 1:
-        raise InvalidSetting(f"--repeat must be >= 1, got {args.repeat}")
     cfg = _load_config(args.config)
     ep = load_episode(args.episode)
     gnn_w, expert, head = _load_artifacts(args, cfg)
@@ -222,11 +213,9 @@ def cmd_bench(args) -> int:
             "achieved_hz": float(np.mean([r.achieved_hz for r in reports])),
         },
     }
-    text = json.dumps(agg, indent=2)
     if args.out:
-        with open(args.out, "w") as f:
-            f.write(text + "\n")
-    print(text)
+        save_json(args.out, agg, indent=2)
+    print(json.dumps(agg, indent=2))
     return 0
 
 
@@ -239,8 +228,34 @@ def cmd_selfcheck(args) -> int:
     return 4 if failed else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors raise InvalidSetting, so they follow the exit-code
+    contract (2, one JSON line) instead of printing usage and exiting."""
+
+    def error(self, message):
+        raise InvalidSetting(message)
+
+
+def _checked(cast, ok, what):
+    """An argparse type: the text cast to a value for which ok(value) holds."""
+    def parse(text):
+        try:
+            if ok(value := cast(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+    return parse
+
+
+POSITIVE_INT = _checked(int, lambda v: v >= 1, "an integer >= 1")
+NON_NEGATIVE_INT = _checked(int, lambda v: v >= 0, "an integer >= 0")
+POSITIVE_FLOAT = _checked(float, lambda v: 0 < v < np.inf, "a finite number > 0")
+NON_NEGATIVE_FLOAT = _checked(float, lambda v: 0 <= v < np.inf, "a finite number >= 0")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="graphact", description=__doc__)
+    p = _Parser(prog="graphact", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
@@ -248,10 +263,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="generate synthetic episodes")
     g.add_argument("--scenario", choices=sorted(SCENARIOS), required=True)
-    g.add_argument("--variant", type=int, required=True)
-    g.add_argument("--episodes", type=int, default=1)
-    g.add_argument("--frames", type=int, default=60)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--variant", type=NON_NEGATIVE_INT, required=True)
+    g.add_argument("--episodes", type=POSITIVE_INT, default=1)
+    g.add_argument("--frames", type=POSITIVE_INT, default=60)
+    g.add_argument("--seed", type=NON_NEGATIVE_INT, default=0)
     g.add_argument("--out", required=True)
     common(g)
     g.set_defaults(fn=cmd_gen)
@@ -267,18 +282,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("init-weights", help="write seeded random weights")
     g.add_argument("--kind", choices=("gnn", "expert", "cot"), required=True)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=NON_NEGATIVE_INT, default=0)
     g.add_argument("--out", required=True)
     common(g)
     g.set_defaults(fn=cmd_init_weights)
 
     g = sub.add_parser("train-expert", help="train the action expert on episodes")
     g.add_argument("--data", required=True)
-    g.add_argument("--steps", type=int, default=500)
-    g.add_argument("--lr", type=float, default=5e-4,
+    g.add_argument("--steps", type=POSITIVE_INT, default=500)
+    g.add_argument("--lr", type=NON_NEGATIVE_FLOAT, default=5e-4,
                    help="plain-GD step; scale inversely with action dimension")
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--batch", type=int, default=16)
+    g.add_argument("--seed", type=NON_NEGATIVE_INT, default=0)
+    g.add_argument("--batch", type=POSITIVE_INT, default=16)
     g.add_argument("--gnn", default=None, help="GNN weights file (default: derived from --seed)")
     g.add_argument("--out", required=True)
     common(g)
@@ -286,10 +301,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("train-cot", help="train the reasoning head on episodes")
     g.add_argument("--data", required=True)
-    g.add_argument("--epochs", type=int, default=50)
-    g.add_argument("--lr", type=float, default=0.2)
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--stride", type=int, default=0,
+    g.add_argument("--epochs", type=POSITIVE_INT, default=50)
+    g.add_argument("--lr", type=NON_NEGATIVE_FLOAT, default=0.2)
+    g.add_argument("--seed", type=NON_NEGATIVE_INT, default=0)
+    g.add_argument("--stride", type=NON_NEGATIVE_INT, default=0,
                    help="label every Nth frame (default: first frame only)")
     g.add_argument("--gnn", default=None)
     g.add_argument("--dump-dataset", default=None, help="also write the dataset JSONL")
@@ -302,12 +317,12 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--gnn", required=True)
     g.add_argument("--expert", required=True)
     g.add_argument("--cot-head", required=True)
-    g.add_argument("--cot-period", type=int, default=None)
+    g.add_argument("--cot-period", type=POSITIVE_INT, default=None)
     g.add_argument("--no-first-cot", action="store_true")
-    g.add_argument("--rate-hz", type=float, default=10.0)
+    g.add_argument("--rate-hz", type=POSITIVE_FLOAT, default=10.0)
     g.add_argument("--pace", action="store_true", help="rate-limit to --rate-hz")
-    g.add_argument("--steps", type=int, default=None, help="Euler integration steps")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--steps", type=POSITIVE_INT, default=None, help="Euler integration steps")
+    g.add_argument("--seed", type=NON_NEGATIVE_INT, default=0)
     g.add_argument("--out", required=True)
     common(g)
     g.set_defaults(fn=cmd_infer)
@@ -317,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--gnn", required=True)
     g.add_argument("--expert", required=True)
     g.add_argument("--cot-head", required=True)
-    g.add_argument("--repeat", type=int, default=3)
+    g.add_argument("--repeat", type=POSITIVE_INT, default=3)
     g.add_argument("--out", default=None)
     common(g)
     g.set_defaults(fn=cmd_bench)
@@ -329,8 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (PipelineError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")

@@ -25,8 +25,8 @@ class ShapeMismatch(PipelineError):
 
 
 class InvalidSetting(PipelineError, ValueError):
-    """A setting out of range: a count or period below 1, or a rate that is
-    not positive."""
+    """A setting out of range (a count or period below 1, a negative seed or
+    a non-finite rate, say) or a command line that does not parse."""
 
 
 def check_shapes(owner: str, expected: dict) -> None:
@@ -200,11 +200,6 @@ class BoundingBox:
     x_max: float
     y_max: float
 
-    def is_valid(self, width: int, height: int) -> bool:
-        return (self.x_min < self.x_max and self.y_min < self.y_max
-                and self.x_min >= 0 and self.y_min >= 0
-                and self.x_max <= width and self.y_max <= height)
-
     def to_dict(self) -> dict:
         return {"label": self.label,
                 "box": [self.x_min, self.y_min, self.x_max, self.y_max]}
@@ -258,45 +253,19 @@ class DepthGrid:
 
 @dataclass
 class FrameRecord:
-    """One time-aligned multimodal observation."""
+    """One time-aligned multimodal observation. Frames from align_streams
+    also carry every matched payload (aux) and its timestamp (source_t),
+    keyed by stream name."""
 
     t: float
     detections: list  # list[BoundingBox]
     depth: DepthGrid
-    q: np.ndarray  # (J,) radians
+    q: np.ndarray  # (J,) radians; empty when no joint stream matched
+    aux: dict = field(default_factory=dict)
+    source_t: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.q = np.asarray(self.q, dtype=float).reshape(-1)
-
-
-@dataclass
-class ValidationReport:
-    violations: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_frame(frame: FrameRecord, cfg: "PipelineConfig") -> ValidationReport:
-    """Report-style frame check; empty report iff the frame is usable."""
-    rep = ValidationReport()
-    w, h = frame.depth.width, frame.depth.height
-    for b in frame.detections:
-        if b.x_min >= b.x_max or b.y_min >= b.y_max:
-            rep.violations.append(f"degenerate bounding box: {b.label}")
-        elif not b.is_valid(w, h):
-            rep.violations.append(f"box out of image bounds: {b.label}")
-    if np.isnan(frame.depth.far) or any(np.isnan(vals).any()
-                                        for _, _, vals in frame.depth.patches):
-        rep.violations.append("NaN depth values")
-    if frame.q.size != cfg.j_total:
-        rep.violations.append(f"joint dof mismatch: got {frame.q.size}, expected {cfg.j_total}")
-    else:
-        lo, hi = cfg.joint_limits
-        if (frame.q < lo).any() or (frame.q > hi).any():
-            rep.violations.append("joint limit violated")
-    return rep
 
 
 @dataclass
@@ -324,9 +293,6 @@ class PipelineConfig:
     cot_window: int = 8
     cot_hidden: int = 64
     cot_embed: int = 16
-    lambda_cot: float = 1.0
-    lambda_action: float = 1.0
-    dropout_p: float = 0.5
     cot_max_len: int = 96
 
     def to_dict(self) -> dict:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (InvalidSetting, Model, PipelineError, check_shapes, fan_in_normal, load_json,
-                   max_grad_error, save_json)
+from .core import (InvalidSetting, Model, PipelineError, check_shapes, fan_in_normal,
+                   max_grad_error)
 from .sim import SCENARIOS, EmptyEpisode, Episode, InstructionScenario, Scene
 
 PAD, END, SEP = "<pad>", "<end>", "<sep>"
@@ -148,13 +148,6 @@ class TokenVocab:
     @property
     def end_id(self) -> int:
         return self.ids[END]
-
-    def save(self, path) -> None:
-        save_json(path, self.tokens)
-
-    @classmethod
-    def load(cls, path) -> "TokenVocab":
-        return cls(load_json(path))
 
 
 def build_default_vocab(max_frame: int = 360, value_range: float = 3.2) -> TokenVocab:
@@ -374,14 +367,14 @@ def sample_dropout(p: float, rng: np.random.Generator) -> int:
     return int(rng.random() < p)
 
 
-def total_loss(l_cot: float, l_action: float, d: int, lambda_cot: float,
-               lambda_action: float) -> float:
-    """(1 - d)*(lambda_cot*l_cot + lambda_action*l_action) + d*l_action."""
+def total_loss(l_cot: float, l_action: float, d: int, w_cot: float,
+               w_action: float) -> float:
+    """(1 - d)*(w_cot*l_cot + w_action*l_action) + d*l_action."""
     if d not in (0, 1):
         raise ValueError("d must be 0 or 1")
     if d == 1:
         return l_action
-    return lambda_cot * l_cot + lambda_action * l_action
+    return w_cot * l_cot + w_action * l_action
 
 
 def write_cot_dataset(path, samples) -> None:
@@ -391,15 +384,3 @@ def write_cot_dataset(path, samples) -> None:
             f.write(json.dumps({"context": [float(v) for v in np.ravel(context)],
                                 "tokens": [int(i) for i in token_ids],
                                 "text": text}) + "\n")
-
-
-def read_cot_dataset(path) -> list:
-    samples = []
-    with open(path) as f:
-        for line in f:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            samples.append((np.array(rec["context"], dtype=float),
-                            list(rec["tokens"]), rec["text"]))
-    return samples

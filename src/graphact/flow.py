@@ -198,8 +198,8 @@ def _loss_and_grads(expert: FlowExpert, X: np.ndarray, U: np.ndarray):
 
 def train_step(expert: FlowExpert, batch: list, lr: float, rng: np.random.Generator) -> float:
     """One gradient-descent step on fm_loss; returns the pre-step loss."""
-    if lr < 0:
-        raise ValueError("learning rate must be non-negative")
+    if not 0 <= lr < np.inf:
+        raise InvalidSetting(f"learning rate must be finite and >= 0, got {lr}")
     X, U = _draw_batch(expert, batch, rng)
     loss, grads = _loss_and_grads(expert, X, U)
     for name, p in expert.params():

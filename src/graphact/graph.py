@@ -34,30 +34,20 @@ class PoseObjectGraph:
     edges: list  # list[(i, j)] with i < j, no duplicates, no self-loops
 
 
-@dataclass
-class GraphOptions:
-    """joints_as_nodes/kinematic_edges render the full chain; switching both
-    off gives the minimal form (end-effector nodes, bipartite edges only)."""
-
-    joints_as_nodes: bool = True
-    kinematic_edges: bool = True
-    depth_window: int = 3
-
-
 def build_graph(frame, K: CameraIntrinsics, T: RigidTransform, chains: list,
-                opts: GraphOptions = None, skipped: list = None) -> PoseObjectGraph:
-    """Assemble the scene graph for one synced frame.
+                paper_literal: bool = False, skipped: list = None) -> PoseObjectGraph:
+    """Assemble the scene graph for one aligned frame. paper_literal gives the
+    paper's minimal form: end-effector nodes, object/end-effector edges only.
 
     Node order is deterministic: objects in detection order, then per chain in
-    config order (joint origins base-to-tip when enabled, then end effector).
-    Objects with no valid depth are skipped and recorded in `skipped`.
+    config order (joint origins base-to-tip unless paper_literal, then end
+    effector). Objects with no valid depth are skipped and recorded in `skipped`.
     """
-    opts = opts or GraphOptions()
     nodes = []
     for det in frame.detections:
         center = bbox_center(det)
         try:
-            d = depth_at(frame.depth, center, window=opts.depth_window)
+            d = depth_at(frame.depth, center)
         except NoValidDepth:
             log.warning("skipping object '%s': no valid depth at %s", det.label, center)
             if skipped is not None:
@@ -66,7 +56,7 @@ def build_graph(frame, K: CameraIntrinsics, T: RigidTransform, chains: list,
         p_base = transform_point(T, backproject(center, d, K))
         nodes.append(GraphNode(id=len(nodes), kind=OBJECT, label=det.label, position=p_base))
 
-    q = np.asarray(frame.q, dtype=float).reshape(-1) if frame.q is not None else np.zeros(0)
+    q = np.asarray(frame.q, dtype=float).reshape(-1)
     total_dof = sum(c.dof for c in chains)
     if q.size != total_dof:
         raise DofMismatch(f"frame has {q.size} joint values, chains expect {total_dof}")
@@ -77,7 +67,7 @@ def build_graph(frame, K: CameraIntrinsics, T: RigidTransform, chains: list,
         positions = fk_positions(chain, q[offset:offset + chain.dof])
         offset += chain.dof
         first_id = len(nodes)
-        if opts.joints_as_nodes:
+        if not paper_literal:
             for k, pos in enumerate(positions[:-1]):
                 nodes.append(GraphNode(id=len(nodes), kind=JOINT,
                                        label=f"{chain.name}/j{k}", position=pos))
@@ -85,7 +75,7 @@ def build_graph(frame, K: CameraIntrinsics, T: RigidTransform, chains: list,
         nodes.append(GraphNode(id=ee_id, kind=END_EFFECTOR,
                                label=f"{chain.name}/ee", position=positions[-1]))
         ee_ids.append(ee_id)
-        if opts.joints_as_nodes and opts.kinematic_edges:
+        if not paper_literal:
             chain_edges.extend((i, i + 1) for i in range(first_id, ee_id))
 
     # Every object id is below every robot id, and robot ids grow chain by
@@ -94,7 +84,8 @@ def build_graph(frame, K: CameraIntrinsics, T: RigidTransform, chains: list,
     return PoseObjectGraph(t=frame.t, nodes=nodes, edges=edges)
 
 
-def adjacency_matrix(g: PoseObjectGraph, self_loops: bool = False) -> np.ndarray:
+def adjacency_matrix(g: PoseObjectGraph) -> np.ndarray:
+    """Symmetric 0/1 adjacency without self-loops."""
     n = len(g.nodes)
     A = np.zeros((n, n), dtype=float)
     for i, j in g.edges:
@@ -102,8 +93,6 @@ def adjacency_matrix(g: PoseObjectGraph, self_loops: bool = False) -> np.ndarray
             raise PipelineError(f"invalid edge ({i}, {j}) for {n} nodes")
         A[i, j] = 1.0
         A[j, i] = 1.0
-    if self_loops:
-        A[np.diag_indices(n)] = 1.0
     return A
 
 
@@ -116,12 +105,3 @@ def graph_to_json(g: PoseObjectGraph) -> str:
         "edges": [[int(i), int(j)] for i, j in g.edges],
     }
     return json.dumps(doc)
-
-
-def graph_from_json(text: str) -> PoseObjectGraph:
-    doc = json.loads(text)
-    nodes = [GraphNode(id=int(n["id"]), kind=n["kind"], label=n["label"],
-                       position=np.array(n["position"], dtype=float))
-             for n in doc["nodes"]]
-    edges = [(int(i), int(j)) for i, j in doc["edges"]]
-    return PoseObjectGraph(t=float(doc["t"]), nodes=nodes, edges=edges)

@@ -8,11 +8,11 @@ dropped, not interpolated.
 import json
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoundingBox, DepthGrid, PipelineError
+from .core import BoundingBox, DepthGrid, FrameRecord, PipelineError
 
 HEAD_STREAM = "head"
 CONTROL_STREAM = "control"
@@ -38,18 +38,6 @@ class SampleStream:
         return [t for t, _ in self.samples]
 
 
-@dataclass
-class SyncedFrame:
-    """One head-camera frame with the latest-at-or-before match per stream."""
-
-    t: float
-    detections: list = field(default_factory=list)
-    depth: DepthGrid = None
-    q: np.ndarray = None
-    aux: dict = field(default_factory=dict)
-    source_t: dict = field(default_factory=dict)  # stream name -> matched timestamp
-
-
 def _check_stream(s: SampleStream) -> list:
     if not s.samples:
         raise EmptyStream(f"stream '{s.name}' has no samples")
@@ -60,11 +48,12 @@ def _check_stream(s: SampleStream) -> list:
 
 
 def align_streams(head: SampleStream, others: list, max_gap: float) -> list:
-    """One SyncedFrame per head sample fully matched within max_gap.
+    """One FrameRecord per head sample fully matched within max_gap.
 
     Head payloads are mappings with 'detections' and 'depth' entries; the
-    stream named CONTROL_STREAM carries joint vectors, surfaced as frame.q.
-    Every matched payload also lands in frame.aux under its stream name.
+    stream named CONTROL_STREAM carries joint vectors, surfaced as frame.q
+    (empty without that stream). Every matched payload also lands in
+    frame.aux, and its timestamp in frame.source_t, under its stream name.
     """
     if max_gap <= 0:
         raise ValueError("max_gap must be positive")
@@ -86,13 +75,9 @@ def align_streams(head: SampleStream, others: list, max_gap: float) -> list:
             times[s.name] = ts[idx]
         if not complete:
             continue
-        frame = SyncedFrame(t=t, aux=matches, source_t=times)
-        if isinstance(payload, dict):
-            frame.detections = payload.get("detections", [])
-            frame.depth = payload.get("depth")
-        if CONTROL_STREAM in matches:
-            frame.q = np.asarray(matches[CONTROL_STREAM], dtype=float).reshape(-1)
-        frames.append(frame)
+        payload = payload if isinstance(payload, dict) else {}
+        frames.append(FrameRecord(t, payload.get("detections", []), payload.get("depth"),
+                                  matches.get(CONTROL_STREAM, ()), aux=matches, source_t=times))
     return frames
 
 

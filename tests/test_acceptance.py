@@ -21,13 +21,12 @@ from graphact import (CameraIntrinsics, InferenceSchedule, SCENARIOS,
                       total_loss, train_step)
 from graphact.cli import main as cli_main
 from graphact.cot import ALL_PRESENT, NONE_PRESENT, SOME_MISSING
-from graphact.graph import END_EFFECTOR, OBJECT, GraphOptions
+from graphact.graph import END_EFFECTOR, OBJECT
 from graphact.sim import Episode, Scene, SceneObject, look_at
 
 from test_gnn import _oracle_encode, _random_graph
 
 CFG = default_config()
-EE_ONLY = GraphOptions(joints_as_nodes=False, kinematic_edges=False)
 
 
 @contextlib.contextmanager
@@ -123,7 +122,7 @@ def test_criterion_03_graph_structure():
                 ep = gen_episode(scen, variant, 3, seed=200 + variant, cfg=CFG)
                 for frame in ep.frames:
                     g = build_graph(frame, CFG.intrinsics, CFG.extrinsics,
-                                    CFG.chains, EE_ONLY)
+                                    CFG.chains, paper_literal=True)
                     n_obj = sum(1 for n in g.nodes if n.kind == OBJECT)
                     n_ee = sum(1 for n in g.nodes if n.kind == END_EFFECTOR)
                     assert len(g.edges) == n_obj * n_ee
@@ -135,13 +134,13 @@ def test_criterion_03_graph_structure():
         empty = FrameRecord(t=0.0, detections=[],
                             depth=DepthGrid.constant(64, 48, 2.0),
                             q=np.zeros(CFG.j_total))
-        g = build_graph(empty, CFG.intrinsics, CFG.extrinsics, CFG.chains, EE_ONLY)
+        g = build_graph(empty, CFG.intrinsics, CFG.extrinsics, CFG.chains, paper_literal=True)
         assert len(g.edges) == 0
         A = adjacency_matrix(g)
         assert np.array_equal(A, A.T)
         no_arms = FrameRecord(t=0.0, detections=[],
                               depth=DepthGrid.constant(64, 48, 2.0), q=np.zeros(0))
-        g = build_graph(no_arms, CFG.intrinsics, CFG.extrinsics, [], EE_ONLY)
+        g = build_graph(no_arms, CFG.intrinsics, CFG.extrinsics, [], paper_literal=True)
         assert g.nodes == [] and g.edges == []
         info["detail"] = f"({n_graphs} graphs + 2 degenerate)"
 

@@ -234,21 +234,103 @@ def _one_json_error_line(err: str) -> dict:
     return json.loads(lines[0])
 
 
-@pytest.mark.parametrize("flag,value", [("--steps", "0"), ("--steps", "-3"),
-                                        ("--cot-period", "0"), ("--rate-hz", "0")])
-def test_infer_rejects_out_of_range_settings(flag, value, tmp_path, workspace, capsys):
-    out = tmp_path / "o.json"
-    assert main(_infer_argv(workspace, workspace["episode"], out, flag, value)) == 2
-    assert _one_json_error_line(capsys.readouterr().err)["error"] == "InvalidSetting"
-    assert not out.exists()
+def _valid_argv(command, workspace, out):
+    """A small command line that runs command to exit 0 and writes out."""
+    w = {k: str(v) for k, v in workspace.items()}
+    artifacts = ["--gnn", w["gnn"], "--expert", w["expert"], "--cot-head", w["head"]]
+    return {
+        "gen": ["gen", "--scenario", "food", "--variant", "0", "--frames", "2"],
+        "init-weights": ["init-weights", "--kind", "gnn"],
+        "train-expert": ["train-expert", "--data", w["data"], "--steps", "2", "--batch", "2"],
+        "train-cot": ["train-cot", "--data", w["data"], "--epochs", "1"],
+        "infer": ["infer", "--episode", w["episode"], *artifacts],
+        "bench": ["bench", "--episode", w["episode"], *artifacts, "--repeat", "1"],
+    }[command] + ["--out", str(out)]
 
 
-def test_gen_rejects_zero_frames(tmp_path, capsys):
-    out = tmp_path / "eps"
-    assert main(["gen", "--scenario", "food", "--variant", "0", "--frames", "0",
-                 "--out", str(out)]) == 2
-    assert _one_json_error_line(capsys.readouterr().err)["error"] == "InvalidSetting"
-    assert not out.exists()
+# (command, extra arguments): each ends in InvalidSetting, exit 2, one JSON
+# line on stderr, nothing on stdout and nothing written
+BAD_SETTINGS = [
+    ("infer", ["--steps", "0"]), ("infer", ["--steps", "-3"]),
+    ("infer", ["--cot-period", "0"]), ("infer", ["--rate-hz", "0"]),
+    ("infer", ["--rate-hz", "nan"]), ("infer", ["--rate-hz", "inf"]),
+    ("gen", ["--frames", "0"]), ("gen", ["--episodes", "0"]), ("gen", ["--frames", "abc"]),
+    ("gen", ["--variant", "-1"]),
+    ("train-cot", ["--epochs", "0"]), ("train-cot", ["--stride", "-1"]),
+    ("train-cot", ["--lr", "-1"]), ("train-cot", ["--lr", "nan"]),
+    ("train-expert", ["--steps", "0"]), ("train-expert", ["--batch", "0"]),
+    ("train-expert", ["--lr", "-1"]), ("train-expert", ["--lr", "nan"]),
+    ("train-expert", ["--lr", "inf"]),
+    ("bench", ["--repeat", "0"]),
+] + [(command, ["--seed", "-1"])
+     for command in ("gen", "init-weights", "train-expert", "train-cot", "infer")]
+
+
+@pytest.mark.parametrize("command,extra", BAD_SETTINGS,
+                         ids=[f"{c}_{flag[2:]}={value}" for c, (flag, value) in BAD_SETTINGS])
+def test_rejects_invalid_settings(command, extra, tmp_path, workspace, capsys):
+    out = tmp_path / "out.json"
+    assert main(_valid_argv(command, workspace, out) + extra) == 2
+    captured = capsys.readouterr()
+    assert _one_json_error_line(captured.err)["error"] == "InvalidSetting"
+    assert captured.out == ""
+    assert os.listdir(tmp_path) == []  # no output, no loss CSV, no episode directory
+
+
+@pytest.mark.parametrize("argv,word", [(["frobnicate"], "invalid choice"), ([], "required"),
+                                       (["graph", "--episode", "e.jsonl"], "--out")],
+                         ids=["unknown_command", "no_command", "missing_out"])
+def test_argument_errors_follow_the_error_contract(argv, word, capsys):
+    """An unknown command, no command or a missing required flag exits 2 with
+    one JSON line instead of a usage text."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    err = _one_json_error_line(captured.err)
+    assert err["error"] == "InvalidSetting" and word in err["message"]
+    assert captured.out == ""
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "-h"])
+    assert exc.value.code == 0
+    assert "--scenario" in capsys.readouterr().out
+
+
+FUZZ_FLAGS = {
+    "gen": ["--variant", "--episodes", "--frames", "--seed"],
+    "init-weights": ["--seed"],
+    "train-expert": ["--steps", "--lr", "--seed", "--batch"],
+    "train-cot": ["--epochs", "--lr", "--seed", "--stride"],
+    "infer": ["--cot-period", "--rate-hz", "--steps", "--seed"],
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_fuzz_numeric_flags_exit_contract(data, workspace):
+    """Any mix of odd values for the numeric flags ends in exit 0, 2 or 3,
+    with one JSON line on stderr exactly when the exit is not 0, and an output
+    file exactly when it is 0."""
+    command = data.draw(st.sampled_from(sorted(FUZZ_FLAGS)), label="command")
+    extra = []
+    for flag in FUZZ_FLAGS[command]:
+        if data.draw(st.booleans(), label=f"set {flag}"):
+            value = data.draw(st.sampled_from(["-1", "0", "1", "2", "nan", "inf", "abc", ""]),
+                              label=flag)
+            extra += [flag, value]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out.json")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(_valid_argv(command, workspace, out) + extra)
+        event(f"{command}: exit {code}")
+        assert code in (0, 2, 3)
+        if code:
+            assert set(_one_json_error_line(err.getvalue())) == {"error", "message"}
+        else:
+            assert err.getvalue() == ""
+        assert os.path.exists(out) == (code == 0)
 
 
 def _corrupt(lines, what):
@@ -317,34 +399,6 @@ def test_fuzz_corrupt_episode_line_exit_contract(data, workspace):
         if code:
             assert set(_one_json_error_line(err.getvalue())) == {"error", "message"}
         assert os.path.exists(out) == (code == 0)
-
-
-def test_train_cot_rejects_zero_epochs(tmp_path, workspace, capsys):
-    out = tmp_path / "h.json"
-    assert main(["train-cot", "--data", str(workspace["data"]), "--epochs", "0",
-                 "--out", str(out)]) == 2
-    assert _one_json_error_line(capsys.readouterr().err)["error"] == "InvalidSetting"
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("flag", ["--steps", "--batch"])
-def test_train_expert_rejects_zero_counts(flag, tmp_path, workspace, capsys):
-    out = tmp_path / "e.json"
-    assert main(["train-expert", "--data", str(workspace["data"]), flag, "0",
-                 "--out", str(out)]) == 2
-    assert _one_json_error_line(capsys.readouterr().err)["error"] == "InvalidSetting"
-    assert not out.exists() and not out.with_suffix(".loss.csv").exists()
-
-
-def test_bench_rejects_zero_repeat(tmp_path, workspace, capsys):
-    out = tmp_path / "bench.json"
-    assert main(["bench", "--episode", str(workspace["episode"]),
-                 "--gnn", str(workspace["gnn"]), "--expert", str(workspace["expert"]),
-                 "--cot-head", str(workspace["head"]), "--repeat", "0",
-                 "--out", str(out)]) == 2
-    assert _one_json_error_line(capsys.readouterr().err)["error"] == "InvalidSetting"
-    assert not out.exists()
-    assert capsys.readouterr().out == ""
 
 
 def _edit_artifact(src, dst, edit):

@@ -1,9 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from graphact import (BoundingBox, CameraIntrinsics, DepthGrid, FrameRecord,
-                      PipelineConfig, RigidTransform, derive_seed, make_rng,
-                      validate_frame)
+from graphact import CameraIntrinsics, PipelineConfig, RigidTransform, derive_seed, make_rng
 from conftest import random_rotation
 
 
@@ -49,51 +49,6 @@ def test_derive_seed_stable_and_distinct():
     assert derive_seed(7, 1, 2) != derive_seed(8, 1, 2)
 
 
-def _frame(cfg, q=None, detections=None, depth=None):
-    K = cfg.intrinsics
-    return FrameRecord(
-        t=0.0,
-        detections=detections if detections is not None else
-        [BoundingBox("egg", 100.0, 100.0, 120.0, 120.0)],
-        depth=depth if depth is not None else DepthGrid.constant(K.width, K.height, 2.0),
-        q=q if q is not None else np.zeros(cfg.j_total),
-    )
-
-
-def test_validate_wellformed_frame_empty_report(cfg):
-    assert validate_frame(_frame(cfg), cfg).ok
-
-
-def test_validate_degenerate_box(cfg):
-    frame = _frame(cfg, detections=[BoundingBox("egg", 50.0, 50.0, 50.0, 80.0)])
-    report = validate_frame(frame, cfg)
-    assert any("degenerate" in v for v in report.violations)
-
-
-def test_validate_joint_limit_breach(cfg):
-    lo, hi = cfg.joint_limits
-    q = np.zeros(cfg.j_total)
-    q[3] = hi + 0.1
-    report = validate_frame(_frame(cfg, q=q), cfg)
-    assert any("joint limit" in v for v in report.violations)
-
-
-def test_validate_nan_depth_and_dof_mismatch(cfg):
-    K = cfg.intrinsics
-    bad_depth = DepthGrid.constant(K.width, K.height, 2.0)
-    bad_depth.patches.append((5, 5, np.array([[np.nan]])))
-    report = validate_frame(_frame(cfg, depth=bad_depth), cfg)
-    assert any("NaN" in v for v in report.violations)
-    report = validate_frame(_frame(cfg, q=np.zeros(cfg.j_total - 1)), cfg)
-    assert any("dof mismatch" in v for v in report.violations)
-
-
-def test_validate_nan_far_depth(cfg):
-    K = cfg.intrinsics
-    report = validate_frame(_frame(cfg, depth=DepthGrid.constant(K.width, K.height, np.nan)), cfg)
-    assert any("NaN" in v for v in report.violations)
-
-
 def test_config_json_roundtrip(cfg, tmp_path):
     path = tmp_path / "cfg.json"
     cfg.save(path)
@@ -103,3 +58,13 @@ def test_config_json_roundtrip(cfg, tmp_path):
     assert [c.name for c in loaded.chains] == [c.name for c in cfg.chains]
     assert loaded.chains[0].links == cfg.chains[0].links
     assert loaded.gnn_dims == cfg.gnn_dims
+
+
+def test_config_with_dropped_keys_still_loads(cfg):
+    """A config file written before lambda_cot, lambda_action and dropout_p
+    were dropped loads, and the extra keys are ignored."""
+    d = json.loads(json.dumps(cfg.to_dict()))
+    d.update(lambda_cot=1.0, lambda_action=1.0, dropout_p=0.5)
+    loaded = PipelineConfig.from_dict(d)
+    assert loaded.to_dict() == cfg.to_dict()
+    assert not hasattr(loaded, "dropout_p")

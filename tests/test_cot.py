@@ -4,13 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from graphact import (SCENARIOS, TokenVocab, build_default_vocab, ce_loss,
+from graphact import (SCENARIOS, build_default_vocab, ce_loss,
                       default_config, detokenize, future_indices, gen_episode,
                       generate_cot, grad_check_cot, init_cot_head, make_cot_label, make_rng,
                       sample_dropout, tokenize, total_loss, train_cot_head)
 from graphact.cot import (ALL_PRESENT, NONE_PRESENT, SOME_MISSING, CotHead,
-                          EmptyDataset, InvalidProbability, UnknownToken,
-                          read_cot_dataset, write_cot_dataset)
+                          EmptyDataset, InvalidProbability, UnknownToken, write_cot_dataset)
 from graphact.sim import EmptyEpisode
 
 CFG = default_config()
@@ -259,22 +258,16 @@ def test_total_loss_dropout_independent_of_cot_terms():
         assert got == l_action
 
 
-def test_vocab_json_roundtrip(tmp_path):
-    vocab = build_default_vocab(max_frame=10, value_range=0.2)
-    path = tmp_path / "vocab.json"
-    vocab.save(path)
-    loaded = TokenVocab.load(path)
-    assert loaded.tokens == vocab.tokens
-
-
 def test_cot_dataset_jsonl_roundtrip(tmp_path):
     vocab, samples = _memorization_setup()
     rows = [(ctx, ids, detokenize(ids[:-1], vocab)) for ctx, ids in samples]
     path = tmp_path / "data.jsonl"
     write_cot_dataset(path, rows)
-    loaded = read_cot_dataset(path)
-    for (c0, i0, t0), (c1, i1, t1) in zip(rows, loaded):
-        assert np.array_equal(c0, c1) and i0 == i1 and t0 == t1
+    loaded = [json.loads(line) for line in path.read_text().splitlines()]
+    assert len(loaded) == len(rows)
+    for (c0, i0, t0), rec in zip(rows, loaded):
+        assert list(rec) == ["context", "tokens", "text"]
+        assert np.array_equal(c0, rec["context"]) and i0 == rec["tokens"] and t0 == rec["text"]
 
 
 def test_head_json_roundtrip(tmp_path):
@@ -283,6 +276,7 @@ def test_head_json_roundtrip(tmp_path):
     path = tmp_path / "head.json"
     head.save(path)
     loaded = CotHead.load(path)
+    assert loaded.vocab.tokens == vocab.tokens  # the vocabulary is stored inline
     ctx = make_rng(15).normal(size=3)
     ids = [1, 4, 2]
     assert np.array_equal(loaded.sequence_logits(ctx, ids),

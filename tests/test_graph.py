@@ -1,15 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 
-from graphact import (BoundingBox, DepthGrid, FrameRecord, GraphOptions,
-                      adjacency_matrix, build_graph, default_config, gen_episode,
-                      graph_from_json, graph_to_json)
+from graphact import (BoundingBox, DepthGrid, FrameRecord, adjacency_matrix, build_graph,
+                      default_config, gen_episode, graph_to_json)
 from graphact.graph import END_EFFECTOR, JOINT, OBJECT
 from graphact.kinematics import DofMismatch
 from graphact.sim import SCENARIOS
 
 CFG = default_config()
-EE_ONLY = GraphOptions(joints_as_nodes=False, kinematic_edges=False)
 
 
 def _frame(n_objects, depth_value=2.0, n_joints=None):
@@ -22,14 +22,14 @@ def _frame(n_objects, depth_value=2.0, n_joints=None):
 
 
 def test_ee_only_counts_two_objects_two_arms():
-    g = build_graph(_frame(2), CFG.intrinsics, CFG.extrinsics, CFG.chains, EE_ONLY)
+    g = build_graph(_frame(2), CFG.intrinsics, CFG.extrinsics, CFG.chains, paper_literal=True)
     assert len(g.nodes) == 4
     assert len(g.edges) == 4  # complete bipartite 2x2
     assert [n.kind for n in g.nodes] == [OBJECT, OBJECT, END_EFFECTOR, END_EFFECTOR]
 
 
 def test_zero_objects_graph():
-    g = build_graph(_frame(0), CFG.intrinsics, CFG.extrinsics, CFG.chains, EE_ONLY)
+    g = build_graph(_frame(0), CFG.intrinsics, CFG.extrinsics, CFG.chains, paper_literal=True)
     assert len(g.nodes) == 2 and g.edges == []
     full = build_graph(_frame(0), CFG.intrinsics, CFG.extrinsics, CFG.chains)
     assert all(n.kind != OBJECT for n in full.nodes)
@@ -39,7 +39,7 @@ def test_zero_objects_graph():
 
 def test_zero_arms_graph():
     g = build_graph(_frame(3, depth_value=1.5, n_joints=0), CFG.intrinsics,
-                    CFG.extrinsics, chains=[], opts=EE_ONLY)
+                    CFG.extrinsics, chains=[], paper_literal=True)
     assert len(g.nodes) == 3 and g.edges == []
 
 
@@ -53,10 +53,10 @@ def test_object_position_matches_simulator_ground_truth():
 
 def test_node_count_accounting():
     for n_obj in (0, 1, 3):
-        for opts in (GraphOptions(), EE_ONLY):
+        for paper_literal in (False, True):
             g = build_graph(_frame(n_obj), CFG.intrinsics, CFG.extrinsics,
-                            CFG.chains, opts)
-            per_chain = sum(c.dof + 1 if opts.joints_as_nodes else 1 for c in CFG.chains)
+                            CFG.chains, paper_literal)
+            per_chain = sum(1 if paper_literal else c.dof + 1 for c in CFG.chains)
             assert len(g.nodes) == n_obj + per_chain
             n_ee = sum(1 for n in g.nodes if n.kind == END_EFFECTOR)
             bipartite = [e for e in g.edges
@@ -65,21 +65,19 @@ def test_node_count_accounting():
 
 
 def test_adjacency_bipartite_k22():
-    g = build_graph(_frame(2), CFG.intrinsics, CFG.extrinsics, CFG.chains, EE_ONLY)
+    g = build_graph(_frame(2), CFG.intrinsics, CFG.extrinsics, CFG.chains, paper_literal=True)
     A = adjacency_matrix(g)
     expected = np.zeros((4, 4))
     expected[:2, 2:] = 1.0
     expected[2:, :2] = 1.0
     assert np.array_equal(A, expected)
     assert np.array_equal(A, A.T)
-    assert np.array_equal(adjacency_matrix(g, self_loops=True), expected + np.eye(4))
 
 
 def test_adjacency_empty_edges():
     g = build_graph(_frame(0, n_joints=7), CFG.intrinsics, CFG.extrinsics,
-                    CFG.chains[:1], EE_ONLY)
+                    CFG.chains[:1], paper_literal=True)
     assert np.array_equal(adjacency_matrix(g), np.zeros((1, 1)))
-    assert np.array_equal(adjacency_matrix(g, self_loops=True), np.eye(1))
 
 
 def test_kinematic_edges_connect_consecutive_joints():
@@ -95,7 +93,7 @@ def test_kinematic_edges_connect_consecutive_joints():
 def test_object_skipped_without_valid_depth():
     frame = _frame(2, depth_value=-1.0)  # whole grid invalid
     skipped = []
-    g = build_graph(frame, CFG.intrinsics, CFG.extrinsics, CFG.chains, EE_ONLY,
+    g = build_graph(frame, CFG.intrinsics, CFG.extrinsics, CFG.chains, paper_literal=True,
                     skipped=skipped)
     assert skipped == ["o0", "o1"]
     assert all(n.kind != OBJECT for n in g.nodes)
@@ -114,8 +112,12 @@ def test_serialization_deterministic_and_roundtrips():
     a = graph_to_json(build_graph(frame, CFG.intrinsics, CFG.extrinsics, CFG.chains))
     b = graph_to_json(build_graph(frame, CFG.intrinsics, CFG.extrinsics, CFG.chains))
     assert a == b  # byte-identical
-    g = graph_from_json(a)
-    assert graph_to_json(g) == a
+    g = build_graph(frame, CFG.intrinsics, CFG.extrinsics, CFG.chains)
+    doc = json.loads(a)
+    assert [(n["id"], n["kind"], n["label"]) for n in doc["nodes"]] == \
+        [(n.id, n.kind, n.label) for n in g.nodes]
+    assert np.array_equal([n["position"] for n in doc["nodes"]], [n.position for n in g.nodes])
+    assert [tuple(e) for e in doc["edges"]] == g.edges
 
 
 def test_edges_unique_no_self_loops():

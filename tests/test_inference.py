@@ -3,12 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from graphact import (InferenceSchedule, SCENARIOS, build_default_vocab,
-                      default_config, gen_episode, init_cot_head, init_flow_expert,
-                      init_gnn_weights, make_rng, run_inference_loop)
+from graphact import (FrameRecord, InferenceSchedule, SCENARIOS, SampleStream, align_streams,
+                      build_default_vocab, build_graph, default_config, gen_episode,
+                      graph_to_json, init_cot_head, init_flow_expert, init_gnn_weights,
+                      make_rng, run_inference_loop)
 from graphact.core import InvalidSetting
 from graphact.inference import outputs_to_dict
-from graphact.sim import EmptyEpisode
+from graphact.sim import EmptyEpisode, Episode
+from graphact.stream_sync import CONTROL_STREAM
 
 CFG = default_config()
 
@@ -87,6 +89,28 @@ def test_outputs_deterministic_given_seed(artifacts):
     assert outputs_to_dict(a) == outputs_to_dict(b)
     c, _ = run_inference_loop(ep, *artifacts, InferenceSchedule(), CFG, seed=10)
     assert outputs_to_dict(c) != outputs_to_dict(a)
+
+
+def test_aligned_frames_feed_the_loop_directly(artifacts):
+    """align_streams returns FrameRecords: the loop and build_graph take them
+    as they are, and they give the same outputs as the episode's own frames."""
+    ep = gen_episode(SCENARIOS["food"], 0, 5, seed=38, cfg=CFG)
+    head = SampleStream("head", CFG.camera_rate_hz,
+                        [(f.t, {"detections": f.detections, "depth": f.depth})
+                         for f in ep.frames])
+    control = SampleStream(CONTROL_STREAM, CFG.control_rate_hz,
+                           [(f.t, list(f.q)) for f in ep.frames])
+    frames = align_streams(head, [control], CFG.max_gap)
+    assert len(frames) == len(ep.frames)
+    assert all(isinstance(f, FrameRecord) for f in frames)
+    for a, b in zip(frames, ep.frames):
+        assert (graph_to_json(build_graph(a, CFG.intrinsics, CFG.extrinsics, CFG.chains))
+                == graph_to_json(build_graph(b, CFG.intrinsics, CFG.extrinsics, CFG.chains)))
+    aligned = Episode(frames=frames, scene=ep.scene, scenario=ep.scenario,
+                      trajectory=ep.trajectory, K=ep.K, T=ep.T)
+    got, _ = run_inference_loop(aligned, *artifacts, InferenceSchedule(), CFG, seed=3)
+    want, _ = run_inference_loop(ep, *artifacts, InferenceSchedule(), CFG, seed=3)
+    assert outputs_to_dict(got) == outputs_to_dict(want)
 
 
 def test_empty_episode_raises(artifacts):

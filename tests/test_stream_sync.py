@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from graphact import SampleStream, align_streams
+from graphact import (BoundingBox, DepthGrid, FrameRecord, SampleStream, align_streams,
+                      build_graph, default_config)
+from graphact.kinematics import DofMismatch
 from graphact.stream_sync import (CONTROL_STREAM, EmptyStream,
                                   NonMonotoneTimestamps, read_stream_log)
 
@@ -111,3 +113,19 @@ def test_read_stream_log_roundtrip(tmp_path):
     assert frames[0].detections[0].label == "egg"
     assert frames[0].depth.at(0, 1) == 3.0
     assert np.array_equal(frames[0].q, [0.1, 0.2])
+
+
+def test_head_without_control_stream_has_empty_q():
+    """Without a joint stream q is empty, not None, so build_graph still
+    reports the missing joints as a DofMismatch."""
+    cfg = default_config()
+    K = cfg.intrinsics
+    head = SampleStream("head", 30.0, [(0.0, {
+        "detections": [BoundingBox("egg", 100.0, 100.0, 120.0, 120.0)],
+        "depth": DepthGrid.constant(K.width, K.height, 2.0)})])
+    frames = align_streams(head, [], max_gap=0.1)
+    assert len(frames) == 1 and isinstance(frames[0], FrameRecord)
+    assert frames[0].q.size == 0
+    assert frames[0].aux == {} and frames[0].source_t == {}
+    with pytest.raises(DofMismatch):
+        build_graph(frames[0], K, cfg.extrinsics, cfg.chains)
