@@ -27,10 +27,25 @@ from .selfcheck import run_selfcheck
 from .sim import SCENARIOS, default_config, gen_episode, load_episode, write_episode
 
 
+class ConfigLoadError(PipelineError):
+    """A config document with a missing key, a wrong type or a bad value."""
+
+
+def _load_named(error, load, path):
+    """load(path), with a malformed document's KeyError, TypeError or ValueError
+    raised as error. Named errors and non-JSON (exit 3) pass through."""
+    try:
+        return load(path)
+    except (PipelineError, json.JSONDecodeError):
+        raise  # InvalidSetting and JSONDecodeError are also ValueErrors
+    except (KeyError, TypeError, ValueError) as exc:
+        raise error(str(exc)) from exc
+
+
 def _load_config(path) -> PipelineConfig:
     path = path or os.environ.get("PIPELINE_CONFIG")
     if path:
-        return PipelineConfig.load(path)
+        return _load_named(ConfigLoadError, PipelineConfig.load, path)
     return default_config()
 
 
@@ -170,24 +185,19 @@ def _schedule_from_args(args) -> InferenceSchedule:
 def _load_artifacts(args, cfg):
     """Load the three artifacts and check them against cfg, so a mismatch
     exits 2 before the first frame instead of failing mid-loop."""
-    try:
-        gnn_w = GnnWeights.load(args.gnn)
-        expert = FlowExpert.load(args.expert)
-        head = CotHead.load(args.cot_head)
-    except PipelineError:
-        raise  # already named, e.g. InvalidSetting, which is also a ValueError
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ArtifactLoadError(str(exc)) from exc
+    gnn_w = _load_named(ArtifactLoadError, GnnWeights.load, args.gnn)
+    expert = _load_named(ArtifactLoadError, FlowExpert.load, args.expert)
+    head = _load_named(ArtifactLoadError, CotHead.load, args.cot_head)
     check_artifacts(cfg, gnn_w, expert, head)
     return gnn_w, expert, head
 
 
 def cmd_infer(args) -> int:
     cfg = _load_config(args.config)
+    schedule = _schedule_from_args(args)
     ep = load_episode(args.episode)
     gnn_w, expert, head = _load_artifacts(args, cfg)
-    outputs, report = run_inference_loop(ep, gnn_w, expert, head,
-                                         _schedule_from_args(args), cfg,
+    outputs, report = run_inference_loop(ep, gnn_w, expert, head, schedule, cfg,
                                          seed=args.seed, euler_steps=args.steps)
     save_json(args.out, outputs_to_dict(outputs))
     n_cot = sum(1 for o in outputs if o.cot_text is not None)

@@ -217,19 +217,13 @@ def grad_check(expert: FlowExpert, sample, h: float = 1e-5,
                n_params: int = 100, rng: np.random.Generator = None) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    tau and eps are drawn once and frozen so the loss is a deterministic
-    function of the parameters.
+    tau and eps are drawn once, as train_step draws them, and frozen so the
+    loss is a deterministic function of the parameters.
     """
     if h <= 0:
         raise ValueError("h must be positive")
     rng = rng if rng is not None else np.random.default_rng(0)
-    A, context = sample
-    A = np.asarray(A, dtype=float)
-    tau = sample_tau(expert.alpha, expert.beta, rng)
-    eps = rng.normal(0.0, expert.sigma if expert.sigma > 0 else 1.0, size=A.shape)
-    X = np.concatenate([interpolate(A, eps, tau).ravel(), np.ravel(context), [tau]])[None, :]
-    U = target_field(A, eps).ravel()[None, :]
-
+    X, U = _draw_batch(expert, [sample], rng)
     _, grads = _loss_and_grads(expert, X, U)
     return max_grad_error(expert, grads, lambda: float(np.sum((expert.forward(X) - U) ** 2)),
                           h, n_params, rng)

@@ -2,6 +2,7 @@
 frames (by default the first), every frame gets a sampled action chunk, and
 per-stage wall-clock timings are collected into a benchmark report."""
 
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -61,8 +62,9 @@ class InferenceSchedule:
     def __post_init__(self):
         if self.cot_period is not None and self.cot_period < 1:
             raise InvalidSetting(f"cot_period must be >= 1 when set, got {self.cot_period}")
-        if self.rate_budget_hz <= 0:
-            raise InvalidSetting(f"rate_budget_hz must be positive, got {self.rate_budget_hz}")
+        if not (self.rate_budget_hz > 0 and 1.0 / self.rate_budget_hz <= threading.TIMEOUT_MAX):
+            raise InvalidSetting(f"rate_budget_hz must be positive with a period of at most "
+                                 f"{threading.TIMEOUT_MAX:.3g} s, got {self.rate_budget_hz}")
 
     def wants_cot(self, frame_index: int) -> bool:
         if self.cot_period is not None:

@@ -2,19 +2,16 @@
 
 Matching is latest-at-or-before (causal): a reading from the future never
 explains a camera frame. Head samples missing any match within max_gap are
-dropped, not interpolated.
+dropped, not interpolated. Alignment is library-only: the CLI reads
+episode files, whose frames are aligned already.
 """
 
-import json
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 
-import numpy as np
+from .core import FrameRecord, PipelineError
 
-from .core import BoundingBox, DepthGrid, FrameRecord, PipelineError
-
-HEAD_STREAM = "head"
 CONTROL_STREAM = "control"
 
 
@@ -80,35 +77,3 @@ def align_streams(head: SampleStream, others: list, max_gap: float) -> list:
                                   matches.get(CONTROL_STREAM, ()), aux=matches, source_t=times))
     return frames
 
-
-def read_stream_log(path) -> list:
-    """Parse a multi-stream JSONL log: one {stream, t, payload} object per line.
-
-    Head payloads may carry detections (list of {label, box}) and a dense
-    depth grid {w, h, values}, kept as one full-image patch; other payloads
-    pass through as parsed.
-    """
-    streams = {}
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            name = rec["stream"]
-            payload = rec["payload"]
-            if isinstance(payload, dict) and "detections" in payload:
-                payload = dict(payload)
-                payload["detections"] = [BoundingBox.from_dict(d) for d in payload["detections"]]
-                if "depth" in payload and isinstance(payload["depth"], dict):
-                    dd = payload["depth"]
-                    w, h = int(dd["w"]), int(dd["h"])
-                    values = np.array(dd["values"], dtype=float).reshape(h, w)
-                    payload["depth"] = DepthGrid(w, h, far=0.0, patches=[(0, 0, values)])
-            streams.setdefault(name, []).append((float(rec["t"]), payload))
-    out = []
-    for name, samples in streams.items():
-        ts = [t for t, _ in samples]
-        rate = (len(ts) - 1) / (ts[-1] - ts[0]) if len(ts) > 1 and ts[-1] > ts[0] else 0.0
-        out.append(SampleStream(name=name, rate_hz=rate, samples=samples))
-    return out

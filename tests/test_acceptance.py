@@ -3,25 +3,22 @@ with its measured figure. Run with `pytest tests/test_acceptance.py -s` to see
 the lines as they go by."""
 
 import contextlib
-import json
-import math
 import os
 import time
 
 import numpy as np
-import pytest
 
 from graphact import (CameraIntrinsics, InferenceSchedule, SCENARIOS,
                       adjacency_matrix, backproject, build_default_vocab,
-                      build_graph, ce_loss, default_config, future_indices,
-                      gen_episode, grad_check, grad_check_cot, init_cot_head,
-                      init_flow_expert, init_gnn_weights, interpolate, fm_loss,
-                      make_cot_label, make_rng, project, render_frame,
-                      run_inference_loop, sample_actions, sample_dropout,
-                      total_loss, train_step)
+                      build_graph, default_config, future_indices, gen_episode,
+                      init_cot_head, init_flow_expert, init_gnn_weights,
+                      make_cot_label, make_rng, render_frame, run_inference_loop,
+                      sample_actions, train_step)
 from graphact.cli import main as cli_main
 from graphact.cot import ALL_PRESENT, NONE_PRESENT, SOME_MISSING
 from graphact.graph import END_EFFECTOR, OBJECT
+from graphact.selfcheck import (check_flow_identities, check_gradients, check_loss_formulas,
+                                check_projection_roundtrip)
 from graphact.sim import Episode, Scene, SceneObject, look_at
 
 from test_gnn import _oracle_encode, _random_graph
@@ -98,19 +95,11 @@ def test_criterion_01_end_to_end_position_oracle():
 
 def test_criterion_02_projection_roundtrip():
     with criterion(2, "projection round trip: 1e4 points within 1e-9") as info:
-        rng = make_rng(102)
-        K = CameraIntrinsics(fx=515.0, fy=470.0, cx=321.5, cy=239.2,
-                             width=640, height=480)
         start = time.perf_counter()
-        worst = 0.0
-        for _ in range(10_000):
-            p = np.array([rng.uniform(-3, 3), rng.uniform(-3, 3),
-                          rng.uniform(0.1, 10.0)])
-            pix, z = project(p, K)
-            worst = max(worst, float(np.abs(backproject(pix, z, K) - p).max()))
+        _, ok, detail = check_projection_roundtrip()
         elapsed = time.perf_counter() - start
-        info["detail"] = f"(max err {worst:.2e}, {elapsed:.2f}s)"
-        assert worst < 1e-9
+        info["detail"] = f"({detail}, {elapsed:.2f}s)"
+        assert ok
         assert elapsed < 1.0
 
 
@@ -170,49 +159,16 @@ def test_criterion_04_gnn_equivariance_and_oracle():
 
 def test_criterion_05_flow_matching_identities():
     with criterion(5, "interpolation endpoints, planted loss, Euler exactness") as info:
-        rng = make_rng(105)
-        A = rng.normal(size=(3, 2))
-        eps = rng.normal(size=(3, 2))
-        assert interpolate(A, eps, 1.0).tobytes() == A.tobytes()
-        assert interpolate(A, eps, 0.0).tobytes() == eps.tobytes()
-
-        expert = init_flow_expert(rng, horizon=3, j_dim=2, context_dim=2, sigma=0.0)
-        for _, p in expert.params():
-            p[:] = 0.0
-        target = rng.normal(size=(3, 2))
-        expert.b3[:] = -target.ravel()
-        planted = fm_loss(expert, [(target, np.zeros(2))] * 4, make_rng(1))
-        assert planted < 1e-20
-
-        euler = init_flow_expert(rng, horizon=3, j_dim=2, context_dim=2, sigma=1.0)
-        for _, p in euler.params():
-            p[:] = 0.0
-        goal = rng.normal(size=6)
-        seed = 55
-        eps0 = make_rng(seed).normal(0.0, 1.0, size=6)
-        euler.b3[:] = eps0 - goal
-        worst = 0.0
-        for steps in (1, 5, 10):
-            out = sample_actions(euler, np.zeros(2), steps, make_rng(seed)).ravel()
-            worst = max(worst, float(np.abs(out - goal).max()))
-        info["detail"] = f"(planted loss {planted:.1e}, Euler err {worst:.1e})"
-        assert worst < 1e-12
+        _, ok, detail = check_flow_identities()
+        info["detail"] = f"({detail})"
+        assert ok
 
 
 def test_criterion_06_gradient_fidelity():
     with criterion(6, "analytic vs central-difference gradients < 1e-4") as info:
-        rng = make_rng(106)
-        expert = init_flow_expert(rng, horizon=3, j_dim=2, context_dim=5)
-        err_flow = grad_check(expert, (rng.normal(size=(3, 2)), rng.normal(size=5)),
-                              h=1e-5, n_params=100, rng=rng)
-        vocab = build_default_vocab(max_frame=30, value_range=0.5)
-        head = init_cot_head(vocab, context_dim=5, window=4, rng=rng)
-        ids = [int(i) for i in rng.integers(0, len(vocab), size=6)] + [vocab.end_id]
-        err_cot = grad_check_cot(head, (rng.normal(size=5), ids),
-                                 h=1e-5, n_params=100, rng=rng)
-        info["detail"] = f"(flow {err_flow:.2e}, reasoning head {err_cot:.2e})"
-        assert err_flow < 1e-4
-        assert err_cot < 1e-4
+        _, ok, detail = check_gradients()
+        info["detail"] = f"({detail})"
+        assert ok
 
 
 def test_criterion_07_toy_flow_training():
@@ -247,17 +203,9 @@ def test_criterion_07_toy_flow_training():
 
 def test_criterion_08_loss_formulas():
     with criterion(8, "CE uniform identity, dropout combiner, Bernoulli rate") as info:
-        err = abs(ce_loss(np.zeros((3, 4)), [0, 1, 2]) - 3 * math.log(4))
-        assert err < 1e-9
-        for T, V in ((1, 2), (5, 7), (10, 1050)):
-            assert abs(ce_loss(np.zeros((T, V)), [0] * T) - T * math.log(V)) < 1e-9
-        assert total_loss(4.0, 1.0, 1, 0.5, 2.0) == 1.0
-        assert total_loss(4.0, 1.0, 0, 1.0, 1.0) == 5.0
-        assert total_loss(4.0, 1.0, 0, 0.5, 2.0) == 4.0
-        rng = make_rng(108)
-        freq = np.mean([sample_dropout(0.3, rng) for _ in range(10_000)])
-        info["detail"] = f"(ce err {err:.1e}, Bernoulli freq {freq:.4f})"
-        assert 0.28 <= freq <= 0.32
+        _, ok, detail = check_loss_formulas()
+        info["detail"] = f"({detail})"
+        assert ok
 
 
 def test_criterion_09_future_frame_arithmetic():

@@ -163,6 +163,56 @@ def test_selfcheck_passes(capsys):
     assert "projection_roundtrip" in out and "FAIL" not in out
 
 
+def test_selfcheck_failure_exits_4(monkeypatch, capsys):
+    """One failing check makes the suite exit 4 with a FAIL line for it,
+    while the other checks still run and report ok."""
+    from graphact import selfcheck
+    checks = list(selfcheck.CHECKS)
+    checks[1] = lambda: ("planted_failure", False, "forced")
+    monkeypatch.setattr(selfcheck, "CHECKS", tuple(checks))
+    assert main(["selfcheck"]) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "FAIL planted_failure: forced"
+    assert [line.split()[0] for line in lines] == ["ok", "FAIL", "ok", "ok"]
+
+
+# (edit of the default config's JSON, or the file's text, exit code, error)
+CONFIG_CASES = {
+    "missing_key": (lambda d: d.pop("sigma"), 2, "ConfigLoadError"),
+    "wrong_type": (lambda d: d.update(j_total="x"), 2, "ConfigLoadError"),
+    "zero_fx": (lambda d: d["intrinsics"].update(fx=0), 2, "ConfigLoadError"),
+    "not_json": ('{"sigma": 1.0,', 3, "JSONDecodeError"),
+}
+
+
+@pytest.mark.parametrize("via", ["flag", "env"])
+@pytest.mark.parametrize("command", ["gen", "infer"])
+@pytest.mark.parametrize("case", sorted(CONFIG_CASES))
+def test_malformed_config_follows_the_error_contract(case, command, via, tmp_path, workspace,
+                                                     monkeypatch, capsys):
+    """A config with a missing key, a wrong type or a bad value exits 2 as
+    ConfigLoadError, and one that is not JSON exits 3, before any work."""
+    edit, code, error = CONFIG_CASES[case]
+    cfg_path = tmp_path / "cfg.json"
+    if callable(edit):
+        doc = default_config().to_dict()
+        edit(doc)
+        cfg_path.write_text(json.dumps(doc))
+    else:
+        cfg_path.write_text(edit)
+    out = tmp_path / "out" / "o.json"
+    argv = _valid_argv(command, workspace, out)
+    if via == "flag":
+        argv += ["--config", str(cfg_path)]
+    else:
+        monkeypatch.setenv("PIPELINE_CONFIG", str(cfg_path))
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert _one_json_error_line(captured.err)["error"] == error
+    assert captured.out == ""
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
 def test_validation_error_exit_code_and_json(tmp_path, capsys):
     code = main(["gen", "--scenario", "food", "--variant", "9", "--episodes", "1",
                  "--frames", "2", "--seed", "0", "--out", str(tmp_path / "x")])
@@ -197,6 +247,19 @@ def test_infer_missing_artifact_is_io_error(tmp_path, workspace, capsys):
     argv[argv.index("--expert") + 1] = str(tmp_path / "missing.json")
     assert main(argv) == 3
     assert _one_json_error_line(capsys.readouterr().err)["error"] == "FileNotFoundError"
+    assert not out.exists()
+
+
+def test_infer_artifact_that_is_not_json_exits_3(tmp_path, workspace, capsys):
+    """A truncated artifact file exits 3 like a config or an episode that is
+    not JSON; a JSON document that is not an artifact exits 2."""
+    out = tmp_path / "o.json"
+    bad = tmp_path / "expert.json"
+    bad.write_text(workspace["expert"].read_text()[:100])
+    argv = _infer_argv(workspace, workspace["episode"], out)
+    argv[argv.index("--expert") + 1] = str(bad)
+    assert main(argv) == 3
+    assert _one_json_error_line(capsys.readouterr().err)["error"] == "JSONDecodeError"
     assert not out.exists()
 
 
@@ -261,13 +324,14 @@ BAD_SETTINGS = [
     ("train-expert", ["--steps", "0"]), ("train-expert", ["--batch", "0"]),
     ("train-expert", ["--lr", "-1"]), ("train-expert", ["--lr", "nan"]),
     ("train-expert", ["--lr", "inf"]),
+    ("infer", ["--rate-hz", "1e-300", "--pace"]),  # a period time.sleep cannot take
     ("bench", ["--repeat", "0"]),
 ] + [(command, ["--seed", "-1"])
      for command in ("gen", "init-weights", "train-expert", "train-cot", "infer")]
 
 
 @pytest.mark.parametrize("command,extra", BAD_SETTINGS,
-                         ids=[f"{c}_{flag[2:]}={value}" for c, (flag, value) in BAD_SETTINGS])
+                         ids=[f"{c}_{extra[0][2:]}={extra[1]}" for c, extra in BAD_SETTINGS])
 def test_rejects_invalid_settings(command, extra, tmp_path, workspace, capsys):
     out = tmp_path / "out.json"
     assert main(_valid_argv(command, workspace, out) + extra) == 2

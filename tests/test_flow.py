@@ -56,16 +56,6 @@ def test_sample_tau_invalid_params():
         sample_tau(1.0, -2.0, make_rng(0))
 
 
-def test_interpolate_endpoints_bit_exact():
-    rng = make_rng(3)
-    A = rng.normal(size=(4, 3))
-    eps = rng.normal(size=(4, 3))
-    out1 = interpolate(A, eps, 1.0)
-    out0 = interpolate(A, eps, 0.0)
-    assert out1.tobytes() == A.tobytes()
-    assert out0.tobytes() == eps.tobytes()
-
-
 def test_interpolate_midpoint_and_mismatch():
     A = np.array([1.0, 1.0])
     eps = np.zeros(2)
@@ -80,16 +70,6 @@ def test_target_field():
     assert np.array_equal(target_field(A, np.zeros(2)), [-1.0, -1.0])
     eps = np.array([0.3, -0.4])
     assert np.allclose(target_field(A, 2 * eps) - target_field(A, eps), eps, atol=0)
-
-
-def test_fm_loss_planted_perfect_predictor():
-    # zeroed net with bias -A on a constant problem with sigma=0 predicts the
-    # target eps - A = -A exactly for every draw
-    expert = _zeroed(_tiny_expert(sigma=0.0))
-    A = np.array([[0.7, -0.2], [0.1, 0.4]])
-    expert.b3[:] = -A.ravel()
-    loss = fm_loss(expert, [(A, np.zeros(3))] * 5, make_rng(4))
-    assert loss < 1e-20
 
 
 def test_fm_loss_hand_value():
@@ -143,12 +123,6 @@ def test_grad_check_near_linear_regime():
             p *= 0.3
     sample = (make_rng(10).normal(size=(2, 2)), make_rng(11).normal(size=3))
     assert grad_check(expert, sample, h=3e-4, rng=make_rng(12)) < 1e-6
-
-
-def test_grad_check_random_init():
-    expert = _tiny_expert(rng=make_rng(13))
-    sample = (make_rng(14).normal(size=(2, 2)), make_rng(15).normal(size=3))
-    assert grad_check(expert, sample, h=1e-5, n_params=100, rng=make_rng(16)) < 1e-4
 
 
 def test_grad_check_error_grows_with_large_h():

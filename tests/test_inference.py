@@ -1,4 +1,5 @@
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -137,6 +138,11 @@ def test_schedule_validation():
         InferenceSchedule(cot_period=0)
     with pytest.raises(ValueError):
         InferenceSchedule(rate_budget_hz=0.0)
+    # a pacing period time.sleep cannot take is refused when the schedule is
+    # built, so a rate that would make a test sleep never reaches the loop
+    for rate in (1e-300, 0.5 / threading.TIMEOUT_MAX, float("nan")):
+        with pytest.raises(InvalidSetting, match="period"):
+            InferenceSchedule(rate_budget_hz=rate, pace=True)
 
 
 def test_pacing_limits_rate(artifacts):

@@ -4,8 +4,7 @@ import pytest
 from graphact import (BoundingBox, DepthGrid, FrameRecord, SampleStream, align_streams,
                       build_graph, default_config)
 from graphact.kinematics import DofMismatch
-from graphact.stream_sync import (CONTROL_STREAM, EmptyStream,
-                                  NonMonotoneTimestamps, read_stream_log)
+from graphact.stream_sync import CONTROL_STREAM, EmptyStream, NonMonotoneTimestamps
 
 
 def _head(ts):
@@ -94,25 +93,6 @@ def test_aux_carries_other_streams():
                            max_gap=0.05)
     assert frames[0].aux["imu"] == {"w": 10}
     assert CONTROL_STREAM in frames[0].aux
-
-
-def test_read_stream_log_roundtrip(tmp_path):
-    import json
-    path = tmp_path / "log.jsonl"
-    lines = [
-        {"stream": "head", "t": 0.0,
-         "payload": {"detections": [{"label": "egg", "box": [1.0, 2.0, 3.0, 4.0]}],
-                     "depth": {"w": 2, "h": 2, "values": [1.0, 2.0, 3.0, 4.0]}}},
-        {"stream": CONTROL_STREAM, "t": 0.0, "payload": [0.1, 0.2]},
-        {"stream": CONTROL_STREAM, "t": 1 / 150, "payload": [0.2, 0.3]},
-    ]
-    path.write_text("\n".join(json.dumps(l) for l in lines) + "\n")
-    streams = {s.name: s for s in read_stream_log(path)}
-    frames = align_streams(streams["head"], [streams[CONTROL_STREAM]], max_gap=0.1)
-    assert len(frames) == 1
-    assert frames[0].detections[0].label == "egg"
-    assert frames[0].depth.at(0, 1) == 3.0
-    assert np.array_equal(frames[0].q, [0.1, 0.2])
 
 
 def test_head_without_control_stream_has_empty_q():
