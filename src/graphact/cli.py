@@ -1,8 +1,9 @@
 """Command-line surface: data generation, graph building, training, hybrid
 inference, benchmarking, and the embedded oracle suite.
 
-Exit codes: 0 ok, 2 validation failure, 3 I/O failure, 4 oracle-suite
-failure. Errors are emitted as one JSON object on stderr. The PIPELINE_CONFIG
+Exit codes: 0 ok, 2 validation failure, 3 I/O failure (a file that cannot
+be read, or is not JSON or not an .npz archive), 4 oracle-suite failure.
+Errors are emitted as one JSON object on stderr. The PIPELINE_CONFIG
 environment variable supplies a default --config path.
 """
 
@@ -11,6 +12,7 @@ import glob
 import json
 import os
 import sys
+import zipfile
 
 import numpy as np
 
@@ -33,7 +35,8 @@ class ConfigLoadError(PipelineError):
 
 def _load_named(error, load, path):
     """load(path), with a malformed document's KeyError, TypeError or ValueError
-    raised as error. Named errors and non-JSON (exit 3) pass through."""
+    raised as error. Named errors, non-JSON and non-archive files (exit 3)
+    pass through."""
     try:
         return load(path)
     except (PipelineError, json.JSONDecodeError):
@@ -50,8 +53,7 @@ def _load_config(path) -> PipelineConfig:
 
 
 def _loss_csv_path(out: str) -> str:
-    root, ext = os.path.splitext(out)
-    return root + ".loss.csv" if ext else out + ".loss.csv"
+    return os.path.splitext(out)[0] + ".loss.csv"
 
 
 def _write_loss_csv(path, rows) -> None:
@@ -132,7 +134,8 @@ def _action_chunk(ep, t: int, horizon: int) -> np.ndarray:
 
 def cmd_train_expert(args) -> int:
     cfg = _load_config(args.config)
-    gnn_w = GnnWeights.load(args.gnn) if args.gnn else _new_gnn(cfg, make_rng(args.seed))
+    gnn_w = (_load_named(ArtifactLoadError, GnnWeights.load, args.gnn) if args.gnn
+             else _new_gnn(cfg, make_rng(args.seed)))
     dataset = []
     for path in _episode_files(args.data):
         ep = load_episode(path)
@@ -154,7 +157,8 @@ def cmd_train_expert(args) -> int:
 
 def cmd_train_cot(args) -> int:
     cfg = _load_config(args.config)
-    gnn_w = GnnWeights.load(args.gnn) if args.gnn else _new_gnn(cfg, make_rng(args.seed))
+    gnn_w = (_load_named(ArtifactLoadError, GnnWeights.load, args.gnn) if args.gnn
+             else _new_gnn(cfg, make_rng(args.seed)))
     head = _new_head(cfg, make_rng(derive_seed(args.seed, 0)))
     vocab = head.vocab
     samples = []
@@ -357,7 +361,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)
-    except (PipelineError, OSError, json.JSONDecodeError) as exc:
+    except (PipelineError, OSError, json.JSONDecodeError, zipfile.BadZipFile) as exc:
         sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 2 if isinstance(exc, PipelineError) else 3
 

@@ -5,6 +5,7 @@ episode start); joint configurations are 1-D float arrays in radians.
 """
 
 import json
+import zipfile
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
@@ -46,20 +47,15 @@ def save_json(path, obj, indent=None) -> None:
         f.write(json.dumps(obj, indent=indent) + "\n")
 
 
-def load_json(path):
-    with open(path) as f:
-        return json.load(f)
-
-
 def fan_in_normal(rng: np.random.Generator, n_in: int, n_out: int) -> np.ndarray:
     """(n_in, n_out) weights drawn from N(0, 1/n_in)."""
     return rng.normal(0.0, 1.0 / np.sqrt(n_in), size=(n_in, n_out))
 
 
 class Model:
-    """A learned model: float arrays named by PARAMS, in a fixed order.
-    Subclasses define to_dict/from_dict, which fix their file format; save
-    and load are the JSON round trip through them."""
+    """A learned model: a dataclass whose float arrays are named by PARAMS,
+    in a fixed order. Its other public fields are its header: dimensions and
+    hyperparameters. save and load are the one weight-file format."""
 
     PARAMS = ()
 
@@ -67,37 +63,76 @@ class Model:
         """[(name, array)] in PARAMS order; the arrays, not copies."""
         return [(name, getattr(self, name)) for name in self.PARAMS]
 
+    @classmethod
+    def _header_fields(cls) -> list:
+        return [f for f in fields(cls) if f.name not in cls.PARAMS and not f.name.startswith("_")]
+
     def save(self, path) -> None:
-        save_json(path, self.to_dict())
+        """Write one uncompressed .npz to exactly path (np.savez given a name
+        would append .npz to it): first a 0-d unicode array "header" holding
+        the JSON of the header fields, then the PARAMS arrays as float64, in
+        PARAMS order. Equal models give equal bytes."""
+        header = {f.name: getattr(self, f.name) for f in self._header_fields()}
+        with open(path, "wb") as f:
+            np.savez(f, header=np.array(json.dumps(header)),
+                     **{name: np.asarray(p, dtype=np.float64) for name, p in self.params()})
 
     @classmethod
     def load(cls, path):
-        return cls.from_dict(load_json(path))
+        """Inverse of save. A file that is not a whole zip archive raises
+        BadZipFile. A missing member, a non-float64 array, a missing or unknown
+        header key, or a header value that changes when cast to its field's
+        type raises KeyError or ValueError. Then the model's own checks run."""
+        with open(path, "rb") as f:
+            # Check every member's CRC before numpy parses any of it; a damaged
+            # zip header can also end in EOFError or RuntimeError.
+            try:
+                with zipfile.ZipFile(f) as archive:
+                    damaged = archive.testzip()
+            except (zipfile.BadZipFile, EOFError, RuntimeError) as exc:
+                raise zipfile.BadZipFile(f"{path}: {exc}") from exc
+            if damaged is not None:
+                raise zipfile.BadZipFile(f"{path}: member {damaged} fails its CRC check")
+            f.seek(0)
+            with np.load(f, allow_pickle=False) as npz:
+                header = json.loads(npz["header"].item())
+                arrays = {name: npz[name] for name in cls.PARAMS}
+        types = {f.name: f.type for f in cls._header_fields()}
+        keys = sorted(header) if isinstance(header, dict) else type(header).__name__
+        if keys != sorted(types):
+            raise ValueError(f"{cls.__name__} header has keys {keys}, expected {sorted(types)}")
+        cast = {k: types[k](v) for k, v in header.items()}
+        bad = [f"{k} {v!r} changes when cast to {types[k].__name__}"
+               for k, v in header.items() if cast[k] != v]
+        bad += [f"{k} has dtype {a.dtype}, not float64" for k, a in arrays.items()
+                if a.dtype != np.float64]
+        if bad:
+            raise ValueError(f"{cls.__name__} " + "; ".join(bad))
+        return cls(**cast, **arrays)
 
 
 def max_grad_error(model: Model, grads: dict, loss, h: float, n_params: int,
                    rng: np.random.Generator) -> float:
     """Max relative error |an - cd| / (|an| + |cd| + 1e-12) between the
     analytic gradients grads[name] and central differences of loss(), a
-    function of the model's current parameters, over n_params entries drawn
-    without replacement from all of model.params()."""
+    function of the model's current parameters. n_params is split evenly
+    over the PARAMS arrays, at least one entry each, so every layer is
+    probed; each array's entries are drawn without replacement."""
     params = model.params()
-    bounds = np.cumsum([0] + [p.size for _, p in params])
-    total = int(bounds[-1])
     worst = 0.0
-    for flat_idx in rng.choice(total, size=min(n_params, total), replace=False):
-        k = int(np.searchsorted(bounds, flat_idx, side="right") - 1)
-        name, p = params[k]
-        idx = np.unravel_index(int(flat_idx - bounds[k]), p.shape)
-        orig = p[idx]
-        p[idx] = orig + h
-        lp = loss()
-        p[idx] = orig - h
-        lm = loss()
-        p[idx] = orig
-        cd = (lp - lm) / (2.0 * h)
-        an = grads[name][idx]
-        worst = max(worst, abs(an - cd) / (abs(an) + abs(cd) + 1e-12))
+    for k, (name, p) in enumerate(params):
+        share = max(1, n_params // len(params) + (k < n_params % len(params)))
+        for flat_idx in rng.choice(p.size, size=min(share, p.size), replace=False):
+            idx = np.unravel_index(int(flat_idx), p.shape)
+            orig = p[idx]
+            p[idx] = orig + h
+            lp = loss()
+            p[idx] = orig - h
+            lm = loss()
+            p[idx] = orig
+            cd = (lp - lm) / (2.0 * h)
+            an = grads[name][idx]
+            worst = max(worst, abs(an - cd) / (abs(an) + abs(cd) + 1e-12))
     return worst
 
 
@@ -295,6 +330,25 @@ class PipelineConfig:
     cot_embed: int = 16
     cot_max_len: int = 96
 
+    def __post_init__(self):
+        """Raise ValueError naming every value the pipeline cannot run with."""
+        dims, names, dof = self.gnn_dims, self.scenario_names, sum(c.dof for c in self.chains)
+        checks = [(name, "an integer >= 1", getattr(self, name) >= 1) for name in (
+            "j_total", "flow_horizon", "flow_hidden", "euler_steps", "cot_dt_frames",
+            "cot_window", "cot_hidden", "cot_embed", "cot_max_len")]
+        checks += [(name, "finite and > 0", 0 < getattr(self, name) < np.inf) for name in (
+            "flow_alpha", "flow_beta", "camera_rate_hz", "control_rate_hz", "max_gap")]
+        checks += [("sigma", "finite and >= 0", 0 <= self.sigma < np.inf),
+                   ("gnn_dims", "3 integers >= 1", len(dims) == 3 and all(
+                       isinstance(v, int) and v >= 1 for v in dims)),
+                   ("scenario_names", "non-empty without repeats",
+                    0 < len(names) == len(set(names))),
+                   ("j_total", f"the chains' joint count {dof}", self.j_total == dof)]
+        bad = [f"{name} must be {what}, got {getattr(self, name)!r}"
+               for name, what, ok in checks if not ok]
+        if bad:
+            raise ValueError("config: " + "; ".join(bad))
+
     def to_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self)}
         d.update(intrinsics=self.intrinsics.to_dict(), extrinsics=self.extrinsics.to_dict(),
@@ -316,7 +370,8 @@ class PipelineConfig:
 
     @classmethod
     def load(cls, path) -> "PipelineConfig":
-        return cls.from_dict(load_json(path))
+        with open(path) as f:
+            return cls.from_dict(json.load(f))
 
     @property
     def context_dim(self) -> int:

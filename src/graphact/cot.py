@@ -195,9 +195,11 @@ def ce_loss(logits: np.ndarray, targets) -> float:
 @dataclass
 class CotHead(Model):
     """Context projection + single-hidden-layer next-token network over a
-    fixed window of previous tokens. init_cot_head draws a random one."""
+    fixed window of previous tokens. init_cot_head draws a random one. The
+    vocabulary is kept as its token list, so it saves with the header;
+    vocab is the TokenVocab built from it."""
 
-    vocab: TokenVocab
+    tokens: list
     context_dim: int
     window: int
     wc: np.ndarray    # (context_dim, ctx_embed)
@@ -214,6 +216,7 @@ class CotHead(Model):
         """Raise a PipelineError when the window is below 1, the vocabulary
         lacks <pad> or <end>, or a parameter's shape disagrees with the
         vocabulary, window and context_dim."""
+        self.vocab = TokenVocab(self.tokens)
         if self.window < 1:
             raise InvalidSetting(f"cot head window must be >= 1, got {self.window}")
         missing = [tok for tok in (PAD, END) if tok not in self.vocab.ids]
@@ -241,11 +244,6 @@ class CotHead(Model):
         a1 = np.tanh(X @ self.w1 + self.b1)
         logits = a1 @ self.w2 + self.b2
         return logits, (X, a1, windows)
-
-    def sequence_logits(self, context, token_ids) -> np.ndarray:
-        """Teacher-forced logits (T, V) for every position of a sequence."""
-        logits, _ = self._forward(context, self._windows(token_ids))
-        return logits
 
     def loss_and_grads(self, context, token_ids):
         """Mean per-token cross-entropy and analytic parameter gradients."""
@@ -275,16 +273,6 @@ class CotHead(Model):
         np.add.at(grads["emb"], windows, demb)
         return loss, grads
 
-    def to_dict(self) -> dict:
-        return {"tokens": self.vocab.tokens, "context_dim": self.context_dim,
-                "window": self.window,
-                **{name: p.tolist() for name, p in self.params()}}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CotHead":
-        return cls(TokenVocab(d["tokens"]), int(d["context_dim"]), int(d["window"]),
-                   **{name: np.array(d[name], dtype=float) for name in cls.PARAMS})
-
 
 def init_cot_head(vocab: TokenVocab, context_dim: int, window: int = 8, embed: int = 16,
                   ctx_embed: int = 16, hidden: int = 64,
@@ -297,7 +285,7 @@ def init_cot_head(vocab: TokenVocab, context_dim: int, window: int = 8, embed: i
     emb = rng.normal(0.0, 0.1, size=(V, embed))
     w1 = fan_in_normal(rng, ctx_embed + window * embed, hidden)
     w2 = fan_in_normal(rng, hidden, V)
-    return CotHead(vocab, context_dim, window, wc=wc, bc=np.zeros(ctx_embed), emb=emb,
+    return CotHead(vocab.tokens, context_dim, window, wc=wc, bc=np.zeros(ctx_embed), emb=emb,
                    w1=w1, b1=np.zeros(hidden), w2=w2, b2=np.zeros(V))
 
 

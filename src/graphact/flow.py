@@ -48,7 +48,6 @@ class FlowExpert(Model):
     b2: np.ndarray
     w3: np.ndarray
     b3: np.ndarray
-    learning_rate: float = 0.05
     momentum: float = 0.0
     alpha: float = 1.5
     beta: float = 1.0
@@ -102,22 +101,6 @@ class FlowExpert(Model):
         grads["w1"] = X.T @ dz1
         grads["b1"] = dz1.sum(axis=0)
         return grads
-
-    def to_dict(self) -> dict:
-        return {
-            "horizon": self.horizon, "j_dim": self.j_dim, "context_dim": self.context_dim,
-            "learning_rate": self.learning_rate, "momentum": self.momentum,
-            "alpha": self.alpha, "beta": self.beta, "sigma": self.sigma,
-            **{name: p.tolist() for name, p in self.params()},
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FlowExpert":
-        return cls(horizon=int(d["horizon"]), j_dim=int(d["j_dim"]),
-                   context_dim=int(d["context_dim"]),
-                   **{name: np.array(d[name], dtype=float) for name in cls.PARAMS},
-                   learning_rate=float(d["learning_rate"]), momentum=float(d["momentum"]),
-                   alpha=float(d["alpha"]), beta=float(d["beta"]), sigma=float(d["sigma"]))
 
 
 def init_flow_expert(rng: np.random.Generator, horizon: int, j_dim: int,

@@ -29,7 +29,6 @@ class GnnWeights(Model):
     layer2_w: np.ndarray  # (h, d_out)
     layer2_b: np.ndarray  # (d_out,)
 
-    # Saved nested: "lift_w" is doc["lift"]["w"].
     PARAMS = ("lift_w", "lift_b", "layer1_w", "layer1_b", "layer2_w", "layer2_b")
 
     @property
@@ -39,25 +38,9 @@ class GnnWeights(Model):
     def __post_init__(self):
         d, h, d_out = np.size(self.lift_b), np.size(self.layer1_b), np.size(self.layer2_b)
         check_shapes("gnn", {
-            "lift.w": (self.lift_w, (INPUT_DIM, d)), "lift.b": (self.lift_b, (d,)),
-            "layer1.w": (self.layer1_w, (d, h)), "layer1.b": (self.layer1_b, (h,)),
-            "layer2.w": (self.layer2_w, (h, d_out)), "layer2.b": (self.layer2_b, (d_out,))})
-
-    def to_dict(self) -> dict:
-        d, h, d_out = self.dims
-        doc = {"dims": {"d": d, "h": h, "d_out": d_out}}
-        for name, p in self.params():
-            layer, part = name.split("_")
-            doc.setdefault(layer, {})[part] = p.tolist()
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "GnnWeights":
-        arrays = {}
-        for name in cls.PARAMS:
-            layer, part = name.split("_")
-            arrays[name] = np.array(doc[layer][part], dtype=float)
-        return cls(**arrays)
+            "lift_w": (self.lift_w, (INPUT_DIM, d)), "lift_b": (self.lift_b, (d,)),
+            "layer1_w": (self.layer1_w, (d, h)), "layer1_b": (self.layer1_b, (h,)),
+            "layer2_w": (self.layer2_w, (h, d_out)), "layer2_b": (self.layer2_b, (d_out,))})
 
 
 def init_gnn_weights(rng: np.random.Generator, d: int = 32, h: int = 32,

@@ -28,6 +28,10 @@ class NonFiniteWeight(PipelineError):
     """A loaded artifact holds a NaN or infinite parameter entry."""
 
 
+class UnknownScenario(PipelineError):
+    """An episode's scenario is not one of the config's scenario_names."""
+
+
 def check_artifacts(cfg: PipelineConfig, gnn_w: GnnWeights, expert: FlowExpert,
                     cot_head: CotHead) -> None:
     """Raise ArtifactMismatch naming the first artifact dimension that
@@ -111,9 +115,11 @@ class FrameOutput:
 
 
 def scenario_onehot(cfg: PipelineConfig, name: str) -> np.ndarray:
-    onehot = np.zeros(len(cfg.scenario_names))
-    onehot[cfg.scenario_names.index(name)] = 1.0
-    return onehot
+    """One-hot of name over cfg.scenario_names; UnknownScenario if absent."""
+    if name not in cfg.scenario_names:
+        raise UnknownScenario(f"episode scenario {name!r} is not among the configured "
+                              f"scenario_names {list(cfg.scenario_names)}")
+    return np.array([float(n == name) for n in cfg.scenario_names])
 
 
 def make_context(pooled: np.ndarray, q: np.ndarray, onehot: np.ndarray) -> np.ndarray:

@@ -181,6 +181,16 @@ CONFIG_CASES = {
     "missing_key": (lambda d: d.pop("sigma"), 2, "ConfigLoadError"),
     "wrong_type": (lambda d: d.update(j_total="x"), 2, "ConfigLoadError"),
     "zero_fx": (lambda d: d["intrinsics"].update(fx=0), 2, "ConfigLoadError"),
+    "gnn_dims_short": (lambda d: d.update(gnn_dims=[32]), 2, "ConfigLoadError"),
+    "gnn_dims_zero": (lambda d: d.update(gnn_dims=[32, 0, 32]), 2, "ConfigLoadError"),
+    "j_total_not_chain_dofs": (lambda d: d.update(j_total=3), 2, "ConfigLoadError"),
+    "flow_horizon_zero": (lambda d: d.update(flow_horizon=0), 2, "ConfigLoadError"),
+    "sigma_nan": (lambda d: d.update(sigma=float("nan")), 2, "ConfigLoadError"),
+    "flow_alpha_zero": (lambda d: d.update(flow_alpha=0.0), 2, "ConfigLoadError"),
+    "max_gap_inf": (lambda d: d.update(max_gap=float("inf")), 2, "ConfigLoadError"),
+    "scenario_names_empty": (lambda d: d.update(scenario_names=[]), 2, "ConfigLoadError"),
+    "scenario_names_repeated": (lambda d: d.update(scenario_names=["food", "food"]), 2,
+                                "ConfigLoadError"),
     "not_json": ('{"sigma": 1.0,', 3, "JSONDecodeError"),
 }
 
@@ -213,6 +223,29 @@ def test_malformed_config_follows_the_error_contract(case, command, via, tmp_pat
     assert os.listdir(tmp_path) == ["cfg.json"]
 
 
+@pytest.mark.parametrize("command", ["infer", "train-expert"])
+def test_episode_scenario_not_in_config_exits_2(command, tmp_path, workspace, capsys):
+    """An episode whose scenario the config does not name exits 2 with the
+    scenario and the configured names in the message, and writes nothing."""
+    data = tmp_path / "data"
+    assert main(["gen", "--scenario", "outfit", "--variant", "0", "--frames", "2",
+                 "--out", str(data)]) == 0
+    cfg = default_config()
+    cfg.scenario_names = ("food", "laundry")
+    cfg.save(tmp_path / "cfg.json")
+    capsys.readouterr()
+    w = {**workspace, "data": data, "episode": data / "outfit_v0_000.jsonl"}
+    out = tmp_path / "o.json"
+    argv = _valid_argv(command, w, out) + ["--config", str(tmp_path / "cfg.json")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    err = _one_json_error_line(captured.err)
+    assert err["error"] == "UnknownScenario"
+    assert "'outfit'" in err["message"] and "['food', 'laundry']" in err["message"]
+    assert captured.out == ""
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "data"]
+
+
 def test_validation_error_exit_code_and_json(tmp_path, capsys):
     code = main(["gen", "--scenario", "food", "--variant", "9", "--episodes", "1",
                  "--frames", "2", "--seed", "0", "--out", str(tmp_path / "x")])
@@ -231,7 +264,8 @@ def test_io_error_exit_code(tmp_path, capsys):
 
 def test_infer_bad_artifact_exit_code(tmp_path, workspace, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("{}")
+    with open(bad, "wb") as f:
+        np.savez(f, header=np.array("{}"))
     code = main(["infer", "--episode", str(workspace["episode"]), "--gnn", str(bad),
                  "--expert", str(workspace["expert"]),
                  "--cot-head", str(workspace["head"]),
@@ -250,16 +284,33 @@ def test_infer_missing_artifact_is_io_error(tmp_path, workspace, capsys):
     assert not out.exists()
 
 
-def test_infer_artifact_that_is_not_json_exits_3(tmp_path, workspace, capsys):
-    """A truncated artifact file exits 3 like a config or an episode that is
-    not JSON; a JSON document that is not an artifact exits 2."""
+def _old_json_artifact(path) -> bytes:
+    """The expert as a JSON document with the keys the weight file used to have."""
+    with np.load(path, allow_pickle=False) as npz:
+        doc = json.loads(npz["header"].item())
+        doc.update({name: npz[name].tolist() for name in npz.files[1:]}, learning_rate=0.05)
+    return json.dumps(doc).encode()
+
+
+# contents of the expert file, from the path of a valid one
+UNREADABLE_ARTIFACTS = {
+    "empty_file": lambda path: b"",
+    "truncated_archive": lambda path: path.read_bytes()[:path.stat().st_size // 2],
+    "old_json_artifact": _old_json_artifact,
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_ARTIFACTS))
+def test_infer_unreadable_artifact_exits_3(case, tmp_path, workspace, capsys):
+    """An artifact that is not a whole .npz archive exits 3 like a config or
+    an episode that is not JSON; an archive that is not an artifact exits 2."""
     out = tmp_path / "o.json"
     bad = tmp_path / "expert.json"
-    bad.write_text(workspace["expert"].read_text()[:100])
+    bad.write_bytes(UNREADABLE_ARTIFACTS[case](workspace["expert"]))
     argv = _infer_argv(workspace, workspace["episode"], out)
     argv[argv.index("--expert") + 1] = str(bad)
     assert main(argv) == 3
-    assert _one_json_error_line(capsys.readouterr().err)["error"] == "JSONDecodeError"
+    assert _one_json_error_line(capsys.readouterr().err)["error"] == "BadZipFile"
     assert not out.exists()
 
 
@@ -466,36 +517,57 @@ def test_fuzz_corrupt_episode_line_exit_contract(data, workspace):
 
 
 def _edit_artifact(src, dst, edit):
-    doc = json.loads(src.read_text())
-    edit(doc)
-    dst.write_text(json.dumps(doc))
+    """Copy the artifact src to dst with edit(header, arrays) applied to its
+    members: the decoded JSON header, and the arrays by name in file order."""
+    with np.load(src, allow_pickle=False) as npz:
+        header = json.loads(npz["header"].item())
+        arrays = {name: npz[name] for name in npz.files[1:]}
+    edit(header, arrays)
+    with open(dst, "wb") as f:
+        np.savez(f, header=np.array(json.dumps(header)), **arrays)
     return dst
 
 
-# (artifact, edit of its JSON, config override, error, word in the message)
+def _set(arrays, name, index, value):
+    arrays[name][index] = value
+
+
+# (artifact, edit of its header and arrays, config override, error, word in the message)
 ARTIFACT_CASES = {
-    "cot_w2_columns": ("head", lambda d: d.update(w2=[r[:10] for r in d["w2"]]), {},
+    "cot_w2_columns": ("head", lambda h, a: a.update(w2=a["w2"][:, :10]), {},
                        "ShapeMismatch", "w2"),
-    "cot_window": ("head", lambda d: d.update(window=4), {}, "ShapeMismatch", "w1"),
-    "cot_emb_rows": ("head", lambda d: d.update(emb=d["emb"][:-1]), {}, "ShapeMismatch", "emb"),
-    "cot_tokens_not_a_list": ("head", lambda d: d.update(tokens=5), {}, "ArtifactLoadError",
+    "cot_window": ("head", lambda h, a: h.update(window=4), {}, "ShapeMismatch", "w1"),
+    "cot_emb_rows": ("head", lambda h, a: a.update(emb=a["emb"][:-1]), {}, "ShapeMismatch",
+                     "emb"),
+    "cot_tokens_not_a_list": ("head", lambda h, a: h.update(tokens=5), {}, "ArtifactLoadError",
                               "int"),
-    "cot_window_zero": ("head", lambda d: d.update(window=0), {}, "InvalidSetting", "window"),
-    "cot_vocab_without_pad": ("head", lambda d: d["tokens"].__setitem__(0, "pad"), {},
+    "cot_window_zero": ("head", lambda h, a: h.update(window=0), {}, "InvalidSetting",
+                        "window"),
+    "cot_vocab_without_pad": ("head", lambda h, a: h["tokens"].__setitem__(0, "pad"), {},
                               "UnknownToken", "<pad>"),
-    "expert_negative_sigma": ("expert", lambda d: d.update(sigma=-1.0), {}, "InvalidSetting",
-                              "sigma"),
-    "expert_w3_columns": ("expert", lambda d: d.update(w3=[r[:-1] for r in d["w3"]]), {},
+    "expert_negative_sigma": ("expert", lambda h, a: h.update(sigma=-1.0), {},
+                              "InvalidSetting", "sigma"),
+    "expert_w3_columns": ("expert", lambda h, a: a.update(w3=a["w3"][:, :-1]), {},
                           "ShapeMismatch", "w3"),
-    "expert_horizon": ("expert", lambda d: d.update(horizon=29), {}, "ShapeMismatch", "w1"),
+    "expert_horizon": ("expert", lambda h, a: h.update(horizon=29), {}, "ShapeMismatch", "w1"),
+    "expert_horizon_fraction": ("expert", lambda h, a: h.update(horizon=29.5), {},
+                                "ArtifactLoadError", "horizon"),
+    "expert_missing_array": ("expert", lambda h, a: a.pop("b2"), {}, "ArtifactLoadError",
+                             "b2"),
+    "expert_int64_array": ("expert", lambda h, a: a.update(b3=a["b3"].astype(np.int64)), {},
+                           "ArtifactLoadError", "int64"),
+    "expert_header_missing_key": ("expert", lambda h, a: h.pop("sigma"), {},
+                                  "ArtifactLoadError", "sigma"),
+    "expert_header_unknown_key": ("expert", lambda h, a: h.update(learning_rate=0.05), {},
+                                  "ArtifactLoadError", "learning_rate"),
     "config_flow_horizon": (None, None, {"flow_horizon": 4}, "ArtifactMismatch", "horizon"),
     "config_gnn_dims": (None, None, {"gnn_dims": (16, 16, 32)}, "ArtifactMismatch", "gnn dims"),
     "config_cot_window": (None, None, {"cot_window": 4}, "ArtifactMismatch", "window"),
-    "gnn_nan": ("gnn", lambda d: d["layer2"]["b"].__setitem__(0, float("nan")), {},
+    "gnn_nan": ("gnn", lambda h, a: _set(a, "layer2_b", 0, float("nan")), {},
                 "NonFiniteWeight", "layer2_b"),
-    "expert_nan": ("expert", lambda d: d["w3"][0].__setitem__(0, float("nan")), {},
+    "expert_nan": ("expert", lambda h, a: _set(a, "w3", (0, 0), float("nan")), {},
                    "NonFiniteWeight", "w3"),
-    "cot_inf": ("head", lambda d: d["emb"][0].__setitem__(0, float("inf")), {},
+    "cot_inf": ("head", lambda h, a: _set(a, "emb", (0, 0), float("inf")), {},
                 "NonFiniteWeight", "emb"),
 }
 
@@ -521,3 +593,33 @@ def test_infer_checks_artifacts_before_first_frame(case, tmp_path, workspace, ca
     assert err["error"] == error
     assert word in err["message"]
     assert not out.exists()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_fuzz_damaged_artifact_exit_contract(data, workspace):
+    """An artifact cut short or with one byte changed ends in exit 0, 2 or 3;
+    a failure leaves exactly one JSON line on stderr and no output file."""
+    kind = data.draw(st.sampled_from(["gnn", "expert", "head"]), label="artifact")
+    blob = bytearray(workspace[kind].read_bytes())
+    # Zip structure sits in the first and last bytes; the middle is array data.
+    n = len(blob)
+    offset = data.draw(st.one_of(st.integers(0, 511), st.integers(n - 1024, n - 1),
+                                 st.integers(0, n - 1)), label="offset")
+    if data.draw(st.booleans(), label="truncate"):
+        del blob[offset:]
+    else:
+        blob[offset] ^= data.draw(st.integers(1, 255), label="xor")
+    with tempfile.TemporaryDirectory() as tmp:
+        artifact, out = os.path.join(tmp, "artifact.json"), os.path.join(tmp, "o.json")
+        with open(artifact, "wb") as f:
+            f.write(blob)
+        argv = _infer_argv({**workspace, kind: artifact}, workspace["episode"], out)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        event(f"exit {code}")
+        assert code in (0, 2, 3)
+        if code:
+            assert set(_one_json_error_line(err.getvalue())) == {"error", "message"}
+        assert os.path.exists(out) == (code == 0)

@@ -1,9 +1,13 @@
 import json
+import os
+import zipfile
 
 import numpy as np
 import pytest
 
-from graphact import CameraIntrinsics, PipelineConfig, RigidTransform, derive_seed, make_rng
+from graphact import (CameraIntrinsics, CotHead, FlowExpert, PipelineConfig,
+                      RigidTransform, build_default_vocab, derive_seed, init_cot_head,
+                      init_flow_expert, init_gnn_weights, make_rng)
 from conftest import random_rotation
 
 
@@ -68,3 +72,59 @@ def test_config_with_dropped_keys_still_loads(cfg):
     loaded = PipelineConfig.from_dict(d)
     assert loaded.to_dict() == cfg.to_dict()
     assert not hasattr(loaded, "dropout_p")
+
+
+def _small_models():
+    """(model, expected header) for each of the three learned models."""
+    vocab = build_default_vocab(max_frame=10, value_range=0.2)
+    expert = init_flow_expert(make_rng(25), horizon=2, j_dim=2, context_dim=3,
+                              alpha=2.5, beta=0.5)
+    return {
+        "gnn": (init_gnn_weights(make_rng(8), d=4, h=5, d_out=6), {}),
+        "expert": (expert, {"horizon": 2, "j_dim": 2, "context_dim": 3, "momentum": 0.0,
+                            "alpha": 2.5, "beta": 0.5, "sigma": 1.0}),
+        "cot": (init_cot_head(vocab, context_dim=3, window=4, rng=make_rng(14)),
+                {"tokens": vocab.tokens, "context_dim": 3, "window": 4}),
+    }
+
+
+@pytest.mark.parametrize("kind", ["gnn", "expert", "cot"])
+def test_model_npz_roundtrip(kind, tmp_path):
+    """save writes exactly the named path: an uncompressed zip whose first
+    member is the JSON header and whose others are the float64 PARAMS in
+    order; load gives back bit-equal arrays, and saving again the same bytes."""
+    model, header = _small_models()[kind]
+    path = tmp_path / "w.json"
+    model.save(path)
+    assert os.listdir(tmp_path) == ["w.json"]
+    with zipfile.ZipFile(path) as archive:
+        assert archive.namelist() == [f"{n}.npy" for n in ("header",) + model.PARAMS]
+        assert all(i.compress_type == zipfile.ZIP_STORED for i in archive.infolist())
+    with np.load(path, allow_pickle=False) as npz:
+        assert npz["header"].shape == () and npz["header"].dtype.kind == "U"
+        assert json.loads(npz["header"].item()) == header
+    loaded = type(model).load(path)
+    assert {f: getattr(loaded, f) for f in header} == header
+    for (name, a), (_, b) in zip(model.params(), loaded.params()):
+        assert b.dtype == np.float64 and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+    again = tmp_path / "again.json"
+    loaded.save(again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("cls,method,param", [(FlowExpert, "_backward", "b3"),
+                                              (CotHead, "loss_and_grads", "bc")])
+def test_gradient_gate_probes_every_layer(cls, method, param, monkeypatch):
+    """A gradient off by 0.1 % in one small bias array fails criterion 6,
+    because the gate probes every parameter array."""
+    from graphact.selfcheck import check_gradients
+    exact = getattr(cls, method)
+
+    def skewed(*args):
+        out = exact(*args)
+        (out if isinstance(out, dict) else out[1])[param] *= 1.001
+        return out
+
+    monkeypatch.setattr(cls, method, skewed)
+    assert not check_gradients()[1]

@@ -8,7 +8,7 @@ from graphact import (SCENARIOS, build_default_vocab, ce_loss,
                       default_config, detokenize, future_indices, gen_episode,
                       generate_cot, init_cot_head, make_cot_label, make_rng,
                       sample_dropout, tokenize, total_loss, train_cot_head)
-from graphact.cot import (ALL_PRESENT, NONE_PRESENT, SOME_MISSING, CotHead,
+from graphact.cot import (ALL_PRESENT, NONE_PRESENT, SOME_MISSING,
                           EmptyDataset, InvalidProbability, UnknownToken, write_cot_dataset)
 from graphact.sim import EmptyEpisode
 
@@ -251,21 +251,3 @@ def test_cot_dataset_jsonl_roundtrip(tmp_path):
     for (c0, i0, t0), rec in zip(rows, loaded):
         assert list(rec) == ["context", "tokens", "text"]
         assert np.array_equal(c0, rec["context"]) and i0 == rec["tokens"] and t0 == rec["text"]
-
-
-def test_head_json_roundtrip(tmp_path):
-    vocab = build_default_vocab(max_frame=10, value_range=0.2)
-    head = init_cot_head(vocab, context_dim=3, window=4, rng=make_rng(14))
-    path = tmp_path / "head.json"
-    head.save(path)
-    loaded = CotHead.load(path)
-    assert loaded.vocab.tokens == vocab.tokens  # the vocabulary is stored inline
-    ctx = make_rng(15).normal(size=3)
-    ids = [1, 4, 2]
-    assert np.array_equal(loaded.sequence_logits(ctx, ids),
-                          head.sequence_logits(ctx, ids))
-    again = tmp_path / "again.json"
-    loaded.save(again)
-    assert again.read_bytes() == path.read_bytes()
-    assert list(json.loads(path.read_text())) == [
-        "tokens", "context_dim", "window", "wc", "bc", "emb", "w1", "b1", "w2", "b2"]

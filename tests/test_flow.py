@@ -1,11 +1,8 @@
-import json
-
 import numpy as np
 import pytest
 
-from graphact import (FlowExpert, fm_loss, grad_check, init_flow_expert,
-                      interpolate, make_rng, sample_actions, sample_tau,
-                      target_field, train_step)
+from graphact import (fm_loss, grad_check, init_flow_expert, interpolate, make_rng,
+                      sample_actions, sample_tau, target_field, train_step)
 from graphact.core import ShapeMismatch
 from graphact.flow import TAU_MAX_DRAWS, DegenerateTau, EmptyBatch, InvalidShapeParam
 
@@ -194,19 +191,3 @@ def test_sampler_deterministic():
     a = sample_actions(expert, ctx, 10, make_rng(24))
     b = sample_actions(expert, ctx, 10, make_rng(24))
     assert np.array_equal(a, b)
-
-
-def test_expert_json_roundtrip(tmp_path):
-    expert = _tiny_expert(rng=make_rng(25), alpha=2.5, beta=0.5)
-    path = tmp_path / "expert.json"
-    expert.save(path)
-    loaded = FlowExpert.load(path)
-    assert loaded.alpha == 2.5 and loaded.beta == 0.5
-    x = make_rng(26).normal(size=(1, expert.input_dim))
-    assert np.array_equal(loaded.forward(x), expert.forward(x))
-    again = tmp_path / "again.json"
-    loaded.save(again)
-    assert again.read_bytes() == path.read_bytes()
-    assert list(json.loads(path.read_text())) == [
-        "horizon", "j_dim", "context_dim", "learning_rate", "momentum", "alpha", "beta",
-        "sigma", "w1", "b1", "w2", "b2", "w3", "b3"]

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -198,22 +197,3 @@ def test_empty_graph_errors():
         node_inputs(g)
     with pytest.raises(EmptyGraph):
         pooled_embedding(np.zeros((0, 4)))
-
-
-def test_weights_json_roundtrip(tmp_path):
-    w = init_gnn_weights(make_rng(8), d=4, h=5, d_out=6)
-    path = tmp_path / "w.json"
-    w.save(path)
-    loaded = GnnWeights.load(path)
-    for (_, a), (_, b) in zip(
-            [("lw", w.lift_w), ("l1", w.layer1_w), ("l2", w.layer2_w)],
-            [("lw", loaded.lift_w), ("l1", loaded.layer1_w), ("l2", loaded.layer2_w)]):
-        assert np.array_equal(a, b)
-    assert loaded.dims == (4, 5, 6)
-    again = tmp_path / "again.json"
-    loaded.save(again)
-    assert again.read_bytes() == path.read_bytes()
-    doc = json.loads(path.read_text())
-    assert list(doc) == ["dims", "lift", "layer1", "layer2"]
-    assert list(doc["dims"]) == ["d", "h", "d_out"]
-    assert all(list(doc[layer]) == ["w", "b"] for layer in ("lift", "layer1", "layer2"))
