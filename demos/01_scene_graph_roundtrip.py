@@ -23,7 +23,7 @@ frame = episode.frames[0]
 print(f"\nframe has {len(frame.detections)} detections, "
       f"{frame.depth.width}x{frame.depth.height} depth grid")
 
-graph = build_graph(frame, cfg.intrinsics, cfg.extrinsics, cfg.chains)
+graph = build_graph(frame, episode.K, episode.T, cfg.chains)
 print(f"\ngraph: {len(graph.nodes)} nodes, {len(graph.edges)} edges")
 for node in graph.nodes:
     print(f"  [{node.id:2d}] {node.kind:13s} {node.label:10s} "

@@ -16,7 +16,7 @@ from graphact import (SCENARIOS, adjacency_matrix, build_graph, default_config,
 
 cfg = default_config()
 episode = gen_episode(SCENARIOS["outfit"], variant=0, n_frames=1, seed=3, cfg=cfg)
-graph = build_graph(episode.frames[0], cfg.intrinsics, cfg.extrinsics, cfg.chains)
+graph = build_graph(episode.frames[0], episode.K, episode.T, cfg.chains)
 
 A = adjacency_matrix(graph)
 print(f"graph: {len(graph.nodes)} nodes, {len(graph.edges)} edges")

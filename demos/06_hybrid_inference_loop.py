@@ -28,7 +28,7 @@ expert = init_flow_expert(make_rng(1), horizon=cfg.flow_horizon, j_dim=cfg.j_tot
 vocab = build_default_vocab()
 head = init_cot_head(vocab, context_dim=cfg.context_dim, window=cfg.cot_window,
                      rng=make_rng(2))
-g0 = build_graph(episode.frames[0], cfg.intrinsics, cfg.extrinsics, cfg.chains)
+g0 = build_graph(episode.frames[0], episode.K, episode.T, cfg.chains)
 context0 = make_context(pooled_embedding(encode(g0, gnn_w)), episode.frames[0].q,
                         scenario_onehot(cfg, "food"))
 label = make_cot_label(episode.scene, episode.scenario, episode, t=0,

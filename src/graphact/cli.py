@@ -113,6 +113,15 @@ def cmd_init_weights(args) -> int:
     return 0
 
 
+def _train_gnn(args, cfg: PipelineConfig) -> GnnWeights:
+    """The --gnn file checked against cfg, or a GNN drawn from --seed."""
+    if not args.gnn:
+        return _new_gnn(cfg, make_rng(args.seed))
+    gnn_w = _load_named(ArtifactLoadError, GnnWeights.load, args.gnn)
+    check_artifacts(cfg, gnn_w)
+    return gnn_w
+
+
 def _episode_files(data_dir: str) -> list:
     files = sorted(glob.glob(os.path.join(data_dir, "*.jsonl")))
     if not files:
@@ -134,8 +143,7 @@ def _action_chunk(ep, t: int, horizon: int) -> np.ndarray:
 
 def cmd_train_expert(args) -> int:
     cfg = _load_config(args.config)
-    gnn_w = (_load_named(ArtifactLoadError, GnnWeights.load, args.gnn) if args.gnn
-             else _new_gnn(cfg, make_rng(args.seed)))
+    gnn_w = _train_gnn(args, cfg)
     dataset = []
     for path in _episode_files(args.data):
         ep = load_episode(path)
@@ -157,8 +165,7 @@ def cmd_train_expert(args) -> int:
 
 def cmd_train_cot(args) -> int:
     cfg = _load_config(args.config)
-    gnn_w = (_load_named(ArtifactLoadError, GnnWeights.load, args.gnn) if args.gnn
-             else _new_gnn(cfg, make_rng(args.seed)))
+    gnn_w = _train_gnn(args, cfg)
     head = _new_head(cfg, make_rng(derive_seed(args.seed, 0)))
     vocab = head.vocab
     samples = []

@@ -310,10 +310,8 @@ class PipelineConfig:
     intrinsics: CameraIntrinsics
     extrinsics: RigidTransform          # head camera frame -> robot base frame
     chains: list                        # list[kinematics.KinematicChain]
-    j_total: int = 14
     joint_limits: tuple = (-np.pi, np.pi)
     sigma: float = 1.0                  # action-noise scale for flow sampling
-    seed: int = 0
     max_gap: float = 2.0 / 30.0         # stream alignment tolerance, seconds
     camera_rate_hz: float = 30.0
     control_rate_hz: float = 150.0
@@ -332,9 +330,9 @@ class PipelineConfig:
 
     def __post_init__(self):
         """Raise ValueError naming every value the pipeline cannot run with."""
-        dims, names, dof = self.gnn_dims, self.scenario_names, sum(c.dof for c in self.chains)
+        dims, names = self.gnn_dims, self.scenario_names
         checks = [(name, "an integer >= 1", getattr(self, name) >= 1) for name in (
-            "j_total", "flow_horizon", "flow_hidden", "euler_steps", "cot_dt_frames",
+            "flow_horizon", "flow_hidden", "euler_steps", "cot_dt_frames",
             "cot_window", "cot_hidden", "cot_embed", "cot_max_len")]
         checks += [(name, "finite and > 0", 0 < getattr(self, name) < np.inf) for name in (
             "flow_alpha", "flow_beta", "camera_rate_hz", "control_rate_hz", "max_gap")]
@@ -342,8 +340,7 @@ class PipelineConfig:
                    ("gnn_dims", "3 integers >= 1", len(dims) == 3 and all(
                        isinstance(v, int) and v >= 1 for v in dims)),
                    ("scenario_names", "non-empty without repeats",
-                    0 < len(names) == len(set(names))),
-                   ("j_total", f"the chains' joint count {dof}", self.j_total == dof)]
+                    0 < len(names) == len(set(names)))]
         bad = [f"{name} must be {what}, got {getattr(self, name)!r}"
                for name, what, ok in checks if not ok]
         if bad:
@@ -372,6 +369,11 @@ class PipelineConfig:
     def load(cls, path) -> "PipelineConfig":
         with open(path) as f:
             return cls.from_dict(json.load(f))
+
+    @property
+    def j_total(self) -> int:
+        """Joint count over all chains: the length of q and of an action step."""
+        return sum(c.dof for c in self.chains)
 
     @property
     def context_dim(self) -> int:

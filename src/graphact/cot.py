@@ -19,6 +19,8 @@ from .sim import SCENARIOS, EmptyEpisode, Episode, InstructionScenario, Scene
 
 PAD, END, SEP = "<pad>", "<end>", "<sep>"
 
+CTX_EMBED = 16  # width of the head's context projection
+
 ALL_PRESENT = "all_present"
 SOME_MISSING = "some_missing"
 NONE_PRESENT = "none_present"
@@ -202,10 +204,10 @@ class CotHead(Model):
     tokens: list
     context_dim: int
     window: int
-    wc: np.ndarray    # (context_dim, ctx_embed)
-    bc: np.ndarray    # (ctx_embed,)
+    wc: np.ndarray    # (context_dim, CTX_EMBED)
+    bc: np.ndarray    # (CTX_EMBED,)
     emb: np.ndarray   # (V, embed)
-    w1: np.ndarray    # (ctx_embed + window * embed, hidden)
+    w1: np.ndarray    # (CTX_EMBED + window * embed, hidden)
     b1: np.ndarray    # (hidden,)
     w2: np.ndarray    # (hidden, V)
     b2: np.ndarray    # (V,)
@@ -274,18 +276,16 @@ class CotHead(Model):
         return loss, grads
 
 
-def init_cot_head(vocab: TokenVocab, context_dim: int, window: int = 8, embed: int = 16,
-                  ctx_embed: int = 16, hidden: int = 64,
-                  rng: np.random.Generator = None) -> CotHead:
+def init_cot_head(vocab: TokenVocab, context_dim: int, rng: np.random.Generator,
+                  window: int = 8, embed: int = 16, hidden: int = 64) -> CotHead:
     """Seeded random head, drawn in the order wc, emb, w1, w2: fan-in normal
     projections, N(0, 0.1^2) token embeddings, zero biases."""
-    rng = rng if rng is not None else np.random.default_rng(0)
     V = len(vocab)
-    wc = fan_in_normal(rng, context_dim, ctx_embed)
+    wc = fan_in_normal(rng, context_dim, CTX_EMBED)
     emb = rng.normal(0.0, 0.1, size=(V, embed))
-    w1 = fan_in_normal(rng, ctx_embed + window * embed, hidden)
+    w1 = fan_in_normal(rng, CTX_EMBED + window * embed, hidden)
     w2 = fan_in_normal(rng, hidden, V)
-    return CotHead(vocab.tokens, context_dim, window, wc=wc, bc=np.zeros(ctx_embed), emb=emb,
+    return CotHead(vocab.tokens, context_dim, window, wc=wc, bc=np.zeros(CTX_EMBED), emb=emb,
                    w1=w1, b1=np.zeros(hidden), w2=w2, b2=np.zeros(V))
 
 
@@ -309,10 +309,9 @@ def train_cot_head(head: CotHead, dataset: list, lr: float, epochs: int,
     return curve
 
 
-def grad_check_cot(head: CotHead, sample, h: float = 1e-5, n_params: int = 100,
-                   rng: np.random.Generator = None) -> float:
+def grad_check_cot(head: CotHead, sample, rng: np.random.Generator, h: float = 1e-5,
+                   n_params: int = 100) -> float:
     """Max relative error of analytic vs central-difference gradients."""
-    rng = rng if rng is not None else np.random.default_rng(0)
     context, token_ids = sample
     _, grads = head.loss_and_grads(context, token_ids)
     return max_grad_error(head, grads, lambda: head.loss_and_grads(context, token_ids)[0],

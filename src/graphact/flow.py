@@ -196,8 +196,8 @@ def train_step(expert: FlowExpert, batch: list, lr: float, rng: np.random.Genera
     return loss
 
 
-def grad_check(expert: FlowExpert, sample, h: float = 1e-5,
-               n_params: int = 100, rng: np.random.Generator = None) -> float:
+def grad_check(expert: FlowExpert, sample, rng: np.random.Generator, h: float = 1e-5,
+               n_params: int = 100) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     tau and eps are drawn once, as train_step draws them, and frozen so the
@@ -205,7 +205,6 @@ def grad_check(expert: FlowExpert, sample, h: float = 1e-5,
     """
     if h <= 0:
         raise ValueError("h must be positive")
-    rng = rng if rng is not None else np.random.default_rng(0)
     X, U = _draw_batch(expert, [sample], rng)
     _, grads = _loss_and_grads(expert, X, U)
     return max_grad_error(expert, grads, lambda: float(np.sum((expert.forward(X) - U) ** 2)),

@@ -32,23 +32,26 @@ class UnknownScenario(PipelineError):
     """An episode's scenario is not one of the config's scenario_names."""
 
 
-def check_artifacts(cfg: PipelineConfig, gnn_w: GnnWeights, expert: FlowExpert,
-                    cot_head: CotHead) -> None:
-    """Raise ArtifactMismatch naming the first artifact dimension that
-    differs from cfg, or NonFiniteWeight naming the first parameter with a
-    NaN or infinite entry. Each artifact's own weight shapes are checked when
-    it is built or loaded; this ties them to the config before any frame runs."""
-    pairs = (("gnn dims", gnn_w.dims, tuple(cfg.gnn_dims), "gnn_dims"),
-             ("expert horizon", expert.horizon, cfg.flow_horizon, "flow_horizon"),
-             ("expert j_dim", expert.j_dim, cfg.j_total, "j_total"),
-             ("expert context_dim", expert.context_dim, cfg.context_dim, "context_dim"),
-             ("cot head context_dim", cot_head.context_dim, cfg.context_dim, "context_dim"),
-             ("cot head window", cot_head.window, cfg.cot_window, "cot_window"))
+def check_artifacts(cfg: PipelineConfig, gnn_w: GnnWeights, expert: FlowExpert = None,
+                    cot_head: CotHead = None) -> None:
+    """Raise ArtifactMismatch naming the first artifact setting that differs
+    from cfg, or NonFiniteWeight naming the first non-finite parameter; the
+    expert and head are checked when given. Weight shapes are checked at
+    build or load; this ties the artifacts to cfg before any frame runs."""
+    pairs = [("gnn dims", gnn_w.dims, tuple(cfg.gnn_dims), "gnn_dims")]
+    if expert is not None:
+        pairs += [("expert horizon", expert.horizon, cfg.flow_horizon, "flow_horizon"),
+                  ("expert j_dim", expert.j_dim, cfg.j_total, "j_total"),
+                  ("expert context_dim", expert.context_dim, cfg.context_dim, "context_dim"),
+                  ("expert sigma", expert.sigma, cfg.sigma, "sigma")]
+    if cot_head is not None:
+        pairs += [("cot head context_dim", cot_head.context_dim, cfg.context_dim, "context_dim"),
+                  ("cot head window", cot_head.window, cfg.cot_window, "cot_window")]
     for what, got, want, key in pairs:
         if got != want:
             raise ArtifactMismatch(f"{what} {got} does not match config {key} {want}")
     for what, model in (("gnn", gnn_w), ("expert", expert), ("cot head", cot_head)):
-        for name, p in model.params():
+        for name, p in model.params() if model is not None else ():
             if not np.isfinite(p).all():
                 raise NonFiniteWeight(f"{what} parameter {name} has a non-finite entry")
 
@@ -129,9 +132,9 @@ def make_context(pooled: np.ndarray, q: np.ndarray, onehot: np.ndarray) -> np.nd
 
 def run_inference_loop(episode: Episode, gnn_w: GnnWeights, expert: FlowExpert,
                        cot_head: CotHead, schedule: InferenceSchedule,
-                       cfg: PipelineConfig, seed: int = 0,
-                       euler_steps: int = None, max_cot_len: int = None) -> tuple:
-    """Run the per-frame pipeline over an episode.
+                       cfg: PipelineConfig, seed: int = 0, euler_steps: int = None) -> tuple:
+    """Run the per-frame pipeline over an episode, through its camera
+    (episode.K, episode.T); reasoning decodes at most cfg.cot_max_len tokens.
 
     Returns (outputs, report): one FrameOutput per frame (reasoning text only
     on scheduled frames) and a BenchReport of per-stage timings.
@@ -139,10 +142,8 @@ def run_inference_loop(episode: Episode, gnn_w: GnnWeights, expert: FlowExpert,
     if not episode.frames:
         raise EmptyEpisode("cannot run inference on an empty episode")
     euler_steps = cfg.euler_steps if euler_steps is None else euler_steps
-    max_cot_len = cfg.cot_max_len if max_cot_len is None else max_cot_len
-    for name, value in (("euler_steps", euler_steps), ("max_cot_len", max_cot_len)):
-        if value < 1:
-            raise InvalidSetting(f"{name} must be >= 1, got {value}")
+    if euler_steps < 1:
+        raise InvalidSetting(f"euler_steps must be >= 1, got {euler_steps}")
     onehot = scenario_onehot(cfg, episode.scenario.name)
     rng = make_rng(seed)
     stage_times = {"graph_build": [], "encode": [], "cot_generation": [], "action_sampling": []}
@@ -153,8 +154,7 @@ def run_inference_loop(episode: Episode, gnn_w: GnnWeights, expert: FlowExpert,
         frame_start = time.perf_counter()
 
         t0 = time.perf_counter()
-        g = build_graph(frame, episode.K or cfg.intrinsics, episode.T or cfg.extrinsics,
-                        cfg.chains)
+        g = build_graph(frame, episode.K, episode.T, cfg.chains)
         stage_times["graph_build"].append((time.perf_counter() - t0) * 1e3)
 
         t0 = time.perf_counter()
@@ -166,7 +166,7 @@ def run_inference_loop(episode: Episode, gnn_w: GnnWeights, expert: FlowExpert,
         cot_text = None
         if schedule.wants_cot(i):
             t0 = time.perf_counter()
-            ids = generate_cot(cot_head, context, max_cot_len)
+            ids = generate_cot(cot_head, context, cfg.cot_max_len)
             cot_text = detokenize(ids, cot_head.vocab)
             stage_times["cot_generation"].append((time.perf_counter() - t0) * 1e3)
 

@@ -25,16 +25,14 @@ def bbox_center(b: BoundingBox) -> np.ndarray:
     return np.array([(b.x_min + b.x_max) / 2.0, (b.y_min + b.y_max) / 2.0])
 
 
-def depth_at(depth: DepthGrid, p, window: int = 3) -> float:
-    """Depth at the nearest integer pixel; median fallback over a window.
+def depth_at(depth: DepthGrid, p) -> float:
+    """Depth at the nearest integer pixel; median fallback over a 3x3 window.
 
     Invalid values are non-positive (or non-finite). When the center pixel is
-    invalid, returns the median of valid values in the window x window
-    neighborhood; raises NoValidDepth when the whole neighborhood is invalid.
-    Reads only that pixel and neighborhood, never the whole image.
+    invalid, returns the median of valid values in its 3x3 neighborhood;
+    raises NoValidDepth when the whole neighborhood is invalid. Reads only
+    that pixel and neighborhood, never the whole image.
     """
-    if window < 1 or window % 2 == 0:
-        raise ValueError("window must be a positive odd integer")
     u = int(round(float(p[0])))
     v = int(round(float(p[1])))
     u = min(max(u, 0), depth.width - 1)
@@ -42,8 +40,7 @@ def depth_at(depth: DepthGrid, p, window: int = 3) -> float:
     val = depth.at(u, v)
     if math.isfinite(val) and val > 0:
         return val
-    r = window // 2
-    patch = depth.window(u - r, v - r, u + r + 1, v + r + 1)
+    patch = depth.window(u - 1, v - 1, u + 2, v + 2)
     valid = patch[np.isfinite(patch) & (patch > 0)]
     if valid.size == 0:
         raise NoValidDepth(f"no valid depth near pixel ({u}, {v})")

@@ -122,10 +122,11 @@ def look_at(eye, target, up=(0.0, 0.0, 1.0)) -> RigidTransform:
 
 
 def default_config(seed: int = 0) -> PipelineConfig:
-    """Desk-scale rig: 640x480 head camera over a tabletop, two 7-DOF arms."""
+    """Desk-scale rig: 640x480 head camera over a tabletop, two 7-DOF arms.
+    seed is accepted for older callers and ignored: no config value is random."""
     K = CameraIntrinsics(fx=525.0, fy=525.0, cx=320.0, cy=240.0, width=640, height=480)
     T = look_at(eye=(0.05, 0.0, 0.75), target=(0.55, 0.0, 0.0))
-    return PipelineConfig(intrinsics=K, extrinsics=T, chains=default_chains(), seed=seed)
+    return PipelineConfig(intrinsics=K, extrinsics=T, chains=default_chains())
 
 
 def gen_scene(scenario: InstructionScenario, variant: int, rng,
@@ -154,7 +155,6 @@ def _box_region(box: BoundingBox, width: int, height: int) -> tuple:
 
 
 def render_frame(scene: Scene, q, t: float, K: CameraIntrinsics, T: RigidTransform,
-                 box_size: float = DEFAULT_BOX_SIZE, far: float = DEFAULT_FAR,
                  omitted: list = None) -> FrameRecord:
     """Forward-project each object into a detection box and depth patch.
 
@@ -164,7 +164,7 @@ def render_frame(scene: Scene, q, t: float, K: CameraIntrinsics, T: RigidTransfo
     within a pixel of its border) are omitted and recorded in `omitted`.
     """
     T_inv = T.inverse()
-    grid = DepthGrid.constant(K.width, K.height, far)
+    grid = DepthGrid.constant(K.width, K.height, DEFAULT_FAR)
     detections = []
     for obj in scene.objects:
         p_cam = T_inv.apply(obj.position)
@@ -172,7 +172,7 @@ def render_frame(scene: Scene, q, t: float, K: CameraIntrinsics, T: RigidTransfo
             raise BehindCamera(f"object '{obj.label}' behind the head camera")
         pix, z = project(p_cam, K)
         u, v = float(pix[0]), float(pix[1])
-        half = box_size / 2.0
+        half = DEFAULT_BOX_SIZE / 2.0
         hu = min(half, u, K.width - u)
         hv = min(half, v, K.height - v)
         if hu < 1.0 or hv < 1.0:
@@ -223,25 +223,20 @@ class Episode:
     scene: Scene
     scenario: InstructionScenario
     trajectory: list        # list of (J,) arrays, one per frame
+    K: CameraIntrinsics
+    T: RigidTransform
     variant: int = 0
     seed: int = 0
-    K: CameraIntrinsics = None
-    T: RigidTransform = None
     omitted: list = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.frames)
 
 
 def gen_episode(scenario: InstructionScenario, variant: int, n_frames: int,
-                seed: int, cfg: PipelineConfig = None,
-                box_size: float = DEFAULT_BOX_SIZE, far: float = DEFAULT_FAR) -> Episode:
+                seed: int, cfg: PipelineConfig) -> Episode:
     """Deterministic episode: jittered scene, cubic home-to-goal trajectory,
     frames rendered at the camera rate. The scene is reproducible from the
     recorded seed (it consumes the generator's first draws)."""
     if n_frames < 1:
         raise InvalidSetting(f"n_frames must be >= 1, got {n_frames}")
-    cfg = cfg or default_config()
     rng = make_rng(seed)
     scene = gen_scene(scenario, variant, rng)
     home = np.zeros(cfg.j_total)
@@ -253,7 +248,7 @@ def gen_episode(scenario: InstructionScenario, variant: int, n_frames: int,
         trajectory.append(home + s * (goal - home))
     omitted = []
     frames = [render_frame(scene, trajectory[i], i / cfg.camera_rate_hz,
-                           cfg.intrinsics, cfg.extrinsics, box_size, far, omitted)
+                           cfg.intrinsics, cfg.extrinsics, omitted)
               for i in range(n_frames)]
     return Episode(frames=frames, scene=scene, scenario=scenario, trajectory=trajectory,
                    variant=variant, seed=seed, K=cfg.intrinsics, T=cfg.extrinsics,

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from graphact import default_config
+from graphact import cli, default_config, init_gnn_weights, make_rng
 from graphact.cli import main
 
 
@@ -179,12 +179,12 @@ def test_selfcheck_failure_exits_4(monkeypatch, capsys):
 # (edit of the default config's JSON, or the file's text, exit code, error)
 CONFIG_CASES = {
     "missing_key": (lambda d: d.pop("sigma"), 2, "ConfigLoadError"),
-    "wrong_type": (lambda d: d.update(j_total="x"), 2, "ConfigLoadError"),
+    "wrong_type": (lambda d: d.update(flow_horizon="x"), 2, "ConfigLoadError"),
     "zero_fx": (lambda d: d["intrinsics"].update(fx=0), 2, "ConfigLoadError"),
     "gnn_dims_short": (lambda d: d.update(gnn_dims=[32]), 2, "ConfigLoadError"),
     "gnn_dims_zero": (lambda d: d.update(gnn_dims=[32, 0, 32]), 2, "ConfigLoadError"),
-    "j_total_not_chain_dofs": (lambda d: d.update(j_total=3), 2, "ConfigLoadError"),
     "flow_horizon_zero": (lambda d: d.update(flow_horizon=0), 2, "ConfigLoadError"),
+    "cot_max_len_zero": (lambda d: d.update(cot_max_len=0), 2, "ConfigLoadError"),
     "sigma_nan": (lambda d: d.update(sigma=float("nan")), 2, "ConfigLoadError"),
     "flow_alpha_zero": (lambda d: d.update(flow_alpha=0.0), 2, "ConfigLoadError"),
     "max_gap_inf": (lambda d: d.update(max_gap=float("inf")), 2, "ConfigLoadError"),
@@ -563,6 +563,7 @@ ARTIFACT_CASES = {
     "config_flow_horizon": (None, None, {"flow_horizon": 4}, "ArtifactMismatch", "horizon"),
     "config_gnn_dims": (None, None, {"gnn_dims": (16, 16, 32)}, "ArtifactMismatch", "gnn dims"),
     "config_cot_window": (None, None, {"cot_window": 4}, "ArtifactMismatch", "window"),
+    "config_sigma": (None, None, {"sigma": 0.5}, "ArtifactMismatch", "sigma"),
     "gnn_nan": ("gnn", lambda h, a: _set(a, "layer2_b", 0, float("nan")), {},
                 "NonFiniteWeight", "layer2_b"),
     "expert_nan": ("expert", lambda h, a: _set(a, "w3", (0, 0), float("nan")), {},
@@ -593,6 +594,27 @@ def test_infer_checks_artifacts_before_first_frame(case, tmp_path, workspace, ca
     assert err["error"] == error
     assert word in err["message"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("fault", ["d_out", "nan"])
+@pytest.mark.parametrize("command", ["train-expert", "train-cot"])
+def test_train_checks_gnn_before_first_frame(command, fault, tmp_path, workspace, monkeypatch,
+                                             capsys):
+    """A --gnn file whose d_out differs from the config's gnn_dims, or that
+    holds a NaN, exits 2 with a named error before any episode is read, and
+    writes nothing."""
+    gnn = tmp_path / "gnn.npz"
+    if fault == "d_out":
+        init_gnn_weights(make_rng(0), d=32, h=32, d_out=16).save(gnn)
+    else:
+        _edit_artifact(workspace["gnn"], gnn,
+                       lambda h, a: _set(a, "lift_w", (0, 0), float("nan")))
+    monkeypatch.setattr(cli, "load_episode", lambda path: pytest.fail("an episode was read"))
+    out = tmp_path / "o.npz"
+    assert main(_valid_argv(command, workspace, out) + ["--gnn", str(gnn)]) == 2
+    err = _one_json_error_line(capsys.readouterr().err)
+    assert err["error"] == {"d_out": "ArtifactMismatch", "nan": "NonFiniteWeight"}[fault]
+    assert os.listdir(tmp_path) == ["gnn.npz"]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -65,13 +65,16 @@ def test_config_json_roundtrip(cfg, tmp_path):
 
 
 def test_config_with_dropped_keys_still_loads(cfg):
-    """A config file written before lambda_cot, lambda_action and dropout_p
-    were dropped loads, and the extra keys are ignored."""
+    """A config file with keys the config no longer has (lambda_cot,
+    lambda_action, dropout_p, seed, and j_total, now derived from the
+    chains) loads, and those keys are ignored."""
     d = json.loads(json.dumps(cfg.to_dict()))
-    d.update(lambda_cot=1.0, lambda_action=1.0, dropout_p=0.5)
+    d.update(lambda_cot=1.0, lambda_action=1.0, dropout_p=0.5, seed=7, j_total=14)
     loaded = PipelineConfig.from_dict(d)
     assert loaded.to_dict() == cfg.to_dict()
     assert not hasattr(loaded, "dropout_p")
+    assert not hasattr(loaded, "seed")
+    assert loaded.j_total == 14
 
 
 def _small_models():

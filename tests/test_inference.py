@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import threading
 
@@ -123,11 +124,11 @@ def test_empty_episode_raises(artifacts):
 
 def test_zero_counts_are_rejected_not_defaulted(artifacts):
     ep = gen_episode(SCENARIOS["food"], 0, 2, seed=37, cfg=CFG)
-    for kwargs in ({"euler_steps": 0}, {"max_cot_len": 0}, {"euler_steps": -1}):
+    for euler_steps in (0, -1):
         with pytest.raises(InvalidSetting):
-            run_inference_loop(ep, *artifacts, InferenceSchedule(), CFG, **kwargs)
-    one, _ = run_inference_loop(ep, *artifacts, InferenceSchedule(), CFG, euler_steps=1,
-                                max_cot_len=1)
+            run_inference_loop(ep, *artifacts, InferenceSchedule(), CFG, euler_steps=euler_steps)
+    one, _ = run_inference_loop(ep, *artifacts, InferenceSchedule(),
+                                dataclasses.replace(CFG, cot_max_len=1), euler_steps=1)
     default, _ = run_inference_loop(ep, *artifacts, InferenceSchedule(), CFG)
     assert outputs_to_dict(one) != outputs_to_dict(default)
     assert len(one[0].cot_text.split()) <= 1
