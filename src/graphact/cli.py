@@ -34,14 +34,15 @@ class ConfigLoadError(PipelineError):
 
 
 def _load_named(error, load, path):
-    """load(path), with a malformed document's KeyError, TypeError or ValueError
-    raised as error. Named errors, non-JSON and non-archive files (exit 3)
-    pass through."""
+    """load(path), with a malformed document's KeyError, TypeError, ValueError
+    (a non-finite number, say) or OverflowError (an integer too large for a
+    float) raised as error. Named errors, non-JSON and non-archive files
+    (exit 3) pass through."""
     try:
         return load(path)
     except (PipelineError, json.JSONDecodeError):
         raise  # InvalidSetting and JSONDecodeError are also ValueErrors
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise error(str(exc)) from exc
 
 

@@ -5,6 +5,7 @@ episode start); joint configurations are 1-D float arrays in radians.
 """
 
 import json
+import math
 import zipfile
 from dataclasses import MISSING, dataclass, field, fields
 
@@ -37,6 +38,15 @@ def check_shapes(owner: str, expected: dict) -> None:
         if np.shape(arr) != tuple(shape):
             raise ShapeMismatch(f"{owner} parameter {name} has shape {np.shape(arr)}, "
                                 f"expected {tuple(shape)}")
+
+
+def finite_float(text: str) -> float:
+    """json.loads hook for parse_float and parse_constant: the number, or
+    ValueError for NaN, +-Infinity and literals that overflow (1e400)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
 
 
 def save_json(path, obj, indent=None) -> None:
@@ -247,11 +257,12 @@ class BoundingBox:
 
 @dataclass
 class DepthGrid:
-    """Metric depth image, meters, kept sparse: a constant background `far`
-    under an ordered list of rectangular patches (x0, y0, values), each
-    values a (rows, cols) float array; a later patch covers an earlier one.
-    Memory scales with patch pixels, not with width x height. Non-positive
-    (or non-finite) values encode invalid depth."""
+    """Metric depth image, meters, held as the renderer draws it: a constant
+    background `far` under an ordered list of flat rectangles
+    (x0, y0, x1, y1, z), each covering columns x0:x1 and rows y0:y1 at depth
+    z; a later rectangle covers an earlier one. Memory scales with the number
+    of rectangles, not with width x height. Non-positive (or non-finite)
+    values encode invalid depth."""
 
     width: int
     height: int
@@ -263,27 +274,12 @@ class DepthGrid:
         return cls(width, height, float(value))
 
     def at(self, u: int, v: int) -> float:
-        """Depth at integer pixel column u, row v (inside the image)."""
-        for x0, y0, vals in reversed(self.patches):
-            i, j = v - y0, u - x0
-            if i >= 0 and j >= 0:
-                h, w = vals.shape
-                if i < h and j < w:
-                    return vals.item(i, j)
+        """Depth at integer pixel column u, row v (inside the image): the z of
+        the last rectangle that covers it, or far if none does."""
+        for x0, y0, x1, y1, z in reversed(self.patches):
+            if x0 <= u < x1 and y0 <= v < y1:
+                return z
         return self.far
-
-    def window(self, x0: int, y0: int, x1: int, y1: int) -> np.ndarray:
-        """Dense copy of columns x0:x1, rows y0:y1, clipped to the image."""
-        x0, y0 = max(x0, 0), max(y0, 0)
-        x1, y1 = max(min(x1, self.width), x0), max(min(y1, self.height), y0)
-        out = np.full((y1 - y0, x1 - x0), self.far)
-        for px, py, vals in self.patches:
-            h, w = vals.shape
-            ax0, ay0, ax1, ay1 = max(x0, px), max(y0, py), min(x1, px + w), min(y1, py + h)
-            if ax0 < ax1 and ay0 < ay1:
-                out[ay0 - y0:ay1 - y0, ax0 - x0:ax1 - x0] = \
-                    vals[ay0 - py:ay1 - py, ax0 - px:ax1 - px]
-        return out
 
 
 @dataclass
@@ -367,8 +363,10 @@ class PipelineConfig:
 
     @classmethod
     def load(cls, path) -> "PipelineConfig":
+        """from_dict of the file; a non-finite number raises ValueError."""
         with open(path) as f:
-            return cls.from_dict(json.load(f))
+            return cls.from_dict(json.load(f, parse_float=finite_float,
+                                           parse_constant=finite_float))
 
     @property
     def j_total(self) -> int:

@@ -29,7 +29,7 @@ class DhLink:
     @classmethod
     def from_dict(cls, d: dict) -> "DhLink":
         return cls(a=float(d["a"]), alpha=float(d["alpha"]), d=float(d["d"]),
-                   theta_offset=float(d.get("theta_offset", 0.0)))
+                   theta_offset=float(d["theta_offset"]))
 
 
 @dataclass(frozen=True)

@@ -29,9 +29,9 @@ def depth_at(depth: DepthGrid, p) -> float:
     """Depth at the nearest integer pixel; median fallback over a 3x3 window.
 
     Invalid values are non-positive (or non-finite). When the center pixel is
-    invalid, returns the median of valid values in its 3x3 neighborhood;
-    raises NoValidDepth when the whole neighborhood is invalid. Reads only
-    that pixel and neighborhood, never the whole image.
+    invalid, returns the median of valid values in its 3x3 neighborhood,
+    clipped to the image; raises NoValidDepth when the whole neighborhood is
+    invalid. Reads only that pixel and neighborhood, never the whole image.
     """
     u = int(round(float(p[0])))
     v = int(round(float(p[1])))
@@ -40,9 +40,10 @@ def depth_at(depth: DepthGrid, p) -> float:
     val = depth.at(u, v)
     if math.isfinite(val) and val > 0:
         return val
-    patch = depth.window(u - 1, v - 1, u + 2, v + 2)
-    valid = patch[np.isfinite(patch) & (patch > 0)]
-    if valid.size == 0:
+    near = [depth.at(x, y) for y in range(max(v - 1, 0), min(v + 2, depth.height))
+            for x in range(max(u - 1, 0), min(u + 2, depth.width))]
+    valid = [d for d in near if math.isfinite(d) and d > 0]
+    if not valid:
         raise NoValidDepth(f"no valid depth near pixel ({u}, {v})")
     return float(np.median(valid))
 

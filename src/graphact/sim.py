@@ -1,9 +1,9 @@
 """Synthetic scenes and episodes: ground truth for every pipeline stage.
 
 Objects are placed at nominal positions with uniform translation jitter
-(default +/-10 cm per axis) and yaw jitter (default +/-30 degrees), then
-forward-projected into detections and a sparse depth grid. Robot motion is a
-scripted joint-space cubic; no claim of behavioral realism.
+(+/-10 cm per horizontal axis) and yaw jitter (+/-30 degrees), then
+forward-projected into detections and a depth grid of flat rectangles. Robot
+motion is a scripted joint-space cubic; no claim of behavioral realism.
 """
 
 import json
@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import (BoundingBox, CameraIntrinsics, DepthGrid, FrameRecord,
                    InvalidSetting, PipelineConfig, PipelineError, RigidTransform,
-                   make_rng)
+                   finite_float, make_rng)
 from .kinematics import default_chains
 from .projection import BehindCamera, project
 
@@ -129,16 +129,14 @@ def default_config(seed: int = 0) -> PipelineConfig:
     return PipelineConfig(intrinsics=K, extrinsics=T, chains=default_chains())
 
 
-def gen_scene(scenario: InstructionScenario, variant: int, rng,
-              translate_jitter: float = TRANSLATE_JITTER,
-              yaw_jitter: float = YAW_JITTER) -> Scene:
+def gen_scene(scenario: InstructionScenario, variant: int, rng) -> Scene:
     """Place the variant's available objects at nominal + jitter positions."""
     if not 0 <= variant < len(scenario.variants):
         raise InvalidVariant(f"scenario '{scenario.name}' has no variant {variant}")
     objects = []
     for label in scenario.variants[variant]:
-        dx, dy = rng.uniform(-translate_jitter, translate_jitter, size=2)
-        yaw = float(rng.uniform(-yaw_jitter, yaw_jitter))
+        dx, dy = rng.uniform(-TRANSLATE_JITTER, TRANSLATE_JITTER, size=2)
+        yaw = float(rng.uniform(-YAW_JITTER, YAW_JITTER))
         nx, ny, nz = scenario.nominal[label]
         objects.append(SceneObject(label=label,
                                    position=np.array([nx + dx, ny + dy, nz]),
@@ -156,16 +154,16 @@ def _box_region(box: BoundingBox, width: int, height: int) -> tuple:
 
 def render_frame(scene: Scene, q, t: float, K: CameraIntrinsics, T: RigidTransform,
                  omitted: list = None) -> FrameRecord:
-    """Forward-project each object into a detection box and depth patch.
+    """Forward-project each object into a detection box and a flat depth
+    rectangle over the box at the object's depth, capped at the far background.
 
-    Depth is one patch per detection box over a constant far background;
-    where boxes overlap, the later patch holds the nearer surface. Objects behind the
-    camera raise BehindCamera; objects projecting outside the image (or
-    within a pixel of its border) are omitted and recorded in `omitted`.
+    The rectangles are stable-sorted far to near, so where boxes overlap the
+    nearest surface is on top; detections keep the scene's order. Objects
+    behind the camera raise BehindCamera; objects projecting outside the image
+    (or within a pixel of its border) are omitted and recorded in `omitted`.
     """
     T_inv = T.inverse()
-    grid = DepthGrid.constant(K.width, K.height, DEFAULT_FAR)
-    detections = []
+    rects, detections = [], []
     for obj in scene.objects:
         p_cam = T_inv.apply(obj.position)
         if p_cam[2] <= 0:
@@ -181,10 +179,12 @@ def render_frame(scene: Scene, q, t: float, K: CameraIntrinsics, T: RigidTransfo
             continue
         box = BoundingBox(label=obj.label, x_min=u - hu, y_min=v - hv,
                           x_max=u + hu, y_max=v + hv)
-        x0, y0, x1, y1 = _box_region(box, K.width, K.height)
-        grid.patches.append((x0, y0, np.minimum(grid.window(x0, y0, x1, y1), z)))
+        rects.append((*_box_region(box, K.width, K.height), min(z, DEFAULT_FAR)))
         detections.append(box)
-    return FrameRecord(t=t, detections=detections, depth=grid, q=np.asarray(q, dtype=float))
+    rects.sort(key=lambda r: r[4], reverse=True)
+    return FrameRecord(t=t, detections=detections,
+                       depth=DepthGrid(K.width, K.height, DEFAULT_FAR, rects),
+                       q=np.asarray(q, dtype=float))
 
 
 # Fixed map from a target bearing to per-arm joint offsets; arbitrary but
@@ -256,80 +256,67 @@ def gen_episode(scenario: InstructionScenario, variant: int, n_frames: int,
 
 
 def write_episode(ep: Episode, path) -> None:
-    """One JSONL file: header line, then one line per frame with detections
-    and the depth patches under each detection box."""
+    """One JSONL file: a header line (scenario, variant, K, T, seed), then one
+    line per frame: t, q, detections, the far background and the depth
+    rectangles [x0, y0, x1, y1, z] in drawing order. The image size is K's."""
     with open(path, "w") as f:
         header = {"scenario": ep.scenario.name, "variant": ep.variant,
-                  "K": ep.K.to_dict(), "T": ep.T.to_dict(),
-                  "resolution": [ep.K.width, ep.K.height], "seed": ep.seed}
+                  "K": ep.K.to_dict(), "T": ep.T.to_dict(), "seed": ep.seed}
         f.write(json.dumps(header) + "\n")
         for frame in ep.frames:
-            boxes = []
-            for det in frame.detections:
-                x0, y0, x1, y1 = _box_region(det, frame.depth.width, frame.depth.height)
-                boxes.append({"x0": x0, "y0": y0, "x1": x1, "y1": y1,
-                              "values": frame.depth.window(x0, y0, x1, y1).ravel().tolist()})
             line = {"t": float(frame.t),
                     "q": [float(v) for v in frame.q],
                     "detections": [d.to_dict() for d in frame.detections],
-                    "depth": {"w": frame.depth.width, "h": frame.depth.height,
-                              "boxes": boxes},
+                    "depth": [[x0, y0, x1, y1, float(z)]
+                              for x0, y0, x1, y1, z in frame.depth.patches],
                     "far": float(frame.depth.far)}
             f.write(json.dumps(line) + "\n")
 
 
 def _decode_frame(rec: dict, width: int, height: int) -> FrameRecord:
-    far = float(rec["far"])
-    if not math.isfinite(far):
-        raise MalformedEpisode(f"non-finite far depth {far}")
-    if (rec["depth"]["w"], rec["depth"]["h"]) != (width, height):
-        raise MalformedEpisode(f"depth size {rec['depth']['w']}x{rec['depth']['h']} "
-                               f"differs from the header resolution {width}x{height}")
-    grid = DepthGrid.constant(width, height, far)
-    for b in rec["depth"]["boxes"]:
-        x0, y0, x1, y1 = b["x0"], b["y0"], b["x1"], b["y1"]
+    rects = []
+    for x0, y0, x1, y1, z in rec["depth"]:
         if not all(type(c) is int for c in (x0, y0, x1, y1)) or not (
                 0 <= x0 < x1 <= width and 0 <= y0 < y1 <= height):
-            raise MalformedEpisode(f"depth box {[x0, y0, x1, y1]} outside the "
+            raise MalformedEpisode(f"depth rectangle {[x0, y0, x1, y1]} outside the "
                                    f"{width}x{height} image")
-        vals = np.array(b["values"], dtype=float)
-        if vals.shape != ((x1 - x0) * (y1 - y0),):
-            raise MalformedEpisode(f"depth box {[x0, y0, x1, y1]} holds {vals.size} "
-                                   f"values, expected {(x1 - x0) * (y1 - y0)}")
-        grid.patches.append((x0, y0, vals.reshape(y1 - y0, x1 - x0)))
+        rects.append((x0, y0, x1, y1, float(z)))
     return FrameRecord(t=float(rec["t"]),
                        detections=[BoundingBox.from_dict(d) for d in rec["detections"]],
-                       depth=grid, q=np.array(rec["q"], dtype=float))
+                       depth=DepthGrid(width, height, float(rec["far"]), rects),
+                       q=np.array(rec["q"], dtype=float))
 
 
 def load_episode(path) -> Episode:
     """Inverse of write_episode; the scene is regenerated from the header seed.
 
-    Lines are decoded one at a time and each frame keeps the file's box
-    patches as its depth, so memory grows with box pixels, not image size.
-    A header or frame that breaks the format raises MalformedEpisode.
+    Lines are decoded one at a time and each frame keeps the file's
+    rectangles as its depth, so memory grows with the number of boxes, not
+    with the image size. A header or frame that breaks the format, holds a
+    non-finite number (NaN, +-Infinity, or a literal too large for a float),
+    or a seed the generator refuses raises MalformedEpisode.
     """
     with open(path) as f:
-        records = (json.loads(line) for line in f if line.strip())
-        header = next(records, None)
-        if header is None:
-            raise EmptyEpisode(f"episode file {path} is empty")
+        records = (json.loads(line, parse_float=finite_float, parse_constant=finite_float)
+                   for line in f if line.strip())
         try:
+            header = next(records, None)
+            if header is None:
+                raise EmptyEpisode(f"episode file {path} is empty")
             if header["scenario"] not in SCENARIOS:
                 raise MalformedEpisode(f"unknown scenario {header['scenario']!r}")
             scenario = SCENARIOS[header["scenario"]]
             K = CameraIntrinsics.from_dict(header["K"])
             T = RigidTransform.from_dict(header["T"])
-            width, height = header["resolution"]
             seed, variant = int(header["seed"]), int(header["variant"])
-            frames = [_decode_frame(rec, width, height) for rec in records]
+            frames = [_decode_frame(rec, K.width, K.height) for rec in records]
+            if not frames:
+                raise EmptyEpisode(f"episode file {path} has no frames")
+            scene = gen_scene(scenario, variant, make_rng(seed))
         except json.JSONDecodeError:
             raise  # not JSON at all: an I/O-level failure
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MalformedEpisode(f"{path}: {type(exc).__name__}: {exc}") from exc
-    if not frames:
-        raise EmptyEpisode(f"episode file {path} has no frames")
-    scene = gen_scene(scenario, variant, make_rng(seed))
     return Episode(frames=frames, scene=scene, scenario=scenario,
                    trajectory=[frame.q for frame in frames], variant=variant,
                    seed=seed, K=K, T=T)

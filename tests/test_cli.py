@@ -191,6 +191,13 @@ CONFIG_CASES = {
     "scenario_names_empty": (lambda d: d.update(scenario_names=[]), 2, "ConfigLoadError"),
     "scenario_names_repeated": (lambda d: d.update(scenario_names=["food", "food"]), 2,
                                 "ConfigLoadError"),
+    "chain_base_nan": (lambda d: d["chains"][0]["base"]["translation"].__setitem__(
+        0, float("nan")), 2, "ConfigLoadError"),
+    "dh_a_nan": (lambda d: d["chains"][1]["links"][2].update(a=float("nan")), 2,
+                 "ConfigLoadError"),
+    "theta_offset_missing": (lambda d: d["chains"][0]["links"][3].pop("theta_offset"), 2,
+                             "ConfigLoadError"),
+    "fx_overflow": (lambda d: d["intrinsics"].update(fx=10 ** 400), 2, "ConfigLoadError"),
     "not_json": ('{"sigma": 1.0,', 3, "JSONDecodeError"),
 }
 
@@ -448,21 +455,45 @@ def test_fuzz_numeric_flags_exit_contract(data, workspace):
         assert os.path.exists(out) == (code == 0)
 
 
+def _old_layout(header, frame):
+    """The earlier layout: the image size in the header and in every frame,
+    and each box's depth as one value per pixel."""
+    w, h = header["K"]["width"], header["K"]["height"]
+    header["resolution"] = [w, h]
+    frame["depth"] = {"w": w, "h": h, "boxes": [
+        {"x0": x0, "y0": y0, "x1": x1, "y1": y1, "values": [z] * ((x1 - x0) * (y1 - y0))}
+        for x0, y0, x1, y1, z in frame["depth"]]}
+
+
 def _corrupt(lines, what):
     header, frame = json.loads(lines[0]), json.loads(lines[1])
-    box = frame["depth"]["boxes"][0]
+    rect = frame["depth"][0]
     if what == "scenario":
         header["scenario"] = "kitchen"
     elif what == "values_length":
-        box["values"] = box["values"][:-1]
+        rect.pop()
     elif what == "box_outside":
-        box["x0"], box["x1"] = box["x0"] + 640, box["x1"] + 640
+        rect[0], rect[2] = rect[0] + 640, rect[2] + 640
+    elif what == "q_nan":
+        frame["q"][3] = float("nan")
+    elif what == "box_inf":
+        frame["detections"][0]["box"][2] = float("inf")
+    elif what == "K_nan":
+        header["K"]["fx"] = float("nan")
+    elif what == "K_overflow":
+        header["K"]["fx"] = 10 ** 400  # an integer literal no float can hold
+    elif what == "seed_negative":
+        header["seed"] = -1
+    elif what == "old_layout":
+        _old_layout(header, frame)
     else:
         frame["far"] = float("nan")
     return [json.dumps(header), json.dumps(frame)] + lines[2:]
 
 
-@pytest.mark.parametrize("what", ["scenario", "values_length", "box_outside", "far_nan"])
+@pytest.mark.parametrize("what", ["scenario", "values_length", "box_outside", "far_nan", "q_nan",
+                                  "box_inf", "K_nan", "K_overflow", "seed_negative",
+                                  "old_layout"])
 def test_infer_malformed_episode_exit_2(what, tmp_path, workspace, capsys):
     lines = workspace["episode"].read_text().splitlines()
     episode = tmp_path / "bad.jsonl"
@@ -481,7 +512,8 @@ def test_fuzz_corrupt_episode_line_exit_contract(data, workspace):
     lines = workspace["episode"].read_text().splitlines()
     i = data.draw(st.integers(0, len(lines) - 1), label="line")
     rec = json.loads(lines[i])
-    kinds = ["drop_key", "truncate"] + (["scenario"] if i == 0 else ["values", "box", "far"])
+    kinds = ["drop_key", "truncate"] + (["scenario"] if i == 0 else
+                                        ["values", "box", "far", "q"])
     kind = data.draw(st.sampled_from(kinds), label="kind")
     if kind == "truncate":
         lines[i] = lines[i][:data.draw(st.integers(0, len(lines[i]) - 1))]
@@ -492,15 +524,16 @@ def test_fuzz_corrupt_episode_line_exit_contract(data, workspace):
             rec["scenario"] = data.draw(st.text(max_size=8))
         elif kind == "far":
             rec["far"] = data.draw(st.floats(allow_nan=True, allow_infinity=True))
+        elif kind == "q":
+            rec["q"][data.draw(st.integers(0, len(rec["q"]) - 1))] = data.draw(
+                st.sampled_from([float("nan"), float("inf"), float("-inf")]))
         else:
-            boxes = rec["depth"]["boxes"]
-            box = boxes[data.draw(st.integers(0, len(boxes) - 1))]
+            rects = rec["depth"]
+            rect = rects[data.draw(st.integers(0, len(rects) - 1))]
             if kind == "values":
-                box["values"] = (box["values"] * 2)[:data.draw(
-                    st.integers(0, len(box["values"]) + 3))]
+                rect[:] = (rect * 2)[:data.draw(st.integers(0, len(rect) + 3))]
             else:
-                box[data.draw(st.sampled_from(["x0", "y0", "x1", "y1"]))] = \
-                    data.draw(st.integers(-700, 1300))
+                rect[data.draw(st.integers(0, 3))] = data.draw(st.integers(-700, 1300))
         lines[i] = json.dumps(rec)
     with tempfile.TemporaryDirectory() as tmp:
         episode, out = os.path.join(tmp, "ep.jsonl"), os.path.join(tmp, "o.json")

@@ -41,15 +41,17 @@ def dense_render(scene, box_size=DEFAULT_BOX_SIZE, far=DEFAULT_FAR):
 
 
 def dense_from_file(path):
-    """One dense grid per frame line, boxes written in file order."""
+    """One dense grid per frame line, of the header's image size, rectangles
+    written in file order."""
     grids = []
     with open(path) as f:
-        for line in list(f)[1:]:
+        header, *lines = f
+        size = json.loads(header)["K"]
+        for line in lines:
             rec = json.loads(line)
-            dense = np.full((rec["depth"]["h"], rec["depth"]["w"]), float(rec["far"]))
-            for b in rec["depth"]["boxes"]:
-                dense[b["y0"]:b["y1"], b["x0"]:b["x1"]] = np.reshape(
-                    b["values"], (b["y1"] - b["y0"], b["x1"] - b["x0"]))
+            dense = np.full((size["height"], size["width"]), float(rec["far"]))
+            for x0, y0, x1, y1, z in rec["depth"]:
+                dense[y0:y1, x0:x1] = z
             grids.append(dense)
     return grids
 
@@ -81,10 +83,6 @@ def assert_matches_dense(frame, dense):
     grid = frame.depth
     assert (grid.width, grid.height) == (K.width, K.height)
     for box in frame.detections:
-        x0, y0, x1, y1 = _box_region(box, K.width, K.height)
-        assert np.array_equal(grid.window(x0 - 1, y0 - 1, x1 + 1, y1 + 1),
-                              dense[max(y0 - 1, 0):y1 + 1, max(x0 - 1, 0):x1 + 1],
-                              equal_nan=True)
         for u, v in ring_pixels(box):
             assert np.array_equal(grid.at(u, v), dense[v, u], equal_nan=True)
             try:
@@ -106,12 +104,12 @@ def punch_holes(frame, dense, rng):
         ru, rv = int(rng.integers(x0, x1)), int(rng.integers(y0, y1))
         bad = -1.0 if i % 2 else np.nan
         for pu, pv in ((u, v), (ru, rv)):
-            frame.depth.patches.append((pu, pv, np.array([[bad]])))
+            frame.depth.patches.append((pu, pv, pu + 1, pv + 1, bad))
             dense[pv, pu] = bad
     box = frame.detections[0]
     c = bbox_center(box)
     u, v = int(round(c[0])), int(round(c[1]))
-    frame.depth.patches.append((u - 1, v - 1, np.zeros((3, 3))))
+    frame.depth.patches.append((u - 1, v - 1, u + 2, v + 2, 0.0))
     dense[v - 1:v + 2, u - 1:u + 2] = 0.0
 
 
@@ -185,14 +183,12 @@ def test_episode_matches_dense_oracle(scenario, tmp_path):
 def test_window_clips_to_image_and_later_patch_wins():
     from graphact import DepthGrid
     grid = DepthGrid.constant(4, 3, 7.0)
-    grid.patches.append((1, 0, np.array([[1.0, 2.0], [3.0, 4.0]])))
-    grid.patches.append((2, 1, np.array([[9.0, 8.0], [6.0, 5.0]])))
+    # two 2x2 blocks of 1x1 rectangles, the second drawn over the first
+    grid.patches += [(1, 0, 2, 1, 1.0), (2, 0, 3, 1, 2.0), (1, 1, 2, 2, 3.0), (2, 1, 3, 2, 4.0),
+                     (2, 1, 3, 2, 9.0), (3, 1, 4, 2, 8.0), (2, 2, 3, 3, 6.0), (3, 2, 4, 3, 5.0)]
     dense = np.array([[7.0, 1.0, 2.0, 7.0],
                       [7.0, 3.0, 9.0, 8.0],
                       [7.0, 7.0, 6.0, 5.0]])
-    assert np.array_equal(grid.window(-5, -5, 10, 10), dense)
-    assert np.array_equal(grid.window(2, 1, 3, 3), dense[1:3, 2:3])
-    assert grid.window(5, 0, 9, 3).shape == (3, 0)
     assert [grid.at(u, v) for v in range(3) for u in range(4)] == dense.ravel().tolist()
 
 
@@ -210,6 +206,7 @@ def _load_peak_bytes(path):
 @pytest.mark.parametrize("n_frames,limit", [
     (600, 600 * 0.1e6),          # under 0.1 MB per frame at 640x480
     (60, DENSE_GRID_BYTES),      # a whole episode under one dense 640x480 grid
+    (600, 600 * 5e3),            # under 5 KB per frame: a few numbers per box
 ])
 def test_load_episode_memory_is_bounded_by_box_pixels(n_frames, limit, tmp_path):
     path = tmp_path / "ep.jsonl"
@@ -217,3 +214,11 @@ def test_load_episode_memory_is_bounded_by_box_pixels(n_frames, limit, tmp_path)
     frames, peak = _load_peak_bytes(path)
     assert frames == n_frames
     assert peak < limit, f"load_episode peak {peak / 1e6:.2f} MB for {n_frames} frames"
+
+
+def test_episode_file_is_under_2kb_per_frame(tmp_path):
+    """A frame line holds t, q, the detections and one rectangle per box,
+    not the pixels under each box."""
+    path = tmp_path / "ep.jsonl"
+    write_episode(gen_episode(SCENARIOS["food"], 0, 60, seed=8, cfg=CFG), path)
+    assert path.stat().st_size < 60 * 2e3

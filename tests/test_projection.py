@@ -28,14 +28,14 @@ def test_depth_at_uniform_grid():
 
 def test_depth_at_median_fallback_unanimous():
     grid = DepthGrid.constant(9, 9, 1.0)
-    grid.patches.append((4, 4, np.array([[0.0]])))  # invalid center
+    grid.patches.append((4, 4, 5, 5, 0.0))  # invalid center
     assert depth_at(grid, (4, 4)) == 1.0
 
 
 def test_depth_at_median_of_valid_multiset():
     # neighborhood {1.0, 1.2, 5.0, invalid x6} -> median 1.2
     grid = DepthGrid.constant(3, 3, 0.0)
-    grid.patches.append((0, 0, np.array([[1.0, 1.2, 5.0]])))
+    grid.patches += [(0, 0, 1, 1, 1.0), (1, 0, 2, 1, 1.2), (2, 0, 3, 1, 5.0)]
     assert depth_at(grid, (1, 1)) == 1.2
 
 

@@ -7,8 +7,8 @@ from graphact import (SCENARIOS, build_graph, default_config, gen_episode,
                       gen_scene, load_episode, make_rng, render_frame,
                       write_episode)
 from graphact.projection import BehindCamera
-from graphact.sim import (DEFAULT_FAR, InvalidVariant, Scene, SceneObject,
-                          look_at)
+from graphact.sim import (DEFAULT_FAR, TRANSLATE_JITTER, YAW_JITTER, InvalidVariant, Scene,
+                          SceneObject, look_at)
 
 CFG = default_config()
 
@@ -57,11 +57,16 @@ def test_gen_scene_variant_availability():
 
 
 def test_gen_scene_zero_jitter_exact_nominal():
+    """Each object sits exactly at nominal + (dx, dy, 0) with yaw, the draws
+    replayed from a twin generator."""
     scen = SCENARIOS["food"]
-    scene = gen_scene(scen, 0, make_rng(3), translate_jitter=0.0, yaw_jitter=0.0)
+    scene = gen_scene(scen, 0, make_rng(3))
+    twin = make_rng(3)
     for obj in scene.objects:
-        assert np.array_equal(obj.position, np.array(scen.nominal[obj.label]))
-        assert obj.yaw == 0.0
+        dx, dy = twin.uniform(-TRANSLATE_JITTER, TRANSLATE_JITTER, size=2)
+        yaw = float(twin.uniform(-YAW_JITTER, YAW_JITTER))
+        assert np.array_equal(obj.position, np.array(scen.nominal[obj.label]) + (dx, dy, 0.0))
+        assert obj.yaw == yaw
 
 
 def test_gen_scene_invalid_variant():
@@ -130,7 +135,7 @@ def test_render_off_image_omitted_and_recorded():
     omitted = []
     frame = render_frame(scene, np.zeros(CFG.j_total), 0.0, K, T, omitted=omitted)
     assert frame.detections == [] and omitted == ["gone"]
-    assert (frame.depth.window(0, 0, K.width, K.height) == DEFAULT_FAR).all()
+    assert frame.depth.far == DEFAULT_FAR and frame.depth.patches == []
 
 
 def test_depth_fallback_via_injected_invalid_pixels():
@@ -141,7 +146,7 @@ def test_depth_fallback_via_injected_invalid_pixels():
     u = int(round((box.x_min + box.x_max) / 2))
     v = int(round((box.y_min + box.y_max) / 2))
     true_depth = frame.depth.at(u, v)
-    frame.depth.patches.append((u, v, np.array([[0.0]])))  # punch a hole at the center pixel
+    frame.depth.patches.append((u, v, u + 1, v + 1, 0.0))  # punch a hole at the center pixel
     assert depth_at(frame.depth, ((box.x_min + box.x_max) / 2,
                                   (box.y_min + box.y_max) / 2)) == true_depth
 
@@ -193,7 +198,7 @@ def test_episode_file_roundtrip(tmp_path):
         assert [d.to_dict() for d in fa.detections] == [d.to_dict() for d in fb.detections]
         w, h = fb.depth.width, fb.depth.height
         assert (fa.depth.width, fa.depth.height) == (w, h)
-        assert np.array_equal(fa.depth.window(0, 0, w, h), fb.depth.window(0, 0, w, h))
+        assert fa.depth.far == fb.depth.far and fa.depth.patches == fb.depth.patches
 
 
 def test_episode_files_byte_identical_across_runs(tmp_path):
