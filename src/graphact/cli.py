@@ -35,9 +35,8 @@ class ConfigLoadError(PipelineError):
 
 def _load_named(error, load, path):
     """load(path), with a malformed document's KeyError, TypeError, ValueError
-    (a non-finite number, say) or OverflowError (an integer too large for a
-    float) raised as error. Named errors, non-JSON and non-archive files
-    (exit 3) pass through."""
+    (a value core.reader refuses, say) or OverflowError raised as error. Named
+    errors, non-JSON and non-archive files (exit 3) pass through."""
     try:
         return load(path)
     except (PipelineError, json.JSONDecodeError):

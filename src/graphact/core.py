@@ -5,9 +5,10 @@ episode start); joint configurations are 1-D float arrays in radians.
 """
 
 import json
-import math
+import sys
+import typing
 import zipfile
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -16,6 +17,7 @@ import numpy as np
 RNG_ALGORITHM = "numpy.random.Generator(PCG64)"
 
 ORTHONORMAL_TOL = 1e-9
+_FLOAT_MAX = sys.float_info.max
 
 
 class PipelineError(Exception):
@@ -40,13 +42,78 @@ def check_shapes(owner: str, expected: dict) -> None:
                                 f"expected {tuple(shape)}")
 
 
-def finite_float(text: str) -> float:
-    """json.loads hook for parse_float and parse_constant: the number, or
-    ValueError for NaN, +-Infinity and literals that overflow (1e400)."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite number {text}")
-    return value
+def _fail(name: str, what: str, value):
+    raise ValueError(f"{name}: expected {what}, got {type(value).__name__} {value!r:.60}")
+
+
+def reader(spec, name: str):
+    """Compile spec once into read(value): the decoded value of parsed JSON,
+    or ValueError naming the path of the first bad value. float takes a finite
+    number and int an integer (neither a bool), str a string; list[S] and
+    tuple[S, ...] a list, tuple[S1, ..., Sn] a list of n items; {key: S} an
+    object with exactly those keys, read into a dict in the spec's key order;
+    a class the object of its JSON attribute or dataclass fields, as kwargs."""
+    origin, args = typing.get_origin(spec), typing.get_args(spec)
+    if spec is float:
+        def read_float(v):
+            # Compares an int exactly, so an integer no float holds fails too.
+            if (type(v) is float or type(v) is int) and -_FLOAT_MAX <= v <= _FLOAT_MAX:
+                return float(v)
+            _fail(name, "a finite number", v)
+        return read_float
+    if spec is int or spec is str:
+        def read_exact(v):
+            if type(v) is not spec:
+                _fail(name, "an integer" if spec is int else "a string", v)
+            return v
+        return read_exact
+    if origin is list or (origin is tuple and args[1:] == (...,)):
+        item = reader(args[0], name + "[]")
+
+        def read_seq(v):
+            if type(v) is not list:
+                _fail(name, "a list", v)
+            return origin([item(x) for x in v])
+        return read_seq
+    if origin is tuple:
+        items = [reader(s, f"{name}[{i}]") for i, s in enumerate(args)]
+
+        def read_tuple(v):
+            if type(v) is not list or len(v) != len(items):
+                _fail(name, f"a list of {len(items)}", v)
+            return tuple([read(x) for read, x in zip(items, v)])
+        return read_tuple
+    if isinstance(spec, dict):
+        members = {key: reader(s, f"{name}.{key}") for key, s in spec.items()}
+
+        def read_object(v):
+            if type(v) is not dict:
+                _fail(name, "an object", v)
+            if v.keys() != members.keys():
+                raise ValueError(f"{name}: " + ", ".join(
+                    [f"missing key {k!r}" for k in members if k not in v] +
+                    [f"unknown key {k!r}" for k in v if k not in members]))
+            return {key: read(v[key]) for key, read in members.items()}
+        return read_object
+    read_fields = reader(getattr(spec, "JSON", None) or
+                         {f.name: f.type for f in fields(spec)}, name)
+    return lambda v: spec(**read_fields(v))
+
+
+def to_json(obj):
+    """Inverse of reader: obj as JSON values. A class instance becomes the
+    object of its JSON keys or dataclass fields, in order, a tuple a list and
+    an array its flat list of values."""
+    if isinstance(obj, (str, int, float)):
+        return obj
+    if isinstance(obj, np.ndarray):
+        return obj.ravel().tolist()
+    if isinstance(obj, (list, tuple)):
+        return [to_json(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: to_json(v) for k, v in obj.items()}
+    return {k: to_json(getattr(obj, k)) for k in getattr(obj, "JSON", None) or
+            [f.name for f in fields(obj)]}
 
 
 def save_json(path, obj, indent=None) -> None:
@@ -74,15 +141,17 @@ class Model:
         return [(name, getattr(self, name)) for name in self.PARAMS]
 
     @classmethod
-    def _header_fields(cls) -> list:
-        return [f for f in fields(cls) if f.name not in cls.PARAMS and not f.name.startswith("_")]
+    def _header_fields(cls) -> dict:
+        """The header's reader spec: field name -> type, in field order."""
+        return {f.name: f.type for f in fields(cls)
+                if f.name not in cls.PARAMS and not f.name.startswith("_")}
 
     def save(self, path) -> None:
         """Write one uncompressed .npz to exactly path (np.savez given a name
         would append .npz to it): first a 0-d unicode array "header" holding
         the JSON of the header fields, then the PARAMS arrays as float64, in
         PARAMS order. Equal models give equal bytes."""
-        header = {f.name: getattr(self, f.name) for f in self._header_fields()}
+        header = to_json({name: getattr(self, name) for name in self._header_fields()})
         with open(path, "wb") as f:
             np.savez(f, header=np.array(json.dumps(header)),
                      **{name: np.asarray(p, dtype=np.float64) for name, p in self.params()})
@@ -90,9 +159,9 @@ class Model:
     @classmethod
     def load(cls, path):
         """Inverse of save. A file that is not a whole zip archive raises
-        BadZipFile. A missing member, a non-float64 array, a missing or unknown
-        header key, or a header value that changes when cast to its field's
-        type raises KeyError or ValueError. Then the model's own checks run."""
+        BadZipFile. A missing member raises KeyError; a non-float64 array or
+        a header that reader(_header_fields()) refuses raises ValueError.
+        Then the model's own checks run."""
         with open(path, "rb") as f:
             # Check every member's CRC before numpy parses any of it; a damaged
             # zip header can also end in EOFError or RuntimeError.
@@ -105,20 +174,14 @@ class Model:
                 raise zipfile.BadZipFile(f"{path}: member {damaged} fails its CRC check")
             f.seek(0)
             with np.load(f, allow_pickle=False) as npz:
-                header = json.loads(npz["header"].item())
+                header = reader(cls._header_fields(), cls.__name__)(
+                    json.loads(npz["header"].item()))
                 arrays = {name: npz[name] for name in cls.PARAMS}
-        types = {f.name: f.type for f in cls._header_fields()}
-        keys = sorted(header) if isinstance(header, dict) else type(header).__name__
-        if keys != sorted(types):
-            raise ValueError(f"{cls.__name__} header has keys {keys}, expected {sorted(types)}")
-        cast = {k: types[k](v) for k, v in header.items()}
-        bad = [f"{k} {v!r} changes when cast to {types[k].__name__}"
-               for k, v in header.items() if cast[k] != v]
-        bad += [f"{k} has dtype {a.dtype}, not float64" for k, a in arrays.items()
-                if a.dtype != np.float64]
+        bad = [f"{k} has dtype {a.dtype}, not float64" for k, a in arrays.items()
+               if a.dtype != np.float64]
         if bad:
             raise ValueError(f"{cls.__name__} " + "; ".join(bad))
-        return cls(**cast, **arrays)
+        return cls(**header, **arrays)
 
 
 def max_grad_error(model: Model, grads: dict, loss, h: float, n_params: int,
@@ -174,15 +237,6 @@ class CameraIntrinsics:
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ValueError("principal point outside image")
 
-    def to_dict(self) -> dict:
-        return {"fx": self.fx, "fy": self.fy, "cx": self.cx, "cy": self.cy,
-                "width": self.width, "height": self.height}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CameraIntrinsics":
-        return cls(fx=float(d["fx"]), fy=float(d["fy"]), cx=float(d["cx"]),
-                   cy=float(d["cy"]), width=int(d["width"]), height=int(d["height"]))
-
 
 class RigidTransform:
     """Proper rigid transform (rotation + translation), meters.
@@ -191,6 +245,7 @@ class RigidTransform:
     """
 
     __slots__ = ("rotation", "translation")
+    JSON = {"rotation": tuple[(float,) * 9], "translation": tuple[float, float, float]}
 
     def __init__(self, rotation, translation, check: bool = True):
         R = np.asarray(rotation, dtype=float).reshape(3, 3)
@@ -222,15 +277,6 @@ class RigidTransform:
         p = np.asarray(p, dtype=float)
         return p @ self.rotation.T + self.translation
 
-    def to_dict(self) -> dict:
-        return {"rotation": [float(x) for x in self.rotation.ravel()],
-                "translation": [float(x) for x in self.translation]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RigidTransform":
-        return cls(np.array(d["rotation"], dtype=float).reshape(3, 3),
-                   np.array(d["translation"], dtype=float))
-
     def __repr__(self):
         return f"RigidTransform(t={self.translation.tolist()})"
 
@@ -244,15 +290,6 @@ class BoundingBox:
     y_min: float
     x_max: float
     y_max: float
-
-    def to_dict(self) -> dict:
-        return {"label": self.label,
-                "box": [self.x_min, self.y_min, self.x_max, self.y_max]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BoundingBox":
-        x0, y0, x1, y1 = (float(v) for v in d["box"])
-        return cls(label=str(d["label"]), x_min=x0, y_min=y0, x_max=x1, y_max=y1)
 
 
 @dataclass
@@ -299,20 +336,42 @@ class FrameRecord:
         self.q = np.asarray(self.q, dtype=float).reshape(-1)
 
 
+@dataclass(frozen=True)
+class DhLink:
+    a: float
+    alpha: float
+    d: float
+    theta_offset: float = 0.0
+
+
+@dataclass(frozen=True)
+class KinematicChain:
+    """Serial chain: base pose in the robot base frame plus ordered DH links."""
+
+    name: str
+    base: RigidTransform
+    links: tuple[DhLink, ...]
+
+    @property
+    def dof(self) -> int:
+        return len(self.links)
+
+
 @dataclass
 class PipelineConfig:
-    """Everything the pipeline needs to run; round-trips through JSON."""
+    """Everything the pipeline needs to run; round-trips through JSON
+    (to_json and reader)."""
 
     intrinsics: CameraIntrinsics
     extrinsics: RigidTransform          # head camera frame -> robot base frame
-    chains: list                        # list[kinematics.KinematicChain]
-    joint_limits: tuple = (-np.pi, np.pi)
+    chains: list[KinematicChain]
+    joint_limits: tuple[float, float] = (-np.pi, np.pi)
     sigma: float = 1.0                  # action-noise scale for flow sampling
     max_gap: float = 2.0 / 30.0         # stream alignment tolerance, seconds
     camera_rate_hz: float = 30.0
     control_rate_hz: float = 150.0
-    scenario_names: tuple = ("food", "outfit")
-    gnn_dims: tuple = (32, 32, 32)      # (d, h, d_out)
+    scenario_names: tuple[str, ...] = ("food", "outfit")
+    gnn_dims: tuple[int, int, int] = (32, 32, 32)  # (d, h, d_out)
     flow_horizon: int = 30
     flow_hidden: int = 64
     flow_alpha: float = 1.5
@@ -323,6 +382,9 @@ class PipelineConfig:
     cot_hidden: int = 64
     cot_embed: int = 16
     cot_max_len: int = 96
+
+    # Keys that older versions wrote; load drops them.
+    RETIRED_KEYS = ("seed", "j_total", "lambda_cot", "lambda_action", "dropout_p")
 
     def __post_init__(self):
         """Raise ValueError naming every value the pipeline cannot run with."""
@@ -342,31 +404,17 @@ class PipelineConfig:
         if bad:
             raise ValueError("config: " + "; ".join(bad))
 
-    def to_dict(self) -> dict:
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
-        d.update(intrinsics=self.intrinsics.to_dict(), extrinsics=self.extrinsics.to_dict(),
-                 chains=[c.to_dict() for c in self.chains])
-        return {k: list(v) if isinstance(v, tuple) else v for k, v in d.items()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PipelineConfig":
-        """Inverse of to_dict; each scalar is cast to its default's type."""
-        from .kinematics import KinematicChain
-        scalars = {f.name: (tuple if isinstance(f.default, tuple) else type(f.default))(d[f.name])
-                   for f in fields(cls) if f.default is not MISSING}
-        return cls(intrinsics=CameraIntrinsics.from_dict(d["intrinsics"]),
-                   extrinsics=RigidTransform.from_dict(d["extrinsics"]),
-                   chains=[KinematicChain.from_dict(c) for c in d["chains"]], **scalars)
-
     def save(self, path) -> None:
-        save_json(path, self.to_dict(), indent=2)
+        save_json(path, to_json(self), indent=2)
 
     @classmethod
     def load(cls, path) -> "PipelineConfig":
-        """from_dict of the file; a non-finite number raises ValueError."""
+        """The config in the file at path, less RETIRED_KEYS, through reader."""
         with open(path) as f:
-            return cls.from_dict(json.load(f, parse_float=finite_float,
-                                           parse_constant=finite_float))
+            doc = json.load(f)
+        if isinstance(doc, dict):
+            doc = {k: v for k, v in doc.items() if k not in cls.RETIRED_KEYS}
+        return reader(cls, "config")(doc)
 
     @property
     def j_total(self) -> int:

@@ -201,7 +201,7 @@ class CotHead(Model):
     vocabulary is kept as its token list, so it saves with the header;
     vocab is the TokenVocab built from it."""
 
-    tokens: list
+    tokens: list[str]
     context_dim: int
     window: int
     wc: np.ndarray    # (context_dim, CTX_EMBED)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CameraIntrinsics, PipelineError, RigidTransform
+from .core import CameraIntrinsics, PipelineError, RigidTransform, to_json
 from .kinematics import DofMismatch, fk_positions
 from .projection import NoValidDepth, backproject, bbox_center, depth_at, transform_point
 
@@ -98,10 +98,4 @@ def adjacency_matrix(g: PoseObjectGraph) -> np.ndarray:
 
 def graph_to_json(g: PoseObjectGraph) -> str:
     """Fixed-key-order JSON; byte-stable for identical graphs."""
-    doc = {
-        "t": float(g.t),
-        "nodes": [{"id": n.id, "kind": n.kind, "label": n.label,
-                   "position": [float(x) for x in n.position]} for n in g.nodes],
-        "edges": [[int(i), int(j)] for i, j in g.edges],
-    }
-    return json.dumps(doc)
+    return json.dumps(to_json(g))

@@ -4,54 +4,14 @@ Link transform convention: Rz(theta + theta_offset) * Tz(d) * Tx(a) * Rx(alpha).
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PipelineError, RigidTransform
+from .core import DhLink, KinematicChain, PipelineError, RigidTransform
 
 
 class DofMismatch(PipelineError):
     pass
-
-
-@dataclass(frozen=True)
-class DhLink:
-    a: float
-    alpha: float
-    d: float
-    theta_offset: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {"a": self.a, "alpha": self.alpha, "d": self.d,
-                "theta_offset": self.theta_offset}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DhLink":
-        return cls(a=float(d["a"]), alpha=float(d["alpha"]), d=float(d["d"]),
-                   theta_offset=float(d["theta_offset"]))
-
-
-@dataclass(frozen=True)
-class KinematicChain:
-    """Serial chain: base pose in the robot base frame plus ordered DH links."""
-
-    name: str
-    base: RigidTransform
-    links: tuple
-
-    @property
-    def dof(self) -> int:
-        return len(self.links)
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "base": self.base.to_dict(),
-                "links": [l.to_dict() for l in self.links]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "KinematicChain":
-        return cls(name=str(d["name"]), base=RigidTransform.from_dict(d["base"]),
-                   links=tuple(DhLink.from_dict(l) for l in d["links"]))
 
 
 def _dh_arrays(link: DhLink, theta: float) -> tuple:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import (BoundingBox, CameraIntrinsics, DepthGrid, FrameRecord,
                    InvalidSetting, PipelineConfig, PipelineError, RigidTransform,
-                   finite_float, make_rng)
+                   make_rng, reader, to_json)
 from .kinematics import default_chains
 from .projection import BehindCamera, project
 
@@ -255,36 +255,37 @@ def gen_episode(scenario: InstructionScenario, variant: int, n_frames: int,
                    omitted=omitted)
 
 
+# An episode file: a HEADER line, then a FRAME line per frame, each read back
+# in this key order. Depth rectangles are in drawing order; the size is K's.
+HEADER = {"scenario": str, "variant": int, "K": CameraIntrinsics, "T": RigidTransform,
+          "seed": int}
+FRAME = {"t": float, "q": list[float],
+         "detections": list[{"label": str, "box": tuple[float, float, float, float]}],
+         "depth": list[tuple[int, int, int, int, float]], "far": float}
+_read_header, _read_frame = reader(HEADER, "header"), reader(FRAME, "frame")
+
+
 def write_episode(ep: Episode, path) -> None:
-    """One JSONL file: a header line (scenario, variant, K, T, seed), then one
-    line per frame: t, q, detections, the far background and the depth
-    rectangles [x0, y0, x1, y1, z] in drawing order. The image size is K's."""
+    """One JSONL file in the HEADER and FRAME format."""
     with open(path, "w") as f:
-        header = {"scenario": ep.scenario.name, "variant": ep.variant,
-                  "K": ep.K.to_dict(), "T": ep.T.to_dict(), "seed": ep.seed}
-        f.write(json.dumps(header) + "\n")
+        f.write(json.dumps(to_json({"scenario": ep.scenario.name, "variant": ep.variant,
+                                    "K": ep.K, "T": ep.T, "seed": ep.seed})) + "\n")
         for frame in ep.frames:
-            line = {"t": float(frame.t),
-                    "q": [float(v) for v in frame.q],
-                    "detections": [d.to_dict() for d in frame.detections],
-                    "depth": [[x0, y0, x1, y1, float(z)]
-                              for x0, y0, x1, y1, z in frame.depth.patches],
-                    "far": float(frame.depth.far)}
-            f.write(json.dumps(line) + "\n")
+            line = {"t": frame.t, "q": frame.q,
+                    "detections": [{"label": d.label, "box": (d.x_min, d.y_min, d.x_max, d.y_max)}
+                                   for d in frame.detections],
+                    "depth": frame.depth.patches, "far": frame.depth.far}
+            f.write(json.dumps(to_json(line)) + "\n")
 
 
-def _decode_frame(rec: dict, width: int, height: int) -> FrameRecord:
-    rects = []
-    for x0, y0, x1, y1, z in rec["depth"]:
-        if not all(type(c) is int for c in (x0, y0, x1, y1)) or not (
-                0 <= x0 < x1 <= width and 0 <= y0 < y1 <= height):
+def _decode_frame(rec, width: int, height: int) -> FrameRecord:
+    t, q, detections, rects, far = _read_frame(rec).values()
+    for x0, y0, x1, y1, _ in rects:
+        if not (0 <= x0 < x1 <= width and 0 <= y0 < y1 <= height):
             raise MalformedEpisode(f"depth rectangle {[x0, y0, x1, y1]} outside the "
                                    f"{width}x{height} image")
-        rects.append((x0, y0, x1, y1, float(z)))
-    return FrameRecord(t=float(rec["t"]),
-                       detections=[BoundingBox.from_dict(d) for d in rec["detections"]],
-                       depth=DepthGrid(width, height, float(rec["far"]), rects),
-                       q=np.array(rec["q"], dtype=float))
+    return FrameRecord(t=t, detections=[BoundingBox(d["label"], *d["box"]) for d in detections],
+                       depth=DepthGrid(width, height, far, rects), q=q)
 
 
 def load_episode(path) -> Episode:
@@ -297,18 +298,15 @@ def load_episode(path) -> Episode:
     or a seed the generator refuses raises MalformedEpisode.
     """
     with open(path) as f:
-        records = (json.loads(line, parse_float=finite_float, parse_constant=finite_float)
-                   for line in f if line.strip())
+        records = (json.loads(line) for line in f if line.strip())
         try:
             header = next(records, None)
             if header is None:
                 raise EmptyEpisode(f"episode file {path} is empty")
-            if header["scenario"] not in SCENARIOS:
-                raise MalformedEpisode(f"unknown scenario {header['scenario']!r}")
-            scenario = SCENARIOS[header["scenario"]]
-            K = CameraIntrinsics.from_dict(header["K"])
-            T = RigidTransform.from_dict(header["T"])
-            seed, variant = int(header["seed"]), int(header["variant"])
+            name, variant, K, T, seed = _read_header(header).values()
+            if name not in SCENARIOS:
+                raise MalformedEpisode(f"unknown scenario {name!r}")
+            scenario = SCENARIOS[name]
             frames = [_decode_frame(rec, K.width, K.height) for rec in records]
             if not frames:
                 raise EmptyEpisode(f"episode file {path} has no frames")

@@ -10,6 +10,7 @@ from hypothesis import event, given, settings, strategies as st
 
 from graphact import cli, default_config, init_gnn_weights, make_rng
 from graphact.cli import main
+from graphact.core import to_json
 
 
 def run(argv, capsys=None):
@@ -199,7 +200,22 @@ CONFIG_CASES = {
                              "ConfigLoadError"),
     "fx_overflow": (lambda d: d["intrinsics"].update(fx=10 ** 400), 2, "ConfigLoadError"),
     "not_json": ('{"sigma": 1.0,', 3, "JSONDecodeError"),
+    "flow_horizon_fraction": (lambda d: d.update(flow_horizon=30.9), 2, "ConfigLoadError"),
+    "flow_horizon_bool": (lambda d: d.update(flow_horizon=True), 2, "ConfigLoadError"),
+    "sigma_string": (lambda d: d.update(sigma="1.0"), 2, "ConfigLoadError"),
+    "joint_limits_string": (lambda d: d.update(joint_limits="ab"), 2, "ConfigLoadError"),
+    "dh_a_string_nan": (lambda d: d["chains"][1]["links"][2].update(a="nan"), 2,
+                        "ConfigLoadError"),
+    "chain_name_int": (lambda d: d["chains"][0].update(name=3), 2, "ConfigLoadError"),
+    "unknown_key": (lambda d: d.update(lambda_gnn=1.0), 2, "ConfigLoadError"),
 }
+
+# The field a row's message names, for the rows whose value the reader refuses.
+CONFIG_FIELDS = {"flow_horizon_fraction": "config.flow_horizon",
+                 "flow_horizon_bool": "config.flow_horizon", "sigma_string": "config.sigma",
+                 "joint_limits_string": "config.joint_limits",
+                 "dh_a_string_nan": "config.chains[].links[].a",
+                 "chain_name_int": "config.chains[].name", "unknown_key": "lambda_gnn"}
 
 
 @pytest.mark.parametrize("via", ["flag", "env"])
@@ -212,7 +228,7 @@ def test_malformed_config_follows_the_error_contract(case, command, via, tmp_pat
     edit, code, error = CONFIG_CASES[case]
     cfg_path = tmp_path / "cfg.json"
     if callable(edit):
-        doc = default_config().to_dict()
+        doc = to_json(default_config())
         edit(doc)
         cfg_path.write_text(json.dumps(doc))
     else:
@@ -225,7 +241,9 @@ def test_malformed_config_follows_the_error_contract(case, command, via, tmp_pat
         monkeypatch.setenv("PIPELINE_CONFIG", str(cfg_path))
     assert main(argv) == code
     captured = capsys.readouterr()
-    assert _one_json_error_line(captured.err)["error"] == error
+    err = _one_json_error_line(captured.err)
+    assert err["error"] == error
+    assert CONFIG_FIELDS.get(case, "") in err["message"]
     assert captured.out == ""
     assert os.listdir(tmp_path) == ["cfg.json"]
 
@@ -465,10 +483,27 @@ def _old_layout(header, frame):
         for x0, y0, x1, y1, z in frame["depth"]]}
 
 
+# (edit of the header and the first frame, the field the message names)
+RETYPED = {
+    "q_string_nan": (lambda h, f: f["q"].__setitem__(3, "nan"), "frame.q[]"),
+    "fx_bool": (lambda h, f: h["K"].update(fx=True), "header.K.fx"),
+    "width_fraction": (lambda h, f: h["K"].update(width=640.7), "header.K.width"),
+    "variant_fraction": (lambda h, f: h.update(variant=0.9), "header.variant"),
+    "seed_fraction": (lambda h, f: h.update(seed=h["seed"] + 0.5), "header.seed"),
+    "t_string": (lambda h, f: f.update(t="1e3"), "frame.t"),
+    "label_int": (lambda h, f: f["detections"][0].update(label=7),
+                  "frame.detections[].label"),
+    "q_nested": (lambda h, f: f.update(q=[f["q"]]), "frame.q[]"),
+    "frame_unknown_key": (lambda h, f: f.update(depth_scale=1.0), "depth_scale"),
+}
+
+
 def _corrupt(lines, what):
     header, frame = json.loads(lines[0]), json.loads(lines[1])
     rect = frame["depth"][0]
-    if what == "scenario":
+    if what in RETYPED:
+        RETYPED[what][0](header, frame)
+    elif what == "scenario":
         header["scenario"] = "kitchen"
     elif what == "values_length":
         rect.pop()
@@ -493,33 +528,50 @@ def _corrupt(lines, what):
 
 @pytest.mark.parametrize("what", ["scenario", "values_length", "box_outside", "far_nan", "q_nan",
                                   "box_inf", "K_nan", "K_overflow", "seed_negative",
-                                  "old_layout"])
+                                  "old_layout", *RETYPED])
 def test_infer_malformed_episode_exit_2(what, tmp_path, workspace, capsys):
     lines = workspace["episode"].read_text().splitlines()
     episode = tmp_path / "bad.jsonl"
     episode.write_text("\n".join(_corrupt(lines, what)) + "\n")
     out = tmp_path / "o.json"
     assert main(_infer_argv(workspace, episode, out)) == 2
-    assert _one_json_error_line(capsys.readouterr().err)["error"] == "MalformedEpisode"
+    err = _one_json_error_line(capsys.readouterr().err)
+    assert err["error"] == "MalformedEpisode"
+    assert RETYPED.get(what, (None, ""))[1] in err["message"]
     assert not out.exists()
+
+
+def _number_slots(doc):
+    """(container, key) of every number in a parsed JSON document."""
+    slots = []
+    for key, v in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+        if isinstance(v, (dict, list)):
+            slots += _number_slots(v)
+        elif type(v) in (int, float):
+            slots.append((doc, key))
+    return slots
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_fuzz_corrupt_episode_line_exit_contract(data, workspace):
     """One corrupted line (header or frame) ends in exit 0, 2 or 3; a failure
-    leaves exactly one JSON line on stderr and no output file."""
+    leaves exactly one JSON line on stderr and no output file. A number
+    retyped as its string form or as true always exits 2."""
     lines = workspace["episode"].read_text().splitlines()
     i = data.draw(st.integers(0, len(lines) - 1), label="line")
     rec = json.loads(lines[i])
-    kinds = ["drop_key", "truncate"] + (["scenario"] if i == 0 else
-                                        ["values", "box", "far", "q"])
+    kinds = ["drop_key", "truncate", "retype"] + (["scenario"] if i == 0 else
+                                                  ["values", "box", "far", "q"])
     kind = data.draw(st.sampled_from(kinds), label="kind")
     if kind == "truncate":
         lines[i] = lines[i][:data.draw(st.integers(0, len(lines[i]) - 1))]
     else:
         if kind == "drop_key":
             del rec[data.draw(st.sampled_from(sorted(rec)))]
+        elif kind == "retype":
+            doc, key = data.draw(st.sampled_from(_number_slots(rec)), label="number")
+            doc[key] = data.draw(st.sampled_from([str(doc[key]), True]), label="as")
         elif kind == "scenario":
             rec["scenario"] = data.draw(st.text(max_size=8))
         elif kind == "far":
@@ -543,7 +595,7 @@ def test_fuzz_corrupt_episode_line_exit_contract(data, workspace):
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = main(_infer_argv(workspace, episode, out))
         event(f"{kind}: exit {code}")
-        assert code in (0, 2, 3)
+        assert code in ((2,) if kind == "retype" else (0, 2, 3))
         if code:
             assert set(_one_json_error_line(err.getvalue())) == {"error", "message"}
         assert os.path.exists(out) == (code == 0)
@@ -593,6 +645,10 @@ ARTIFACT_CASES = {
                                   "ArtifactLoadError", "sigma"),
     "expert_header_unknown_key": ("expert", lambda h, a: h.update(learning_rate=0.05), {},
                                   "ArtifactLoadError", "learning_rate"),
+    "expert_sigma_bool": ("expert", lambda h, a: h.update(sigma=True), {}, "ArtifactLoadError",
+                          "FlowExpert.sigma"),
+    "expert_horizon_float": ("expert", lambda h, a: h.update(horizon=30.0), {},
+                             "ArtifactLoadError", "FlowExpert.horizon"),
     "config_flow_horizon": (None, None, {"flow_horizon": 4}, "ArtifactMismatch", "horizon"),
     "config_gnn_dims": (None, None, {"gnn_dims": (16, 16, 32)}, "ArtifactMismatch", "gnn dims"),
     "config_cot_window": (None, None, {"cot_window": 4}, "ArtifactMismatch", "window"),

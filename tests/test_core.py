@@ -5,9 +5,10 @@ import zipfile
 import numpy as np
 import pytest
 
-from graphact import (CameraIntrinsics, CotHead, FlowExpert, PipelineConfig,
-                      RigidTransform, build_default_vocab, derive_seed, init_cot_head,
-                      init_flow_expert, init_gnn_weights, make_rng)
+from graphact import (CameraIntrinsics, CotHead, DhLink, FlowExpert, KinematicChain,
+                      PipelineConfig, RigidTransform, build_default_vocab, derive_seed,
+                      init_cot_head, init_flow_expert, init_gnn_weights, make_rng)
+from graphact.core import reader, to_json
 from conftest import random_rotation
 
 
@@ -64,17 +65,75 @@ def test_config_json_roundtrip(cfg, tmp_path):
     assert loaded.gnn_dims == cfg.gnn_dims
 
 
-def test_config_with_dropped_keys_still_loads(cfg):
+def test_config_with_dropped_keys_still_loads(cfg, tmp_path):
     """A config file with keys the config no longer has (lambda_cot,
     lambda_action, dropout_p, seed, and j_total, now derived from the
     chains) loads, and those keys are ignored."""
-    d = json.loads(json.dumps(cfg.to_dict()))
+    d = json.loads(json.dumps(to_json(cfg)))
     d.update(lambda_cot=1.0, lambda_action=1.0, dropout_p=0.5, seed=7, j_total=14)
-    loaded = PipelineConfig.from_dict(d)
-    assert loaded.to_dict() == cfg.to_dict()
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(d))
+    loaded = PipelineConfig.load(path)
+    assert to_json(loaded) == to_json(cfg)
     assert not hasattr(loaded, "dropout_p")
     assert not hasattr(loaded, "seed")
     assert loaded.j_total == 14
+
+
+# (spec, parsed JSON value, decoded value or the ValueError's message)
+READER_CASES = [
+    (float, 2.5, 2.5),
+    (float, 3, 3.0),
+    (float, True, ValueError("x: expected a finite number, got bool True")),
+    (float, "1.0", ValueError("x: expected a finite number, got str '1.0'")),
+    (float, float("nan"), ValueError("x: expected a finite number, got float nan")),
+    (float, 10 ** 400, ValueError("x: expected a finite number, got int")),
+    (int, 7, 7),
+    (int, True, ValueError("x: expected an integer, got bool True")),
+    (int, 7.0, ValueError("x: expected an integer, got float 7.0")),
+    (str, "a", "a"),
+    (str, 7, ValueError("x: expected a string, got int 7")),
+    (list[int], [1, 2], [1, 2]),
+    (list[int], [], []),
+    (list[int], "ab", ValueError("x: expected a list, got str 'ab'")),
+    (list[int], [1, [2]], ValueError("x[]: expected an integer, got list [2]")),
+    (tuple[float, ...], [1, 2.5], (1.0, 2.5)),
+    (tuple[int, str], [1, "a"], (1, "a")),
+    (tuple[int, str], [1], ValueError("x: expected a list of 2, got list [1]")),
+    (tuple[int, str], [1, "a", 2], ValueError("x: expected a list of 2")),
+    (tuple[int, str], [1, 2], ValueError("x[1]: expected a string, got int 2")),
+    ({"a": int, "b": float}, {"b": 1, "a": 2}, {"a": 2, "b": 1.0}),
+    ({"a": int, "b": float}, {"a": 1, "c": 2},
+     ValueError("x: missing key 'b', unknown key 'c'")),
+    ({"a": int}, [1], ValueError("x: expected an object, got list [1]")),
+    ({"a": list[{"b": int}]}, {"a": [{"b": 1}, {"b": 1.5}]},
+     ValueError("x.a[].b: expected an integer, got float 1.5")),
+    (DhLink, {"a": 1, "alpha": 0.5, "d": 0, "theta_offset": -0.3}, DhLink(1.0, 0.5, 0.0, -0.3)),
+    (DhLink, {"a": 1, "alpha": 0.5, "d": 0}, ValueError("x: missing key 'theta_offset'")),
+    (RigidTransform, {"rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1], "translation": [1, 2]},
+     ValueError("x.translation: expected a list of 3")),
+]
+
+
+@pytest.mark.parametrize("spec,value,want", READER_CASES)
+def test_reader_rules(spec, value, want):
+    """Each spec form decodes what its rule takes, to the rule's type, and
+    refuses the rest with a ValueError naming the path of the bad value."""
+    read = reader(spec, "x")
+    if isinstance(want, ValueError):
+        with pytest.raises(ValueError) as exc:
+            read(value)
+        assert str(exc.value).startswith(str(want))
+    else:
+        assert repr(read(value)) == repr(want)  # equal values of equal types
+
+
+def test_to_json_roundtrips_through_reader(cfg):
+    """to_json is reader's inverse on the config and its parts."""
+    for spec, x in [(PipelineConfig, cfg), (CameraIntrinsics, cfg.intrinsics),
+                    (RigidTransform, cfg.extrinsics), (KinematicChain, cfg.chains[0])]:
+        doc = to_json(x)
+        assert to_json(reader(spec, "x")(json.loads(json.dumps(doc)))) == doc
 
 
 def _small_models():

@@ -195,7 +195,7 @@ def test_episode_file_roundtrip(tmp_path):
     for fa, fb in zip(loaded.frames, ep.frames):
         assert fa.t == fb.t
         assert np.array_equal(fa.q, fb.q)
-        assert [d.to_dict() for d in fa.detections] == [d.to_dict() for d in fb.detections]
+        assert fa.detections == fb.detections
         w, h = fb.depth.width, fb.depth.height
         assert (fa.depth.width, fa.depth.height) == (w, h)
         assert fa.depth.far == fb.depth.far and fa.depth.patches == fb.depth.patches
