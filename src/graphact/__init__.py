@@ -11,10 +11,12 @@ from .core import (BoundingBox, CameraIntrinsics, DepthGrid, FrameRecord,
                    PipelineConfig, PipelineError, RigidTransform, ShapeMismatch,
                    derive_seed, make_rng)
 from .stream_sync import SampleStream, align_streams
-from .kinematics import DhLink, KinematicChain, default_chains, dh_transform, fk_positions
+from .kinematics import (DhLink, KinematicChain, chain_positions, default_chains, dh_transform,
+                         fk_positions)
 from .projection import backproject, bbox_center, depth_at, project, transform_point
-from .graph import GraphNode, PoseObjectGraph, adjacency_matrix, build_graph, graph_to_json
-from .gnn import (GnnWeights, encode, graph_conv, init_gnn_weights,
+from .graph import (GraphNode, PoseObjectGraph, adjacency_matrix, build_graph, episode_graphs,
+                    graph_to_json)
+from .gnn import (GnnWeights, encode, encode_pooled, graph_conv, init_gnn_weights,
                   initial_embedding, layer_norm, pooled_embedding)
 from .flow import (FlowExpert, fm_loss, grad_check, init_flow_expert, interpolate,
                    sample_actions, sample_tau, target_field, train_step)
@@ -24,8 +26,8 @@ from .cot import (CotHead, CotLabel, TokenVocab, build_default_vocab, ce_loss,
                   train_cot_head)
 from .sim import (SCENARIOS, Episode, InstructionScenario, Scene, default_config,
                   gen_episode, gen_scene, load_episode, render_frame, write_episode)
-from .inference import (BenchReport, FrameOutput, InferenceSchedule, make_context,
-                        run_inference_loop, scenario_onehot)
+from .inference import (BenchReport, FrameOutput, InferenceSchedule, episode_contexts,
+                        make_context, run_inference_loop, scenario_onehot)
 from .selfcheck import run_selfcheck
 
 __version__ = "0.1.0"

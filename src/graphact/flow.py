@@ -74,18 +74,20 @@ class FlowExpert(Model):
         return self.action_dim + self.context_dim + 1
 
     def forward(self, X: np.ndarray) -> np.ndarray:
-        """Batched field evaluation; X is (B, input_dim)."""
+        """Batched field evaluation; X is (B, input_dim) or (F, B, input_dim)."""
         v, _ = self._forward_cached(X)
         return v
 
     def _forward_cached(self, X: np.ndarray):
-        if X.shape[1] != self.input_dim:
-            raise ShapeMismatch(f"expected input dim {self.input_dim}, got {X.shape[1]}")
-        z1 = X @ self.w1 + self.b1
+        if X.shape[-1] != self.input_dim:
+            raise ShapeMismatch(f"expected input dim {self.input_dim}, got {X.shape[-1]}")
+        # Biases shaped as rows of X's rank: numpy adds equal ranks faster.
+        lead = (1,) * (X.ndim - 1)
+        z1 = X @ self.w1 + self.b1.reshape(lead + self.b1.shape)
         a1 = np.tanh(z1)
-        z2 = a1 @ self.w2 + self.b2
+        z2 = a1 @ self.w2 + self.b2.reshape(lead + self.b2.shape)
         a2 = np.tanh(z2)
-        v = a2 @ self.w3 + self.b3
+        v = a2 @ self.w3 + self.b3.reshape(lead + self.b3.shape)
         return v, (X, a1, a2)
 
     def _backward(self, cache, dV: np.ndarray) -> dict:
@@ -213,28 +215,36 @@ def grad_check(expert: FlowExpert, sample, rng: np.random.Generator, h: float = 
 
 def sample_actions(expert: FlowExpert, context: np.ndarray, steps: int,
                    rng: np.random.Generator) -> np.ndarray:
-    """Euler-integrate the learned field from noise; returns an (H_a, J) chunk.
+    """Euler-integrate the learned field from noise; returns an (H_a, J) chunk
+    for one context, or an (F, H_a, J) stack for an (F, context_dim) stack.
 
     Start A = eps ~ N(0, sigma^2 I) at tau = 0 and repeatedly apply
     A <- A - v(A, context, tau) * dtau. Deterministic given (rng state,
-    steps, context, weights).
+    steps, context, weights). F contexts draw their noise as one (F, D_a)
+    block, the numbers F one-context calls sharing rng would draw in turn.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    ctx = np.ravel(context)
-    if ctx.size != expert.context_dim:
-        raise ShapeMismatch(f"context has {ctx.size} entries, expert expects "
-                            f"{expert.context_dim}")
-    # One input row [A, context, tau] for every step: the context is written
-    # once, A is updated in place and tau is rewritten, so each step builds
-    # the same row the concatenation [A, ctx, [tau]] would.
+    ctx = np.asarray(context, dtype=float)
+    stacked = ctx.ndim == 2
+    n = len(ctx) if stacked else 1
+    if ctx.size != n * expert.context_dim:
+        raise ShapeMismatch(f"context has shape {ctx.shape}, expert expects "
+                            f"{expert.context_dim} entries per frame")
+    ctx = ctx.reshape(n, expert.context_dim)
+    # One input row [A, context, tau] per frame for every step, as an
+    # (F, 1, input_dim) stack so each frame's product is a one-row product:
+    # the context is written once, A is updated in place and tau is
+    # rewritten, so each step builds the rows the concatenation
+    # [A, ctx, [tau]] would.
     d_a = expert.action_dim
-    x = np.empty((1, expert.input_dim))
-    x[0, :d_a] = rng.normal(0.0, expert.sigma, size=d_a)
-    x[0, d_a:-1] = ctx
-    A = x[0, :d_a]
+    X = np.empty((n, 1, expert.input_dim))
+    X[:, 0, :d_a] = rng.normal(0.0, expert.sigma, size=(n, d_a))
+    X[:, 0, d_a:-1] = ctx
+    A = X[:, 0, :d_a]
     dtau = 1.0 / steps
     for k in range(steps):
-        x[0, -1] = k * dtau
-        A -= expert.forward(x)[0] * dtau
-    return A.reshape(expert.horizon, expert.j_dim).copy()
+        X[:, 0, -1] = k * dtau
+        A -= expert.forward(X)[:, 0] * dtau
+    chunks = A.reshape(n, expert.horizon, expert.j_dim).copy()
+    return chunks if stacked else chunks[0]

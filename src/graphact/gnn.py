@@ -56,9 +56,8 @@ def node_inputs(g: PoseObjectGraph) -> np.ndarray:
     if not g.nodes:
         raise EmptyGraph("graph has no nodes")
     X = np.zeros((len(g.nodes), INPUT_DIM))
-    for i, n in enumerate(g.nodes):
-        X[i, :3] = n.position
-        X[i, 3 + KIND_ORDER.index(n.kind)] = 1.0
+    X[:, :3] = [n.position for n in g.nodes]
+    X[np.arange(len(g.nodes)), [3 + KIND_ORDER.index(n.kind) for n in g.nodes]] = 1.0
     return X
 
 
@@ -67,10 +66,12 @@ def initial_embedding(g: PoseObjectGraph, w: GnnWeights) -> np.ndarray:
 
 
 def layer_norm(H: np.ndarray) -> np.ndarray:
-    """Per-row (x - mean) / sqrt(var + eps); no learned affine."""
-    mu = H.mean(axis=1, keepdims=True)
-    var = H.var(axis=1, keepdims=True)
-    return (H - mu) / np.sqrt(var + LN_EPS)
+    """Per-row (x - mean) / sqrt(var + eps) over the last axis; no learned
+    affine. The mean and variance are the sums np.mean and np.var take."""
+    n = H.shape[-1]
+    centered = H - H.sum(axis=-1, keepdims=True) / n
+    var = np.square(centered).sum(axis=-1, keepdims=True) / n
+    return centered / np.sqrt(var + LN_EPS)
 
 
 def normalized_adjacency(A: np.ndarray) -> np.ndarray:
@@ -82,22 +83,42 @@ def normalized_adjacency(A: np.ndarray) -> np.ndarray:
 
 def graph_conv(H: np.ndarray, A_hat: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
     """A_hat @ H @ W + b, with A_hat the normalized adjacency
-    (normalized_adjacency of the graph's adjacency matrix)."""
-    if A_hat.shape[0] != A_hat.shape[1] or A_hat.shape[0] != H.shape[0]:
+    (normalized_adjacency of the graph's adjacency matrix). H is (n, d), or
+    a stack (G, n, d) of graphs that share A_hat."""
+    if A_hat.shape[0] != A_hat.shape[1] or A_hat.shape[0] != H.shape[-2]:
         raise ShapeMismatch(f"adjacency {A_hat.shape} does not match features {H.shape}")
-    if H.shape[1] != W.shape[0]:
+    if H.shape[-1] != W.shape[0]:
         raise ShapeMismatch(f"features {H.shape} do not match weight {W.shape}")
     return A_hat @ H @ W + b
 
 
-def encode(g: PoseObjectGraph, w: GnnWeights) -> np.ndarray:
+def encode(g: PoseObjectGraph, w: GnnWeights, X: np.ndarray = None) -> np.ndarray:
     """H1 = ReLU(conv(LN(H0))); H2 = ReLU(conv(LN(H1))); returns H2.
-    Both layers share one normalized adjacency."""
+    Both layers share one normalized adjacency, g's. X defaults to g's node
+    inputs (n, INPUT_DIM) and gives (n, d_out); a stack (G, n, INPUT_DIM) of
+    graphs with g's edges gives (G, n, d_out), each graph with the bits of
+    its own call."""
     A_hat = normalized_adjacency(adjacency_matrix(g))
-    H = initial_embedding(g, w)
+    H = (node_inputs(g) if X is None else X) @ w.lift_w + w.lift_b
     H = np.maximum(graph_conv(layer_norm(H), A_hat, w.layer1_w, w.layer1_b), 0.0)
     H = np.maximum(graph_conv(layer_norm(H), A_hat, w.layer2_w, w.layer2_b), 0.0)
     return H
+
+
+def encode_pooled(graphs: list, w: GnnWeights) -> np.ndarray:
+    """pooled_embedding(encode(g, w)) of every graph, (len(graphs), d_out).
+
+    Graphs with the same edge list share one normalized adjacency, so each
+    such group goes through encode as one (G, n, INPUT_DIM) stack.
+    """
+    groups = {}
+    for i, g in enumerate(graphs):
+        groups.setdefault((len(g.nodes), tuple(g.edges)), []).append(i)
+    out = np.empty((len(graphs), w.dims[2]))
+    for members in groups.values():
+        X = np.array([node_inputs(graphs[i]) for i in members])
+        out[members] = encode(graphs[members[0]], w, X).mean(axis=1)
+    return out
 
 
 def pooled_embedding(H: np.ndarray) -> np.ndarray:

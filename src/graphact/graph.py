@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CameraIntrinsics, PipelineError, RigidTransform, to_json
-from .kinematics import DofMismatch, fk_positions
+from .kinematics import DofMismatch, chain_positions
 from .projection import NoValidDepth, backproject, bbox_center, depth_at, transform_point
 
 log = logging.getLogger(__name__)
@@ -19,7 +19,7 @@ END_EFFECTOR = "end_effector"
 JOINT = "joint"
 
 
-@dataclass(frozen=True)
+@dataclass
 class GraphNode:
     id: int
     kind: str
@@ -34,46 +34,61 @@ class PoseObjectGraph:
     edges: list  # list[(i, j)] with i < j, no duplicates, no self-loops
 
 
+def joint_matrix(frames: list, chains: list) -> np.ndarray:
+    """(F, total dof) joint angles of the frames; DofMismatch when a frame's
+    q does not hold exactly the chains' joints."""
+    total_dof = sum(c.dof for c in chains)
+    qs = [np.asarray(frame.q, dtype=float).reshape(-1) for frame in frames]
+    for q in qs:
+        if q.size != total_dof:
+            raise DofMismatch(f"frame has {q.size} joint values, chains expect {total_dof}")
+    return np.array(qs).reshape(len(qs), total_dof)
+
+
 def build_graph(frame, K: CameraIntrinsics, T: RigidTransform, chains: list,
-                paper_literal: bool = False, skipped: list = None) -> PoseObjectGraph:
+                paper_literal: bool = False, skipped: list = None,
+                positions: list = None) -> PoseObjectGraph:
     """Assemble the scene graph for one aligned frame. paper_literal gives the
     paper's minimal form: end-effector nodes, object/end-effector edges only.
+    positions holds the frame's (dof + 1, 3) joint origins per chain, as
+    episode_graphs passes them from one chain_positions call; without it the
+    frame's own joints go through that call.
 
     Node order is deterministic: objects in detection order, then per chain in
     config order (joint origins base-to-tip unless paper_literal, then end
     effector). Objects with no valid depth are skipped and recorded in `skipped`.
     """
-    nodes = []
+    if positions is None:
+        positions = [p[0] for p in chain_positions(joint_matrix([frame], chains), chains)]
+    centers, depths, labels = [], [], []
     for det in frame.detections:
         center = bbox_center(det)
         try:
-            d = depth_at(frame.depth, center)
+            depths.append(depth_at(frame.depth, center))
         except NoValidDepth:
             log.warning("skipping object '%s': no valid depth at %s", det.label, center)
             if skipped is not None:
                 skipped.append(det.label)
             continue
-        p_base = transform_point(T, backproject(center, d, K))
-        nodes.append(GraphNode(id=len(nodes), kind=OBJECT, label=det.label, position=p_base))
+        centers.append(center)
+        labels.append(det.label)
+    nodes = []
+    if labels:
+        points = transform_point(T, backproject(np.array(centers), np.array(depths), K))
+        nodes = [GraphNode(id=i, kind=OBJECT, label=label, position=p)
+                 for i, (label, p) in enumerate(zip(labels, points))]
 
-    q = np.asarray(frame.q, dtype=float).reshape(-1)
-    total_dof = sum(c.dof for c in chains)
-    if q.size != total_dof:
-        raise DofMismatch(f"frame has {q.size} joint values, chains expect {total_dof}")
     n_objects = len(nodes)
     ee_ids, chain_edges = [], []
-    offset = 0
-    for chain in chains:
-        positions = fk_positions(chain, q[offset:offset + chain.dof])
-        offset += chain.dof
+    for chain, origins in zip(chains, positions):
         first_id = len(nodes)
         if not paper_literal:
-            for k, pos in enumerate(positions[:-1]):
+            for k, pos in enumerate(origins[:-1]):
                 nodes.append(GraphNode(id=len(nodes), kind=JOINT,
                                        label=f"{chain.name}/j{k}", position=pos))
         ee_id = len(nodes)
         nodes.append(GraphNode(id=ee_id, kind=END_EFFECTOR,
-                               label=f"{chain.name}/ee", position=positions[-1]))
+                               label=f"{chain.name}/ee", position=origins[-1]))
         ee_ids.append(ee_id)
         if not paper_literal:
             chain_edges.extend((i, i + 1) for i in range(first_id, ee_id))
@@ -82,6 +97,16 @@ def build_graph(frame, K: CameraIntrinsics, T: RigidTransform, chains: list,
     # chain, so this list is already sorted, with i < j and no duplicates.
     edges = [(obj_id, ee_id) for obj_id in range(n_objects) for ee_id in ee_ids] + chain_edges
     return PoseObjectGraph(t=frame.t, nodes=nodes, edges=edges)
+
+
+def episode_graphs(frames: list, K: CameraIntrinsics, T: RigidTransform, chains: list,
+                   paper_literal: bool = False) -> list:
+    """build_graph of every frame, with each chain's forward kinematics run
+    once for all frames."""
+    positions = chain_positions(joint_matrix(frames, chains), chains)
+    return [build_graph(frame, K, T, chains, paper_literal,
+                        positions=[p[i] for p in positions])
+            for i, frame in enumerate(frames)]
 
 
 def adjacency_matrix(g: PoseObjectGraph) -> np.ndarray:

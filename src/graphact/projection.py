@@ -48,17 +48,23 @@ def depth_at(depth: DepthGrid, p) -> float:
     return float(np.median(valid))
 
 
-def backproject(p, depth: float, K: CameraIntrinsics) -> np.ndarray:
-    """Pixel + metric depth -> 3D point in the camera frame."""
-    if depth <= 0:
+def backproject(p, depth, K: CameraIntrinsics) -> np.ndarray:
+    """Pixel + metric depth -> 3D point in the camera frame. p is one pixel
+    (2,) with a scalar depth, or a stack (N, 2) with (N,) depths -> (N, 3)."""
+    p, depth = np.asarray(p, dtype=float), np.asarray(depth, dtype=float)
+    if (depth <= 0).any():
         raise NonPositiveDepth(f"depth must be positive, got {depth}")
-    u, v = float(p[0]), float(p[1])
-    return np.array([(u - K.cx) / K.fx * depth, (v - K.cy) / K.fy * depth, depth])
+    out = np.empty(depth.shape + (3,))
+    out[..., 0] = (p[..., 0] - K.cx) / K.fx * depth
+    out[..., 1] = (p[..., 1] - K.cy) / K.fy * depth
+    out[..., 2] = depth
+    return out
 
 
 def transform_point(T: RigidTransform, p) -> np.ndarray:
-    """rotation @ p + translation."""
-    return T.rotation @ np.asarray(p, dtype=float) + T.translation
+    """rotation @ p + translation, for one point (3,) or each row of (N, 3)."""
+    p = np.asarray(p, dtype=float)
+    return (T.rotation @ p[..., None])[..., 0] + T.translation
 
 
 def project(p_cam, K: CameraIntrinsics):

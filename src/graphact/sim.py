@@ -295,26 +295,32 @@ def load_episode(path) -> Episode:
     rectangles as its depth, so memory grows with the number of boxes, not
     with the image size. A header or frame that breaks the format, holds a
     non-finite number (NaN, +-Infinity, or a literal too large for a float),
-    or a seed the generator refuses raises MalformedEpisode.
+    or a seed the generator refuses raises MalformedEpisode, which names the
+    file's line number.
     """
     with open(path) as f:
-        records = (json.loads(line) for line in f if line.strip())
+        lines = ((n, line) for n, line in enumerate(f, 1) if line.strip())
+        n = 0
         try:
-            header = next(records, None)
-            if header is None:
+            n, line = next(lines, (0, None))
+            if line is None:
                 raise EmptyEpisode(f"episode file {path} is empty")
-            name, variant, K, T, seed = _read_header(header).values()
+            name, variant, K, T, seed = _read_header(json.loads(line)).values()
             if name not in SCENARIOS:
                 raise MalformedEpisode(f"unknown scenario {name!r}")
             scenario = SCENARIOS[name]
-            frames = [_decode_frame(rec, K.width, K.height) for rec in records]
+            scene = gen_scene(scenario, variant, make_rng(seed))
+            frames = []
+            for n, line in lines:
+                frames.append(_decode_frame(json.loads(line), K.width, K.height))
             if not frames:
                 raise EmptyEpisode(f"episode file {path} has no frames")
-            scene = gen_scene(scenario, variant, make_rng(seed))
         except json.JSONDecodeError:
             raise  # not JSON at all: an I/O-level failure
+        except MalformedEpisode as exc:
+            raise MalformedEpisode(f"{path}: line {n}: {exc}") from exc
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise MalformedEpisode(f"{path}: {type(exc).__name__}: {exc}") from exc
+            raise MalformedEpisode(f"{path}: line {n}: {type(exc).__name__}: {exc}") from exc
     return Episode(frames=frames, scene=scene, scenario=scenario,
                    trajectory=[frame.q for frame in frames], variant=variant,
                    seed=seed, K=K, T=T)

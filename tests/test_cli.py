@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -136,6 +137,26 @@ def test_infer_default_schedule_and_determinism(tmp_path, workspace):
     assert np.array(frames[0]["actions"]).shape == (cfg.flow_horizon, cfg.j_total)
 
 
+# sha256 of the infer output below, recorded before the whole-episode kernels
+# replaced the frame-by-frame loop; the kernels must reproduce it bit for bit.
+INFER_GOLDEN_SHA256 = "f876f1f4f366adc5491639673065766422ab2293c399f5c790f24436139de662"
+
+
+def test_infer_golden_sha256(tmp_path):
+    data = tmp_path / "data"
+    assert main(["gen", "--scenario", "food", "--variant", "0", "--frames", "12",
+                 "--seed", "5", "--out", str(data)]) == 0
+    for kind in ("gnn", "expert", "cot"):
+        assert main(["init-weights", "--kind", kind, "--seed", "3",
+                     "--out", str(tmp_path / f"{kind}.npz")]) == 0
+    out = tmp_path / "out.json"
+    assert main(["infer", "--episode", str(data / "food_v0_000.jsonl"),
+                 "--gnn", str(tmp_path / "gnn.npz"), "--expert", str(tmp_path / "expert.npz"),
+                 "--cot-head", str(tmp_path / "cot.npz"), "--cot-period", "5",
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == INFER_GOLDEN_SHA256
+
+
 def test_infer_cot_period(tmp_path, workspace):
     out = tmp_path / "o.json"
     assert main(["infer", "--episode", str(workspace["episode"]),
@@ -144,18 +165,6 @@ def test_infer_cot_period(tmp_path, workspace):
                  "--out", str(out)]) == 0
     frames = json.loads(out.read_text())["frames"]
     assert [f["index"] for f in frames if f["cot"] is not None] == [0, 5]
-
-
-def test_bench_writes_report(tmp_path, workspace):
-    out = tmp_path / "bench.json"
-    assert main(["bench", "--episode", str(workspace["episode"]),
-                 "--gnn", str(workspace["gnn"]), "--expert", str(workspace["expert"]),
-                 "--cot-head", str(workspace["head"]), "--repeat", "2",
-                 "--out", str(out)]) == 0
-    doc = json.loads(out.read_text())
-    assert len(doc["runs"]) == 2
-    assert doc["aggregate"]["mean_frame_ms"] > 0
-    assert doc["aggregate"]["achieved_hz"] > 0
 
 
 def test_selfcheck_passes(capsys):
@@ -383,7 +392,6 @@ def _valid_argv(command, workspace, out):
         "train-expert": ["train-expert", "--data", w["data"], "--steps", "2", "--batch", "2"],
         "train-cot": ["train-cot", "--data", w["data"], "--epochs", "1"],
         "infer": ["infer", "--episode", w["episode"], *artifacts],
-        "bench": ["bench", "--episode", w["episode"], *artifacts, "--repeat", "1"],
     }[command] + ["--out", str(out)]
 
 
@@ -401,7 +409,6 @@ BAD_SETTINGS = [
     ("train-expert", ["--lr", "-1"]), ("train-expert", ["--lr", "nan"]),
     ("train-expert", ["--lr", "inf"]),
     ("infer", ["--rate-hz", "1e-300", "--pace"]),  # a period time.sleep cannot take
-    ("bench", ["--repeat", "0"]),
 ] + [(command, ["--seed", "-1"])
      for command in ("gen", "init-weights", "train-expert", "train-cot", "infer")]
 
@@ -539,6 +546,20 @@ def test_infer_malformed_episode_exit_2(what, tmp_path, workspace, capsys):
     assert err["error"] == "MalformedEpisode"
     assert RETYPED.get(what, (None, ""))[1] in err["message"]
     assert not out.exists()
+
+
+def test_malformed_episode_names_its_line(tmp_path, workspace, capsys):
+    """A bad frame in the middle of an episode is named by its line number."""
+    lines = workspace["episode"].read_text().splitlines()
+    middle = len(lines) // 2
+    frame = json.loads(lines[middle])
+    frame["q"] = [frame["q"]]
+    lines[middle] = json.dumps(frame)
+    episode = tmp_path / "bad.jsonl"
+    episode.write_text("\n".join(lines) + "\n")
+    assert main(_infer_argv(workspace, episode, tmp_path / "o.json")) == 2
+    message = _one_json_error_line(capsys.readouterr().err)["message"]
+    assert f"line {middle + 1}: " in message and "frame.q[]" in message
 
 
 def _number_slots(doc):

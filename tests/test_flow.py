@@ -191,3 +191,15 @@ def test_sampler_deterministic():
     a = sample_actions(expert, ctx, 10, make_rng(24))
     b = sample_actions(expert, ctx, 10, make_rng(24))
     assert np.array_equal(a, b)
+
+
+def test_sampler_stack_bit_equal_to_one_context_calls():
+    """F contexts with one rng give the chunks of F one-context calls that
+    share one rng, bit for bit."""
+    expert = init_flow_expert(make_rng(31), horizon=30, j_dim=14, context_dim=48, sigma=0.7)
+    contexts = make_rng(32).normal(size=(9, 48))
+    got = sample_actions(expert, contexts, 10, make_rng(33))
+    rng = make_rng(33)
+    want = [sample_actions(expert, c, 10, rng) for c in contexts]
+    assert got.shape == (9, 30, 14)
+    assert got.tobytes() == np.array(want).tobytes()

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from graphact import (GnnWeights, GraphNode, PoseObjectGraph, encode,
-                      graph_conv, init_gnn_weights, initial_embedding,
-                      layer_norm, make_rng, pooled_embedding)
-from graphact.gnn import (INPUT_DIM, KIND_ORDER, LN_EPS, EmptyGraph, node_inputs,
-                          normalized_adjacency)
+from graphact import (BoundingBox, DepthGrid, FrameRecord, GnnWeights, GraphNode,
+                      PoseObjectGraph, build_graph, default_config, encode, graph_conv,
+                      init_gnn_weights, initial_embedding, layer_norm, make_rng,
+                      pooled_embedding)
+from graphact.gnn import (INPUT_DIM, KIND_ORDER, LN_EPS, EmptyGraph, encode_pooled,
+                          node_inputs, normalized_adjacency)
 from graphact.core import ShapeMismatch
 
 
@@ -107,6 +108,15 @@ def test_layer_norm_row_statistics():
     assert (out.var(axis=1) <= 1.0 + 1e-12).all()
 
 
+def test_layer_norm_bit_equal_to_numpy_mean_and_var():
+    """The one-pass form gives the bits of np.mean/np.var, on one graph's
+    features and on a stack of them."""
+    H = make_rng(4).normal(size=(3, 30, 32)) * 3 + 1
+    want = (H - H.mean(axis=-1, keepdims=True)) / np.sqrt(H.var(axis=-1, keepdims=True) + LN_EPS)
+    assert layer_norm(H).tobytes() == want.tobytes()
+    assert layer_norm(H[1]).tobytes() == want[1].tobytes()
+
+
 def test_graph_conv_single_node_identity():
     H = np.array([[0.3, -0.7]])
     got = graph_conv(H, normalized_adjacency(np.zeros((1, 1))), np.eye(2), np.zeros(2))
@@ -197,3 +207,24 @@ def test_empty_graph_errors():
         node_inputs(g)
     with pytest.raises(EmptyGraph):
         pooled_embedding(np.zeros((0, 4)))
+
+
+def test_encode_pooled_bit_equal_to_per_graph_encode():
+    """Frames with different object counts form groups of different sizes;
+    the grouped encoder gives every graph the bits of its own encode call."""
+    cfg = default_config()
+    K = cfg.intrinsics
+    w = init_gnn_weights(make_rng(9), *cfg.gnn_dims)
+    rng = make_rng(10)
+    graphs = []
+    for n_obj in (3, 0, 1, 3, 2, 1, 3):
+        dets = [BoundingBox(f"o{i}", 50.0 + 40 * i, 60.0, 80.0 + 40 * i, 90.0)
+                for i in range(n_obj)]
+        depth = DepthGrid.constant(K.width, K.height, 1.0 + rng.random())
+        frame = FrameRecord(t=0.0, detections=dets, depth=depth,
+                            q=rng.uniform(-1, 1, size=cfg.j_total))
+        graphs.append(build_graph(frame, K, cfg.extrinsics, cfg.chains))
+    pooled = encode_pooled(graphs, w)
+    assert pooled.shape == (len(graphs), cfg.gnn_dims[2])
+    for g, row in zip(graphs, pooled):
+        assert (row == pooled_embedding(encode(g, w))).all()

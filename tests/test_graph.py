@@ -5,7 +5,7 @@ import pytest
 
 from graphact import (BoundingBox, DepthGrid, FrameRecord, adjacency_matrix, build_graph,
                       default_config, gen_episode, graph_to_json)
-from graphact.graph import END_EFFECTOR, JOINT, OBJECT
+from graphact.graph import END_EFFECTOR, JOINT, OBJECT, episode_graphs
 from graphact.kinematics import DofMismatch
 from graphact.sim import SCENARIOS
 
@@ -124,3 +124,20 @@ def test_edges_unique_no_self_loops():
     g = build_graph(_frame(4), CFG.intrinsics, CFG.extrinsics, CFG.chains)
     assert len(set(g.edges)) == len(g.edges)
     assert all(i < j for i, j in g.edges)
+
+
+def test_episode_graphs_match_per_frame_build_graph():
+    """One forward-kinematics call for the episode gives every frame the
+    graph its own build_graph call gives, byte for byte, in both modes."""
+    ep = gen_episode(SCENARIOS["outfit"], 1, 12, seed=22, cfg=CFG)
+    for paper_literal in (False, True):
+        graphs = episode_graphs(ep.frames, ep.K, ep.T, CFG.chains, paper_literal)
+        assert [graph_to_json(g) for g in graphs] == [
+            graph_to_json(build_graph(f, ep.K, ep.T, CFG.chains, paper_literal))
+            for f in ep.frames]
+
+
+def test_episode_graphs_dof_mismatch_names_the_frame_size():
+    frames = [_frame(1), _frame(1, n_joints=CFG.j_total - 2)]
+    with pytest.raises(DofMismatch, match=f"{CFG.j_total - 2} joint values"):
+        episode_graphs(frames, CFG.intrinsics, CFG.extrinsics, CFG.chains)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from graphact import DhLink, KinematicChain, RigidTransform, dh_transform, fk_positions
-from graphact.kinematics import DofMismatch, default_chains
+from graphact.kinematics import DofMismatch, chain_positions, default_chains
 
 
 def _homog(T: RigidTransform) -> np.ndarray:
@@ -147,3 +147,23 @@ def test_consecutive_distance_independent_of_later_joints():
 def test_dof_mismatch():
     with pytest.raises(DofMismatch):
         fk_positions(_planar_two_link(), [0.0, 0.0, 0.0])
+
+
+def test_fk_batch_bit_equal_to_one_frame_calls():
+    """fk_positions on (F, dof) gives each frame the bits of its own (1, dof)
+    and (dof,) calls, and chain_positions gives each chain the bits of its
+    own call."""
+    rng = np.random.default_rng(8)
+    chains = default_chains()
+    Q = rng.uniform(-np.pi, np.pi, size=(40, sum(c.dof for c in chains)))
+    stacked = chain_positions(Q, chains)
+    offset = 0
+    for chain, together in zip(chains, stacked):
+        q = Q[:, offset:offset + chain.dof]
+        offset += chain.dof
+        batch = fk_positions(chain, q)
+        assert batch.shape == together.shape == (40, chain.dof + 1, 3)
+        for i in range(len(q)):
+            assert (batch[i] == fk_positions(chain, q[i:i + 1])[0]).all()
+            assert (batch[i] == fk_positions(chain, q[i])).all()
+            assert (together[i] == batch[i]).all()

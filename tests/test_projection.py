@@ -106,3 +106,17 @@ def test_transform_preserves_pairwise_distances():
         a, b = rng.normal(size=3), rng.normal(size=3)
         da = np.linalg.norm(transform_point(T, a) - transform_point(T, b))
         assert abs(da - np.linalg.norm(a - b)) < 1e-12
+
+
+def test_stacked_backproject_and_transform_bit_equal_to_one_point_calls():
+    rng = make_rng(14)
+    T = RigidTransform(random_rotation(rng), rng.normal(size=3))
+    pix = rng.uniform(0, 640, size=(16, 2))
+    depth = rng.uniform(0.2, 4.0, size=16)
+    cam = backproject(pix, depth, K)
+    base = transform_point(T, cam)
+    assert cam.shape == base.shape == (16, 3)
+    for i in range(16):
+        one = backproject(tuple(pix[i]), float(depth[i]), K)
+        assert cam[i].tobytes() == one.tobytes()
+        assert base[i].tobytes() == transform_point(T, one).tobytes()
