@@ -100,7 +100,8 @@ def _new_expert(cfg: PipelineConfig, rng: np.random.Generator) -> FlowExpert:
 
 
 def _new_head(cfg: PipelineConfig, rng: np.random.Generator) -> CotHead:
-    return init_cot_head(build_default_vocab(), context_dim=cfg.context_dim,
+    return init_cot_head(build_default_vocab(max_offset=cfg.cot_dt_frames),
+                         context_dim=cfg.context_dim,
                          window=cfg.cot_window, embed=cfg.cot_embed, hidden=cfg.cot_hidden,
                          rng=rng)
 
@@ -142,12 +143,7 @@ def cmd_train_expert(args) -> int:
     for path in _episode_files(args.data):
         ep = load_episode(path)
         contexts = episode_contexts(ep, gnn_w, cfg)
-        # Each sample owns a copy of its context row, made with its chunk. A
-        # dataset of row views (or of copies made apart from the chunks)
-        # leaves the heap so that the training steps' temporaries grow and
-        # trim its top on every step: ~68k page faults in 300 steps, and
-        # ~40% slower steps, against ~270 faults this way.
-        dataset.extend((_action_chunk(ep, t, cfg.flow_horizon), contexts[t].copy())
+        dataset.extend((_action_chunk(ep, t, cfg.flow_horizon), contexts[t])
                        for t in range(len(ep.frames)))
     expert = _new_expert(cfg, make_rng(derive_seed(args.seed, 0)))
     rng = make_rng(derive_seed(args.seed, 1))
@@ -175,7 +171,7 @@ def cmd_train_cot(args) -> int:
         for t, context in zip(frames, contexts):
             label = make_cot_label(ep.scene, ep.scenario, ep, t, dt=cfg.cot_dt_frames)
             ids = tokenize(label.to_text(), vocab) + [vocab.end_id]
-            samples.append((context.copy(), ids, label.to_text()))  # as in train-expert
+            samples.append((context, ids, label.to_text()))
     if args.dump_dataset:
         write_cot_dataset(args.dump_dataset, samples)
     dataset = [(ctx, ids) for ctx, ids, _ in samples]

@@ -110,15 +110,17 @@ def make_cot_label(scene: Scene, instruction: InstructionScenario,
     else:
         plan = "plan : none ."
 
+    # Future frames are named by their offset from t, at most dt, so the
+    # vocabulary's frame tokens do not grow with the episode.
     if scene.objects:
         parts = [f"{o.label} at {bin_token(o.position[0])} {bin_token(o.position[1])} "
                  f"{bin_token(o.position[2])}" for o in scene.objects]
-        future_obj = f"at frame {t_obj_c} : {' , '.join(parts)} ."
+        future_obj = f"in {t_obj_c - t} frames : {' , '.join(parts)} ."
     else:
-        future_obj = f"at frame {t_obj_c} : nothing ."
+        future_obj = f"in {t_obj_c - t} frames : nothing ."
 
     q = episode.trajectory[t_robot_c]
-    future_robot = f"at frame {t_robot_c} : joints {' '.join(bin_token(v) for v in q)} ."
+    future_robot = f"in {t_robot_c - t} frames : joints {' '.join(bin_token(v) for v in q)} ."
 
     return CotLabel(scene_description=desc, feasibility_feedback=feedback,
                     subtask_plan=plan, future_objects=future_obj,
@@ -127,7 +129,7 @@ def make_cot_label(scene: Scene, instruction: InstructionScenario,
 
 _TEMPLATE_WORDS = (
     "on the desk : , . is empty all required items available missing: missing "
-    "add first then plan grasp none task not feasible at frame nothing joints"
+    "add first then plan grasp none task not feasible at in frames nothing joints"
 ).split()
 
 
@@ -152,8 +154,9 @@ class TokenVocab:
         return self.ids[END]
 
 
-def build_default_vocab(max_frame: int = 360, value_range: float = 3.2) -> TokenVocab:
-    """Vocabulary covering the label generator's whole output language."""
+def build_default_vocab(max_offset: int = 30, value_range: float = 3.2) -> TokenVocab:
+    """Vocabulary covering the label generator's whole output language for
+    future-frame offsets up to max_offset (the labels' dt)."""
     tokens = [PAD, END, SEP]
     words = list(_TEMPLATE_WORDS)
     for scen in SCENARIOS.values():
@@ -162,7 +165,7 @@ def build_default_vocab(max_frame: int = 360, value_range: float = 3.2) -> Token
     for w in words:
         if w not in tokens:
             tokens.append(w)
-    for i in range(max_frame + 1):
+    for i in range(max_offset + 1):
         tokens.append(str(i))
     n_bins = int(round(value_range * 100))
     tokens.extend(bin_token(i / 100.0) for i in range(-n_bins, n_bins + 1))
@@ -233,7 +236,7 @@ class CotHead(Model):
             "w1": (self.w1, (ctx_embed + self.window * embed, hidden)),
             "b1": (self.b1, (hidden,)), "w2": (self.w2, (hidden, V)), "b2": (self.b2, (V,))})
 
-    def _windows(self, token_ids) -> np.ndarray:
+    def windows(self, token_ids) -> np.ndarray:
         """(T, window) matrix of the previous tokens for each position."""
         padded = [self.vocab.pad_id] * self.window + list(token_ids[:-1])
         return np.array([padded[k:k + self.window] for k in range(len(token_ids))],
@@ -244,20 +247,27 @@ class CotHead(Model):
         e = self.emb[windows].reshape(windows.shape[0], -1)
         X = np.concatenate([np.tile(c, (windows.shape[0], 1)), e], axis=1)
         a1 = np.tanh(X @ self.w1 + self.b1)
-        logits = a1 @ self.w2 + self.b2
-        return logits, (X, a1, windows)
+        logits = a1 @ self.w2
+        logits += self.b2  # in place: a second (T, V) array costs page faults
+        return logits, (X, a1)
 
-    def loss_and_grads(self, context, token_ids):
-        """Mean per-token cross-entropy and analytic parameter gradients."""
+    def loss_and_grads(self, context, token_ids, windows=None):
+        """Mean per-token cross-entropy and analytic parameter gradients;
+        windows, if given, is self.windows(token_ids)."""
         targets = np.asarray(token_ids, dtype=int)
         T = targets.size
-        logits, (X, a1, windows) = self._forward(context, self._windows(token_ids))
-        m = logits.max(axis=1, keepdims=True)
-        p = np.exp(logits - m)
+        if windows is None:
+            windows = self.windows(token_ids)
+        logits, (X, a1) = self._forward(context, windows)
+        # The softmax is formed in place in logits, and dlogits overwrites it.
+        p = logits
+        p -= p.max(axis=1, keepdims=True)
+        np.exp(p, out=p)
         p /= p.sum(axis=1, keepdims=True)
-        loss = float(-np.mean(np.log(p[np.arange(T), targets] + 1e-300)))
-        dlogits = p.copy()
-        dlogits[np.arange(T), targets] -= 1.0
+        rows = np.arange(T)
+        loss = float(-np.mean(np.log(p[rows, targets] + 1e-300)))
+        dlogits = p
+        dlogits[rows, targets] -= 1.0
         dlogits /= T
         grads = {}
         grads["w2"] = a1.T @ dlogits
@@ -270,9 +280,13 @@ class CotHead(Model):
         dc = dX[:, :n_ctx].sum(axis=0)
         grads["wc"] = np.outer(np.ravel(context), dc)
         grads["bc"] = dc
-        grads["emb"] = np.zeros_like(self.emb)
-        demb = dX[:, n_ctx:].reshape(T, self.window, -1)
-        np.add.at(grads["emb"], windows, demb)
+        # Scatter-add of each window slot's gradient into its token's row, as
+        # one bincount over flat (token, column) indices: each entry sums its
+        # terms in the order np.add.at would, so the bits are the same.
+        V, embed = self.emb.shape
+        flat = (windows.reshape(-1, 1) * embed + np.arange(embed)).ravel()
+        grads["emb"] = np.bincount(flat, weights=dX[:, n_ctx:].ravel(),
+                                   minlength=V * embed).reshape(V, embed)
         return loss, grads
 
 
@@ -295,15 +309,18 @@ def train_cot_head(head: CotHead, dataset: list, lr: float, epochs: int,
     per-epoch mean per-token loss curve."""
     if not dataset:
         raise EmptyDataset("CoT training needs at least one sample")
+    # Each sample's token windows depend only on its ids: built once per run.
+    samples = [(context, token_ids, head.windows(token_ids)) for context, token_ids in dataset]
     curve = []
     for _ in range(epochs):
-        order = rng.permutation(len(dataset))
+        order = rng.permutation(len(samples))
         losses = []
         for idx in order:
-            context, token_ids = dataset[idx]
-            loss, grads = head.loss_and_grads(context, token_ids)
+            loss, grads = head.loss_and_grads(*samples[idx])
             for name, p in head.params():
-                p -= lr * grads[name]
+                g = grads[name]  # this sample's own array: it can hold lr * g
+                g *= lr
+                p -= g
             losses.append(loss)
         curve.append(float(np.mean(losses)))
     return curve

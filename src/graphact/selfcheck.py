@@ -67,7 +67,8 @@ def check_gradients() -> tuple:
     expert = init_flow_expert(rng, horizon=3, j_dim=2, context_dim=5)
     err_flow = grad_check(expert, (rng.normal(size=(3, 2)), rng.normal(size=5)),
                           h=1e-5, n_params=100, rng=rng)
-    vocab = build_default_vocab(max_frame=30, value_range=0.5)
+    # 180 tokens, the vocabulary size (and so the draws) this gate was set at.
+    vocab = build_default_vocab(max_offset=29, value_range=0.5)
     head = init_cot_head(vocab, context_dim=5, window=4, rng=rng)
     ids = [int(i) for i in rng.integers(0, len(vocab), size=6)] + [vocab.end_id]
     err_cot = grad_check_cot(head, (rng.normal(size=5), ids), h=1e-5, n_params=100, rng=rng)

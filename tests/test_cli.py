@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from graphact import cli, default_config, init_gnn_weights, make_rng
+from graphact import CotHead, cli, default_config, init_gnn_weights, make_rng
 from graphact.cli import main
 from graphact.core import to_json
 
@@ -118,6 +118,22 @@ def test_train_cot_runs_and_writes_csv(tmp_path, workspace):
     assert all("tokens" in r and "context" in r and "text" in r for r in rows)
 
 
+def test_train_cot_labels_episodes_past_361_frames(tmp_path):
+    """Labels name future frames by offset, so every frame of a 400-frame
+    episode labels with tokens of the head's vocabulary."""
+    data = tmp_path / "data"
+    assert main(["gen", "--scenario", "food", "--variant", "0", "--frames", "400",
+                 "--seed", "2", "--out", str(data)]) == 0
+    out, dump = tmp_path / "cot.npz", tmp_path / "dataset.jsonl"
+    assert main(["train-cot", "--data", str(data), "--stride", "10", "--epochs", "1",
+                 "--out", str(out), "--dump-dataset", str(dump)]) == 0
+    vocab = set(CotHead.load(out).tokens)
+    texts = [json.loads(line)["text"] for line in dump.read_text().splitlines()]
+    assert len(texts) == 40  # frames 0, 10, ..., 390
+    assert all(set(text.split()) <= vocab for text in texts)
+    assert "in 9 frames" in texts[-1]  # frame 390's future frames clamp to 399
+
+
 def test_infer_default_schedule_and_determinism(tmp_path, workspace):
     outs = []
     for name in ("o1.json", "o2.json"):
@@ -137,9 +153,13 @@ def test_infer_default_schedule_and_determinism(tmp_path, workspace):
     assert np.array(frames[0]["actions"]).shape == (cfg.flow_horizon, cfg.j_total)
 
 
-# sha256 of the infer output below, recorded before the whole-episode kernels
-# replaced the frame-by-frame loop; the kernels must reproduce it bit for bit.
-INFER_GOLDEN_SHA256 = "f876f1f4f366adc5491639673065766422ab2293c399f5c790f24436139de662"
+# sha256 of the infer output below. Recorded again when labels began to name
+# future frames by offset, which changed the random head's vocabulary and so
+# its reasoning text.
+INFER_GOLDEN_SHA256 = "38aeb70ff1d0c9918d428c469b18f0484a2e95a3af7aa08258cf23e4ea067591"
+# sha256 of json.dumps of that output's per-frame actions, recorded before the
+# offset labels: the reasoning head's vocabulary must not move an action's bits.
+INFER_ACTIONS_GOLDEN_SHA256 = "01d2f5e7ebbf32ad0021f7ee13deb2e37bb77e6ea38ad5e1766c37113e50c4d6"
 
 
 def test_infer_golden_sha256(tmp_path):
@@ -155,6 +175,8 @@ def test_infer_golden_sha256(tmp_path):
                  "--cot-head", str(tmp_path / "cot.npz"), "--cot-period", "5",
                  "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == INFER_GOLDEN_SHA256
+    actions = json.dumps([f["actions"] for f in json.loads(out.read_text())["frames"]])
+    assert hashlib.sha256(actions.encode()).hexdigest() == INFER_ACTIONS_GOLDEN_SHA256
 
 
 def test_infer_cot_period(tmp_path, workspace):

@@ -138,7 +138,7 @@ def test_to_json_roundtrips_through_reader(cfg):
 
 def _small_models():
     """(model, expected header) for each of the three learned models."""
-    vocab = build_default_vocab(max_frame=10, value_range=0.2)
+    vocab = build_default_vocab(max_offset=10, value_range=0.2)
     expert = init_flow_expert(make_rng(25), horizon=2, j_dim=2, context_dim=3,
                               alpha=2.5, beta=0.5)
     return {

@@ -64,12 +64,24 @@ def test_label_future_sections_and_clamping():
     ep = _episode(0, n_frames=40)
     label = make_cot_label(ep.scene, ep.scenario, ep, 0, dt=30)
     assert not label.clamped
-    assert "at frame 30" in label.future_objects
-    assert "at frame 30 : joints" in label.future_robot_state
+    assert "in 30 frames" in label.future_objects
+    assert "in 30 frames : joints" in label.future_robot_state
     late = make_cot_label(ep.scene, ep.scenario, ep, 35, dt=30)
     assert late.clamped  # t' = 60 and t'' = 65 exceed the 40-frame episode
-    assert "at frame 39" in late.future_objects
-    assert "at frame 39" in late.future_robot_state
+    assert "in 4 frames" in late.future_objects
+    assert "in 4 frames" in late.future_robot_state
+
+
+def test_vocab_below_the_labels_dt_raises_unknown_token():
+    """Offsets run 0..dt, so a head whose frame tokens stop below
+    cot_dt_frames cannot tokenize a label whose future frame is dt ahead."""
+    ep = _episode(0)
+    text = make_cot_label(ep.scene, ep.scenario, ep, 0, dt=CFG.cot_dt_frames).to_text()
+    tokenize(text, build_default_vocab(max_offset=CFG.cot_dt_frames))
+    head = init_cot_head(build_default_vocab(max_offset=CFG.cot_dt_frames - 1),
+                         context_dim=4, rng=make_rng(9))
+    with pytest.raises(UnknownToken):
+        tokenize(text, head.vocab)
 
 
 def test_label_deterministic():
@@ -152,6 +164,74 @@ def test_train_cot_head_memorizes():
     assert curve[-1] < curve[0]
     for ctx, ids in samples:
         assert generate_cot(head, ctx, 120) == ids[:-1]
+
+
+def test_train_cot_head_bit_equal_to_reference_loop():
+    """Windows built once per run and the in-place update give the bytes of
+    a loop that builds each sample's windows on every call and applies
+    p -= lr * g."""
+    vocab, samples = _memorization_setup()
+    fast = init_cot_head(vocab, context_dim=4, window=8, rng=make_rng(40))
+    ref = init_cot_head(vocab, context_dim=4, window=8, rng=make_rng(40))
+    curve = train_cot_head(fast, samples, lr=0.5, epochs=5, rng=make_rng(41))
+    rng = make_rng(41)
+    ref_curve = []
+    for _ in range(5):
+        losses = []
+        for idx in rng.permutation(len(samples)):
+            loss, grads = ref.loss_and_grads(*samples[idx])
+            for name, p in ref.params():
+                p -= 0.5 * grads[name]
+            losses.append(loss)
+        ref_curve.append(float(np.mean(losses)))
+    assert curve == ref_curve
+    for (name, a), (_, b) in zip(fast.params(), ref.params()):
+        assert a.tobytes() == b.tobytes(), name
+
+
+def _reference_loss_and_grads(head, context, token_ids):
+    """Teacher-forced loss and gradients with out-of-place temporaries and
+    np.add.at for the embedding scatter."""
+    targets = np.asarray(token_ids, dtype=int)
+    T = targets.size
+    windows = head.windows(token_ids)
+    c = np.ravel(context) @ head.wc + head.bc
+    X = np.concatenate([np.tile(c, (T, 1)), head.emb[windows].reshape(T, -1)], axis=1)
+    a1 = np.tanh(X @ head.w1 + head.b1)
+    logits = a1 @ head.w2 + head.b2
+    p = np.exp(logits - logits.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    loss = float(-np.mean(np.log(p[np.arange(T), targets] + 1e-300)))
+    dlogits = p.copy()
+    dlogits[np.arange(T), targets] -= 1.0
+    dlogits /= T
+    dz1 = (dlogits @ head.w2.T) * (1.0 - a1 ** 2)
+    dX = dz1 @ head.w1.T
+    n_ctx = head.wc.shape[1]
+    dc = dX[:, :n_ctx].sum(axis=0)
+    emb = np.zeros_like(head.emb)
+    np.add.at(emb, windows, dX[:, n_ctx:].reshape(T, head.window, -1))
+    return loss, {"w2": a1.T @ dlogits, "b2": dlogits.sum(axis=0), "w1": X.T @ dz1,
+                  "b1": dz1.sum(axis=0), "wc": np.outer(np.ravel(context), dc), "bc": dc,
+                  "emb": emb}
+
+
+def test_loss_and_grads_bit_equal_to_reference():
+    """The in-place softmax and the bincount scatter keep every bit, with
+    repeated tokens in the windows and with windows passed in."""
+    vocab, samples = _memorization_setup()
+    rng = make_rng(42)
+    for k in range(6):
+        head = init_cot_head(vocab, context_dim=4, window=1 + k, rng=make_rng(50 + k))
+        ids = samples[k % 2][1] if k < 2 else [int(i) for i in rng.integers(0, 12, size=30)]
+        ctx = rng.normal(size=4)
+        ref_loss, ref = _reference_loss_and_grads(head, ctx, ids)
+        for windows in (None, head.windows(ids)):
+            loss, grads = head.loss_and_grads(ctx, ids, windows)
+            assert loss == ref_loss
+            assert sorted(grads) == sorted(ref)
+            for name, g in grads.items():
+                assert g.shape == ref[name].shape and g.tobytes() == ref[name].tobytes(), name
 
 
 def test_train_cot_head_zero_lr_flat():

@@ -4,7 +4,8 @@ import pytest
 from graphact import (fm_loss, grad_check, init_flow_expert, interpolate, make_rng,
                       sample_actions, sample_tau, target_field, train_step)
 from graphact.core import ShapeMismatch
-from graphact.flow import TAU_MAX_DRAWS, DegenerateTau, EmptyBatch, InvalidShapeParam
+from graphact.flow import (TAU_MAX_DRAWS, DegenerateTau, EmptyBatch, InvalidShapeParam,
+                           _draw_batch, _loss_and_grads)
 
 
 def _tiny_expert(rng=None, sigma=1.0, alpha=1.0, beta=1.0, **kw):
@@ -109,6 +110,33 @@ def test_train_step_matches_quadratic_gd_recurrence():
     for name, p in expert.params():
         if name != "b3":
             assert np.array_equal(p, np.zeros_like(p))
+
+
+@pytest.mark.parametrize("momentum", [0.0, 0.9])
+def test_train_step_bit_equal_to_reference_update(momentum):
+    """The in-place update gives the bits of v = g on the first step and
+    v = m*v + g after it, then p -= lr * v; a step's gradient array (w1's
+    is reused by every step) never becomes the velocity, so scaling it in
+    place leaves v intact."""
+    data_rng = make_rng(20)
+    batch = [(data_rng.normal(size=(2, 2)), data_rng.normal(size=3)) for _ in range(4)]
+    fast, ref = _tiny_expert(make_rng(21), momentum=momentum), _tiny_expert(make_rng(21))
+    fast_rng, ref_rng = make_rng(22), make_rng(22)
+    velocity = {}
+    for _ in range(4):
+        loss = train_step(fast, batch, 0.05, fast_rng)
+        ref_loss, grads = _loss_and_grads(ref, *_draw_batch(ref, batch, ref_rng))
+        for name, p in ref.params():
+            g = grads[name]
+            if momentum > 0.0:
+                first = name not in velocity
+                g = velocity[name] = g.copy() if first else momentum * velocity[name] + g
+            p -= 0.05 * g
+        assert loss == ref_loss
+    for (name, a), (_, b) in zip(fast.params(), ref.params()):
+        assert a.tobytes() == b.tobytes(), name
+    for name, v in velocity.items():
+        assert fast._velocity[name].tobytes() == v.tobytes(), name
 
 
 def test_grad_check_near_linear_regime():
