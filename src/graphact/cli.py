@@ -183,12 +183,6 @@ def cmd_train_cot(args) -> int:
     return 0
 
 
-def _schedule_from_args(args) -> InferenceSchedule:
-    return InferenceSchedule(cot_on_first_frame=not args.no_first_cot,
-                             cot_period=args.cot_period,
-                             rate_budget_hz=args.rate_hz, pace=args.pace)
-
-
 def _load_artifacts(args, cfg):
     """Load the three artifacts and check them against cfg, so a mismatch
     exits 2 before the first frame instead of failing mid-loop."""
@@ -201,7 +195,8 @@ def _load_artifacts(args, cfg):
 
 def cmd_infer(args) -> int:
     cfg = _load_config(args.config)
-    schedule = _schedule_from_args(args)
+    schedule = InferenceSchedule(cot_on_first_frame=not args.no_first_cot,
+                                 cot_period=args.cot_period)
     ep = load_episode(args.episode)
     gnn_w, expert, head = _load_artifacts(args, cfg)
     outputs, report = run_inference_loop(ep, gnn_w, expert, head, schedule, cfg,
@@ -209,7 +204,7 @@ def cmd_infer(args) -> int:
     save_json(args.out, outputs_to_dict(outputs))
     n_cot = sum(1 for o in outputs if o.cot_text is not None)
     print(f"{len(outputs)} frame(s), {n_cot} with reasoning; "
-          f"mean frame {report.frame_ms['mean_ms']:.2f} ms -> {args.out}")
+          f"mean frame {np.mean(report.frame_samples):.2f} ms -> {args.out}")
     return 0
 
 
@@ -244,7 +239,6 @@ def _checked(cast, ok, what):
 
 POSITIVE_INT = _checked(int, lambda v: v >= 1, "an integer >= 1")
 NON_NEGATIVE_INT = _checked(int, lambda v: v >= 0, "an integer >= 0")
-POSITIVE_FLOAT = _checked(float, lambda v: 0 < v < np.inf, "a finite number > 0")
 NON_NEGATIVE_FLOAT = _checked(float, lambda v: 0 <= v < np.inf, "a finite number >= 0")
 
 
@@ -313,8 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--cot-head", required=True)
     g.add_argument("--cot-period", type=POSITIVE_INT, default=None)
     g.add_argument("--no-first-cot", action="store_true")
-    g.add_argument("--rate-hz", type=POSITIVE_FLOAT, default=10.0)
-    g.add_argument("--pace", action="store_true", help="rate-limit to --rate-hz")
     g.add_argument("--steps", type=POSITIVE_INT, default=None, help="Euler integration steps")
     g.add_argument("--seed", type=NON_NEGATIVE_INT, default=0)
     g.add_argument("--out", required=True)

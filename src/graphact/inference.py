@@ -2,7 +2,6 @@
 frames (by default the first), every frame gets a sampled action chunk, and
 per-stage wall-clock timings are collected into a benchmark report."""
 
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -59,19 +58,14 @@ def check_artifacts(cfg: PipelineConfig, gnn_w: GnnWeights, expert: FlowExpert =
 @dataclass
 class InferenceSchedule:
     """Reasoning cadence: first frame by default, every cot_period frames
-    when set. rate_budget_hz paces the loop only when pace is on."""
+    when set."""
 
     cot_on_first_frame: bool = True
     cot_period: int = None
-    rate_budget_hz: float = 10.0
-    pace: bool = False
 
     def __post_init__(self):
         if self.cot_period is not None and self.cot_period < 1:
             raise InvalidSetting(f"cot_period must be >= 1 when set, got {self.cot_period}")
-        if not (self.rate_budget_hz > 0 and 1.0 / self.rate_budget_hz <= threading.TIMEOUT_MAX):
-            raise InvalidSetting(f"rate_budget_hz must be positive with a period of at most "
-                                 f"{threading.TIMEOUT_MAX:.3g} s, got {self.rate_budget_hz}")
 
     def wants_cot(self, frame_index: int) -> bool:
         if self.cot_period is not None:
@@ -81,28 +75,12 @@ class InferenceSchedule:
 
 @dataclass
 class BenchReport:
-    """Raw per-stage and per-frame timings in milliseconds plus the achieved
-    frame rate. The summaries (mean, p95, count) are computed when read, so
-    a loop pays only for appending its samples."""
+    """Measured wall-clock timings in milliseconds: stage -> one sample per
+    run of the stage (one for each episode-wide stage, one per reasoning
+    decode), and one sample per frame."""
 
     stage_samples: dict = field(default_factory=dict)  # stage -> [ms]
     frame_samples: list = field(default_factory=list)  # [ms], one per frame
-    achieved_hz: float = 0.0
-
-    @property
-    def stages(self) -> dict:
-        """stage -> {mean_ms, p95_ms, count}, for stages that ran."""
-        return {name: _summarize(ts) for name, ts in self.stage_samples.items() if ts}
-
-    @property
-    def frame_ms(self) -> dict:
-        return _summarize(self.frame_samples)
-
-
-def _summarize(samples: list) -> dict:
-    arr = np.asarray(samples, dtype=float)
-    return {"mean_ms": float(arr.mean()), "p95_ms": float(np.percentile(arr, 95)),
-            "count": int(arr.size)}
 
 
 @dataclass
@@ -151,9 +129,9 @@ def run_inference_loop(episode: Episode, gnn_w: GnnWeights, expert: FlowExpert,
     once for all F frames, with the bits a frame-by-frame loop would give;
     reasoning decodes run on the scheduled frames. A control tick is the
     F = 1 case. Returns (outputs, report): one FrameOutput per frame
-    (reasoning text only on scheduled frames) and a BenchReport whose
-    samples per frame are the frame's share (1/F) of each episode-wide stage,
-    plus its own decode.
+    (reasoning text only on scheduled frames) and a BenchReport with one
+    sample per episode-wide stage, one per decode, and one per frame: the
+    frame's share (1/F) of the episode-wide time plus its own decode.
     """
     frames = episode.frames
     if not frames:
@@ -164,6 +142,7 @@ def run_inference_loop(episode: Episode, gnn_w: GnnWeights, expert: FlowExpert,
     onehot = scenario_onehot(cfg, episode.scenario.name)
     rng = make_rng(seed)
     n = len(frames)
+    due = [i for i in range(n) if schedule.wants_cot(i)]
 
     loop_start = time.perf_counter()
     graphs = episode_graphs(frames, episode.K, episode.T, cfg.chains)
@@ -171,36 +150,26 @@ def run_inference_loop(episode: Episode, gnn_w: GnnWeights, expert: FlowExpert,
     contexts = make_context(encode_pooled(graphs, gnn_w), joint_matrix(frames, cfg.chains),
                             onehot)
     t_encode = time.perf_counter()
-    texts, cot_ms = {}, {}
-    for i in range(n):
-        if schedule.wants_cot(i):
-            t0 = time.perf_counter()
-            texts[i] = detokenize(generate_cot(cot_head, contexts[i], cfg.cot_max_len),
-                                  cot_head.vocab)
-            cot_ms[i] = (time.perf_counter() - t0) * 1e3
-    t_cot = time.perf_counter()
+    texts, cot_ms, t_cot = {}, {}, t_encode
+    for i in due:  # each decode's sample starts where the one before ended
+        texts[i] = detokenize(generate_cot(cot_head, contexts[i], cfg.cot_max_len),
+                              cot_head.vocab)
+        t_prev, t_cot = t_cot, time.perf_counter()
+        cot_ms[i] = (t_cot - t_prev) * 1e3
     chunks = sample_actions(expert, contexts, euler_steps, rng)
     outputs = [FrameOutput(index=i, t=frame.t, actions=chunks[i], cot_text=texts.get(i))
                for i, frame in enumerate(frames)]
     t_end = time.perf_counter()
 
-    # Each frame carries 1/F of the time no single frame owns, so the frame
-    # samples add up to the loop's time.
+    # The stages tile the loop's time. Each frame carries 1/F of the time no
+    # single frame owns, so the frame samples add up to it too.
     shared = ((t_end - loop_start) * 1e3 - sum(cot_ms.values())) / n
-    if schedule.pace:  # frame i is due one period after frame i - 1
-        period = 1.0 / schedule.rate_budget_hz
-        for i in range(1, n + 1):
-            rest = loop_start + i * period - time.perf_counter()
-            if rest > 0:
-                time.sleep(rest)
-    total = time.perf_counter() - loop_start
     report = BenchReport(
-        stage_samples={"graph_build": [(t_graphs - loop_start) * 1e3 / n] * n,
-                       "encode": [(t_encode - t_graphs) * 1e3 / n] * n,
+        stage_samples={"graph_build": [(t_graphs - loop_start) * 1e3],
+                       "encode": [(t_encode - t_graphs) * 1e3],
                        "cot_generation": list(cot_ms.values()),
-                       "action_sampling": [(t_end - t_cot) * 1e3 / n] * n},
+                       "action_sampling": [(t_end - t_cot) * 1e3]},
         frame_samples=[shared + cot_ms.get(i, 0.0) for i in range(n)],
-        achieved_hz=float(n / total) if total > 0 else 0.0,
     )
     return outputs, report
 

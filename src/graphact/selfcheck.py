@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .core import CameraIntrinsics, make_rng
-from .cot import (build_default_vocab, ce_loss, grad_check_cot, init_cot_head,
+from .cot import (END, PAD, TokenVocab, ce_loss, grad_check_cot, init_cot_head,
                   sample_dropout, total_loss)
 from .flow import fm_loss, grad_check, init_flow_expert, interpolate, sample_actions
 from .projection import backproject, project
@@ -67,8 +67,9 @@ def check_gradients() -> tuple:
     expert = init_flow_expert(rng, horizon=3, j_dim=2, context_dim=5)
     err_flow = grad_check(expert, (rng.normal(size=(3, 2)), rng.normal(size=5)),
                           h=1e-5, n_params=100, rng=rng)
-    # 180 tokens, the vocabulary size (and so the draws) this gate was set at.
-    vocab = build_default_vocab(max_offset=29, value_range=0.5)
+    # A token list of its own, so the label language cannot move the gate's
+    # draws: 180 tokens with <pad> and <end> first, the size it was set at.
+    vocab = TokenVocab([PAD, END] + [f"tok{k}" for k in range(178)])
     head = init_cot_head(vocab, context_dim=5, window=4, rng=rng)
     ids = [int(i) for i in rng.integers(0, len(vocab), size=6)] + [vocab.end_id]
     err_cot = grad_check_cot(head, (rng.normal(size=5), ids), h=1e-5, n_params=100, rng=rng)

@@ -295,8 +295,8 @@ def load_episode(path) -> Episode:
     rectangles as its depth, so memory grows with the number of boxes, not
     with the image size. A header or frame that breaks the format, holds a
     non-finite number (NaN, +-Infinity, or a literal too large for a float),
-    or a seed the generator refuses raises MalformedEpisode, which names the
-    file's line number.
+    or a seed or variant the generator refuses raises MalformedEpisode, which
+    names the file's line number.
     """
     with open(path) as f:
         lines = ((n, line) for n, line in enumerate(f, 1) if line.strip())
@@ -317,7 +317,7 @@ def load_episode(path) -> Episode:
                 raise EmptyEpisode(f"episode file {path} has no frames")
         except json.JSONDecodeError:
             raise  # not JSON at all: an I/O-level failure
-        except MalformedEpisode as exc:
+        except (MalformedEpisode, InvalidVariant) as exc:
             raise MalformedEpisode(f"{path}: line {n}: {exc}") from exc
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MalformedEpisode(f"{path}: line {n}: {type(exc).__name__}: {exc}") from exc

@@ -421,8 +421,8 @@ def _valid_argv(command, workspace, out):
 # line on stderr, nothing on stdout and nothing written
 BAD_SETTINGS = [
     ("infer", ["--steps", "0"]), ("infer", ["--steps", "-3"]),
-    ("infer", ["--cot-period", "0"]), ("infer", ["--rate-hz", "0"]),
-    ("infer", ["--rate-hz", "nan"]), ("infer", ["--rate-hz", "inf"]),
+    ("infer", ["--cot-period", "0"]),
+    ("infer", ["--pace"]), ("infer", ["--rate-hz", "10"]),  # not options: unknown flags
     ("gen", ["--frames", "0"]), ("gen", ["--episodes", "0"]), ("gen", ["--frames", "abc"]),
     ("gen", ["--variant", "-1"]),
     ("train-cot", ["--epochs", "0"]), ("train-cot", ["--stride", "-1"]),
@@ -430,13 +430,13 @@ BAD_SETTINGS = [
     ("train-expert", ["--steps", "0"]), ("train-expert", ["--batch", "0"]),
     ("train-expert", ["--lr", "-1"]), ("train-expert", ["--lr", "nan"]),
     ("train-expert", ["--lr", "inf"]),
-    ("infer", ["--rate-hz", "1e-300", "--pace"]),  # a period time.sleep cannot take
 ] + [(command, ["--seed", "-1"])
      for command in ("gen", "init-weights", "train-expert", "train-cot", "infer")]
 
 
 @pytest.mark.parametrize("command,extra", BAD_SETTINGS,
-                         ids=[f"{c}_{extra[0][2:]}={extra[1]}" for c, extra in BAD_SETTINGS])
+                         ids=[f"{c}_{'='.join([extra[0][2:], *extra[1:]])}"
+                              for c, extra in BAD_SETTINGS])
 def test_rejects_invalid_settings(command, extra, tmp_path, workspace, capsys):
     out = tmp_path / "out.json"
     assert main(_valid_argv(command, workspace, out) + extra) == 2
@@ -471,7 +471,7 @@ FUZZ_FLAGS = {
     "init-weights": ["--seed"],
     "train-expert": ["--steps", "--lr", "--seed", "--batch"],
     "train-cot": ["--epochs", "--lr", "--seed", "--stride"],
-    "infer": ["--cot-period", "--rate-hz", "--steps", "--seed"],
+    "infer": ["--cot-period", "--steps", "--seed"],
 }
 
 
@@ -512,13 +512,14 @@ def _old_layout(header, frame):
         for x0, y0, x1, y1, z in frame["depth"]]}
 
 
-# (edit of the header and the first frame, the field the message names)
+# (edit of the header and the first frame, what the message names)
 RETYPED = {
     "q_string_nan": (lambda h, f: f["q"].__setitem__(3, "nan"), "frame.q[]"),
     "fx_bool": (lambda h, f: h["K"].update(fx=True), "header.K.fx"),
     "width_fraction": (lambda h, f: h["K"].update(width=640.7), "header.K.width"),
     "variant_fraction": (lambda h, f: h.update(variant=0.9), "header.variant"),
     "seed_fraction": (lambda h, f: h.update(seed=h["seed"] + 0.5), "header.seed"),
+    "variant_out_of_range": (lambda h, f: h.update(variant=7), "line 1: "),
     "t_string": (lambda h, f: f.update(t="1e3"), "frame.t"),
     "label_int": (lambda h, f: f["detections"][0].update(label=7),
                   "frame.detections[].label"),

@@ -1,8 +1,5 @@
 import dataclasses
-import json
-import threading
 
-import numpy as np
 import pytest
 
 from graphact import (FrameRecord, InferenceSchedule, SCENARIOS, SampleStream, align_streams,
@@ -35,28 +32,22 @@ def test_default_schedule_single_cot(artifacts):
     assert outputs[0].cot_text is not None
     assert all(o.cot_text is None for o in outputs[1:])
     assert all(o.actions.shape == (4, CFG.j_total) for o in outputs)
-    assert set(report.stages) == {"graph_build", "encode", "cot_generation",
-                                  "action_sampling"}
-    assert report.stages["cot_generation"]["count"] == 1
+    assert set(report.stage_samples) == {"graph_build", "encode", "cot_generation",
+                                         "action_sampling"}
+    assert len(report.stage_samples["cot_generation"]) == 1
 
 
-def test_report_summaries_match_eager_summaries(artifacts):
-    """stages and frame_ms summarize the raw samples on read exactly as the
-    loop once did eagerly: mean and p95 per stage that ran, then per frame."""
+def test_report_samples_are_measured_once_and_add_up(artifacts):
+    """One sample per episode-wide stage and one per decode; the per-frame
+    samples share the loop's time and add up to the stage samples."""
     ep = gen_episode(SCENARIOS["food"], 0, 9, seed=38, cfg=CFG)
     _, report = run_inference_loop(ep, *artifacts, InferenceSchedule(cot_period=4), CFG)
-
-    def eager(samples):
-        arr = np.asarray(samples, dtype=float)
-        return {"mean_ms": float(arr.mean()), "p95_ms": float(np.percentile(arr, 95)),
-                "count": int(arr.size)}
-
+    stages = report.stage_samples
+    assert all(len(stages[name]) == 1 for name in ("graph_build", "encode", "action_sampling"))
+    assert len(stages["cot_generation"]) == 3
     assert len(report.frame_samples) == 9
-    assert [len(v) for v in report.stage_samples.values()] == [9, 9, 3, 9]
-    want = {"stages": {name: eager(ts) for name, ts in report.stage_samples.items()},
-            "frame_ms": eager(report.frame_samples)}
-    got = {"stages": report.stages, "frame_ms": report.frame_ms}
-    assert json.dumps(got) == json.dumps(want)
+    total = sum(sum(ts) for ts in stages.values())
+    assert sum(report.frame_samples) == pytest.approx(total, rel=1e-9, abs=0)
 
 
 def test_cot_period_schedule(artifacts):
@@ -82,7 +73,7 @@ def test_no_first_cot(artifacts):
     outputs, report = run_inference_loop(
         ep, *artifacts, InferenceSchedule(cot_on_first_frame=False), CFG)
     assert all(o.cot_text is None for o in outputs)
-    assert "cot_generation" not in report.stages
+    assert report.stage_samples["cot_generation"] == []
 
 
 def test_outputs_deterministic_given_seed(artifacts):
@@ -138,17 +129,3 @@ def test_zero_counts_are_rejected_not_defaulted(artifacts):
 def test_schedule_validation():
     with pytest.raises(ValueError):
         InferenceSchedule(cot_period=0)
-    with pytest.raises(ValueError):
-        InferenceSchedule(rate_budget_hz=0.0)
-    # a pacing period time.sleep cannot take is refused when the schedule is
-    # built, so a rate that would make a test sleep never reaches the loop
-    for rate in (1e-300, 0.5 / threading.TIMEOUT_MAX, float("nan")):
-        with pytest.raises(InvalidSetting, match="period"):
-            InferenceSchedule(rate_budget_hz=rate, pace=True)
-
-
-def test_pacing_limits_rate(artifacts):
-    ep = gen_episode(SCENARIOS["food"], 0, 5, seed=36, cfg=CFG)
-    schedule = InferenceSchedule(pace=True, rate_budget_hz=50.0)
-    _, report = run_inference_loop(ep, *artifacts, schedule, CFG)
-    assert report.achieved_hz <= 50.0 + 1.0
