@@ -16,15 +16,14 @@ import zipfile
 
 import numpy as np
 
-from .core import (InvalidSetting, PipelineConfig, PipelineError, derive_seed, make_rng,
-                   save_json)
+from .core import InvalidSetting, PipelineConfig, PipelineError, derive_seed, make_rng
 from .cot import (CotHead, build_default_vocab, init_cot_head, make_cot_label, tokenize,
                   train_cot_head, write_cot_dataset)
 from .flow import FlowExpert, init_flow_expert, train_step
 from .gnn import GnnWeights, init_gnn_weights
 from .graph import episode_graphs, graph_to_json
 from .inference import (ArtifactLoadError, InferenceSchedule, check_artifacts, episode_contexts,
-                        outputs_to_dict, run_inference_loop)
+                        frame_blocks, run_inference_loop, write_outputs)
 from .selfcheck import run_selfcheck
 from .sim import SCENARIOS, default_config, gen_episode, load_episode, write_episode
 
@@ -79,11 +78,12 @@ def cmd_gen(args) -> int:
 def cmd_graph(args) -> int:
     cfg = _load_config(args.config)
     ep = load_episode(args.episode)
-    graphs = episode_graphs(ep.frames, ep.K, ep.T, cfg.chains, args.paper_literal)
     os.makedirs(args.out, exist_ok=True)
-    for i, g in enumerate(graphs):
-        with open(os.path.join(args.out, f"graph_{i:05d}.json"), "w") as f:
-            f.write(graph_to_json(g) + "\n")
+    for lo, block in frame_blocks(ep.frames):
+        graphs = episode_graphs(block, ep.K, ep.T, cfg.chains, args.paper_literal)
+        for i, g in enumerate(graphs, lo):
+            with open(os.path.join(args.out, f"graph_{i:05d}.json"), "w") as f:
+                f.write(graph_to_json(g) + "\n")
     print(f"wrote {len(ep.frames)} graph(s) to {args.out}")
     return 0
 
@@ -201,7 +201,7 @@ def cmd_infer(args) -> int:
     gnn_w, expert, head = _load_artifacts(args, cfg)
     outputs, report = run_inference_loop(ep, gnn_w, expert, head, schedule, cfg,
                                          seed=args.seed, euler_steps=args.steps)
-    save_json(args.out, outputs_to_dict(outputs))
+    write_outputs(args.out, outputs)
     n_cot = sum(1 for o in outputs if o.cot_text is not None)
     print(f"{len(outputs)} frame(s), {n_cot} with reasoning; "
           f"mean frame {np.mean(report.frame_samples):.2f} ms -> {args.out}")

@@ -116,14 +116,6 @@ def to_json(obj):
             [f.name for f in fields(obj)]}
 
 
-def save_json(path, obj, indent=None) -> None:
-    """Write obj as one JSON document plus a newline. json.dumps encodes in
-    one shot (through the C encoder when indent is None), where json.dump
-    streams through the pure-Python encoder; the bytes are the same."""
-    with open(path, "w") as f:
-        f.write(json.dumps(obj, indent=indent) + "\n")
-
-
 def fan_in_normal(rng: np.random.Generator, n_in: int, n_out: int) -> np.ndarray:
     """(n_in, n_out) weights drawn from N(0, 1/n_in)."""
     return rng.normal(0.0, 1.0 / np.sqrt(n_in), size=(n_in, n_out))
@@ -405,7 +397,8 @@ class PipelineConfig:
             raise ValueError("config: " + "; ".join(bad))
 
     def save(self, path) -> None:
-        save_json(path, to_json(self), indent=2)
+        with open(path, "w") as f:
+            f.write(json.dumps(to_json(self), indent=2) + "\n")
 
     @classmethod
     def load(cls, path) -> "PipelineConfig":

@@ -1,7 +1,9 @@
 """Hybrid-reasoning inference: reasoning text is generated only on scheduled
-frames (by default the first), every frame gets a sampled action chunk, and
-per-stage wall-clock timings are collected into a benchmark report."""
+frames (by default the first), every frame gets a sampled action chunk, the
+frames run in blocks of BLOCK_FRAMES, and per-stage wall-clock timings are
+collected into a benchmark report."""
 
+import json
 import time
 from dataclasses import dataclass, field
 
@@ -13,6 +15,13 @@ from .flow import FlowExpert, sample_actions
 from .gnn import GnnWeights, encode_pooled
 from .graph import episode_graphs, joint_matrix
 from .sim import EmptyEpisode, Episode
+
+
+# Frames per block of the inference loop. The loop holds one block's graphs,
+# contexts and noise at a time, so its memory does not grow with the
+# episode; 16 to 64 frames gave the same peak RSS and loop time on a
+# 300-frame episode, 128 a higher peak.
+BLOCK_FRAMES = 32
 
 
 class ArtifactLoadError(PipelineError):
@@ -76,8 +85,8 @@ class InferenceSchedule:
 @dataclass
 class BenchReport:
     """Measured wall-clock timings in milliseconds: stage -> one sample per
-    run of the stage (one for each episode-wide stage, one per reasoning
-    decode), and one sample per frame."""
+    run of the stage (one per block of frames for graph_build, encode and
+    action_sampling, one per reasoning decode), and one sample per frame."""
 
     stage_samples: dict = field(default_factory=dict)  # stage -> [ms]
     frame_samples: list = field(default_factory=list)  # [ms], one per frame
@@ -109,14 +118,39 @@ def make_context(pooled: np.ndarray, q: np.ndarray, onehot: np.ndarray) -> np.nd
     return np.concatenate([pooled, q, onehots], axis=-1)
 
 
+def frame_blocks(frames: list):
+    """(lo, frames[lo:lo + BLOCK_FRAMES]) for each block of the frames, in
+    order: the unit in which inference and the graph command hold frames."""
+    return ((lo, frames[lo:lo + BLOCK_FRAMES]) for lo in range(0, len(frames), BLOCK_FRAMES))
+
+
+def _block_contexts(episode: Episode, gnn_w: GnnWeights, cfg: PipelineConfig, frames: list,
+                    onehot: np.ndarray):
+    """For each of frame_blocks(frames), yield (lo, contexts, t_graphs): the
+    block's (len(block), context_dim) contexts and the perf_counter time at
+    which its graphs were built. Forward kinematics, graph building and
+    encoding run once per block, and the block's graphs are dropped before
+    the next block is built."""
+    for lo, block in frame_blocks(frames):
+        graphs = episode_graphs(block, episode.K, episode.T, cfg.chains)
+        t_graphs = time.perf_counter()
+        contexts = make_context(encode_pooled(graphs, gnn_w), joint_matrix(block, cfg.chains),
+                                onehot)
+        del graphs
+        yield lo, contexts, t_graphs
+
+
 def episode_contexts(episode: Episode, gnn_w: GnnWeights, cfg: PipelineConfig,
                      frames: list = None) -> np.ndarray:
     """(F, context_dim) contexts of the episode's frames (all of them unless
-    frames is given), each stage run once for all F frames."""
+    frames is given), built block by block as run_inference_loop builds
+    them."""
     frames = episode.frames if frames is None else frames
-    graphs = episode_graphs(frames, episode.K, episode.T, cfg.chains)
-    return make_context(encode_pooled(graphs, gnn_w), joint_matrix(frames, cfg.chains),
-                        scenario_onehot(cfg, episode.scenario.name))
+    out = np.empty((len(frames), cfg.context_dim))
+    for lo, contexts, _ in _block_contexts(episode, gnn_w, cfg, frames,
+                                           scenario_onehot(cfg, episode.scenario.name)):
+        out[lo:lo + len(contexts)] = contexts
+    return out
 
 
 def run_inference_loop(episode: Episode, gnn_w: GnnWeights, expert: FlowExpert,
@@ -125,13 +159,17 @@ def run_inference_loop(episode: Episode, gnn_w: GnnWeights, expert: FlowExpert,
     """Run the pipeline over an episode, through its camera (episode.K,
     episode.T); reasoning decodes at most cfg.cot_max_len tokens.
 
-    Forward kinematics, graph building, encoding and Euler sampling each run
-    once for all F frames, with the bits a frame-by-frame loop would give;
-    reasoning decodes run on the scheduled frames. A control tick is the
-    F = 1 case. Returns (outputs, report): one FrameOutput per frame
+    The frames go through in blocks of at most BLOCK_FRAMES: forward
+    kinematics, graph building, encoding and Euler sampling each run once
+    per block, with the bits a frame-by-frame loop would give, and the
+    reasoning decodes run on the block's scheduled frames. The Euler noise
+    of block after block is the stream one draw for all F frames would give,
+    so the outputs do not depend on the block size, and a control tick is
+    the F = 1 case. Returns (outputs, report): one FrameOutput per frame
     (reasoning text only on scheduled frames) and a BenchReport with one
-    sample per episode-wide stage, one per decode, and one per frame: the
-    frame's share (1/F) of the episode-wide time plus its own decode.
+    sample per block for each block stage, one per decode, and one per
+    frame: the frame's share (1/B of a B-frame block) of its block's time
+    outside the decodes, plus its own decode.
     """
     frames = episode.frames
     if not frames:
@@ -141,42 +179,49 @@ def run_inference_loop(episode: Episode, gnn_w: GnnWeights, expert: FlowExpert,
         raise InvalidSetting(f"euler_steps must be >= 1, got {euler_steps}")
     onehot = scenario_onehot(cfg, episode.scenario.name)
     rng = make_rng(seed)
-    n = len(frames)
-    due = [i for i in range(n) if schedule.wants_cot(i)]
+    stages = {"graph_build": [], "encode": [], "cot_generation": [], "action_sampling": []}
+    outputs, frame_samples = [], []
 
-    loop_start = time.perf_counter()
-    graphs = episode_graphs(frames, episode.K, episode.T, cfg.chains)
-    t_graphs = time.perf_counter()
-    contexts = make_context(encode_pooled(graphs, gnn_w), joint_matrix(frames, cfg.chains),
-                            onehot)
-    t_encode = time.perf_counter()
-    texts, cot_ms, t_cot = {}, {}, t_encode
-    for i in due:  # each decode's sample starts where the one before ended
-        texts[i] = detokenize(generate_cot(cot_head, contexts[i], cfg.cot_max_len),
-                              cot_head.vocab)
-        t_prev, t_cot = t_cot, time.perf_counter()
-        cot_ms[i] = (t_cot - t_prev) * 1e3
-    chunks = sample_actions(expert, contexts, euler_steps, rng)
-    outputs = [FrameOutput(index=i, t=frame.t, actions=chunks[i], cot_text=texts.get(i))
-               for i, frame in enumerate(frames)]
-    t_end = time.perf_counter()
+    t_block = time.perf_counter()
+    for lo, contexts, t_graphs in _block_contexts(episode, gnn_w, cfg, frames, onehot):
+        t_encode = time.perf_counter()
+        block = range(lo, lo + len(contexts))
+        texts, cot_ms, t_cot = {}, {}, t_encode
+        for i in filter(schedule.wants_cot, block):
+            texts[i] = detokenize(generate_cot(cot_head, contexts[i - lo], cfg.cot_max_len),
+                                  cot_head.vocab)
+            # each decode's sample starts where the one before ended
+            t_prev, t_cot = t_cot, time.perf_counter()
+            cot_ms[i] = (t_cot - t_prev) * 1e3
+        chunks = sample_actions(expert, contexts, euler_steps, rng)
+        outputs += [FrameOutput(index=i, t=frames[i].t, actions=chunk, cot_text=texts.get(i))
+                    for i, chunk in zip(block, chunks)]
+        t_end = time.perf_counter()
 
-    # The stages tile the loop's time. Each frame carries 1/F of the time no
-    # single frame owns, so the frame samples add up to it too.
-    shared = ((t_end - loop_start) * 1e3 - sum(cot_ms.values())) / n
-    report = BenchReport(
-        stage_samples={"graph_build": [(t_graphs - loop_start) * 1e3],
-                       "encode": [(t_encode - t_graphs) * 1e3],
-                       "cot_generation": list(cot_ms.values()),
-                       "action_sampling": [(t_end - t_cot) * 1e3]},
-        frame_samples=[shared + cot_ms.get(i, 0.0) for i in range(n)],
-    )
-    return outputs, report
+        # The stages tile the block's time. Each frame carries 1/B of the
+        # time no single frame owns, so the frame samples add up to it too.
+        stages["graph_build"].append((t_graphs - t_block) * 1e3)
+        stages["encode"].append((t_encode - t_graphs) * 1e3)
+        stages["cot_generation"] += cot_ms.values()
+        stages["action_sampling"].append((t_end - t_cot) * 1e3)
+        shared = ((t_end - t_block) * 1e3 - sum(cot_ms.values())) / len(block)
+        frame_samples += [shared + cot_ms.get(i, 0.0) for i in block]
+        t_block = t_end
+    return outputs, BenchReport(stage_samples=stages, frame_samples=frame_samples)
 
 
-def outputs_to_dict(outputs: list) -> dict:
-    """Deterministic serialization of loop outputs (no timings)."""
-    return {"frames": [{"index": o.index, "t": float(o.t),
-                        "actions": o.actions.tolist(),
-                        "cot": o.cot_text}
-                       for o in outputs]}
+def frame_json(o: FrameOutput) -> str:
+    """One frame of the infer output as JSON text (no timings)."""
+    return json.dumps({"index": o.index, "t": float(o.t), "actions": o.actions.tolist(),
+                       "cot": o.cot_text})
+
+
+def write_outputs(path, outputs: list) -> None:
+    """Write the infer output file frame by frame: {"frames": [...]} and a
+    newline, the bytes json.dumps of the whole document gives, holding one
+    frame's text at a time."""
+    with open(path, "w") as f:
+        f.write('{"frames": [')
+        for k, o in enumerate(outputs):
+            f.write(", " + frame_json(o) if k else frame_json(o))
+        f.write("]}\n")

@@ -179,6 +179,32 @@ def test_infer_golden_sha256(tmp_path):
     assert hashlib.sha256(actions.encode()).hexdigest() == INFER_ACTIONS_GOLDEN_SHA256
 
 
+# sha256 of the infer output below: 100 frames at --cot-period 7 span several
+# blocks of the loop, a partial last block among them, with decodes in each.
+# Recorded by running these commands at commit d563f52, whose loop ran every
+# stage once over all frames.
+INFER_MULTI_BLOCK_GOLDEN_SHA256 = \
+    "9336fd86d54dabbf5804f1f66a72a438f6af4354b1e5f44c4cc083fecbf7a0e4"
+
+
+def test_infer_multi_block_golden_sha256(tmp_path):
+    from graphact.inference import BLOCK_FRAMES
+    last = 100 - 100 % BLOCK_FRAMES  # first frame of the partial last block
+    assert 2 * BLOCK_FRAMES <= last < 98  # frame 98 decodes in it
+    data = tmp_path / "data"
+    assert main(["gen", "--scenario", "food", "--variant", "0", "--frames", "100",
+                 "--seed", "5", "--out", str(data)]) == 0
+    for kind in ("gnn", "expert", "cot"):
+        assert main(["init-weights", "--kind", kind, "--seed", "3",
+                     "--out", str(tmp_path / f"{kind}.npz")]) == 0
+    out = tmp_path / "out.json"
+    assert main(["infer", "--episode", str(data / "food_v0_000.jsonl"),
+                 "--gnn", str(tmp_path / "gnn.npz"), "--expert", str(tmp_path / "expert.npz"),
+                 "--cot-head", str(tmp_path / "cot.npz"), "--cot-period", "7",
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == INFER_MULTI_BLOCK_GOLDEN_SHA256
+
+
 def test_infer_cot_period(tmp_path, workspace):
     out = tmp_path / "o.json"
     assert main(["infer", "--episode", str(workspace["episode"]),

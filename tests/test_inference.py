@@ -1,13 +1,16 @@
 import dataclasses
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from graphact import (FrameRecord, InferenceSchedule, SCENARIOS, SampleStream, align_streams,
-                      build_default_vocab, build_graph, default_config, gen_episode,
-                      graph_to_json, init_cot_head, init_flow_expert, init_gnn_weights,
-                      make_rng, run_inference_loop)
+                      build_default_vocab, build_graph, default_config, detokenize, encode,
+                      gen_episode, generate_cot, graph_to_json, init_cot_head, init_flow_expert,
+                      init_gnn_weights, make_context, make_rng, pooled_embedding,
+                      run_inference_loop, sample_actions, scenario_onehot)
 from graphact.core import InvalidSetting
-from graphact.inference import outputs_to_dict
+from graphact.inference import BLOCK_FRAMES, frame_json, write_outputs
 from graphact.sim import EmptyEpisode, Episode
 from graphact.stream_sync import CONTROL_STREAM
 
@@ -38,16 +41,77 @@ def test_default_schedule_single_cot(artifacts):
 
 
 def test_report_samples_are_measured_once_and_add_up(artifacts):
-    """One sample per episode-wide stage and one per decode; the per-frame
-    samples share the loop's time and add up to the stage samples."""
-    ep = gen_episode(SCENARIOS["food"], 0, 9, seed=38, cfg=CFG)
-    _, report = run_inference_loop(ep, *artifacts, InferenceSchedule(cot_period=4), CFG)
-    stages = report.stage_samples
-    assert all(len(stages[name]) == 1 for name in ("graph_build", "encode", "action_sampling"))
-    assert len(stages["cot_generation"]) == 3
-    assert len(report.frame_samples) == 9
-    total = sum(sum(ts) for ts in stages.values())
-    assert sum(report.frame_samples) == pytest.approx(total, rel=1e-9, abs=0)
+    """One sample per block for each block stage and one per decode; the
+    per-frame samples share the loop's time and add up to the stage samples."""
+    for n_frames, blocks in ((9, 1), (BLOCK_FRAMES + 5, 2)):
+        ep = gen_episode(SCENARIOS["food"], 0, n_frames, seed=38, cfg=CFG)
+        _, report = run_inference_loop(ep, *artifacts, InferenceSchedule(cot_period=4), CFG)
+        stages = report.stage_samples
+        assert all(len(stages[name]) == blocks
+                   for name in ("graph_build", "encode", "action_sampling"))
+        assert len(stages["cot_generation"]) == 1 + (n_frames - 1) // 4
+        assert len(report.frame_samples) == n_frames
+        total = sum(sum(ts) for ts in stages.values())
+        assert sum(report.frame_samples) == pytest.approx(total, rel=1e-9, abs=0)
+
+
+def test_blocks_give_the_bits_of_a_frame_by_frame_reference(artifacts):
+    """Over two blocks and three frames, with decodes in every block, each
+    chunk and text equals a reference built from build_graph and encode frame
+    by frame and one sample_actions call over the whole context stack."""
+    gnn_w, expert, head = artifacts
+    n = 2 * BLOCK_FRAMES + 3
+    ep = gen_episode(SCENARIOS["outfit"], 0, n, seed=39, cfg=CFG)
+    schedule = InferenceSchedule(cot_period=11)
+    outputs, _ = run_inference_loop(ep, gnn_w, expert, head, schedule, CFG, seed=5)
+    onehot = scenario_onehot(CFG, ep.scenario.name)
+    contexts = np.stack([
+        make_context(pooled_embedding(encode(build_graph(f, ep.K, ep.T, CFG.chains), gnn_w)),
+                     f.q, onehot)
+        for f in ep.frames])
+    chunks = sample_actions(expert, contexts, CFG.euler_steps, make_rng(5))
+    assert [o.index for o in outputs] == list(range(n))
+    assert max(i for i in range(n) if schedule.wants_cot(i)) >= 2 * BLOCK_FRAMES
+    for o, context, chunk in zip(outputs, contexts, chunks):
+        assert np.array_equal(o.actions, chunk)
+        assert o.cot_text == (detokenize(generate_cot(head, context, CFG.cot_max_len), head.vocab)
+                              if schedule.wants_cot(o.index) else None)
+
+
+def _infer_peaks(artifacts, n_frames, path):
+    """tracemalloc peaks of one episode's loop and output write: (the peak
+    less the bytes of the returned chunks, the write's own peak, the length
+    of the first frame's JSON)."""
+    ep = gen_episode(SCENARIOS["food"], 0, n_frames, seed=40, cfg=CFG)
+    tracemalloc.start()
+    try:
+        outputs, _ = run_inference_loop(ep, *artifacts, InferenceSchedule(), CFG)
+        held, loop_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        write_outputs(path, outputs)
+        _, write_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    chunk_bytes = sum(o.actions.nbytes for o in outputs)
+    return (max(loop_peak, write_peak) - chunk_bytes, write_peak - held,
+            len(frame_json(outputs[0])))
+
+
+def test_infer_memory_is_bounded_by_a_block(artifacts, tmp_path):
+    """Past the returned chunks, the loop and the write hold one block of
+    frames at a time, and the write one frame's text and values (its Python
+    floats, its text and its encoded bytes, under 8 times the text) plus the
+    file's buffers."""
+    gnn_w, _, head = artifacts
+    expert = init_flow_expert(make_rng(1), horizon=CFG.flow_horizon, j_dim=CFG.j_total,
+                              context_dim=CFG.context_dim, sigma=CFG.sigma)
+    small, small_write, _ = _infer_peaks((gnn_w, expert, head), 2 * BLOCK_FRAMES,
+                                         tmp_path / "small.json")
+    large, large_write, frame_text = _infer_peaks((gnn_w, expert, head), 8 * BLOCK_FRAMES,
+                                                  tmp_path / "large.json")
+    assert large < 1.25 * small, f"peak {small / 1e6:.2f} -> {large / 1e6:.2f} MB"
+    for write in (small_write, large_write):
+        assert write < 8 * frame_text + 32_000, f"write peak {write} B"
 
 
 def test_cot_period_schedule(artifacts):
@@ -80,9 +144,9 @@ def test_outputs_deterministic_given_seed(artifacts):
     ep = gen_episode(SCENARIOS["food"], 0, 6, seed=34, cfg=CFG)
     a, _ = run_inference_loop(ep, *artifacts, InferenceSchedule(), CFG, seed=9)
     b, _ = run_inference_loop(ep, *artifacts, InferenceSchedule(), CFG, seed=9)
-    assert outputs_to_dict(a) == outputs_to_dict(b)
+    assert [frame_json(o) for o in a] == [frame_json(o) for o in b]
     c, _ = run_inference_loop(ep, *artifacts, InferenceSchedule(), CFG, seed=10)
-    assert outputs_to_dict(c) != outputs_to_dict(a)
+    assert [frame_json(o) for o in c] != [frame_json(o) for o in a]
 
 
 def test_aligned_frames_feed_the_loop_directly(artifacts):
@@ -104,7 +168,7 @@ def test_aligned_frames_feed_the_loop_directly(artifacts):
                       trajectory=ep.trajectory, K=ep.K, T=ep.T)
     got, _ = run_inference_loop(aligned, *artifacts, InferenceSchedule(), CFG, seed=3)
     want, _ = run_inference_loop(ep, *artifacts, InferenceSchedule(), CFG, seed=3)
-    assert outputs_to_dict(got) == outputs_to_dict(want)
+    assert [frame_json(o) for o in got] == [frame_json(o) for o in want]
 
 
 def test_empty_episode_raises(artifacts):
@@ -122,7 +186,7 @@ def test_zero_counts_are_rejected_not_defaulted(artifacts):
     one, _ = run_inference_loop(ep, *artifacts, InferenceSchedule(),
                                 dataclasses.replace(CFG, cot_max_len=1), euler_steps=1)
     default, _ = run_inference_loop(ep, *artifacts, InferenceSchedule(), CFG)
-    assert outputs_to_dict(one) != outputs_to_dict(default)
+    assert [frame_json(o) for o in one] != [frame_json(o) for o in default]
     assert len(one[0].cot_text.split()) <= 1
 
 
