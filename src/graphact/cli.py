@@ -16,7 +16,8 @@ import zipfile
 
 import numpy as np
 
-from .core import InvalidSetting, PipelineConfig, PipelineError, derive_seed, make_rng
+from .core import (InvalidSetting, PipelineConfig, PipelineError, check_finite, derive_seed,
+                   make_rng)
 from .cot import (CotHead, build_default_vocab, init_cot_head, make_cot_label, tokenize,
                   train_cot_head, write_cot_dataset)
 from .flow import FlowExpert, init_flow_expert, train_step
@@ -151,6 +152,8 @@ def cmd_train_expert(args) -> int:
     for step in range(args.steps):
         idx = rng.choice(len(dataset), size=min(args.batch, len(dataset)), replace=False)
         rows.append((step, train_step(expert, [dataset[i] for i in idx], args.lr, rng)))
+        check_finite(f"expert loss at step {step}", rows[-1][1])
+    expert.check_finite_params("trained expert")
     expert.save(args.out)
     _write_loss_csv(_loss_csv_path(args.out), rows)
     print(f"trained expert on {len(dataset)} samples; "
@@ -176,6 +179,9 @@ def cmd_train_cot(args) -> int:
         write_cot_dataset(args.dump_dataset, samples)
     dataset = [(ctx, ids) for ctx, ids, _ in samples]
     curve = train_cot_head(head, dataset, args.lr, args.epochs, make_rng(derive_seed(args.seed, 1)))
+    for epoch, loss in enumerate(curve):
+        check_finite(f"cot loss at epoch {epoch}", loss)
+    head.check_finite_params("trained cot head")
     head.save(args.out)
     _write_loss_csv(_loss_csv_path(args.out), list(enumerate(curve)))
     print(f"trained reasoning head on {len(dataset)} samples; "
@@ -322,7 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.fn(args)
+        # A non-finite result is refused by name; numpy's warnings would only
+        # add lines to stderr's one-JSON-line error contract.
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except (PipelineError, OSError, json.JSONDecodeError, zipfile.BadZipFile) as exc:
         sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 2 if isinstance(exc, PipelineError) else 3

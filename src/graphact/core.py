@@ -33,6 +33,18 @@ class InvalidSetting(PipelineError, ValueError):
     a non-finite rate, say) or a command line that does not parse."""
 
 
+class NonFiniteOutput(PipelineError):
+    """A command's result holds a NaN or infinite number, which strict JSON
+    cannot carry and no later command should read."""
+
+
+def check_finite(what: str, values, error=NonFiniteOutput) -> None:
+    """Raise error (NonFiniteOutput by default) naming what unless every
+    entry of values is finite."""
+    if not np.isfinite(values).all():
+        raise error(f"{what} has a non-finite entry")
+
+
 def check_shapes(owner: str, expected: dict) -> None:
     """expected: parameter name -> (array, shape it must have). Raises
     ShapeMismatch naming the first parameter whose shape differs."""
@@ -131,6 +143,12 @@ class Model:
     def params(self) -> list:
         """[(name, array)] in PARAMS order; the arrays, not copies."""
         return [(name, getattr(self, name)) for name in self.PARAMS]
+
+    def check_finite_params(self, what: str, error=NonFiniteOutput) -> None:
+        """check_finite on each parameter in PARAMS order, named
+        "<what> parameter <name>"."""
+        for name, p in self.params():
+            check_finite(f"{what} parameter {name}", p, error)
 
     @classmethod
     def _header_fields(cls) -> dict:

@@ -339,28 +339,38 @@ def generate_cot(head: CotHead, context, max_len: int) -> list:
     """Greedy argmax decoding until <end> or max_len; ties break to the
     lowest token id, so decoding is deterministic.
 
-    The input row [context projection, window embeddings] is preallocated:
-    the projection is written once, and each token shifts the embedding
-    slots by one and writes the new token's embedding at the end. Each step
-    sees the same row that concatenating the projection and the window's
+    The input row [context projection, window embeddings], the hidden row
+    and the logits row are allocated once per call, so a token allocates
+    no array: the projection is written once, and each token shifts the
+    embedding slots by one and writes the new token's embedding at the end.
+    Each step runs the operations of tanh(x @ w1 + b1) @ w2 + b2 in that
+    order, on the row that concatenating the projection and the window's
     embeddings would build, so the decoded ids do not change.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    n_ctx, embed = head.wc.shape[1], head.emb.shape[1]
-    x = np.empty((1, head.w1.shape[0]))
+    w1, w2, emb = head.w1, head.w2, head.emb
+    b1, b2 = head.b1.reshape(1, -1), head.b2.reshape(1, -1)
+    n_ctx, embed = head.wc.shape[1], emb.shape[1]
+    x = np.empty((1, w1.shape[0]))
     x[0, :n_ctx] = np.ravel(context) @ head.wc + head.bc
-    x[0, n_ctx:] = np.tile(head.emb[head.vocab.pad_id], head.window)
+    x[0, n_ctx:] = np.tile(emb[head.vocab.pad_id], head.window)
+    h, logits = np.empty((1, w1.shape[1])), np.empty((1, w2.shape[1]))
+    shifted, kept, newest = x[0, n_ctx:-embed], x[0, n_ctx + embed:], x[0, -embed:]
     end_id = head.vocab.end_id
     out = []
     for _ in range(max_len):
-        logits = np.tanh(x @ head.w1 + head.b1) @ head.w2 + head.b2
-        nxt = int(np.argmax(logits[0]))
+        np.matmul(x, w1, out=h)
+        h += b1
+        np.tanh(h, out=h)
+        np.matmul(h, w2, out=logits)
+        logits += b2
+        nxt = int(logits.argmax())
         if nxt == end_id:
             break
         out.append(nxt)
-        x[0, n_ctx:-embed] = x[0, n_ctx + embed:]
-        x[0, -embed:] = head.emb[nxt]
+        shifted[:] = kept
+        newest[:] = emb[nxt]
     return out
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import InvalidSetting, PipelineConfig, PipelineError, make_rng
+from .core import InvalidSetting, PipelineConfig, PipelineError, check_finite, make_rng
 from .cot import CotHead, detokenize, generate_cot
 from .flow import FlowExpert, sample_actions
 from .gnn import GnnWeights, encode_pooled
@@ -59,9 +59,8 @@ def check_artifacts(cfg: PipelineConfig, gnn_w: GnnWeights, expert: FlowExpert =
         if got != want:
             raise ArtifactMismatch(f"{what} {got} does not match config {key} {want}")
     for what, model in (("gnn", gnn_w), ("expert", expert), ("cot head", cot_head)):
-        for name, p in model.params() if model is not None else ():
-            if not np.isfinite(p).all():
-                raise NonFiniteWeight(f"{what} parameter {name} has a non-finite entry")
+        if model is not None:
+            model.check_finite_params(what, NonFiniteWeight)
 
 
 @dataclass
@@ -211,15 +210,18 @@ def run_inference_loop(episode: Episode, gnn_w: GnnWeights, expert: FlowExpert,
 
 
 def frame_json(o: FrameOutput) -> str:
-    """One frame of the infer output as JSON text (no timings)."""
+    """One frame of the infer output as strict JSON text (no timings)."""
     return json.dumps({"index": o.index, "t": float(o.t), "actions": o.actions.tolist(),
-                       "cot": o.cot_text})
+                       "cot": o.cot_text}, allow_nan=False)
 
 
 def write_outputs(path, outputs: list) -> None:
     """Write the infer output file frame by frame: {"frames": [...]} and a
     newline, the bytes json.dumps of the whole document gives, holding one
-    frame's text at a time."""
+    frame's text at a time. A non-finite chunk raises NonFiniteOutput before
+    the file is opened."""
+    for o in outputs:
+        check_finite(f"expert chunk of frame {o.index}", o.actions)
     with open(path, "w") as f:
         f.write('{"frames": [')
         for k, o in enumerate(outputs):

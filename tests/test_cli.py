@@ -3,6 +3,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -13,6 +15,7 @@ from graphact import CotHead, cli, default_config, init_gnn_weights, make_rng
 from graphact.cli import main
 from graphact.core import to_json
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 def run(argv, capsys=None):
     code = main(argv)
@@ -774,6 +777,59 @@ def test_train_checks_gnn_before_first_frame(command, fault, tmp_path, workspace
     err = _one_json_error_line(capsys.readouterr().err)
     assert err["error"] == {"d_out": "ArtifactMismatch", "nan": "NonFiniteWeight"}[fault]
     assert os.listdir(tmp_path) == ["gnn.npz"]
+
+
+def test_infer_refuses_non_finite_output(tmp_path, workspace):
+    """A finite but huge expert overflows to NaN chunks: infer exits 2 with
+    one JSON line on stderr (no numpy warning beside it) and writes nothing."""
+    expert = tmp_path / "expert.npz"
+    _edit_artifact(workspace["expert"], expert, lambda h, a: a["w3"].fill(1e308))
+    out = tmp_path / "o.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "graphact.cli",
+                           *_infer_argv({**workspace, "expert": expert}, workspace["episode"],
+                                        out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert _one_json_error_line(proc.stderr) == {
+        "error": "NonFiniteOutput", "message": "expert chunk of frame 0 has a non-finite entry"}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,argv,word", [
+    ("train-expert", ["--lr", "1e3", "--steps", "50"], "step"),
+    ("train-cot", ["--lr", "1e308", "--epochs", "5"], "epoch")])
+def test_train_refuses_non_finite_loss(command, argv, word, tmp_path, workspace, capsys):
+    """A diverging run exits 2 naming the step or epoch whose loss is not
+    finite, and leaves neither an artifact nor a loss CSV."""
+    out = tmp_path / "o.npz"
+    assert main([command, "--data", str(workspace["data"]), *argv, "--out", str(out)]) == 2
+    err = _one_json_error_line(capsys.readouterr().err)
+    assert err["error"] == "NonFiniteOutput"
+    assert err["message"].split(" at ")[1].startswith(word)
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command,train,argv", [("train-expert", "train_step", ["--steps", "1"]),
+                                                ("train-cot", "train_cot_head", ["--epochs", "1"])])
+def test_train_refuses_non_finite_parameter(command, train, argv, tmp_path, workspace,
+                                            monkeypatch, capsys):
+    """A trained parameter that is not finite behind finite losses stops the
+    command before anything is saved."""
+    real = getattr(cli, train)
+
+    def planted(model, *rest):
+        result = real(model, *rest)
+        model.b2[0] = np.inf
+        return result
+
+    monkeypatch.setattr(cli, train, planted)
+    out = tmp_path / "o.npz"
+    assert main([command, "--data", str(workspace["data"]), *argv, "--out", str(out)]) == 2
+    err = _one_json_error_line(capsys.readouterr().err)
+    assert err["error"] == "NonFiniteOutput" and "parameter b2" in err["message"]
+    assert os.listdir(tmp_path) == []
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -287,10 +287,31 @@ def test_generate_cot_bit_exact_against_concat_decode():
 
 
 def test_generate_untrained_emits_max_len():
+    """With <end> planted far below every other logit the decode runs to
+    max_len; planted far above, it stops before the first token."""
     vocab, _ = _memorization_setup()
     head = init_cot_head(vocab, context_dim=4, rng=make_rng(10))
-    out = generate_cot(head, np.zeros(4), 17)
-    assert len(out) <= 17
+    head.b2[vocab.end_id] = -1e6
+    assert len(generate_cot(head, np.zeros(4), 17)) == 17
+    head.b2[vocab.end_id] = 1e6
+    assert generate_cot(head, np.zeros(4), 17) == []
+
+
+def test_generate_cot_leaves_the_head_intact():
+    """The per-call buffers alias no weight and carry nothing between calls:
+    decodes on different contexts leave every parameter's bytes as they were,
+    and a context seen before decodes to its first ids again."""
+    vocab, samples = _memorization_setup()
+    head = init_cot_head(vocab, context_dim=4, window=8, rng=make_rng(33))
+    train_cot_head(head, samples, lr=0.5, epochs=60, rng=make_rng(31))
+    before = {name: p.tobytes() for name, p in head.params()}
+    rng = make_rng(34)
+    contexts = [ctx for ctx, _ in samples] + [rng.normal(size=4) for _ in range(4)]
+    first = [generate_cot(head, ctx, 40) for ctx in contexts]
+    assert len({tuple(ids) for ids in first}) > 1
+    for ctx, ids in zip(contexts[::-1], first[::-1]):
+        assert generate_cot(head, ctx, 40) == ids
+    assert {name: p.tobytes() for name, p in head.params()} == before
 
 
 def test_generate_tie_break_lowest_id():
