@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (InvalidSetting, Model, PipelineError, check_shapes, fan_in_normal,
-                   max_grad_error)
+from .core import (InvalidSetting, Model, PipelineError, check_finite, check_shapes,
+                   fan_in_normal, max_grad_error)
 from .sim import SCENARIOS, EmptyEpisode, Episode, InstructionScenario, Scene
 
 PAD, END, SEP = "<pad>", "<end>", "<sep>"
@@ -306,13 +306,14 @@ def init_cot_head(vocab: TokenVocab, context_dim: int, rng: np.random.Generator,
 def train_cot_head(head: CotHead, dataset: list, lr: float, epochs: int,
                    rng: np.random.Generator) -> list:
     """Teacher-forced SGD over (context, token ids) pairs; returns the
-    per-epoch mean per-token loss curve."""
+    per-epoch mean per-token loss curve. An epoch whose mean is not finite
+    raises NonFiniteOutput before the next epoch runs."""
     if not dataset:
         raise EmptyDataset("CoT training needs at least one sample")
     # Each sample's token windows depend only on its ids: built once per run.
     samples = [(context, token_ids, head.windows(token_ids)) for context, token_ids in dataset]
     curve = []
-    for _ in range(epochs):
+    for k in range(epochs):
         order = rng.permutation(len(samples))
         losses = []
         for idx in order:
@@ -323,6 +324,7 @@ def train_cot_head(head: CotHead, dataset: list, lr: float, epochs: int,
                 p -= g
             losses.append(loss)
         curve.append(float(np.mean(losses)))
+        check_finite(f"cot loss at epoch {k}", curve[-1])
     return curve
 
 

@@ -46,8 +46,7 @@ def joint_matrix(frames: list, chains: list) -> np.ndarray:
 
 
 def build_graph(frame, K: CameraIntrinsics, T: RigidTransform, chains: list,
-                paper_literal: bool = False, skipped: list = None,
-                positions: list = None) -> PoseObjectGraph:
+                paper_literal: bool = False, positions: list = None) -> PoseObjectGraph:
     """Assemble the scene graph for one aligned frame. paper_literal gives the
     paper's minimal form: end-effector nodes, object/end-effector edges only.
     positions holds the frame's (dof + 1, 3) joint origins per chain, as
@@ -56,7 +55,7 @@ def build_graph(frame, K: CameraIntrinsics, T: RigidTransform, chains: list,
 
     Node order is deterministic: objects in detection order, then per chain in
     config order (joint origins base-to-tip unless paper_literal, then end
-    effector). Objects with no valid depth are skipped and recorded in `skipped`.
+    effector). Detections with no valid depth get no node, with a warning.
     """
     if positions is None:
         positions = [p[0] for p in chain_positions(joint_matrix([frame], chains), chains)]
@@ -67,8 +66,6 @@ def build_graph(frame, K: CameraIntrinsics, T: RigidTransform, chains: list,
             depths.append(depth_at(frame.depth, center))
         except NoValidDepth:
             log.warning("skipping object '%s': no valid depth at %s", det.label, center)
-            if skipped is not None:
-                skipped.append(det.label)
             continue
         centers.append(center)
         labels.append(det.label)

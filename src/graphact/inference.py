@@ -65,8 +65,8 @@ def check_artifacts(cfg: PipelineConfig, gnn_w: GnnWeights, expert: FlowExpert =
 
 @dataclass
 class InferenceSchedule:
-    """Reasoning cadence: first frame by default, every cot_period frames
-    when set."""
+    """Reasoning cadence: frame 0 when cot_on_first_frame, and every
+    cot_period-th frame after it when cot_period is set."""
 
     cot_on_first_frame: bool = True
     cot_period: int = None
@@ -76,9 +76,9 @@ class InferenceSchedule:
             raise InvalidSetting(f"cot_period must be >= 1 when set, got {self.cot_period}")
 
     def wants_cot(self, frame_index: int) -> bool:
-        if self.cot_period is not None:
-            return frame_index % self.cot_period == 0
-        return self.cot_on_first_frame and frame_index == 0
+        if frame_index == 0:
+            return self.cot_on_first_frame
+        return self.cot_period is not None and frame_index % self.cot_period == 0
 
 
 @dataclass

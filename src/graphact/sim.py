@@ -8,7 +8,7 @@ motion is a scripted joint-space cubic; no claim of behavioral realism.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -152,15 +152,15 @@ def _box_region(box: BoundingBox, width: int, height: int) -> tuple:
     return x0, y0, x1, y1
 
 
-def render_frame(scene: Scene, q, t: float, K: CameraIntrinsics, T: RigidTransform,
-                 omitted: list = None) -> FrameRecord:
+def render_frame(scene: Scene, q, t: float, K: CameraIntrinsics,
+                 T: RigidTransform) -> FrameRecord:
     """Forward-project each object into a detection box and a flat depth
     rectangle over the box at the object's depth, capped at the far background.
 
     The rectangles are stable-sorted far to near, so where boxes overlap the
     nearest surface is on top; detections keep the scene's order. Objects
     behind the camera raise BehindCamera; objects projecting outside the image
-    (or within a pixel of its border) are omitted and recorded in `omitted`.
+    (or within a pixel of its border) get no detection and no rectangle.
     """
     T_inv = T.inverse()
     rects, detections = [], []
@@ -174,8 +174,6 @@ def render_frame(scene: Scene, q, t: float, K: CameraIntrinsics, T: RigidTransfo
         hu = min(half, u, K.width - u)
         hv = min(half, v, K.height - v)
         if hu < 1.0 or hv < 1.0:
-            if omitted is not None:
-                omitted.append(obj.label)
             continue
         box = BoundingBox(label=obj.label, x_min=u - hu, y_min=v - hv,
                           x_max=u + hu, y_max=v + hv)
@@ -227,7 +225,6 @@ class Episode:
     T: RigidTransform
     variant: int = 0
     seed: int = 0
-    omitted: list = field(default_factory=list)
 
 
 def gen_episode(scenario: InstructionScenario, variant: int, n_frames: int,
@@ -246,13 +243,11 @@ def gen_episode(scenario: InstructionScenario, variant: int, n_frames: int,
         u = i / (n_frames - 1) if n_frames > 1 else 0.0
         s = 3.0 * u ** 2 - 2.0 * u ** 3  # smooth cubic, zero end velocities
         trajectory.append(home + s * (goal - home))
-    omitted = []
     frames = [render_frame(scene, trajectory[i], i / cfg.camera_rate_hz,
-                           cfg.intrinsics, cfg.extrinsics, omitted)
+                           cfg.intrinsics, cfg.extrinsics)
               for i in range(n_frames)]
     return Episode(frames=frames, scene=scene, scenario=scenario, trajectory=trajectory,
-                   variant=variant, seed=seed, K=cfg.intrinsics, T=cfg.extrinsics,
-                   omitted=omitted)
+                   variant=variant, seed=seed, K=cfg.intrinsics, T=cfg.extrinsics)
 
 
 # An episode file: a HEADER line, then a FRAME line per frame, each read back

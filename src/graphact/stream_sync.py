@@ -47,9 +47,10 @@ def _check_stream(s: SampleStream) -> list:
 def align_streams(head: SampleStream, others: list, max_gap: float) -> list:
     """One FrameRecord per head sample fully matched within max_gap.
 
-    Head payloads are mappings with 'detections' and 'depth' entries; the
-    stream named CONTROL_STREAM carries joint vectors, surfaced as frame.q
-    (empty without that stream). Every matched payload also lands in
+    Head payloads are mappings with 'detections' and 'depth' entries; a
+    matched one that is not raises KeyError or TypeError. The stream named
+    CONTROL_STREAM carries joint vectors, surfaced as frame.q (empty
+    without that stream). Every matched payload also lands in
     frame.aux, and its timestamp in frame.source_t, under its stream name.
     """
     if max_gap <= 0:
@@ -72,8 +73,7 @@ def align_streams(head: SampleStream, others: list, max_gap: float) -> list:
             times[s.name] = ts[idx]
         if not complete:
             continue
-        payload = payload if isinstance(payload, dict) else {}
-        frames.append(FrameRecord(t, payload.get("detections", []), payload.get("depth"),
+        frames.append(FrameRecord(t, payload["detections"], payload["depth"],
                                   matches.get(CONTROL_STREAM, ()), aux=matches, source_t=times))
     return frames
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from graphact import CotHead, cli, default_config, init_gnn_weights, make_rng
-from graphact.cli import main
+from graphact.cli import build_parser, main
 from graphact.core import to_json
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -216,6 +217,19 @@ def test_infer_cot_period(tmp_path, workspace):
                  "--out", str(out)]) == 0
     frames = json.loads(out.read_text())["frames"]
     assert [f["index"] for f in frames if f["cot"] is not None] == [0, 5]
+
+
+def test_infer_no_first_cot_with_period(tmp_path, workspace):
+    data = tmp_path / "data"
+    assert main(["gen", "--scenario", "food", "--variant", "0", "--frames", "12",
+                 "--seed", "3", "--out", str(data)]) == 0
+    out = tmp_path / "o.json"
+    assert main(_infer_argv(workspace, data / "food_v0_000.jsonl", out,
+                            "--no-first-cot", "--cot-period", "5")) == 0
+    frames = json.loads(out.read_text())["frames"]
+    assert frames[0]["cot"] is None
+    assert [f["index"] for f in frames if f["cot"] is not None] == [5, 10]
+    assert all(isinstance(frames[i]["cot"], str) and frames[i]["cot"] for i in (5, 10))
 
 
 def test_selfcheck_passes(capsys):
@@ -486,6 +500,15 @@ def test_argument_errors_follow_the_error_contract(argv, word, capsys):
     err = _one_json_error_line(captured.err)
     assert err["error"] == "InvalidSetting" and word in err["message"]
     assert captured.out == ""
+
+
+def test_readme_documents_every_long_option():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    readme = open(os.path.join(os.path.dirname(SRC), "README.md")).read()
+    missing = [f"{name} {opt}" for name, parser in sub.choices.items()
+               for action in parser._actions if not isinstance(action, argparse._HelpAction)
+               for opt in action.option_strings if opt.startswith("--") and opt not in readme]
+    assert missing == []
 
 
 def test_help_still_exits_zero(capsys):
@@ -808,6 +831,26 @@ def test_train_refuses_non_finite_loss(command, argv, word, tmp_path, workspace,
     err = _one_json_error_line(capsys.readouterr().err)
     assert err["error"] == "NonFiniteOutput"
     assert err["message"].split(" at ")[1].startswith(word)
+    assert os.listdir(tmp_path) == []
+
+
+def test_train_cot_stops_at_the_first_non_finite_epoch(tmp_path, workspace, monkeypatch,
+                                                       capsys):
+    """Epoch 1's loss is not finite, so the run stops after two epochs of
+    its two samples instead of training all 50 epochs on NaN weights."""
+    real, calls = CotHead.loss_and_grads, []
+
+    def counted(head, *rest):
+        calls.append(1)
+        return real(head, *rest)
+
+    monkeypatch.setattr(CotHead, "loss_and_grads", counted)
+    out = tmp_path / "o.npz"
+    assert main(["train-cot", "--data", str(workspace["data"]), "--lr", "1e308",
+                 "--epochs", "50", "--out", str(out)]) == 2
+    err = _one_json_error_line(capsys.readouterr().err)
+    assert err["message"] == "cot loss at epoch 1 has a non-finite entry"
+    assert len(calls) == 2 * len(os.listdir(workspace["data"]))
     assert os.listdir(tmp_path) == []
 
 

@@ -91,12 +91,13 @@ def test_kinematic_edges_connect_consecutive_joints():
 
 
 def test_object_skipped_without_valid_depth():
+    """The skipped objects are the frame's detections less the graph's
+    object nodes: here both of the two."""
     frame = _frame(2, depth_value=-1.0)  # whole grid invalid
-    skipped = []
-    g = build_graph(frame, CFG.intrinsics, CFG.extrinsics, CFG.chains, paper_literal=True,
-                    skipped=skipped)
-    assert skipped == ["o0", "o1"]
-    assert all(n.kind != OBJECT for n in g.nodes)
+    g = build_graph(frame, CFG.intrinsics, CFG.extrinsics, CFG.chains, paper_literal=True)
+    objects = [n for n in g.nodes if n.kind == OBJECT]
+    assert objects == []
+    assert len(frame.detections) - len(objects) == 2
     assert g.edges == []
 
 

@@ -122,6 +122,14 @@ def test_cot_period_schedule(artifacts):
     assert emitted == [0, 5, 10]
 
 
+def test_no_first_cot_with_period(artifacts):
+    """Frame 0 follows cot_on_first_frame, later frames the period."""
+    ep = gen_episode(SCENARIOS["food"], 0, 12, seed=31, cfg=CFG)
+    outputs, _ = run_inference_loop(
+        ep, *artifacts, InferenceSchedule(cot_on_first_frame=False, cot_period=5), CFG)
+    assert [o.index for o in outputs if o.cot_text is not None] == [5, 10]
+
+
 def test_cot_emission_count_formula(artifacts):
     n = 11
     ep = gen_episode(SCENARIOS["outfit"], 0, n, seed=32, cfg=CFG)

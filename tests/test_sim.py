@@ -128,13 +128,14 @@ def test_render_behind_camera_raises():
         render_frame(scene, np.zeros(CFG.j_total), 0.0, K, T)
 
 
-def test_render_off_image_omitted_and_recorded():
+def test_render_off_image_omitted():
+    """The omitted objects are the scene's objects less the frame's
+    detections: here the one object."""
     K, T = CFG.intrinsics, CFG.extrinsics
     pos = T.apply(np.array([5.0, 0.0, 1.0]))  # far outside the frustum
     scene = Scene(objects=[SceneObject("gone", pos, 0.0)], table_bounds=((0, 1),) * 3)
-    omitted = []
-    frame = render_frame(scene, np.zeros(CFG.j_total), 0.0, K, T, omitted=omitted)
-    assert frame.detections == [] and omitted == ["gone"]
+    frame = render_frame(scene, np.zeros(CFG.j_total), 0.0, K, T)
+    assert scene.labels() == ["gone"] and frame.detections == []
     assert frame.depth.far == DEFAULT_FAR and frame.depth.patches == []
 
 

@@ -78,6 +78,16 @@ def test_align_is_idempotent():
         assert np.array_equal(a.q, b.q)
 
 
+@pytest.mark.parametrize("payload,error", [(None, TypeError),
+                                           ({"detections": []}, KeyError)])
+def test_head_payload_without_detections_and_depth_is_refused(payload, error):
+    """A matched head sample must carry both entries; it does not become a
+    frame with no detections and no depth."""
+    head = SampleStream("head", 30.0, [(0.0, payload)])
+    with pytest.raises(error):
+        align_streams(head, [_control([0.0])], max_gap=0.1)
+
+
 def test_empty_and_non_monotone_errors():
     with pytest.raises(EmptyStream):
         align_streams(_head([]), [_control([0.0])], max_gap=0.1)
