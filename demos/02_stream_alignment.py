@@ -1,9 +1,9 @@
 """Align a 150 Hz control stream to 30 Hz head-camera timestamps.
 
 Cameras and joint telemetry run at different rates; every emitted frame
-carries, for each stream, the latest sample at or before the camera
-timestamp. Head samples without a complete match within max_gap are dropped
-rather than interpolated.
+takes its joints from the latest control sample at or before the camera
+timestamp. Every other stream only gates: a head sample that some stream
+cannot match within max_gap is dropped rather than interpolated.
 """
 
 import numpy as np
@@ -18,17 +18,17 @@ head = SampleStream("head", 30.0, [
 control = SampleStream(CONTROL_STREAM, 150.0, [
     (k / 150, np.array([np.sin(k / 150), np.cos(k / 150)])) for k in range(40)
 ])
-# a slow auxiliary stream that stops early, forcing late frames to drop
-aux = SampleStream("gripper", 10.0, [(k / 10, {"open": k % 2 == 0}) for k in range(2)])
+# a gripper stream that reports once and stops, so late frames drop
+gripper = SampleStream("gripper", 10.0, [(0.0, {"open": True})])
 
-frames = align_streams(head, [control, aux], max_gap=2 / 15)
-print(f"{len(head.samples)} head samples -> {len(frames)} aligned frames\n")
+frames = align_streams(head, [control, gripper], max_gap=2 / 15)
+control_only = align_streams(head, [control], max_gap=2 / 15)
+print(f"{len(head.samples)} head samples -> {len(frames)} aligned frames "
+      f"({len(control_only) - len(frames)} dropped by the gripper stream)\n")
 for f in frames:
-    gap_ctrl = f.t - f.source_t[CONTROL_STREAM]
-    gap_aux = f.t - f.source_t["gripper"]
-    print(f"t={f.t:.4f}  control(t-{gap_ctrl:.4f}s) q={np.round(f.q, 3)}  "
-          f"gripper(t-{gap_aux:.4f}s) {f.aux['gripper']}")
+    print(f"t={f.t:.4f}  control q={np.round(f.q, 3)}")
 
 print("\nmatched control gap never exceeds one control period:")
-gaps = [f.t - f.source_t[CONTROL_STREAM] for f in frames]
+# the demo's q is (sin t, cos t), so its control timestamp is arctan2(q)
+gaps = [f.t - np.arctan2(*f.q) for f in control_only]
 print(f"  max gap {max(gaps):.5f}s < {1 / 150:.5f}s + slack")

@@ -16,8 +16,8 @@ from .kinematics import (DhLink, KinematicChain, chain_positions, default_chains
 from .projection import backproject, bbox_center, depth_at, project, transform_point
 from .graph import (GraphNode, PoseObjectGraph, adjacency_matrix, build_graph, episode_graphs,
                     graph_to_json)
-from .gnn import (GnnWeights, encode, encode_pooled, graph_conv, init_gnn_weights,
-                  initial_embedding, layer_norm, pooled_embedding)
+from .gnn import (GnnWeights, encode, encode_pooled, graph_conv, init_gnn_weights, layer_norm,
+                  pooled_embedding)
 from .flow import (FlowExpert, fm_loss, grad_check, init_flow_expert, interpolate,
                    sample_actions, sample_tau, target_field, train_step)
 from .cot import (CotHead, CotLabel, TokenVocab, build_default_vocab, ce_loss,

@@ -331,16 +331,12 @@ class DepthGrid:
 
 @dataclass
 class FrameRecord:
-    """One time-aligned multimodal observation. Frames from align_streams
-    also carry every matched payload (aux) and its timestamp (source_t),
-    keyed by stream name."""
+    """One time-aligned multimodal observation."""
 
     t: float
     detections: list  # list[BoundingBox]
     depth: DepthGrid
     q: np.ndarray  # (J,) radians; empty when no joint stream matched
-    aux: dict = field(default_factory=dict)
-    source_t: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.q = np.asarray(self.q, dtype=float).reshape(-1)
@@ -393,9 +389,6 @@ class PipelineConfig:
     cot_embed: int = 16
     cot_max_len: int = 96
 
-    # Keys that older versions wrote; load drops them.
-    RETIRED_KEYS = ("seed", "j_total", "lambda_cot", "lambda_action", "dropout_p")
-
     def __post_init__(self):
         """Raise ValueError naming every value the pipeline cannot run with."""
         dims, names = self.gnn_dims, self.scenario_names
@@ -405,6 +398,8 @@ class PipelineConfig:
         checks += [(name, "finite and > 0", 0 < getattr(self, name) < np.inf) for name in (
             "flow_alpha", "flow_beta", "camera_rate_hz", "control_rate_hz", "max_gap")]
         checks += [("sigma", "finite and >= 0", 0 <= self.sigma < np.inf),
+                   ("joint_limits", "(lo, hi) with lo < hi",
+                    self.joint_limits[0] < self.joint_limits[1]),
                    ("gnn_dims", "3 integers >= 1", len(dims) == 3 and all(
                        isinstance(v, int) and v >= 1 for v in dims)),
                    ("scenario_names", "non-empty without repeats",
@@ -420,12 +415,9 @@ class PipelineConfig:
 
     @classmethod
     def load(cls, path) -> "PipelineConfig":
-        """The config in the file at path, less RETIRED_KEYS, through reader."""
+        """The config in the file at path, through reader."""
         with open(path) as f:
-            doc = json.load(f)
-        if isinstance(doc, dict):
-            doc = {k: v for k, v in doc.items() if k not in cls.RETIRED_KEYS}
-        return reader(cls, "config")(doc)
+            return reader(cls, "config")(json.load(f))
 
     @property
     def j_total(self) -> int:

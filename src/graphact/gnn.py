@@ -61,10 +61,6 @@ def node_inputs(g: PoseObjectGraph) -> np.ndarray:
     return X
 
 
-def initial_embedding(g: PoseObjectGraph, w: GnnWeights) -> np.ndarray:
-    return node_inputs(g) @ w.lift_w + w.lift_b
-
-
 def layer_norm(H: np.ndarray) -> np.ndarray:
     """Per-row (x - mean) / sqrt(var + eps) over the last axis; no learned
     affine. The mean and variance are the sums np.mean and np.var take."""
@@ -117,12 +113,13 @@ def encode_pooled(graphs: list, w: GnnWeights) -> np.ndarray:
     out = np.empty((len(graphs), w.dims[2]))
     for members in groups.values():
         X = np.array([node_inputs(graphs[i]) for i in members])
-        out[members] = encode(graphs[members[0]], w, X).mean(axis=1)
+        out[members] = pooled_embedding(encode(graphs[members[0]], w, X))
     return out
 
 
 def pooled_embedding(H: np.ndarray) -> np.ndarray:
-    """Mean over nodes; permutation invariant."""
-    if H.shape[0] < 1:
+    """Mean over nodes, axis -2: (n, d) gives (d,), a stack (G, n, d) gives
+    (G, d). Permutation invariant."""
+    if H.shape[-2] < 1:
         raise EmptyGraph("no node features to pool")
-    return H.mean(axis=0)
+    return H.mean(axis=-2)

@@ -279,6 +279,11 @@ def _decode_frame(rec, width: int, height: int) -> FrameRecord:
         if not (0 <= x0 < x1 <= width and 0 <= y0 < y1 <= height):
             raise MalformedEpisode(f"depth rectangle {[x0, y0, x1, y1]} outside the "
                                    f"{width}x{height} image")
+    for d in detections:
+        x0, y0, x1, y1 = d["box"]
+        if not (0 <= x0 <= x1 <= width and 0 <= y0 <= y1 <= height):
+            raise MalformedEpisode(f"detection box {[x0, y0, x1, y1]} not ordered inside "
+                                   f"the {width}x{height} image")
     return FrameRecord(t=t, detections=[BoundingBox(d["label"], *d["box"]) for d in detections],
                        depth=DepthGrid(width, height, far, rects), q=q)
 

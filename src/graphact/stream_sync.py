@@ -6,11 +6,12 @@ dropped, not interpolated. Alignment is library-only: the CLI reads
 episode files, whose frames are aligned already.
 """
 
+import math
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .core import FrameRecord, PipelineError
+from .core import FrameRecord, InvalidSetting, PipelineError
 
 CONTROL_STREAM = "control"
 
@@ -31,49 +32,43 @@ class SampleStream:
     rate_hz: float
     samples: list  # list[(float, payload)]
 
-    def timestamps(self) -> list:
-        return [t for t, _ in self.samples]
-
 
 def _check_stream(s: SampleStream) -> list:
+    """s's timestamps, which must be finite and strictly increasing. A NaN
+    fails every comparison, so one between two samples fails the order
+    check, and finite ends bound every timestamp between them."""
     if not s.samples:
         raise EmptyStream(f"stream '{s.name}' has no samples")
-    ts = s.timestamps()
-    if any(map(operator.le, ts[1:], ts)):
-        raise NonMonotoneTimestamps(f"stream '{s.name}' timestamps not strictly increasing")
+    ts = [t for t, _ in s.samples]
+    if not (math.isfinite(ts[0]) and math.isfinite(ts[-1])
+            and all(map(operator.lt, ts, ts[1:]))):
+        raise NonMonotoneTimestamps(
+            f"stream '{s.name}' timestamps not finite and strictly increasing")
     return ts
 
 
 def align_streams(head: SampleStream, others: list, max_gap: float) -> list:
-    """One FrameRecord per head sample fully matched within max_gap.
+    """One FrameRecord per head sample that every other stream matches within
+    max_gap.
 
     Head payloads are mappings with 'detections' and 'depth' entries; a
-    matched one that is not raises KeyError or TypeError. The stream named
-    CONTROL_STREAM carries joint vectors, surfaced as frame.q (empty
-    without that stream). Every matched payload also lands in
-    frame.aux, and its timestamp in frame.source_t, under its stream name.
+    matched one that is not raises KeyError or TypeError. frame.q is the
+    matched sample of the stream named CONTROL_STREAM (empty without that
+    stream); the other streams only decide which head samples match.
     """
-    if max_gap <= 0:
-        raise ValueError("max_gap must be positive")
-    head_ts = _check_stream(head)
-    other_ts = {s.name: _check_stream(s) for s in others}
-
+    if not 0 < max_gap < math.inf:
+        raise InvalidSetting(f"max_gap must be finite and > 0, got {max_gap!r}")
+    _check_stream(head)
+    others = [(s, _check_stream(s)) for s in others]
     frames = []
     for t, payload in head.samples:
-        matches = {}
-        times = {}
-        complete = True
-        for s in others:
-            ts = other_ts[s.name]
+        q = ()
+        for s, ts in others:
             idx = bisect_right(ts, t) - 1
             if idx < 0 or t - ts[idx] > max_gap:
-                complete = False
                 break
-            matches[s.name] = s.samples[idx][1]
-            times[s.name] = ts[idx]
-        if not complete:
-            continue
-        frames.append(FrameRecord(t, payload["detections"], payload["depth"],
-                                  matches.get(CONTROL_STREAM, ()), aux=matches, source_t=times))
+            if s.name == CONTROL_STREAM:
+                q = s.samples[idx][1]
+        else:
+            frames.append(FrameRecord(t, payload["detections"], payload["depth"], q))
     return frames
-

@@ -282,6 +282,8 @@ CONFIG_CASES = {
                         "ConfigLoadError"),
     "chain_name_int": (lambda d: d["chains"][0].update(name=3), 2, "ConfigLoadError"),
     "unknown_key": (lambda d: d.update(lambda_gnn=1.0), 2, "ConfigLoadError"),
+    "joint_limits_reversed": (lambda d: d.update(joint_limits=[1.0, -1.0]), 2,
+                              "ConfigLoadError"),
 }
 
 # The field a row's message names, for the rows whose value the reader refuses.
@@ -289,7 +291,8 @@ CONFIG_FIELDS = {"flow_horizon_fraction": "config.flow_horizon",
                  "flow_horizon_bool": "config.flow_horizon", "sigma_string": "config.sigma",
                  "joint_limits_string": "config.joint_limits",
                  "dh_a_string_nan": "config.chains[].links[].a",
-                 "chain_name_int": "config.chains[].name", "unknown_key": "lambda_gnn"}
+                 "chain_name_int": "config.chains[].name", "unknown_key": "lambda_gnn",
+                 "joint_limits_reversed": "joint_limits"}
 
 
 @pytest.mark.parametrize("via", ["flag", "env"])
@@ -577,7 +580,16 @@ RETYPED = {
                   "frame.detections[].label"),
     "q_nested": (lambda h, f: f.update(q=[f["q"]]), "frame.q[]"),
     "frame_unknown_key": (lambda h, f: f.update(depth_scale=1.0), "depth_scale"),
+    "box_huge": (lambda h, f: f["detections"][0].update(box=[1e308, 100, 1.7e308, 120]),
+                 "detection box"),
+    "box_reversed_off_image": (lambda h, f: f["detections"][0].update(
+        box=[5000, 100, 4000, 120]), "detection box"),
+    "box_reversed": (lambda h, f: f["detections"][0].update(box=[300, 100, 200, 120]),
+                     "detection box"),
 }
+
+# Detection boxes that are not ordered inside the image.
+BAD_BOXES = ["box_huge", "box_reversed_off_image", "box_reversed"]
 
 
 def _corrupt(lines, what):
@@ -620,6 +632,23 @@ def test_infer_malformed_episode_exit_2(what, tmp_path, workspace, capsys):
     err = _one_json_error_line(capsys.readouterr().err)
     assert err["error"] == "MalformedEpisode"
     assert RETYPED.get(what, (None, ""))[1] in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("what", BAD_BOXES)
+def test_graph_refuses_detection_boxes_outside_the_image(what, tmp_path, workspace, capsys):
+    """A box whose centre is infinite, or off the image, is refused before
+    any graph is written, not back-projected at an edge pixel's depth."""
+    lines = workspace["episode"].read_text().splitlines()
+    episode = tmp_path / "bad.jsonl"
+    episode.write_text("\n".join(_corrupt(lines, what)) + "\n")
+    out = tmp_path / "graphs"
+    assert main(["graph", "--episode", str(episode), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    err = _one_json_error_line(captured.err)
+    assert err["error"] == "MalformedEpisode"
+    assert "line 2: detection box" in err["message"]
+    assert captured.out == ""
     assert not out.exists()
 
 

@@ -65,19 +65,18 @@ def test_config_json_roundtrip(cfg, tmp_path):
     assert loaded.gnn_dims == cfg.gnn_dims
 
 
-def test_config_with_dropped_keys_still_loads(cfg, tmp_path):
-    """A config file with keys the config no longer has (lambda_cot,
-    lambda_action, dropout_p, seed, and j_total, now derived from the
-    chains) loads, and those keys are ignored."""
-    d = json.loads(json.dumps(to_json(cfg)))
-    d.update(lambda_cot=1.0, lambda_action=1.0, dropout_p=0.5, seed=7, j_total=14)
+def test_config_with_retired_keys_is_refused(cfg, tmp_path):
+    """Keys older configs had (seed, j_total, now derived from the chains,
+    lambda_cot, lambda_action, dropout_p) are unknown keys, refused by name
+    like any other."""
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(d))
-    loaded = PipelineConfig.load(path)
-    assert to_json(loaded) == to_json(cfg)
-    assert not hasattr(loaded, "dropout_p")
-    assert not hasattr(loaded, "seed")
-    assert loaded.j_total == 14
+    for key, value in [("seed", 7), ("j_total", 14), ("lambda_cot", 1.0),
+                       ("lambda_action", 1.0), ("dropout_p", 0.5)]:
+        d = to_json(cfg)
+        d[key] = value
+        path.write_text(json.dumps(d))
+        with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+            PipelineConfig.load(path)
 
 
 # (spec, parsed JSON value, decoded value or the ValueError's message)

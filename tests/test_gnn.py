@@ -5,8 +5,7 @@ import pytest
 
 from graphact import (BoundingBox, DepthGrid, FrameRecord, GnnWeights, GraphNode,
                       PoseObjectGraph, build_graph, default_config, encode, graph_conv,
-                      init_gnn_weights, initial_embedding, layer_norm, make_rng,
-                      pooled_embedding)
+                      init_gnn_weights, layer_norm, make_rng, pooled_embedding)
 from graphact.gnn import (INPUT_DIM, KIND_ORDER, LN_EPS, EmptyGraph, encode_pooled,
                           node_inputs, normalized_adjacency)
 from graphact.core import ShapeMismatch
@@ -64,30 +63,18 @@ def _oracle_encode(g, w):
     return H
 
 
-def test_initial_embedding_zero_weights():
-    g = _graph([(1, 2, 3)], ["object"], [])
-    assert np.array_equal(initial_embedding(g, _zero_weights()), np.zeros((1, 4)))
+def test_node_inputs_positions_in_columns_0_to_2():
+    positions = [(1.0, 2.0, 3.0), (-4.0, 0.5, 6.0)]
+    X = node_inputs(_graph(positions, ["object", "joint"], [(0, 1)]))
+    assert X.shape == (2, INPUT_DIM)
+    assert np.array_equal(X[:, :3], positions)
 
 
-def test_initial_embedding_identity_slice():
-    w = _zero_weights(d=3)
-    w.lift_w[:3, :3] = np.eye(3)
-    g = _graph([(1, 2, 3)], ["object"], [])
-    assert np.array_equal(initial_embedding(g, w), [[1.0, 2.0, 3.0]])
-
-
-def test_initial_embedding_kind_onehot_rows():
+def test_node_inputs_kind_onehot_in_kind_order():
     rng = make_rng(2)
-    w = _zero_weights(d=3)
-    w.lift_w[3:, :] = rng.normal(size=(3, 3))  # kind rows only
-    g = _graph(rng.normal(size=(6, 3)),
-               ["object", "object", "joint", "joint", "end_effector", "end_effector"],
-               [])
-    H = initial_embedding(g, w)
-    assert np.array_equal(H[0], H[1])
-    assert np.array_equal(H[2], H[3])
-    assert np.array_equal(H[4], H[5])
-    assert not np.array_equal(H[0], H[2])
+    kinds = ["object", "object", "joint", "joint", "end_effector", "end_effector"]
+    X = node_inputs(_graph(rng.normal(size=(6, 3)), kinds, []))
+    assert np.array_equal(X[:, 3:], [[k == kind for kind in KIND_ORDER] for k in kinds])
 
 
 def test_layer_norm_constant_row():
@@ -199,6 +186,8 @@ def test_pooled_embedding():
     H = rng.normal(size=(5, 4))
     assert np.allclose(pooled_embedding(H[rng.permutation(5)]), pooled_embedding(H),
                        atol=1e-15)
+    stack = rng.normal(size=(3, 5, 4))  # a stack pools each graph on its own
+    assert np.array_equal(pooled_embedding(stack), [pooled_embedding(Hg) for Hg in stack])
 
 
 def test_empty_graph_errors():

@@ -3,6 +3,7 @@ import pytest
 
 from graphact import (BoundingBox, DepthGrid, FrameRecord, SampleStream, align_streams,
                       build_graph, default_config)
+from graphact.core import InvalidSetting
 from graphact.kinematics import DofMismatch
 from graphact.stream_sync import CONTROL_STREAM, EmptyStream, NonMonotoneTimestamps
 
@@ -21,15 +22,14 @@ def test_align_30hz_head_with_150hz_control():
     control = _control([k / 150 for k in range(20)])
     frames = align_streams(head, [control], max_gap=2 / 150)
     assert len(frames) == 3
-    assert frames[1].source_t[CONTROL_STREAM] == 5 / 150
-    assert frames[1].t - frames[1].source_t[CONTROL_STREAM] == 0.0
+    assert frames[1].t - frames[1].q[0] == 0.0
     assert np.array_equal(frames[1].q, [5 / 150, 5 / 150])
 
 
 def test_coincident_timestamps_match_with_zero_gap():
     frames = align_streams(_head([0.0]), [_control([0.0])], max_gap=0.01)
     assert len(frames) == 1
-    assert frames[0].t - frames[0].source_t[CONTROL_STREAM] == 0.0
+    assert frames[0].t - frames[0].q[0] == 0.0
 
 
 def test_frame_dropped_when_no_match_within_gap():
@@ -60,7 +60,7 @@ def test_matched_gap_bound_150hz_vs_30hz():
         frames = align_streams(head, [control], max_gap=2 / 150)
         assert len(frames) == 30
         for f in frames:
-            gap = f.t - f.source_t[CONTROL_STREAM]
+            gap = f.t - f.q[0]
             assert 0 <= gap < 1 / 150 + 1e-12
 
 
@@ -88,6 +88,24 @@ def test_head_payload_without_detections_and_depth_is_refused(payload, error):
         align_streams(head, [_control([0.0])], max_gap=0.1)
 
 
+@pytest.mark.parametrize("max_gap", [0.0, -1.0, float("nan"), float("inf")])
+def test_max_gap_must_be_finite_and_positive(max_gap):
+    """A NaN gap is not a gap that every sample passes; it is refused."""
+    with pytest.raises(InvalidSetting):
+        align_streams(_head([5.0]), [_control([0.0])], max_gap=max_gap)
+
+
+@pytest.mark.parametrize("ts", [[0.0, float("nan"), 0.01], [float("nan")],
+                                [0.0, float("inf")], [float("-inf"), 0.0]])
+def test_non_finite_timestamps_are_refused(ts):
+    """A NaN between two samples passes no ordering test, so it cannot
+    pass for increasing; the t = 0 frame does not get the NaN sample's q."""
+    with pytest.raises(NonMonotoneTimestamps):
+        align_streams(_head([0.0]), [_control(ts)], max_gap=0.1)
+    with pytest.raises(NonMonotoneTimestamps):
+        align_streams(_head(ts), [_control([0.0])], max_gap=0.1)
+
+
 def test_empty_and_non_monotone_errors():
     with pytest.raises(EmptyStream):
         align_streams(_head([]), [_control([0.0])], max_gap=0.1)
@@ -97,12 +115,19 @@ def test_empty_and_non_monotone_errors():
         align_streams(_head([0.0]), [_control([0.1, 0.05])], max_gap=0.1)
 
 
-def test_aux_carries_other_streams():
-    imu = SampleStream("imu", 100.0, [(k / 100, {"w": k}) for k in range(30)])
-    frames = align_streams(_head([0.1]), [_control([k / 150 for k in range(30)]), imu],
-                           max_gap=0.05)
-    assert frames[0].aux["imu"] == {"w": 10}
-    assert CONTROL_STREAM in frames[0].aux
+def test_other_streams_only_gate():
+    """A stream other than CONTROL_STREAM decides which head samples match:
+    its early end drops the later frames, and it adds nothing to a frame."""
+    head = _head([k / 30 for k in range(6)])
+    control = _control([k / 150 for k in range(30)])
+    imu = SampleStream("imu", 100.0, [(k / 100, {"w": k}) for k in range(8)])
+    alone = align_streams(head, [control], max_gap=0.05)
+    gated = align_streams(head, [control, imu], max_gap=0.05)
+    assert [f.t for f in alone] == [k / 30 for k in range(6)]
+    assert [f.t for f in gated] == [k / 30 for k in range(4)]
+    for a, b in zip(alone, gated):
+        assert vars(a).keys() == vars(b).keys() == {"t", "detections", "depth", "q"}
+        assert np.array_equal(a.q, b.q)
 
 
 def test_head_without_control_stream_has_empty_q():
@@ -116,6 +141,5 @@ def test_head_without_control_stream_has_empty_q():
     frames = align_streams(head, [], max_gap=0.1)
     assert len(frames) == 1 and isinstance(frames[0], FrameRecord)
     assert frames[0].q.size == 0
-    assert frames[0].aux == {} and frames[0].source_t == {}
     with pytest.raises(DofMismatch):
         build_graph(frames[0], K, cfg.extrinsics, cfg.chains)
