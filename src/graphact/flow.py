@@ -84,11 +84,14 @@ class FlowExpert(Model):
             raise ShapeMismatch(f"expected input dim {self.input_dim}, got {X.shape[-1]}")
         # Biases shaped as rows of X's rank: numpy adds equal ranks faster.
         lead = (1,) * (X.ndim - 1)
-        z1 = X @ self.w1 + self.b1.reshape(lead + self.b1.shape)
-        a1 = np.tanh(z1)
-        z2 = a1 @ self.w2 + self.b2.reshape(lead + self.b2.shape)
-        a2 = np.tanh(z2)
-        v = a2 @ self.w3 + self.b3.reshape(lead + self.b3.shape)
+        a1 = X @ self.w1
+        a1 += self.b1.reshape(lead + self.b1.shape)
+        np.tanh(a1, out=a1)
+        a2 = a1 @ self.w2
+        a2 += self.b2.reshape(lead + self.b2.shape)
+        np.tanh(a2, out=a2)
+        v = a2 @ self.w3
+        v += self.b3.reshape(lead + self.b3.shape)
         return v, (X, a1, a2)
 
     def _backward(self, cache, dV: np.ndarray) -> dict:
@@ -258,6 +261,8 @@ def sample_actions(expert: FlowExpert, context: np.ndarray, steps: int,
     dtau = 1.0 / steps
     for k in range(steps):
         X[:, 0, -1] = k * dtau
-        A -= expert.forward(X)[:, 0] * dtau
+        v = expert.forward(X)
+        v *= dtau
+        A -= v[:, 0]
     chunks = A.reshape(n, expert.horizon, expert.j_dim).copy()
     return chunks if stacked else chunks[0]

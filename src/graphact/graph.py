@@ -55,7 +55,8 @@ def build_graph(frame, K: CameraIntrinsics, T: RigidTransform, chains: list,
 
     Node order is deterministic: objects in detection order, then per chain in
     config order (joint origins base-to-tip unless paper_literal, then end
-    effector). Detections with no valid depth get no node, with a warning.
+    effector). Detections with no valid depth get no node, with a warning;
+    a box whose center is not a pixel of the image raises PixelOutsideImage.
     """
     if positions is None:
         positions = [p[0] for p in chain_positions(joint_matrix([frame], chains), chains)]

@@ -3,7 +3,7 @@
 Link transform convention: Rz(theta + theta_offset) * Tz(d) * Tx(a) * Rx(alpha).
 """
 
-import functools
+import itertools
 import math
 
 import numpy as np
@@ -26,67 +26,85 @@ def dh_transform(link: DhLink, theta: float) -> RigidTransform:
     return RigidTransform(R, [link.a * ct, link.a * st, link.d], check=False)
 
 
-@functools.lru_cache(maxsize=None)
-def _link_constants(links: tuple) -> tuple:
-    """Per-link (theta_offset, cos alpha, sin alpha, a, d) columns of a chain,
-    each (dof, 1), with the scalars dh_transform computes per link; read-only,
-    since every call on the chain shares them."""
-    table = np.array([(l.theta_offset, math.cos(l.alpha), math.sin(l.alpha), l.a, l.d)
-                      for l in links], dtype=float).reshape(-1, 5)
-    columns = tuple(np.ascontiguousarray(table[:, i:i + 1]) for i in range(5))
-    for c in columns:
-        c.flags.writeable = False
-    return columns
+# Constants of the last 16 chain groups by chain ids. An entry holds its
+# chains, so no other object takes their ids; hashing chains costs a tick more.
+_GROUPS = {}
 
 
-def fk_positions(chain: KinematicChain, q) -> np.ndarray:
+def _group_constants(chains: tuple) -> tuple:
+    """Per-link (theta_offset, cos alpha, sin alpha, a, d), each (dof, C, 1),
+    with the scalars dh_transform computes per link, then the bases'
+    rotations (C, 1, 3, 3) and translations (C, 1, 3, 1); read-only, since
+    every call on the group shares them."""
+    key = tuple(map(id, chains))
+    if key not in _GROUPS:
+        if any(c.dof != chains[0].dof for c in chains):
+            raise DofMismatch(f"chains {[c.name for c in chains]} differ in dof")
+        table = np.array([[(l.theta_offset, math.cos(l.alpha), math.sin(l.alpha), l.a, l.d)
+                           for l in c.links] for c in chains]).reshape(len(chains), -1, 5)
+        consts = [np.ascontiguousarray(table.transpose(1, 0, 2)[..., i:i + 1]) for i in range(5)]
+        consts += [np.array([c.base.rotation for c in chains])[:, None],
+                   np.array([c.base.translation for c in chains])[:, None, :, None]]
+        for c in consts:
+            c.flags.writeable = False
+        if len(_GROUPS) >= 16:
+            _GROUPS.pop(next(iter(_GROUPS)))
+        _GROUPS[key] = (*consts, chains)
+    return _GROUPS[key]
+
+
+def fk_positions(chain, q) -> np.ndarray:
     """Base-frame origins of every joint frame plus the end effector, chain order.
 
     q is one joint vector (dof,) or a stack of them (F, dof); the result is
     (dof + 1, 3) or (F, dof + 1, 3): the chain base origin, each intermediate
-    joint origin, and finally the end-effector origin.
+    joint origin, and finally the end effector origin. A tuple of C chains
+    of equal dof, with q (F, C * dof), gives (C, F, dof + 1, 3).
 
-    The link transforms of all frames are built at once. The chain is then
-    composed with the products RigidTransform.compose takes, on (F, 3, 3)
+    The link transforms of all chains and frames are built at once, then
+    composed with the products RigidTransform.compose takes, on (C, F, 3, 3)
     stacks: the rotations link by link, every link's offset R_k @ t_k in one
-    stacked product, and the origins as their running sum, so each frame
-    gets the bits of its own one-frame composition.
+    stacked product, and the origins as their running sum, so each chain
+    and frame gets the bits of its own one-frame composition.
     """
+    grouped = isinstance(chain, tuple)
+    chains = chain if grouped else (chain,)
+    offset, ca, sa, a, d, base_R, base_t, _ = _group_constants(chains)
+    dof = chains[0].dof
     q = np.asarray(q, dtype=float)
-    if q.ndim not in (1, 2) or q.shape[-1] != chain.dof:
-        raise DofMismatch(f"chain '{chain.name}' expects {chain.dof} joints, "
-                          f"got shape {q.shape}")
-    dof = chain.dof
-    Q = q.reshape(len(q) if q.ndim == 2 else 1, dof)
-    origins = np.empty((dof + 1, len(Q), 3, 1))
-    origins[0] = chain.base.translation[:, None]
+    if q.ndim not in ((2,) if grouped else (1, 2)) or q.shape[-1] != len(chains) * dof:
+        raise DofMismatch(f"chains {[c.name for c in chains]} of {dof} joints got {q.shape}")
+    Q = q.reshape(len(q) if q.ndim == 2 else 1, len(chains), dof)
+    origins = np.empty((dof + 1, len(chains), len(Q), 3, 1))
+    origins[0] = base_t
     if dof:
-        offset, ca, sa, a, d = _link_constants(tuple(chain.links))
-        th = Q.T + offset                      # (dof, F): link-major
+        th = Q.transpose(2, 1, 0) + offset     # (dof, C, F): link-major
         ct, st = np.cos(th), np.sin(th)
-        R_link = np.empty(th.shape + (3, 3))   # the (F, 3, 3) stack of link k is R_link[k]
+        R_link = np.empty(th.shape + (3, 3))   # the (C, F, 3, 3) stack of link k is R_link[k]
         R_link[..., 0, 0], R_link[..., 0, 1], R_link[..., 0, 2] = ct, -st * ca, st * sa
         R_link[..., 1, 0], R_link[..., 1, 1], R_link[..., 1, 2] = st, ct * ca, -ct * sa
         R_link[..., 2, 0], R_link[..., 2, 1], R_link[..., 2, 2] = 0.0, sa, ca
         t_link = np.empty(th.shape + (3, 1))
         t_link[..., 0, 0], t_link[..., 1, 0], t_link[..., 2, 0] = a * ct, a * st, d
         R = np.empty_like(R_link)              # R[k]: base rotation after links 0..k-1
-        R[0] = chain.base.rotation
+        R[0] = base_R
         for k in range(1, dof):
-            R[k] = R[k - 1] @ R_link[k - 1]
-        origins[1:] = R @ t_link
+            np.matmul(R[k - 1], R_link[k - 1], out=R[k])
+        np.matmul(R, t_link, out=origins[1:])
         np.cumsum(origins, axis=0, out=origins)
-    out = origins[..., 0].transpose(1, 0, 2)
-    return out if q.ndim == 2 else out[0]
+    out = origins[..., 0].transpose(1, 2, 0, 3)
+    return out if grouped else out[0] if q.ndim == 2 else out[0, 0]
 
 
 def chain_positions(Q: np.ndarray, chains: list) -> list:
     """fk_positions of each chain over F frames at once: Q is (F, total dof),
-    the chains' joints in config order; one (F, dof + 1, 3) array per chain."""
+    the chains' joints in config order; one (F, dof + 1, 3) array per chain.
+    Each run of consecutive chains of equal dof takes one fk_positions call."""
     out, offset = [], 0
-    for chain in chains:
-        out.append(fk_positions(chain, Q[:, offset:offset + chain.dof]))
-        offset += chain.dof
+    for dof, run in itertools.groupby(chains, key=lambda c: c.dof):
+        run = tuple(run)
+        out.extend(fk_positions(run, Q[:, offset:offset + len(run) * dof]))
+        offset += len(run) * dof
     return out
 
 

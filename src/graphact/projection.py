@@ -12,6 +12,10 @@ class NoValidDepth(PipelineError):
     pass
 
 
+class PixelOutsideImage(PipelineError):
+    pass
+
+
 class NonPositiveDepth(PipelineError):
     pass
 
@@ -20,23 +24,24 @@ class BehindCamera(PipelineError):
     pass
 
 
-def bbox_center(b: BoundingBox) -> np.ndarray:
-    """Pixel center ((x_min+x_max)/2, (y_min+y_max)/2)."""
-    return np.array([(b.x_min + b.x_max) / 2.0, (b.y_min + b.y_max) / 2.0])
+def bbox_center(b: BoundingBox) -> tuple:
+    """Pixel center ((x_min+x_max)/2, (y_min+y_max)/2), two floats."""
+    return (b.x_min + b.x_max) / 2.0, (b.y_min + b.y_max) / 2.0
 
 
 def depth_at(depth: DepthGrid, p) -> float:
     """Depth at the nearest integer pixel; median fallback over a 3x3 window.
 
-    Invalid values are non-positive (or non-finite). When the center pixel is
-    invalid, returns the median of valid values in its 3x3 neighborhood,
-    clipped to the image; raises NoValidDepth when the whole neighborhood is
-    invalid. Reads only that pixel and neighborhood, never the whole image.
+    A p off [0, width] x [0, height], or not finite, raises PixelOutsideImage.
+    Invalid depths are non-positive (or non-finite). When the depth at the
+    pixel is invalid, returns the median of valid ones in its 3x3
+    neighborhood, clipped to the image, or raises NoValidDepth if there are
+    none. Reads only that pixel and neighborhood, never the whole image.
     """
-    u = int(round(float(p[0])))
-    v = int(round(float(p[1])))
-    u = min(max(u, 0), depth.width - 1)
-    v = min(max(v, 0), depth.height - 1)
+    u, v = float(p[0]), float(p[1])
+    if not (0.0 <= u <= depth.width and 0.0 <= v <= depth.height):
+        raise PixelOutsideImage(f"pixel {u, v} is off the {depth.width}x{depth.height} image")
+    u, v = min(int(round(u)), depth.width - 1), min(int(round(v)), depth.height - 1)
     val = depth.at(u, v)
     if math.isfinite(val) and val > 0:
         return val

@@ -8,6 +8,8 @@ from graphact import (BoundingBox, DepthGrid, FrameRecord, GnnWeights, GraphNode
                       init_gnn_weights, layer_norm, make_rng, pooled_embedding)
 from graphact.gnn import (INPUT_DIM, KIND_ORDER, LN_EPS, EmptyGraph, encode_pooled,
                           node_inputs, normalized_adjacency)
+from graphact.graph import adjacency_matrix, episode_graphs
+from graphact.sim import SCENARIOS, gen_episode
 from graphact.core import ShapeMismatch
 
 
@@ -217,3 +219,56 @@ def test_encode_pooled_bit_equal_to_per_graph_encode():
     assert pooled.shape == (len(graphs), cfg.gnn_dims[2])
     for g, row in zip(graphs, pooled):
         assert (row == pooled_embedding(encode(g, w))).all()
+
+
+def _fresh_encode(g, w):
+    """encode's operations on a normalized adjacency built for this call."""
+    A_hat = normalized_adjacency(adjacency_matrix(g))
+    H = node_inputs(g) @ w.lift_w + w.lift_b
+    H = np.maximum(graph_conv(layer_norm(H), A_hat, w.layer1_w, w.layer1_b), 0.0)
+    return np.maximum(graph_conv(layer_norm(H), A_hat, w.layer2_w, w.layer2_b), 0.0)
+
+
+def test_encode_shares_a_read_only_adjacency_per_graph_shape(monkeypatch):
+    """Graphs with 0-4 objects in both graph modes encode to the bits of an
+    encode on a freshly built adjacency, through a read-only shared one, and
+    over a 64-frame episode the adjacency is built once per distinct shape
+    (node count, edges)."""
+    import graphact.gnn as gnn
+    cfg = default_config()
+    K = cfg.intrinsics
+    w = init_gnn_weights(make_rng(11), *cfg.gnn_dims)
+    rng = make_rng(12)
+    monkeypatch.setattr(gnn, "_ADJACENCIES", {})
+    seen = []
+    conv = gnn.graph_conv
+    monkeypatch.setattr(gnn, "graph_conv", lambda H, A, W, b: seen.append(A) or conv(H, A, W, b))
+    for paper_literal in (False, True):
+        for n_obj in range(5):
+            dets = [BoundingBox(f"o{i}", 50.0 + 40 * i, 60.0, 80.0 + 40 * i, 90.0)
+                    for i in range(n_obj)]
+            frame = FrameRecord(t=0.0, detections=dets,
+                                depth=DepthGrid.constant(K.width, K.height, 1.5),
+                                q=rng.uniform(-1, 1, size=cfg.j_total))
+            g = build_graph(frame, K, cfg.extrinsics, cfg.chains, paper_literal)
+            for _ in range(2):
+                del seen[:]
+                assert encode(g, w).tobytes() == _fresh_encode(g, w).tobytes()
+                assert len(seen) == 2 and seen[0] is seen[1]
+                assert not seen[0].flags.writeable
+                with pytest.raises(ValueError):
+                    seen[0][0, 0] = 0.0
+
+    monkeypatch.setattr(gnn, "_ADJACENCIES", {})
+    built = []
+    norm = gnn.normalized_adjacency
+    monkeypatch.setattr(gnn, "normalized_adjacency", lambda A: built.append(len(A)) or norm(A))
+    ep = gen_episode(SCENARIOS["food"], 0, 64, seed=13, cfg=cfg)
+    for paper_literal in (False, True):
+        graphs = episode_graphs(ep.frames, ep.K, ep.T, cfg.chains, paper_literal)
+        shapes = {(len(g.nodes), tuple(g.edges)) for g in graphs}
+        del built[:]
+        pooled = encode_pooled(graphs, w)
+        for g, row in zip(graphs, pooled):
+            assert row.tobytes() == pooled_embedding(encode(g, w)).tobytes()
+        assert len(built) == len(shapes)

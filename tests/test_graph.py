@@ -1,13 +1,17 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from graphact import (BoundingBox, DepthGrid, FrameRecord, adjacency_matrix, build_graph,
-                      default_config, gen_episode, graph_to_json)
+from graphact import (BoundingBox, DepthGrid, FrameRecord, PipelineError, SampleStream,
+                      adjacency_matrix, align_streams, build_graph, default_config, gen_episode,
+                      graph_to_json)
 from graphact.graph import END_EFFECTOR, JOINT, OBJECT, episode_graphs
 from graphact.kinematics import DofMismatch
+from graphact.projection import NoValidDepth
 from graphact.sim import SCENARIOS
+from graphact.stream_sync import CONTROL_STREAM
 
 CFG = default_config()
 
@@ -142,3 +146,25 @@ def test_episode_graphs_dof_mismatch_names_the_frame_size():
     frames = [_frame(1), _frame(1, n_joints=CFG.j_total - 2)]
     with pytest.raises(DofMismatch, match=f"{CFG.j_total - 2} joint values"):
         episode_graphs(frames, CFG.intrinsics, CFG.extrinsics, CFG.chains)
+
+
+@pytest.mark.parametrize("box", [(1e308, 100.0, 1.7e308, 120.0), (math.nan, 100.0, 120.0, 120.0),
+                                 (5000.0, 100.0, 4000.0, 120.0)],
+                         ids=["center_overflows", "nan_x_min", "center_off_image"])
+def test_build_graph_refuses_a_box_center_off_the_image(box):
+    """A library-built frame, made directly or by align_streams, whose box
+    center is not finite or not on the image is refused by name, not
+    skipped as missing depth and not turned into an object node."""
+    K = CFG.intrinsics
+    depth = DepthGrid.constant(K.width, K.height, 2.0)
+    dets = [BoundingBox("egg", *box)]
+    head = SampleStream("head", CFG.camera_rate_hz,
+                        [(0.0, {"detections": dets, "depth": depth})])
+    control = SampleStream(CONTROL_STREAM, CFG.control_rate_hz, [(0.0, np.zeros(CFG.j_total))])
+    aligned = align_streams(head, [control], CFG.max_gap)
+    assert len(aligned) == 1
+    for frame in [FrameRecord(t=0.0, detections=dets, depth=depth, q=np.zeros(CFG.j_total)),
+                  aligned[0]]:
+        with pytest.raises(PipelineError, match="off the 640x480 image") as err:
+            build_graph(frame, K, CFG.extrinsics, CFG.chains)
+        assert not isinstance(err.value, NoValidDepth)

@@ -1,4 +1,7 @@
+import collections
 import dataclasses
+import importlib
+import sys
 import tracemalloc
 
 import numpy as np
@@ -10,6 +13,7 @@ from graphact import (FrameRecord, InferenceSchedule, SCENARIOS, SampleStream, a
                       init_gnn_weights, make_context, make_rng, pooled_embedding,
                       run_inference_loop, sample_actions, scenario_onehot)
 from graphact.core import InvalidSetting
+from graphact.flow import FlowExpert
 from graphact.inference import BLOCK_FRAMES, frame_json, write_outputs
 from graphact.sim import EmptyEpisode, Episode
 from graphact.stream_sync import CONTROL_STREAM
@@ -201,3 +205,37 @@ def test_zero_counts_are_rejected_not_defaulted(artifacts):
 def test_schedule_validation():
     with pytest.raises(ValueError):
         InferenceSchedule(cot_period=0)
+
+
+# Functions perfbench/tracing.py traces by name on every control tick; a
+# tick that stops calling one leaves that layer's figures empty.
+TICK_TRACE_POINTS = [("graphact.kinematics", "fk_positions"), ("graphact.projection", "depth_at"),
+                     ("graphact.graph", "build_graph"), ("graphact.gnn", "encode"),
+                     ("graphact.gnn", "graph_conv"), ("graphact.flow", "sample_actions"),
+                     ("graphact.cot", "generate_cot")]
+
+
+def test_one_frame_tick_calls_every_traced_function(artifacts, monkeypatch):
+    """A one-frame loop with reasoning on frame 0 calls each traced function
+    at least once, counted as the tracer installs itself: in every graphact
+    namespace that binds the function, and on FlowExpert for forward."""
+    counts = collections.Counter()
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for owner, attr in TICK_TRACE_POINTS:
+        fn = getattr(importlib.import_module(owner), attr)
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "graphact" and getattr(mod, attr, None) is fn:
+                monkeypatch.setattr(mod, attr, counting(attr, fn))
+    monkeypatch.setattr(FlowExpert, "forward", counting("forward", FlowExpert.forward))
+    ep = gen_episode(SCENARIOS["food"], 0, 1, seed=30, cfg=CFG)
+    assert ep.frames[0].detections
+    outputs, _ = run_inference_loop(ep, *artifacts, InferenceSchedule(), CFG)
+    assert outputs[0].cot_text is not None
+    wanted = [attr for _, attr in TICK_TRACE_POINTS] + ["forward"]
+    assert {name: counts[name] for name in wanted if counts[name] < 1} == {}

@@ -5,6 +5,7 @@ import pytest
 
 from graphact import DhLink, KinematicChain, RigidTransform, dh_transform, fk_positions
 from graphact.kinematics import DofMismatch, chain_positions, default_chains
+from conftest import random_rotation
 
 
 def _homog(T: RigidTransform) -> np.ndarray:
@@ -167,3 +168,49 @@ def test_fk_batch_bit_equal_to_one_frame_calls():
             assert (batch[i] == fk_positions(chain, q[i:i + 1])[0]).all()
             assert (batch[i] == fk_positions(chain, q[i])).all()
             assert (together[i] == batch[i]).all()
+
+
+def _random_chain(rng, name, dof, base_y):
+    links = tuple(DhLink(a=float(rng.uniform(-0.1, 0.1)), alpha=float(rng.uniform(-np.pi, np.pi)),
+                         d=float(rng.uniform(0.0, 0.3)),
+                         theta_offset=float(rng.uniform(-0.5, 0.5))) for _ in range(dof))
+    return KinematicChain(name=name, links=links,
+                          base=RigidTransform(random_rotation(rng), [0.0, base_y, 0.1]))
+
+
+def test_chain_positions_one_pass_per_equal_dof_run(monkeypatch):
+    """Interleaved dofs (7, 3, 3, 7, 0) take one fk_positions pass per run
+    of equal dof, four in all, and every chain gets the bits of its own
+    fk_positions call and of the compose-chain reference, at F = 1 and
+    F = 5. Two chain lists with different links, used in turn, each match
+    their own references, so no list is served the other's constants."""
+    import graphact.kinematics as kinematics
+    rng = np.random.default_rng(21)
+    lists = [[_random_chain(rng, f"c{i}", dof, 0.1 * i) for i, dof in enumerate((7, 3, 3, 7, 0))]
+             for _ in range(2)]
+    calls = []
+    fk = kinematics.fk_positions
+    monkeypatch.setattr(kinematics, "fk_positions", lambda c, q: calls.append(c) or fk(c, q))
+    for _ in range(2):
+        for chains in lists:
+            for F in (1, 5):
+                Q = rng.uniform(-np.pi, np.pi, size=(F, sum(c.dof for c in chains)))
+                del calls[:]
+                got = chain_positions(Q, chains)
+                assert [len(c) for c in calls] == [1, 2, 1, 1]
+                offset = 0
+                for chain, pos in zip(chains, got):
+                    q = Q[:, offset:offset + chain.dof]
+                    offset += chain.dof
+                    assert pos.shape == (F, chain.dof + 1, 3)
+                    assert pos.tobytes() == fk(chain, q).tobytes()
+                    for i in range(F):
+                        assert pos[i].tobytes() == np.array(_compose_chain(chain, q[i])).tobytes()
+
+
+def test_grouped_fk_refuses_unequal_dof_and_one_vector():
+    chains = default_chains()
+    with pytest.raises(DofMismatch):
+        fk_positions((chains[0], _planar_two_link()), np.zeros((1, 9)))
+    with pytest.raises(DofMismatch):
+        fk_positions(tuple(chains), np.zeros(14))

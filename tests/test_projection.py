@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from graphact import (BoundingBox, CameraIntrinsics, DepthGrid, RigidTransform,
                       backproject, bbox_center, depth_at, make_rng, project,
                       transform_point)
-from graphact.projection import BehindCamera, NonPositiveDepth, NoValidDepth
+from graphact.projection import (BehindCamera, NonPositiveDepth, NoValidDepth,
+                                 PixelOutsideImage)
 from conftest import random_rotation
 
 K = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
@@ -120,3 +123,15 @@ def test_stacked_backproject_and_transform_bit_equal_to_one_point_calls():
         one = backproject(tuple(pix[i]), float(depth[i]), K)
         assert cam[i].tobytes() == one.tobytes()
         assert base[i].tobytes() == transform_point(T, one).tobytes()
+
+
+def test_depth_at_refuses_pixels_off_the_image_and_keeps_its_edges():
+    """The accepted pixels are the closed [0, width] x [0, height]: an
+    episode's zero-width box may sit on the right or bottom edge."""
+    grid = DepthGrid.constant(8, 6, 2.0)
+    for p in ((0.0, 0.0), (8.0, 6.0), (8.0, 0.0), (0.0, 6.0)):
+        assert depth_at(grid, p) == 2.0
+    for p in ((-1e-9, 3.0), (8.000001, 3.0), (3.0, 6.5), (3.0, -2.0), (math.nan, 1.0),
+              (1.0, math.inf), (-math.inf, 1.0)):
+        with pytest.raises(PixelOutsideImage, match="off the 8x6 image"):
+            depth_at(grid, p)
