@@ -26,8 +26,9 @@ def dh_transform(link: DhLink, theta: float) -> RigidTransform:
     return RigidTransform(R, [link.a * ct, link.a * st, link.d], check=False)
 
 
-# Constants of the last 16 chain groups by chain ids. An entry holds its
-# chains, so no other object takes their ids; hashing chains costs a tick more.
+# Group constants by chain ids (hashing the chains costs a tick more), first in
+# first out past 4; a process of the benchmark meets one group. Each entry
+# holds its chains, so no other object can take their ids while it is cached.
 _GROUPS = {}
 
 
@@ -47,7 +48,7 @@ def _group_constants(chains: tuple) -> tuple:
                    np.array([c.base.translation for c in chains])[:, None, :, None]]
         for c in consts:
             c.flags.writeable = False
-        if len(_GROUPS) >= 16:
+        if len(_GROUPS) >= 4:
             _GROUPS.pop(next(iter(_GROUPS)))
         _GROUPS[key] = (*consts, chains)
     return _GROUPS[key]

@@ -272,3 +272,26 @@ def test_encode_shares_a_read_only_adjacency_per_graph_shape(monkeypatch):
         for g, row in zip(graphs, pooled):
             assert row.tobytes() == pooled_embedding(encode(g, w)).tobytes()
         assert len(built) == len(shapes)
+
+
+def test_adjacency_cache_stays_bounded_and_rebuilds_evicted_shapes(monkeypatch):
+    """20 graph shapes, met twice in turn, overflow the 16-entry cache: it
+    stays at 16, and every shape encodes to the bits of a fresh adjacency
+    after its entry was evicted."""
+    import graphact.gnn as gnn
+    cfg = default_config()
+    K = cfg.intrinsics
+    w = init_gnn_weights(make_rng(14), *cfg.gnn_dims)
+    monkeypatch.setattr(gnn, "_ADJACENCIES", {})
+    graphs = []
+    for n_obj in range(20):
+        dets = [BoundingBox(f"o{i}", 20.0 * i, 60.0, 20.0 * i + 10, 90.0) for i in range(n_obj)]
+        frame = FrameRecord(t=0.0, detections=dets,
+                            depth=DepthGrid.constant(K.width, K.height, 1.5),
+                            q=np.zeros(cfg.j_total))
+        graphs.append(build_graph(frame, K, cfg.extrinsics, cfg.chains))
+    for _ in range(2):
+        for g in graphs:
+            assert encode(g, w).tobytes() == _fresh_encode(g, w).tobytes()
+            assert len(gnn._ADJACENCIES) <= 16
+    assert len(gnn._ADJACENCIES) == 16

@@ -206,6 +206,21 @@ def test_chain_positions_one_pass_per_equal_dof_run(monkeypatch):
                     assert pos.tobytes() == fk(chain, q).tobytes()
                     for i in range(F):
                         assert pos[i].tobytes() == np.array(_compose_chain(chain, q[i])).tobytes()
+    # 12 groups met in turn, first in first out past 4: each was rebuilt
+    # after its eviction, never served another list's constants.
+    assert len(kinematics._GROUPS) <= 4
+
+
+def test_freed_chains_never_get_stale_group_constants():
+    """Chains made and dropped one after another often reuse a freed id;
+    the group cache holds its chains, so a new chain never gets the
+    constants cached for an old one."""
+    rng = np.random.default_rng(22)
+    for _ in range(20):
+        chains = [_random_chain(rng, "c", 3, 0.0)]
+        q = rng.uniform(-np.pi, np.pi, size=(1, 3))
+        got = chain_positions(q, chains)[0][0]
+        assert got.tobytes() == np.array(_compose_chain(chains[0], q[0])).tobytes()
 
 
 def test_grouped_fk_refuses_unequal_dof_and_one_vector():
