@@ -13,13 +13,13 @@ from .core import (BoundingBox, CameraIntrinsics, DepthGrid, FrameRecord,
 from .stream_sync import SampleStream, align_streams
 from .kinematics import (DhLink, KinematicChain, chain_positions, default_chains, dh_transform,
                          fk_positions)
-from .projection import backproject, bbox_center, depth_at, project, transform_point
+from .projection import backproject, bbox_center, depth_at, project
 from .graph import (GraphNode, PoseObjectGraph, adjacency_matrix, build_graph, episode_graphs,
                     graph_to_json)
 from .gnn import (GnnWeights, encode, encode_pooled, graph_conv, init_gnn_weights, layer_norm,
                   pooled_embedding)
 from .flow import (FlowExpert, fm_loss, grad_check, init_flow_expert, interpolate,
-                   sample_actions, sample_tau, target_field, train_step)
+                   sample_actions, sample_tau, train_step)
 from .cot import (CotHead, CotLabel, TokenVocab, build_default_vocab, ce_loss,
                   detokenize, future_indices, generate_cot, grad_check_cot,
                   init_cot_head, make_cot_label, sample_dropout, tokenize, total_loss,

@@ -251,15 +251,18 @@ class CameraIntrinsics:
 class RigidTransform:
     """Proper rigid transform (rotation + translation), meters.
 
-    Rotation must be orthonormal with det +1 within ORTHONORMAL_TOL.
+    Rotation must be orthonormal with det +1 within ORTHONORMAL_TOL. The
+    transform holds read-only copies of both arrays, so a later write to the
+    caller's arrays cannot change it (FK caches the base of a chain).
     """
 
     __slots__ = ("rotation", "translation")
     JSON = {"rotation": tuple[(float,) * 9], "translation": tuple[float, float, float]}
 
     def __init__(self, rotation, translation, check: bool = True):
-        R = np.asarray(rotation, dtype=float).reshape(3, 3)
-        t = np.asarray(translation, dtype=float).reshape(3)
+        R = np.array(rotation, dtype=float).reshape(3, 3)
+        t = np.array(translation, dtype=float).reshape(3)
+        R.flags.writeable = t.flags.writeable = False
         if check:
             if not np.allclose(R.T @ R, np.eye(3), atol=ORTHONORMAL_TOL):
                 raise ValueError("rotation is not orthonormal")
@@ -283,9 +286,10 @@ class RigidTransform:
         return RigidTransform(Rt, -Rt @ self.translation, check=False)
 
     def apply(self, p) -> np.ndarray:
-        """Transform one point (3,) or a stack of points (N, 3)."""
+        """rotation @ p + translation, for one point (3,) or each row of (N, 3);
+        a row of a stack gets the bits of its own one-point call."""
         p = np.asarray(p, dtype=float)
-        return p @ self.rotation.T + self.translation
+        return (self.rotation @ p[..., None])[..., 0] + self.translation
 
     def __repr__(self):
         return f"RigidTransform(t={self.translation.tolist()})"
@@ -318,6 +322,8 @@ class DepthGrid:
 
     @classmethod
     def constant(cls, width: int, height: int, value: float) -> "DepthGrid":
+        """DepthGrid(width, height, value): kept only because acceptance
+        criterion 3 builds its degenerate frames with it."""
         return cls(width, height, float(value))
 
     def at(self, u: int, v: int) -> float:

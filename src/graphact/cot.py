@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (InvalidSetting, Model, PipelineError, check_finite, check_shapes,
-                   fan_in_normal, max_grad_error)
+                   fan_in_normal, max_grad_error, to_json)
 from .sim import SCENARIOS, EmptyEpisode, Episode, InstructionScenario, Scene
 
 PAD, END, SEP = "<pad>", "<end>", "<sep>"
@@ -397,6 +397,5 @@ def write_cot_dataset(path, samples) -> None:
     """JSONL dataset: {context: [...], tokens: [...], text: '...'} per line."""
     with open(path, "w") as f:
         for context, token_ids, text in samples:
-            f.write(json.dumps({"context": [float(v) for v in np.ravel(context)],
-                                "tokens": [int(i) for i in token_ids],
-                                "text": text}) + "\n")
+            f.write(json.dumps(to_json({"context": context, "tokens": token_ids,
+                                        "text": text})) + "\n")

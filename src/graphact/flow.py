@@ -151,15 +151,9 @@ def interpolate(A: np.ndarray, eps: np.ndarray, tau: float) -> np.ndarray:
     return tau * A + (1.0 - tau) * eps
 
 
-def target_field(A: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """Denoising target eps - A."""
-    if A.shape != eps.shape:
-        raise ShapeMismatch(f"chunk shapes differ: {A.shape} vs {eps.shape}")
-    return eps - A
-
-
 def _draw_batch(expert: FlowExpert, batch: list, rng: np.random.Generator):
-    """Fresh (tau, eps) per element; returns stacked inputs X and targets U."""
+    """Fresh (tau, eps) per element; returns stacked inputs X and denoising
+    targets U = eps - A."""
     if not batch:
         raise EmptyBatch("batch must be non-empty")
     X = np.zeros((len(batch), expert.input_dim))
@@ -172,7 +166,7 @@ def _draw_batch(expert: FlowExpert, batch: list, rng: np.random.Generator):
         eps = rng.normal(0.0, expert.sigma, size=A.shape)
         A_tau = interpolate(A, eps, tau)
         X[i] = np.concatenate([A_tau.ravel(), np.ravel(context), [tau]])
-        U[i] = target_field(A, eps).ravel()
+        U[i] = (eps - A).ravel()
     return X, U
 
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from .core import CameraIntrinsics, PipelineError, RigidTransform, to_json
 from .kinematics import DofMismatch, chain_positions
-from .projection import NoValidDepth, backproject, bbox_center, depth_at, transform_point
+from .projection import NoValidDepth, backproject, bbox_center, depth_at
 
 log = logging.getLogger(__name__)
 
@@ -72,7 +72,7 @@ def build_graph(frame, K: CameraIntrinsics, T: RigidTransform, chains: list,
         labels.append(det.label)
     nodes = []
     if labels:
-        points = transform_point(T, backproject(np.array(centers), np.array(depths), K))
+        points = T.apply(backproject(np.array(centers), np.array(depths), K))
         nodes = [GraphNode(id=i, kind=OBJECT, label=label, position=p)
                  for i, (label, p) in enumerate(zip(labels, points))]
 

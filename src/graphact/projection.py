@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from .core import BoundingBox, CameraIntrinsics, DepthGrid, PipelineError, RigidTransform
+from .core import BoundingBox, CameraIntrinsics, DepthGrid, PipelineError
 
 
 class NoValidDepth(PipelineError):
@@ -64,12 +64,6 @@ def backproject(p, depth, K: CameraIntrinsics) -> np.ndarray:
     out[..., 1] = (p[..., 1] - K.cy) / K.fy * depth
     out[..., 2] = depth
     return out
-
-
-def transform_point(T: RigidTransform, p) -> np.ndarray:
-    """rotation @ p + translation, for one point (3,) or each row of (N, 3)."""
-    p = np.asarray(p, dtype=float)
-    return (T.rotation @ p[..., None])[..., 0] + T.translation
 
 
 def project(p_cam, K: CameraIntrinsics):

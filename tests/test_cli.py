@@ -831,6 +831,58 @@ def test_train_checks_gnn_before_first_frame(command, fault, tmp_path, workspace
     assert os.listdir(tmp_path) == ["gnn.npz"]
 
 
+def test_train_gnn_file_equals_the_gnn_derived_from_seed(tmp_path, workspace):
+    """--gnn with init-weights --kind gnn --seed S trains the same bytes as
+    no --gnn at --seed S: weights, loss CSV and the dumped dataset."""
+    gnn = tmp_path / "gnn.npz"
+    assert main(["init-weights", "--kind", "gnn", "--seed", "5", "--out", str(gnn)]) == 0
+    data = ["--data", str(workspace["data"]), "--seed", "5"]
+    for argv in (["train-expert", *data, "--steps", "4", "--batch", "4"],
+                 ["train-cot", *data, "--epochs", "2", "--stride", "2"]):
+        files = {}
+        for side, extra in (("seed", []), ("file", ["--gnn", str(gnn)])):
+            out = tmp_path / argv[0] / side
+            out.mkdir(parents=True)
+            dump = ["--dump-dataset", str(out / "data.jsonl")] if argv[0] == "train-cot" else []
+            assert main(argv + extra + dump + ["--out", str(out / "w.npz")]) == 0
+            files[side] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert len(files["seed"]) == 2 + len(dump) // 2
+        assert files["seed"] == files["file"]
+
+
+def _episode_argv(command, workspace, episode, out):
+    """command run on the one episode file episode."""
+    if command == "graph":
+        return ["graph", "--episode", str(episode), "--out", str(out)]
+    if command == "infer":
+        return _infer_argv(workspace, episode, out)
+    return ["train-expert", "--data", str(episode.parent), "--steps", "1", "--out", str(out)]
+
+
+@pytest.mark.parametrize("lines", [0, 1], ids=["empty", "header_only"])
+@pytest.mark.parametrize("command", ["graph", "infer", "train-expert"])
+def test_empty_episode_exits_2(command, lines, tmp_path, workspace, capsys):
+    episode = tmp_path / "data" / "ep.jsonl"
+    episode.parent.mkdir()
+    episode.write_text("".join(workspace["episode"].read_text().splitlines(True)[:lines]))
+    out = tmp_path / "out"
+    assert main(_episode_argv(command, workspace, episode, out)) == 2
+    err = _one_json_error_line(capsys.readouterr().err)
+    assert err["error"] == "EmptyEpisode"
+    assert err["message"].endswith(("is empty", "has no frames")[lines])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train-expert", "train-cot"])
+def test_data_without_episode_files_exits_2(command, tmp_path, capsys):
+    (tmp_path / "notes.txt").write_text("no episodes here\n")
+    out = tmp_path / "o.npz"
+    assert main([command, "--data", str(tmp_path), "--out", str(out)]) == 2
+    err = _one_json_error_line(capsys.readouterr().err)
+    assert err["error"] == "PipelineError" and "*.jsonl" in err["message"]
+    assert not out.exists()
+
+
 def test_infer_refuses_non_finite_output(tmp_path, workspace):
     """A finite but huge expert overflows to NaN chunks: infer exits 2 with
     one JSON line on stderr (no numpy warning beside it) and writes nothing."""

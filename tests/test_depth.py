@@ -182,7 +182,7 @@ def test_episode_matches_dense_oracle(scenario, tmp_path):
 
 def test_window_clips_to_image_and_later_patch_wins():
     from graphact import DepthGrid
-    grid = DepthGrid.constant(4, 3, 7.0)
+    grid = DepthGrid(4, 3, 7.0)
     # two 2x2 blocks of 1x1 rectangles, the second drawn over the first
     grid.patches += [(1, 0, 2, 1, 1.0), (2, 0, 3, 1, 2.0), (1, 1, 2, 2, 3.0), (2, 1, 3, 2, 4.0),
                      (2, 1, 3, 2, 9.0), (3, 1, 4, 2, 8.0), (2, 2, 3, 3, 6.0), (3, 2, 4, 3, 5.0)]

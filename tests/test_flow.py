@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from graphact import (fm_loss, grad_check, init_flow_expert, interpolate, make_rng,
-                      sample_actions, sample_tau, target_field, train_step)
+                      sample_actions, sample_tau, train_step)
 from graphact.core import ShapeMismatch
 from graphact.flow import (TAU_MAX_DRAWS, DegenerateTau, EmptyBatch, InvalidShapeParam,
                            _draw_batch, _loss_and_grads)
@@ -60,14 +60,6 @@ def test_interpolate_midpoint_and_mismatch():
     assert np.array_equal(interpolate(A, eps, 0.5), [0.5, 0.5])
     with pytest.raises(ShapeMismatch):
         interpolate(np.zeros(2), np.zeros(3), 0.5)
-
-
-def test_target_field():
-    A = np.array([1.0, 1.0])
-    assert np.array_equal(target_field(A, A), np.zeros(2))
-    assert np.array_equal(target_field(A, np.zeros(2)), [-1.0, -1.0])
-    eps = np.array([0.3, -0.4])
-    assert np.allclose(target_field(A, 2 * eps) - target_field(A, eps), eps, atol=0)
 
 
 def test_fm_loss_hand_value():

@@ -211,7 +211,7 @@ def test_encode_pooled_bit_equal_to_per_graph_encode():
     for n_obj in (3, 0, 1, 3, 2, 1, 3):
         dets = [BoundingBox(f"o{i}", 50.0 + 40 * i, 60.0, 80.0 + 40 * i, 90.0)
                 for i in range(n_obj)]
-        depth = DepthGrid.constant(K.width, K.height, 1.0 + rng.random())
+        depth = DepthGrid(K.width, K.height, 1.0 + rng.random())
         frame = FrameRecord(t=0.0, detections=dets, depth=depth,
                             q=rng.uniform(-1, 1, size=cfg.j_total))
         graphs.append(build_graph(frame, K, cfg.extrinsics, cfg.chains))
@@ -248,7 +248,7 @@ def test_encode_shares_a_read_only_adjacency_per_graph_shape(monkeypatch):
             dets = [BoundingBox(f"o{i}", 50.0 + 40 * i, 60.0, 80.0 + 40 * i, 90.0)
                     for i in range(n_obj)]
             frame = FrameRecord(t=0.0, detections=dets,
-                                depth=DepthGrid.constant(K.width, K.height, 1.5),
+                                depth=DepthGrid(K.width, K.height, 1.5),
                                 q=rng.uniform(-1, 1, size=cfg.j_total))
             g = build_graph(frame, K, cfg.extrinsics, cfg.chains, paper_literal)
             for _ in range(2):
@@ -287,7 +287,7 @@ def test_adjacency_cache_stays_bounded_and_rebuilds_evicted_shapes(monkeypatch):
     for n_obj in range(20):
         dets = [BoundingBox(f"o{i}", 20.0 * i, 60.0, 20.0 * i + 10, 90.0) for i in range(n_obj)]
         frame = FrameRecord(t=0.0, detections=dets,
-                            depth=DepthGrid.constant(K.width, K.height, 1.5),
+                            depth=DepthGrid(K.width, K.height, 1.5),
                             q=np.zeros(cfg.j_total))
         graphs.append(build_graph(frame, K, cfg.extrinsics, cfg.chains))
     for _ in range(2):

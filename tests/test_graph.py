@@ -21,7 +21,7 @@ def _frame(n_objects, depth_value=2.0, n_joints=None):
     dets = [BoundingBox(f"o{i}", 50.0 + 30 * i, 60.0, 70.0 + 30 * i, 80.0)
             for i in range(n_objects)]
     return FrameRecord(t=0.0, detections=dets,
-                       depth=DepthGrid.constant(K.width, K.height, depth_value),
+                       depth=DepthGrid(K.width, K.height, depth_value),
                        q=np.zeros(CFG.j_total if n_joints is None else n_joints))
 
 
@@ -156,7 +156,7 @@ def test_build_graph_refuses_a_box_center_off_the_image(box):
     center is not finite or not on the image is refused by name, not
     skipped as missing depth and not turned into an object node."""
     K = CFG.intrinsics
-    depth = DepthGrid.constant(K.width, K.height, 2.0)
+    depth = DepthGrid(K.width, K.height, 2.0)
     dets = [BoundingBox("egg", *box)]
     head = SampleStream("head", CFG.camera_rate_hz,
                         [(0.0, {"detections": dets, "depth": depth})])

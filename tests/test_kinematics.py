@@ -229,3 +229,20 @@ def test_grouped_fk_refuses_unequal_dof_and_one_vector():
         fk_positions((chains[0], _planar_two_link()), np.zeros((1, 9)))
     with pytest.raises(DofMismatch):
         fk_positions(tuple(chains), np.zeros(14))
+
+
+def test_transform_owns_read_only_copies_so_the_fk_cache_stays_true():
+    """A later write to the arrays a transform was built from changes
+    neither the transform nor the base the FK cache holds for its chain,
+    and the transform's own arrays refuse writes."""
+    R, t = np.eye(3), np.array([0.0, 0.5, 0.0])
+    chain = KinematicChain(name="planar", base=RigidTransform(R, t, check=False),
+                           links=_planar_two_link().links)
+    before = chain_positions(np.zeros((1, 2)), [chain])[0][0]
+    t[1], R[0, 0] = 9.0, 2.0
+    assert chain.base.translation[1] == 0.5 and chain.base.rotation[0, 0] == 1.0
+    after = chain_positions(np.zeros((1, 2)), [chain])[0][0]
+    assert after.tobytes() == before.tobytes() and after[0, 1] == 0.5
+    for array in (chain.base.translation, chain.base.rotation):
+        with pytest.raises(ValueError):
+            array[0] = 1.0

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from graphact import (BoundingBox, CameraIntrinsics, DepthGrid, RigidTransform,
-                      backproject, bbox_center, depth_at, make_rng, project,
-                      transform_point)
+                      backproject, bbox_center, depth_at, make_rng, project)
 from graphact.projection import (BehindCamera, NonPositiveDepth, NoValidDepth,
                                  PixelOutsideImage)
 from conftest import random_rotation
@@ -24,26 +23,26 @@ def test_bbox_center(box, expected):
 
 
 def test_depth_at_uniform_grid():
-    grid = DepthGrid.constant(64, 48, 2.0)
+    grid = DepthGrid(64, 48, 2.0)
     assert depth_at(grid, (10.2, 30.7)) == 2.0
     assert depth_at(grid, (0, 0)) == 2.0
 
 
 def test_depth_at_median_fallback_unanimous():
-    grid = DepthGrid.constant(9, 9, 1.0)
+    grid = DepthGrid(9, 9, 1.0)
     grid.patches.append((4, 4, 5, 5, 0.0))  # invalid center
     assert depth_at(grid, (4, 4)) == 1.0
 
 
 def test_depth_at_median_of_valid_multiset():
     # neighborhood {1.0, 1.2, 5.0, invalid x6} -> median 1.2
-    grid = DepthGrid.constant(3, 3, 0.0)
+    grid = DepthGrid(3, 3, 0.0)
     grid.patches += [(0, 0, 1, 1, 1.0), (1, 0, 2, 1, 1.2), (2, 0, 3, 1, 5.0)]
     assert depth_at(grid, (1, 1)) == 1.2
 
 
 def test_depth_at_no_valid_depth():
-    grid = DepthGrid.constant(5, 5, -1.0)
+    grid = DepthGrid(5, 5, -1.0)
     with pytest.raises(NoValidDepth):
         depth_at(grid, (2, 2))
 
@@ -92,13 +91,12 @@ def test_backproject_scaling():
                       lam * backproject(pix, d, K)).max() < 1e-12
 
 
-def test_transform_point_cases():
-    assert np.array_equal(transform_point(RigidTransform.identity(), (1.0, 2.0, 3.0)),
-                          [1.0, 2.0, 3.0])
+def test_apply_cases():
+    assert np.array_equal(RigidTransform.identity().apply((1.0, 2.0, 3.0)), [1.0, 2.0, 3.0])
     T = RigidTransform(np.eye(3), [0.0, 0.0, 1.0])
-    assert np.allclose(transform_point(T, (1.0, 2.0, 3.0)), [1.0, 2.0, 4.0], atol=0)
+    assert np.allclose(T.apply((1.0, 2.0, 3.0)), [1.0, 2.0, 4.0], atol=0)
     Rz90 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    got = transform_point(RigidTransform(Rz90, np.zeros(3)), (1.0, 0.0, 0.0))
+    got = RigidTransform(Rz90, np.zeros(3)).apply((1.0, 0.0, 0.0))
     assert np.abs(got - np.array([0.0, 1.0, 0.0])).max() < 1e-12
 
 
@@ -107,7 +105,7 @@ def test_transform_preserves_pairwise_distances():
     for _ in range(50):
         T = RigidTransform(random_rotation(rng), rng.normal(size=3))
         a, b = rng.normal(size=3), rng.normal(size=3)
-        da = np.linalg.norm(transform_point(T, a) - transform_point(T, b))
+        da = np.linalg.norm(T.apply(a) - T.apply(b))
         assert abs(da - np.linalg.norm(a - b)) < 1e-12
 
 
@@ -117,18 +115,18 @@ def test_stacked_backproject_and_transform_bit_equal_to_one_point_calls():
     pix = rng.uniform(0, 640, size=(16, 2))
     depth = rng.uniform(0.2, 4.0, size=16)
     cam = backproject(pix, depth, K)
-    base = transform_point(T, cam)
+    base = T.apply(cam)
     assert cam.shape == base.shape == (16, 3)
     for i in range(16):
         one = backproject(tuple(pix[i]), float(depth[i]), K)
         assert cam[i].tobytes() == one.tobytes()
-        assert base[i].tobytes() == transform_point(T, one).tobytes()
+        assert base[i].tobytes() == T.apply(one).tobytes()
 
 
 def test_depth_at_refuses_pixels_off_the_image_and_keeps_its_edges():
     """The accepted pixels are the closed [0, width] x [0, height]: an
     episode's zero-width box may sit on the right or bottom edge."""
-    grid = DepthGrid.constant(8, 6, 2.0)
+    grid = DepthGrid(8, 6, 2.0)
     for p in ((0.0, 0.0), (8.0, 6.0), (8.0, 0.0), (0.0, 6.0)):
         assert depth_at(grid, p) == 2.0
     for p in ((-1e-9, 3.0), (8.000001, 3.0), (3.0, 6.5), (3.0, -2.0), (math.nan, 1.0),

@@ -137,7 +137,7 @@ def test_head_without_control_stream_has_empty_q():
     K = cfg.intrinsics
     head = SampleStream("head", 30.0, [(0.0, {
         "detections": [BoundingBox("egg", 100.0, 100.0, 120.0, 120.0)],
-        "depth": DepthGrid.constant(K.width, K.height, 2.0)})])
+        "depth": DepthGrid(K.width, K.height, 2.0)})])
     frames = align_streams(head, [], max_gap=0.1)
     assert len(frames) == 1 and isinstance(frames[0], FrameRecord)
     assert frames[0].q.size == 0
