@@ -14,8 +14,7 @@ from .stream_sync import SampleStream, align_streams
 from .kinematics import (DhLink, KinematicChain, chain_positions, default_chains, dh_transform,
                          fk_positions)
 from .projection import backproject, bbox_center, depth_at, project
-from .graph import (GraphNode, PoseObjectGraph, adjacency_matrix, build_graph, episode_graphs,
-                    graph_to_json)
+from .graph import GraphNode, PoseObjectGraph, adjacency_matrix, build_graph, episode_graphs
 from .gnn import (GnnWeights, encode, encode_pooled, graph_conv, init_gnn_weights, layer_norm,
                   pooled_embedding)
 from .flow import (FlowExpert, fm_loss, grad_check, init_flow_expert, interpolate,

@@ -3,8 +3,7 @@ inference, and the embedded oracle suite.
 
 Exit codes: 0 ok, 2 validation failure, 3 I/O failure (a file that cannot
 be read, or is not JSON or not an .npz archive), 4 oracle-suite failure.
-Errors are emitted as one JSON object on stderr. The PIPELINE_CONFIG
-environment variable supplies a default --config path.
+Errors are emitted as one JSON object on stderr.
 """
 
 import argparse
@@ -17,12 +16,12 @@ import zipfile
 import numpy as np
 
 from .core import (InvalidSetting, PipelineConfig, PipelineError, check_finite, derive_seed,
-                   make_rng)
+                   make_rng, write_jsonl)
 from .cot import (CotHead, build_default_vocab, init_cot_head, make_cot_label, tokenize,
                   train_cot_head, write_cot_dataset)
 from .flow import FlowExpert, init_flow_expert, train_step
 from .gnn import GnnWeights, init_gnn_weights
-from .graph import episode_graphs, graph_to_json
+from .graph import episode_graphs
 from .inference import (ArtifactLoadError, InferenceSchedule, check_artifacts, episode_contexts,
                         frame_blocks, run_inference_loop, write_outputs)
 from .selfcheck import run_selfcheck
@@ -46,10 +45,7 @@ def _load_named(error, load, path):
 
 
 def _load_config(path) -> PipelineConfig:
-    path = path or os.environ.get("PIPELINE_CONFIG")
-    if path:
-        return _load_named(ConfigLoadError, PipelineConfig.load, path)
-    return default_config()
+    return _load_named(ConfigLoadError, PipelineConfig.load, path) if path else default_config()
 
 
 def _loss_csv_path(out: str) -> str:
@@ -70,7 +66,6 @@ def cmd_gen(args) -> int:
     for i in range(args.episodes):
         seed = derive_seed(args.seed, scen_idx, args.variant, i)
         ep = gen_episode(scenario, args.variant, args.frames, seed, cfg)
-        os.makedirs(args.out, exist_ok=True)
         write_episode(ep, os.path.join(args.out, f"{args.scenario}_v{args.variant}_{i:03d}.jsonl"))
     print(f"wrote {args.episodes} episode(s) to {args.out}")
     return 0
@@ -79,12 +74,10 @@ def cmd_gen(args) -> int:
 def cmd_graph(args) -> int:
     cfg = _load_config(args.config)
     ep = load_episode(args.episode)
-    os.makedirs(args.out, exist_ok=True)
     for lo, block in frame_blocks(ep.frames):
         graphs = episode_graphs(block, ep.K, ep.T, cfg.chains, args.paper_literal)
         for i, g in enumerate(graphs, lo):
-            with open(os.path.join(args.out, f"graph_{i:05d}.json"), "w") as f:
-                f.write(graph_to_json(g) + "\n")
+            write_jsonl(os.path.join(args.out, f"graph_{i:05d}.json"), [(f"graph of frame {i}", g)])
     print(f"wrote {len(ep.frames)} graph(s) to {args.out}")
     return 0
 
@@ -204,7 +197,7 @@ def cmd_infer(args) -> int:
     ep = load_episode(args.episode)
     gnn_w, expert, head = _load_artifacts(args, cfg)
     outputs, report = run_inference_loop(ep, gnn_w, expert, head, schedule, cfg,
-                                         seed=args.seed, euler_steps=args.steps)
+                                         seed=args.seed)
     write_outputs(args.out, outputs)
     n_cot = sum(1 for o in outputs if o.cot_text is not None)
     print(f"{len(outputs)} frame(s), {n_cot} with reasoning; "
@@ -311,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--cot-head", required=True)
     g.add_argument("--cot-period", type=POSITIVE_INT, default=None)
     g.add_argument("--no-first-cot", action="store_true")
-    g.add_argument("--steps", type=POSITIVE_INT, default=None, help="Euler integration steps")
     g.add_argument("--seed", type=NON_NEGATIVE_INT, default=0)
     g.add_argument("--out", required=True)
     common(g)

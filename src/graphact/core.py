@@ -5,6 +5,8 @@ episode start); joint configurations are 1-D float arrays in radians.
 """
 
 import json
+import math
+import os
 import sys
 import typing
 import zipfile
@@ -112,20 +114,35 @@ def reader(spec, name: str):
     return lambda v: spec(**read_fields(v))
 
 
-def to_json(obj):
+def to_json(obj, what: str = "value"):
     """Inverse of reader: obj as JSON values. A class instance becomes the
-    object of its JSON keys or dataclass fields, in order, a tuple a list and
-    an array its flat list of values."""
+    object of its JSON keys or dataclass fields, in order, a tuple a list, an
+    array its flat list of values and a numpy scalar its Python value. A NaN
+    or infinity, which strict JSON cannot carry, raises NonFiniteOutput."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        raise NonFiniteOutput(f"{what} has a non-finite entry")
     if isinstance(obj, (str, int, float)):
         return obj
+    if isinstance(obj, np.generic):
+        return to_json(obj.item(), what)
     if isinstance(obj, np.ndarray):
+        check_finite(what, obj)
         return obj.ravel().tolist()
     if isinstance(obj, (list, tuple)):
-        return [to_json(v) for v in obj]
+        return [to_json(v, what) for v in obj]
     if isinstance(obj, dict):
-        return {k: to_json(v) for k, v in obj.items()}
-    return {k: to_json(getattr(obj, k)) for k in getattr(obj, "JSON", None) or
+        return {k: to_json(v, what) for k, v in obj.items()}
+    return {k: to_json(getattr(obj, k), what) for k in getattr(obj, "JSON", None) or
             [f.name for f in fields(obj)]}
+
+
+def write_jsonl(path, docs) -> None:
+    """One JSON line per (what, obj) of docs, all built by to_json(obj, what)
+    before the file and any missing directory are made, so a refusal leaves none."""
+    lines = [json.dumps(to_json(obj, what)) + "\n" for what, obj in docs]
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    with open(path, "w") as f:
+        f.writelines(lines)
 
 
 def fan_in_normal(rng: np.random.Generator, n_in: int, n_out: int) -> np.ndarray:
@@ -320,12 +337,6 @@ class DepthGrid:
     far: float
     patches: list = field(default_factory=list)
 
-    @classmethod
-    def constant(cls, width: int, height: int, value: float) -> "DepthGrid":
-        """DepthGrid(width, height, value): kept only because acceptance
-        criterion 3 builds its degenerate frames with it."""
-        return cls(width, height, float(value))
-
     def at(self, u: int, v: int) -> float:
         """Depth at integer pixel column u, row v (inside the image): the z of
         the last rectangle that covers it, or far if none does."""
@@ -372,16 +383,16 @@ class KinematicChain:
 @dataclass
 class PipelineConfig:
     """Everything the pipeline needs to run; round-trips through JSON
-    (to_json and reader)."""
+    (to_json and reader). Its ClassVars are not keys: no command aligns streams."""
 
     intrinsics: CameraIntrinsics
     extrinsics: RigidTransform          # head camera frame -> robot base frame
     chains: list[KinematicChain]
     joint_limits: tuple[float, float] = (-np.pi, np.pi)
     sigma: float = 1.0                  # action-noise scale for flow sampling
-    max_gap: float = 2.0 / 30.0         # stream alignment tolerance, seconds
+    max_gap: typing.ClassVar[float] = 2.0 / 30.0  # align_streams tolerance, seconds
     camera_rate_hz: float = 30.0
-    control_rate_hz: float = 150.0
+    control_rate_hz: typing.ClassVar[float] = 150.0
     scenario_names: tuple[str, ...] = ("food", "outfit")
     gnn_dims: tuple[int, int, int] = (32, 32, 32)  # (d, h, d_out)
     flow_horizon: int = 30
@@ -402,7 +413,7 @@ class PipelineConfig:
             "flow_horizon", "flow_hidden", "euler_steps", "cot_dt_frames",
             "cot_window", "cot_hidden", "cot_embed", "cot_max_len")]
         checks += [(name, "finite and > 0", 0 < getattr(self, name) < np.inf) for name in (
-            "flow_alpha", "flow_beta", "camera_rate_hz", "control_rate_hz", "max_gap")]
+            "flow_alpha", "flow_beta", "camera_rate_hz")]
         checks += [("sigma", "finite and >= 0", 0 <= self.sigma < np.inf),
                    ("joint_limits", "(lo, hi) with lo < hi",
                     self.joint_limits[0] < self.joint_limits[1]),
@@ -417,7 +428,7 @@ class PipelineConfig:
 
     def save(self, path) -> None:
         with open(path, "w") as f:
-            f.write(json.dumps(to_json(self), indent=2) + "\n")
+            f.write(json.dumps(to_json(self, "config"), indent=2) + "\n")
 
     @classmethod
     def load(cls, path) -> "PipelineConfig":

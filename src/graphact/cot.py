@@ -8,13 +8,12 @@ numeric tokens, 1 cm for positions and 0.01 rad for joints) so a small
 autoregressive head can be supervised with exact cross-entropy.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (InvalidSetting, Model, PipelineError, check_finite, check_shapes,
-                   fan_in_normal, max_grad_error, to_json)
+                   fan_in_normal, max_grad_error, write_jsonl)
 from .sim import SCENARIOS, EmptyEpisode, Episode, InstructionScenario, Scene
 
 PAD, END, SEP = "<pad>", "<end>", "<sep>"
@@ -395,7 +394,5 @@ def total_loss(l_cot: float, l_action: float, d: int, w_cot: float,
 
 def write_cot_dataset(path, samples) -> None:
     """JSONL dataset: {context: [...], tokens: [...], text: '...'} per line."""
-    with open(path, "w") as f:
-        for context, token_ids, text in samples:
-            f.write(json.dumps(to_json({"context": context, "tokens": token_ids,
-                                        "text": text})) + "\n")
+    write_jsonl(path, [(f"dataset sample {i}", {"context": context, "tokens": ids, "text": text})
+                       for i, (context, ids, text) in enumerate(samples)])

@@ -2,13 +2,12 @@
 robot nodes from forward kinematics, and the bipartite object/end-effector
 edge set (plus optional kinematic-chain edges)."""
 
-import json
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CameraIntrinsics, PipelineError, RigidTransform, to_json
+from .core import CameraIntrinsics, PipelineError, RigidTransform
 from .kinematics import DofMismatch, chain_positions
 from .projection import NoValidDepth, backproject, bbox_center, depth_at
 
@@ -118,7 +117,3 @@ def adjacency_matrix(g: PoseObjectGraph) -> np.ndarray:
         A[j, i] = 1.0
     return A
 
-
-def graph_to_json(g: PoseObjectGraph) -> str:
-    """Fixed-key-order JSON; byte-stable for identical graphs."""
-    return json.dumps(to_json(g))

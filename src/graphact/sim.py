@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import (BoundingBox, CameraIntrinsics, DepthGrid, FrameRecord,
                    InvalidSetting, PipelineConfig, PipelineError, RigidTransform,
-                   make_rng, reader, to_json)
+                   make_rng, reader, write_jsonl)
 from .kinematics import default_chains
 from .projection import BehindCamera, project
 
@@ -261,16 +261,15 @@ _read_header, _read_frame = reader(HEADER, "header"), reader(FRAME, "frame")
 
 
 def write_episode(ep: Episode, path) -> None:
-    """One JSONL file in the HEADER and FRAME format."""
-    with open(path, "w") as f:
-        f.write(json.dumps(to_json({"scenario": ep.scenario.name, "variant": ep.variant,
-                                    "K": ep.K, "T": ep.T, "seed": ep.seed})) + "\n")
-        for frame in ep.frames:
-            line = {"t": frame.t, "q": frame.q,
-                    "detections": [{"label": d.label, "box": (d.x_min, d.y_min, d.x_max, d.y_max)}
-                                   for d in frame.detections],
-                    "depth": frame.depth.patches, "far": frame.depth.far}
-            f.write(json.dumps(to_json(line)) + "\n")
+    """One JSONL file in the HEADER and FRAME format, through write_jsonl."""
+    lines = [("episode header", {"scenario": ep.scenario.name, "variant": ep.variant,
+                                 "K": ep.K, "T": ep.T, "seed": ep.seed})]
+    for i, frame in enumerate(ep.frames):
+        boxes = [{"label": d.label, "box": (d.x_min, d.y_min, d.x_max, d.y_max)}
+                 for d in frame.detections]
+        lines.append((f"episode frame {i}", {"t": frame.t, "q": frame.q, "detections": boxes,
+                                             "depth": frame.depth.patches, "far": frame.depth.far}))
+    write_jsonl(path, lines)
 
 
 def _decode_frame(rec, width: int, height: int) -> FrameRecord:

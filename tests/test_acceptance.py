@@ -121,14 +121,14 @@ def test_criterion_03_graph_structure():
         # degenerate: no objects / no arms
         from graphact import DepthGrid, FrameRecord
         empty = FrameRecord(t=0.0, detections=[],
-                            depth=DepthGrid.constant(64, 48, 2.0),
+                            depth=DepthGrid(64, 48, 2.0),
                             q=np.zeros(CFG.j_total))
         g = build_graph(empty, CFG.intrinsics, CFG.extrinsics, CFG.chains, paper_literal=True)
         assert len(g.edges) == 0
         A = adjacency_matrix(g)
         assert np.array_equal(A, A.T)
         no_arms = FrameRecord(t=0.0, detections=[],
-                              depth=DepthGrid.constant(64, 48, 2.0), q=np.zeros(0))
+                              depth=DepthGrid(64, 48, 2.0), q=np.zeros(0))
         g = build_graph(no_arms, CFG.intrinsics, CFG.extrinsics, [], paper_literal=True)
         assert g.nodes == [] and g.edges == []
         info["detail"] = f"({n_graphs} graphs + 2 degenerate)"

@@ -263,6 +263,9 @@ CONFIG_CASES = {
     "sigma_nan": (lambda d: d.update(sigma=float("nan")), 2, "ConfigLoadError"),
     "flow_alpha_zero": (lambda d: d.update(flow_alpha=0.0), 2, "ConfigLoadError"),
     "max_gap_inf": (lambda d: d.update(max_gap=float("inf")), 2, "ConfigLoadError"),
+    "max_gap_retired": (lambda d: d.update(max_gap=2 / 30), 2, "ConfigLoadError"),
+    "control_rate_hz_retired": (lambda d: d.update(control_rate_hz=150.0), 2,
+                                "ConfigLoadError"),
     "scenario_names_empty": (lambda d: d.update(scenario_names=[]), 2, "ConfigLoadError"),
     "scenario_names_repeated": (lambda d: d.update(scenario_names=["food", "food"]), 2,
                                 "ConfigLoadError"),
@@ -292,6 +295,9 @@ CONFIG_FIELDS = {"flow_horizon_fraction": "config.flow_horizon",
                  "joint_limits_string": "config.joint_limits",
                  "dh_a_string_nan": "config.chains[].links[].a",
                  "chain_name_int": "config.chains[].name", "unknown_key": "lambda_gnn",
+                 "max_gap_inf": "unknown key 'max_gap'",
+                 "max_gap_retired": "unknown key 'max_gap'",
+                 "control_rate_hz_retired": "unknown key 'control_rate_hz'",
                  "joint_limits_reversed": "joint_limits"}
 
 
@@ -300,8 +306,10 @@ CONFIG_FIELDS = {"flow_horizon_fraction": "config.flow_horizon",
 @pytest.mark.parametrize("case", sorted(CONFIG_CASES))
 def test_malformed_config_follows_the_error_contract(case, command, via, tmp_path, workspace,
                                                      monkeypatch, capsys):
-    """A config with a missing key, a wrong type or a bad value exits 2 as
-    ConfigLoadError, and one that is not JSON exits 3, before any work."""
+    """Through --config, a config with a missing key, a wrong type or a bad
+    value exits 2 as ConfigLoadError, and one that is not JSON exits 3, before
+    any work. The same file in the PIPELINE_CONFIG environment variable, which
+    no command reads, changes nothing: the command runs on the built-in rig."""
     edit, code, error = CONFIG_CASES[case]
     cfg_path = tmp_path / "cfg.json"
     if callable(edit):
@@ -316,6 +324,10 @@ def test_malformed_config_follows_the_error_contract(case, command, via, tmp_pat
         argv += ["--config", str(cfg_path)]
     else:
         monkeypatch.setenv("PIPELINE_CONFIG", str(cfg_path))
+        out.parent.mkdir()
+        assert main(argv) == 0
+        assert capsys.readouterr().err == "" and out.exists()
+        return
     assert main(argv) == code
     captured = capsys.readouterr()
     err = _one_json_error_line(captured.err)
@@ -429,10 +441,9 @@ def test_train_cot_deterministic(tmp_path, workspace):
 
 
 def test_pipeline_config_env_var(tmp_path, workspace, monkeypatch):
-    cfg = default_config()
-    cfg_path = tmp_path / "cfg.json"
-    cfg.save(cfg_path)
-    monkeypatch.setenv("PIPELINE_CONFIG", str(cfg_path))
+    """The config comes from --config only: PIPELINE_CONFIG naming a file
+    that does not exist leaves graph on the built-in rig."""
+    monkeypatch.setenv("PIPELINE_CONFIG", str(tmp_path / "missing.json"))
     out = tmp_path / "g"
     assert main(["graph", "--episode", str(workspace["episode"]), "--out", str(out)]) == 0
     assert len(os.listdir(out)) == 6
@@ -466,9 +477,9 @@ def _valid_argv(command, workspace, out):
 # (command, extra arguments): each ends in InvalidSetting, exit 2, one JSON
 # line on stderr, nothing on stdout and nothing written
 BAD_SETTINGS = [
-    ("infer", ["--steps", "0"]), ("infer", ["--steps", "-3"]),
     ("infer", ["--cot-period", "0"]),
-    ("infer", ["--pace"]), ("infer", ["--rate-hz", "10"]),  # not options: unknown flags
+    # not options: unknown flags (the config's euler_steps sets the Euler steps)
+    ("infer", ["--pace"]), ("infer", ["--rate-hz", "10"]), ("infer", ["--steps", "3"]),
     ("gen", ["--frames", "0"]), ("gen", ["--episodes", "0"]), ("gen", ["--frames", "abc"]),
     ("gen", ["--variant", "-1"]),
     ("train-cot", ["--epochs", "0"]), ("train-cot", ["--stride", "-1"]),
@@ -526,7 +537,7 @@ FUZZ_FLAGS = {
     "init-weights": ["--seed"],
     "train-expert": ["--steps", "--lr", "--seed", "--batch"],
     "train-cot": ["--epochs", "--lr", "--seed", "--stride"],
-    "infer": ["--cot-period", "--steps", "--seed"],
+    "infer": ["--cot-period", "--seed"],
 }
 
 
@@ -899,6 +910,46 @@ def test_infer_refuses_non_finite_output(tmp_path, workspace):
     assert _one_json_error_line(proc.stderr) == {
         "error": "NonFiniteOutput", "message": "expert chunk of frame 0 has a non-finite entry"}
     assert not out.exists()
+
+
+def _overflowing_fk(doc):
+    """Two of the first arm's link offsets at 1e308: FK overflows."""
+    for link in (0, 2):
+        doc["chains"][0]["links"][link]["d"] = 1e308
+
+
+# (edit of the default config's JSON, command line from the workspace and
+# tmp_path, message): each command's file would hold an Infinity or a NaN.
+NON_FINITE_WRITES = {
+    "gen": (lambda d: d.update(camera_rate_hz=1e-308),  # frame 2's t = 2 / 1e-308
+            lambda w, tmp: ["gen", "--scenario", "food", "--variant", "0", "--frames", "3"],
+            "episode frame 2 has a non-finite entry"),
+    "graph": (_overflowing_fk, lambda w, tmp: ["graph", "--episode", str(w["episode"])],
+              "graph of frame 0 has a non-finite entry"),
+    "train-cot": (_overflowing_fk,
+                  lambda w, tmp: ["train-cot", "--data", str(w["data"]), "--epochs", "1",
+                                  "--dump-dataset", str(tmp / "dump.jsonl")],
+                  "dataset sample 0 has a non-finite entry"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(NON_FINITE_WRITES))
+def test_non_finite_json_output_is_refused(command, tmp_path, workspace):
+    """A number strict JSON cannot carry is refused before its file is
+    opened: exit 2, one JSON line on stderr, and no file left behind."""
+    edit, argv, message = NON_FINITE_WRITES[command]
+    doc = to_json(default_config())
+    edit(doc)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "graphact.cli", *argv(workspace, tmp_path),
+                           "--config", str(cfg), "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert _one_json_error_line(proc.stderr) == {"error": "NonFiniteOutput", "message": message}
+    assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 @pytest.mark.parametrize("command,argv,word", [

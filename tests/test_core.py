@@ -8,7 +8,7 @@ import pytest
 from graphact import (CameraIntrinsics, CotHead, DhLink, FlowExpert, KinematicChain,
                       PipelineConfig, RigidTransform, build_default_vocab, derive_seed,
                       init_cot_head, init_flow_expert, init_gnn_weights, make_rng)
-from graphact.core import reader, to_json
+from graphact.core import NonFiniteOutput, reader, to_json
 from conftest import random_rotation
 
 
@@ -67,11 +67,12 @@ def test_config_json_roundtrip(cfg, tmp_path):
 
 def test_config_with_retired_keys_is_refused(cfg, tmp_path):
     """Keys older configs had (seed, j_total, now derived from the chains,
-    lambda_cot, lambda_action, dropout_p) are unknown keys, refused by name
-    like any other."""
+    lambda_cot, lambda_action, dropout_p, and max_gap and control_rate_hz,
+    now constants) are unknown keys, refused by name like any other."""
     path = tmp_path / "cfg.json"
     for key, value in [("seed", 7), ("j_total", 14), ("lambda_cot", 1.0),
-                       ("lambda_action", 1.0), ("dropout_p", 0.5)]:
+                       ("lambda_action", 1.0), ("dropout_p", 0.5), ("max_gap", 2 / 30),
+                       ("control_rate_hz", 150.0)]:
         d = to_json(cfg)
         d[key] = value
         path.write_text(json.dumps(d))
@@ -125,6 +126,26 @@ def test_reader_rules(spec, value, want):
         assert str(exc.value).startswith(str(want))
     else:
         assert repr(read(value)) == repr(want)  # equal values of equal types
+
+
+def test_alignment_constants_are_not_config_keys(cfg):
+    """max_gap and control_rate_hz still resolve on a config, as constants
+    that no config file carries."""
+    assert cfg.max_gap == 2 / 30 and cfg.control_rate_hz == 150.0
+    assert not {"max_gap", "control_rate_hz"} & set(to_json(cfg))
+
+
+def test_to_json_converts_numpy_scalars():
+    assert json.dumps(to_json([np.int64(3), np.float32(1.5), np.bool_(True)])) == "[3, 1.5, true]"
+
+
+@pytest.mark.parametrize("value", [float("nan"), np.float64("inf"), np.float32("-inf"),
+                                   np.array([[0.0], [np.nan]]), {"a": (1.0, float("inf"))}])
+def test_to_json_refuses_non_finite_numbers(value):
+    """Strict JSON has no NaN or Infinity (RFC 8259, section 6), and reader
+    refuses them on the way in."""
+    with pytest.raises(NonFiniteOutput, match="^frame 2 has a non-finite entry$"):
+        to_json(value, "frame 2")
 
 
 def test_to_json_roundtrips_through_reader(cfg):

@@ -91,3 +91,24 @@ def test_benchmark_call_surface_resolves_and_binds():
     assert owners
     assert [f"{owner}.{attr}" for owner, attr in owners
             if not hasattr(_resolve(owner), attr)] == []
+
+
+def test_benchmark_config_reads_resolve():
+    """Every attribute perfbench/run.py reads of the pipeline config
+    (`<x>.cfg.<attr>`, or `cfg.<attr>` in a function that binds its local cfg
+    from self.cfg; another local cfg holds numpy's build config) resolves on
+    default_config(), constants and derived counts included."""
+    from graphact import default_config
+    reads = set()
+    for fn in ast.walk(_perfbench_ast("run.py")):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        binds = [ast.unparse(n.value) for n in ast.walk(fn) if isinstance(n, ast.Assign)
+                 and "cfg" in {t.id for t in ast.walk(n.targets[0]) if isinstance(t, ast.Name)}]
+        local_is_config = all("self.cfg" in value for value in binds)
+        reads |= {n.attr for n in ast.walk(fn) if isinstance(n, ast.Attribute) and (
+            isinstance(n.value, ast.Attribute) and n.value.attr == "cfg" or
+            local_is_config and isinstance(n.value, ast.Name) and n.value.id == "cfg")}
+    assert {"max_gap", "control_rate_hz", "j_total"} <= reads
+    cfg = default_config()
+    assert sorted(name for name in reads if not hasattr(cfg, name)) == []

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from graphact import (BoundingBox, DepthGrid, FrameRecord, PipelineError, SampleStream,
-                      adjacency_matrix, align_streams, build_graph, default_config, gen_episode,
-                      graph_to_json)
+                      adjacency_matrix, align_streams, build_graph, default_config, gen_episode)
+from graphact.core import to_json
 from graphact.graph import END_EFFECTOR, JOINT, OBJECT, episode_graphs
 from graphact.kinematics import DofMismatch
 from graphact.projection import NoValidDepth
@@ -114,8 +114,8 @@ def test_dof_mismatch_propagates():
 
 def test_serialization_deterministic_and_roundtrips():
     frame = _frame(3)
-    a = graph_to_json(build_graph(frame, CFG.intrinsics, CFG.extrinsics, CFG.chains))
-    b = graph_to_json(build_graph(frame, CFG.intrinsics, CFG.extrinsics, CFG.chains))
+    a = json.dumps(to_json(build_graph(frame, CFG.intrinsics, CFG.extrinsics, CFG.chains)))
+    b = json.dumps(to_json(build_graph(frame, CFG.intrinsics, CFG.extrinsics, CFG.chains)))
     assert a == b  # byte-identical
     g = build_graph(frame, CFG.intrinsics, CFG.extrinsics, CFG.chains)
     doc = json.loads(a)
@@ -137,8 +137,8 @@ def test_episode_graphs_match_per_frame_build_graph():
     ep = gen_episode(SCENARIOS["outfit"], 1, 12, seed=22, cfg=CFG)
     for paper_literal in (False, True):
         graphs = episode_graphs(ep.frames, ep.K, ep.T, CFG.chains, paper_literal)
-        assert [graph_to_json(g) for g in graphs] == [
-            graph_to_json(build_graph(f, ep.K, ep.T, CFG.chains, paper_literal))
+        assert [json.dumps(to_json(g)) for g in graphs] == [
+            json.dumps(to_json(build_graph(f, ep.K, ep.T, CFG.chains, paper_literal)))
             for f in ep.frames]
 
 

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import importlib
+import json
 import sys
 import tracemalloc
 
@@ -9,10 +10,10 @@ import pytest
 
 from graphact import (FrameRecord, InferenceSchedule, SCENARIOS, SampleStream, align_streams,
                       build_default_vocab, build_graph, default_config, detokenize, encode,
-                      gen_episode, generate_cot, graph_to_json, init_cot_head, init_flow_expert,
+                      gen_episode, generate_cot, init_cot_head, init_flow_expert,
                       init_gnn_weights, make_context, make_rng, pooled_embedding,
                       run_inference_loop, sample_actions, scenario_onehot)
-from graphact.core import InvalidSetting
+from graphact.core import InvalidSetting, to_json
 from graphact.flow import FlowExpert
 from graphact.inference import BLOCK_FRAMES, frame_json, write_outputs
 from graphact.sim import EmptyEpisode, Episode
@@ -174,8 +175,8 @@ def test_aligned_frames_feed_the_loop_directly(artifacts):
     assert len(frames) == len(ep.frames)
     assert all(isinstance(f, FrameRecord) for f in frames)
     for a, b in zip(frames, ep.frames):
-        assert (graph_to_json(build_graph(a, CFG.intrinsics, CFG.extrinsics, CFG.chains))
-                == graph_to_json(build_graph(b, CFG.intrinsics, CFG.extrinsics, CFG.chains)))
+        assert (json.dumps(to_json(build_graph(a, CFG.intrinsics, CFG.extrinsics, CFG.chains)))
+                == json.dumps(to_json(build_graph(b, CFG.intrinsics, CFG.extrinsics, CFG.chains))))
     aligned = Episode(frames=frames, scene=ep.scene, scenario=ep.scenario,
                       trajectory=ep.trajectory, K=ep.K, T=ep.T)
     got, _ = run_inference_loop(aligned, *artifacts, InferenceSchedule(), CFG, seed=3)
