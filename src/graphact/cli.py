@@ -34,13 +34,14 @@ class ConfigLoadError(PipelineError):
 
 def _load_named(error, load, path):
     """load(path), with a malformed document's KeyError, TypeError, ValueError
-    (a value core.reader refuses, say) or OverflowError raised as error. Named
-    errors, non-JSON and non-archive files (exit 3) pass through."""
+    (a value core.reader refuses, say), OverflowError or RecursionError (JSON
+    nested deeper than the decoder follows) raised as error. Named errors,
+    non-JSON and non-archive files (exit 3) pass through."""
     try:
         return load(path)
     except (PipelineError, json.JSONDecodeError):
         raise  # InvalidSetting and JSONDecodeError are also ValueErrors
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise error(str(exc)) from exc
 
 
@@ -136,7 +137,7 @@ def cmd_train_expert(args) -> int:
     dataset = []
     for path in _episode_files(args.data):
         ep = load_episode(path)
-        contexts = episode_contexts(ep, gnn_w, cfg)
+        contexts = episode_contexts(ep, gnn_w, cfg, ep.frames)
         dataset.extend((_action_chunk(ep, t, cfg.flow_horizon), contexts[t])
                        for t in range(len(ep.frames)))
     expert = _new_expert(cfg, make_rng(derive_seed(args.seed, 0)))

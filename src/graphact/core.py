@@ -288,10 +288,6 @@ class RigidTransform:
         self.rotation = R
         self.translation = t
 
-    @classmethod
-    def identity(cls) -> "RigidTransform":
-        return cls(np.eye(3), np.zeros(3), check=False)
-
     def compose(self, other: "RigidTransform") -> "RigidTransform":
         """self after other: (self ∘ other)(p) = self(other(p))."""
         return RigidTransform(self.rotation @ other.rotation,

@@ -159,7 +159,7 @@ def build_default_vocab(max_offset: int = 30, value_range: float = 3.2) -> Token
     tokens = [PAD, END, SEP]
     words = list(_TEMPLATE_WORDS)
     for scen in SCENARIOS.values():
-        words.extend(scen.universe)
+        words.extend(scen.nominal)
         words.extend(scen.instruction_text.split())
     for w in words:
         if w not in tokens:
@@ -250,13 +250,11 @@ class CotHead(Model):
         logits += self.b2  # in place: a second (T, V) array costs page faults
         return logits, (X, a1)
 
-    def loss_and_grads(self, context, token_ids, windows=None):
+    def loss_and_grads(self, context, token_ids, windows):
         """Mean per-token cross-entropy and analytic parameter gradients;
-        windows, if given, is self.windows(token_ids)."""
+        windows is self.windows(token_ids)."""
         targets = np.asarray(token_ids, dtype=int)
         T = targets.size
-        if windows is None:
-            windows = self.windows(token_ids)
         logits, (X, a1) = self._forward(context, windows)
         # The softmax is formed in place in logits, and dlogits overwrites it.
         p = logits
@@ -330,10 +328,9 @@ def train_cot_head(head: CotHead, dataset: list, lr: float, epochs: int,
 def grad_check_cot(head: CotHead, sample, rng: np.random.Generator, h: float = 1e-5,
                    n_params: int = 100) -> float:
     """Max relative error of analytic vs central-difference gradients."""
-    context, token_ids = sample
-    _, grads = head.loss_and_grads(context, token_ids)
-    return max_grad_error(head, grads, lambda: head.loss_and_grads(context, token_ids)[0],
-                          h, n_params, rng)
+    args = (*sample, head.windows(sample[1]))  # (context, token ids, windows)
+    _, grads = head.loss_and_grads(*args)
+    return max_grad_error(head, grads, lambda: head.loss_and_grads(*args)[0], h, n_params, rng)
 
 
 def generate_cot(head: CotHead, context, max_len: int) -> list:

@@ -140,11 +140,9 @@ def _block_contexts(episode: Episode, gnn_w: GnnWeights, cfg: PipelineConfig, fr
 
 
 def episode_contexts(episode: Episode, gnn_w: GnnWeights, cfg: PipelineConfig,
-                     frames: list = None) -> np.ndarray:
-    """(F, context_dim) contexts of the episode's frames (all of them unless
-    frames is given), built block by block as run_inference_loop builds
-    them."""
-    frames = episode.frames if frames is None else frames
+                     frames: list) -> np.ndarray:
+    """(F, context_dim) contexts of frames, some or all of the episode's,
+    built block by block as run_inference_loop builds them."""
     out = np.empty((len(frames), cfg.context_dim))
     for lo, contexts, _ in _block_contexts(episode, gnn_w, cfg, frames,
                                            scenario_onehot(cfg, episode.scenario.name)):
@@ -154,9 +152,10 @@ def episode_contexts(episode: Episode, gnn_w: GnnWeights, cfg: PipelineConfig,
 
 def run_inference_loop(episode: Episode, gnn_w: GnnWeights, expert: FlowExpert,
                        cot_head: CotHead, schedule: InferenceSchedule,
-                       cfg: PipelineConfig, seed: int = 0, euler_steps: int = None) -> tuple:
+                       cfg: PipelineConfig, seed: int = 0) -> tuple:
     """Run the pipeline over an episode, through its camera (episode.K,
-    episode.T); reasoning decodes at most cfg.cot_max_len tokens.
+    episode.T); reasoning decodes at most cfg.cot_max_len tokens, and each
+    action chunk takes cfg.euler_steps Euler steps.
 
     The frames go through in blocks of at most BLOCK_FRAMES: forward
     kinematics, graph building, encoding and Euler sampling each run once
@@ -173,9 +172,6 @@ def run_inference_loop(episode: Episode, gnn_w: GnnWeights, expert: FlowExpert,
     frames = episode.frames
     if not frames:
         raise EmptyEpisode("cannot run inference on an empty episode")
-    euler_steps = cfg.euler_steps if euler_steps is None else euler_steps
-    if euler_steps < 1:
-        raise InvalidSetting(f"euler_steps must be >= 1, got {euler_steps}")
     onehot = scenario_onehot(cfg, episode.scenario.name)
     rng = make_rng(seed)
     stages = {"graph_build": [], "encode": [], "cot_generation": [], "action_sampling": []}
@@ -192,7 +188,7 @@ def run_inference_loop(episode: Episode, gnn_w: GnnWeights, expert: FlowExpert,
             # each decode's sample starts where the one before ended
             t_prev, t_cot = t_cot, time.perf_counter()
             cot_ms[i] = (t_cot - t_prev) * 1e3
-        chunks = sample_actions(expert, contexts, euler_steps, rng)
+        chunks = sample_actions(expert, contexts, cfg.euler_steps, rng)
         outputs += [FrameOutput(index=i, t=frames[i].t, actions=chunk, cot_text=texts.get(i))
                     for i, chunk in zip(block, chunks)]
         t_end = time.perf_counter()

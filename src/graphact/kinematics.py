@@ -54,13 +54,13 @@ def _group_constants(chains: tuple) -> tuple:
     return _GROUPS[key]
 
 
-def fk_positions(chain, q) -> np.ndarray:
+def fk_positions(chains: tuple, q) -> np.ndarray:
     """Base-frame origins of every joint frame plus the end effector, chain order.
 
-    q is one joint vector (dof,) or a stack of them (F, dof); the result is
-    (dof + 1, 3) or (F, dof + 1, 3): the chain base origin, each intermediate
-    joint origin, and finally the end effector origin. A tuple of C chains
-    of equal dof, with q (F, C * dof), gives (C, F, dof + 1, 3).
+    chains is a tuple of C chains of equal dof and q a stack of F joint
+    vectors (F, C * dof), the chains' joints side by side; the result is
+    (C, F, dof + 1, 3): per chain and frame, the chain base origin, each
+    intermediate joint origin, and finally the end effector origin.
 
     The link transforms of all chains and frames are built at once, then
     composed with the products RigidTransform.compose takes, on (C, F, 3, 3)
@@ -68,14 +68,12 @@ def fk_positions(chain, q) -> np.ndarray:
     stacked product, and the origins as their running sum, so each chain
     and frame gets the bits of its own one-frame composition.
     """
-    grouped = isinstance(chain, tuple)
-    chains = chain if grouped else (chain,)
     offset, ca, sa, a, d, base_R, base_t, _ = _group_constants(chains)
     dof = chains[0].dof
     q = np.asarray(q, dtype=float)
-    if q.ndim not in ((2,) if grouped else (1, 2)) or q.shape[-1] != len(chains) * dof:
+    if q.ndim != 2 or q.shape[1] != len(chains) * dof:
         raise DofMismatch(f"chains {[c.name for c in chains]} of {dof} joints got {q.shape}")
-    Q = q.reshape(len(q) if q.ndim == 2 else 1, len(chains), dof)
+    Q = q.reshape(len(q), len(chains), dof)
     origins = np.empty((dof + 1, len(chains), len(Q), 3, 1))
     origins[0] = base_t
     if dof:
@@ -93,8 +91,7 @@ def fk_positions(chain, q) -> np.ndarray:
             np.matmul(R[k - 1], R_link[k - 1], out=R[k])
         np.matmul(R, t_link, out=origins[1:])
         np.cumsum(origins, axis=0, out=origins)
-    out = origins[..., 0].transpose(1, 2, 0, 3)
-    return out if grouped else out[0] if q.ndim == 2 else out[0, 0]
+    return origins[..., 0].transpose(1, 2, 0, 3)
 
 
 def chain_positions(Q: np.ndarray, chains: list) -> list:

@@ -62,15 +62,14 @@ class Scene:
 
 @dataclass(frozen=True)
 class InstructionScenario:
-    """One task family: object universe, requirement set, and availability
-    variants (which subset of the universe is on the table)."""
+    """One task family: its objects' nominal positions, requirement set,
+    and availability variants (which subset of the objects is on the table)."""
 
     name: str
-    universe: tuple
     required: tuple
     variants: tuple          # tuple of label tuples
     instruction_text: str
-    nominal: dict            # label -> (x, y, z)
+    nominal: dict            # label -> (x, y, z), every object of the family
     table_bounds: tuple
 
 
@@ -78,7 +77,6 @@ _TABLE = ((0.30, 0.80), (-0.35, 0.35), (0.0, 0.25))
 
 FOOD = InstructionScenario(
     name="food",
-    universe=("egg", "tomato", "fish", "pepper"),
     required=("fish", "pepper"),
     variants=(("egg", "tomato", "fish", "pepper"),
               ("egg", "tomato", "pepper"),
@@ -91,7 +89,6 @@ FOOD = InstructionScenario(
 
 OUTFIT = InstructionScenario(
     name="outfit",
-    universe=("sweater", "t-shirt", "shorts"),
     required=("t-shirt", "shorts"),
     variants=(("sweater", "t-shirt", "shorts"),
               ("sweater", "t-shirt"),
@@ -292,10 +289,10 @@ def load_episode(path) -> Episode:
 
     Lines are decoded one at a time and each frame keeps the file's
     rectangles as its depth, so memory grows with the number of boxes, not
-    with the image size. A header or frame that breaks the format, holds a
-    non-finite number (NaN, +-Infinity, or a literal too large for a float),
-    or a seed or variant the generator refuses raises MalformedEpisode, which
-    names the file's line number.
+    with the image size. A header or frame that breaks the format or nests
+    too deep to decode, holds a non-finite number (NaN, +-Infinity, or a
+    literal too large for a float), or a seed or variant the generator
+    refuses raises MalformedEpisode, which names the file's line number.
     """
     with open(path) as f:
         lines = ((n, line) for n, line in enumerate(f, 1) if line.strip())
@@ -318,7 +315,7 @@ def load_episode(path) -> Episode:
             raise  # not JSON at all: an I/O-level failure
         except (MalformedEpisode, InvalidVariant) as exc:
             raise MalformedEpisode(f"{path}: line {n}: {exc}") from exc
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise MalformedEpisode(f"{path}: line {n}: {type(exc).__name__}: {exc}") from exc
     return Episode(frames=frames, scene=scene, scenario=scenario,
                    trajectory=[frame.q for frame in frames], variant=variant,

@@ -264,8 +264,7 @@ def test_criterion_11_hybrid_schedule_and_latency():
         # warm-up pass so first-frame timing reflects reasoning, not numpy init
         run_inference_loop(ep, gnn_w, expert, head, InferenceSchedule(), CFG)
         outputs, report = run_inference_loop(ep, gnn_w, expert, head,
-                                             InferenceSchedule(), CFG,
-                                             euler_steps=10)
+                                             InferenceSchedule(), CFG)
         emitted = [o.index for o in outputs if o.cot_text is not None]
         assert emitted == [0]
         first = report.frame_samples[0]

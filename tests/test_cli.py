@@ -232,12 +232,6 @@ def test_infer_no_first_cot_with_period(tmp_path, workspace):
     assert all(isinstance(frames[i]["cot"], str) and frames[i]["cot"] for i in (5, 10))
 
 
-def test_selfcheck_passes(capsys):
-    assert main(["selfcheck"]) == 0
-    out = capsys.readouterr().out
-    assert "projection_roundtrip" in out and "FAIL" not in out
-
-
 def test_selfcheck_failure_exits_4(monkeypatch, capsys):
     """One failing check makes the suite exit 4 with a FAIL line for it,
     while the other checks still run and report ok."""
@@ -250,6 +244,9 @@ def test_selfcheck_failure_exits_4(monkeypatch, capsys):
     assert lines[1] == "FAIL planted_failure: forced"
     assert [line.split()[0] for line in lines] == ["ok", "FAIL", "ok", "ok"]
 
+
+# JSON text nested deeper than the decoder follows: it ends in RecursionError.
+NESTED = "[" * 200_000 + "]" * 200_000
 
 # (edit of the default config's JSON, or the file's text, exit code, error)
 CONFIG_CASES = {
@@ -277,6 +274,7 @@ CONFIG_CASES = {
                              "ConfigLoadError"),
     "fx_overflow": (lambda d: d["intrinsics"].update(fx=10 ** 400), 2, "ConfigLoadError"),
     "not_json": ('{"sigma": 1.0,', 3, "JSONDecodeError"),
+    "nested_too_deep": (NESTED, 2, "ConfigLoadError"),
     "flow_horizon_fraction": (lambda d: d.update(flow_horizon=30.9), 2, "ConfigLoadError"),
     "flow_horizon_bool": (lambda d: d.update(flow_horizon=True), 2, "ConfigLoadError"),
     "sigma_string": (lambda d: d.update(sigma="1.0"), 2, "ConfigLoadError"),
@@ -604,6 +602,8 @@ BAD_BOXES = ["box_huge", "box_reversed_off_image", "box_reversed"]
 
 
 def _corrupt(lines, what):
+    if what == "nested":
+        return [NESTED] + lines[1:]
     header, frame = json.loads(lines[0]), json.loads(lines[1])
     rect = frame["depth"][0]
     if what in RETYPED:
@@ -633,7 +633,7 @@ def _corrupt(lines, what):
 
 @pytest.mark.parametrize("what", ["scenario", "values_length", "box_outside", "far_nan", "q_nan",
                                   "box_inf", "K_nan", "K_overflow", "seed_negative",
-                                  "old_layout", *RETYPED])
+                                  "old_layout", "nested", *RETYPED])
 def test_infer_malformed_episode_exit_2(what, tmp_path, workspace, capsys):
     lines = workspace["episode"].read_text().splitlines()
     episode = tmp_path / "bad.jsonl"
@@ -693,15 +693,21 @@ def _number_slots(doc):
 def test_fuzz_corrupt_episode_line_exit_contract(data, workspace):
     """One corrupted line (header or frame) ends in exit 0, 2 or 3; a failure
     leaves exactly one JSON line on stderr and no output file. A number
-    retyped as its string form or as true always exits 2."""
+    retyped as its string form or as true, or a value nested in more lists
+    than the decoder follows, always exits 2."""
     lines = workspace["episode"].read_text().splitlines()
     i = data.draw(st.integers(0, len(lines) - 1), label="line")
     rec = json.loads(lines[i])
     kinds = ["drop_key", "truncate", "retype"] + (["scenario"] if i == 0 else
-                                                  ["values", "box", "far", "q"])
+                                                  ["values", "box", "far", "q"]) + ["nest"]
     kind = data.draw(st.sampled_from(kinds), label="kind")
     if kind == "truncate":
         lines[i] = lines[i][:data.draw(st.integers(0, len(lines[i]) - 1))]
+    elif kind == "nest":  # written by hand: json.dumps cannot nest this deep either
+        key = data.draw(st.sampled_from(sorted(rec)), label="key")
+        depth = data.draw(st.integers(10_000, 100_000), label="depth")
+        value = "[" * depth + json.dumps(rec.pop(key)) + "]" * depth
+        lines[i] = json.dumps(rec)[:-1] + f", {json.dumps(key)}: {value}}}"
     else:
         if kind == "drop_key":
             del rec[data.draw(st.sampled_from(sorted(rec)))]
@@ -731,7 +737,7 @@ def test_fuzz_corrupt_episode_line_exit_contract(data, workspace):
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = main(_infer_argv(workspace, episode, out))
         event(f"{kind}: exit {code}")
-        assert code in ((2,) if kind == "retype" else (0, 2, 3))
+        assert code in ((2,) if kind in ("retype", "nest") else (0, 2, 3))
         if code:
             assert set(_one_json_error_line(err.getvalue())) == {"error", "message"}
         assert os.path.exists(out) == (code == 0)
@@ -821,16 +827,18 @@ def test_infer_checks_artifacts_before_first_frame(case, tmp_path, workspace, ca
     assert not out.exists()
 
 
-@pytest.mark.parametrize("fault", ["d_out", "nan"])
+@pytest.mark.parametrize("fault", ["d_out", "nan", "nested"])
 @pytest.mark.parametrize("command", ["train-expert", "train-cot"])
 def test_train_checks_gnn_before_first_frame(command, fault, tmp_path, workspace, monkeypatch,
                                              capsys):
-    """A --gnn file whose d_out differs from the config's gnn_dims, or that
-    holds a NaN, exits 2 with a named error before any episode is read, and
-    writes nothing."""
+    """A --gnn file whose d_out differs from the config's gnn_dims, that
+    holds a NaN, or whose header is nested too deep to decode exits 2 with a
+    named error before any episode is read, and writes nothing."""
     gnn = tmp_path / "gnn.npz"
     if fault == "d_out":
         init_gnn_weights(make_rng(0), d=32, h=32, d_out=16).save(gnn)
+    elif fault == "nested":
+        np.savez(gnn, header=np.array(NESTED))
     else:
         _edit_artifact(workspace["gnn"], gnn,
                        lambda h, a: _set(a, "lift_w", (0, 0), float("nan")))
@@ -838,7 +846,8 @@ def test_train_checks_gnn_before_first_frame(command, fault, tmp_path, workspace
     out = tmp_path / "o.npz"
     assert main(_valid_argv(command, workspace, out) + ["--gnn", str(gnn)]) == 2
     err = _one_json_error_line(capsys.readouterr().err)
-    assert err["error"] == {"d_out": "ArtifactMismatch", "nan": "NonFiniteWeight"}[fault]
+    assert err["error"] == {"d_out": "ArtifactMismatch", "nan": "NonFiniteWeight",
+                            "nested": "ArtifactLoadError"}[fault]
     assert os.listdir(tmp_path) == ["gnn.npz"]
 
 

@@ -179,7 +179,8 @@ def test_train_cot_head_bit_equal_to_reference_loop():
     for _ in range(5):
         losses = []
         for idx in rng.permutation(len(samples)):
-            loss, grads = ref.loss_and_grads(*samples[idx])
+            context, ids = samples[idx]
+            loss, grads = ref.loss_and_grads(context, ids, ref.windows(ids))
             for name, p in ref.params():
                 p -= 0.5 * grads[name]
             losses.append(loss)
@@ -218,7 +219,7 @@ def _reference_loss_and_grads(head, context, token_ids):
 
 def test_loss_and_grads_bit_equal_to_reference():
     """The in-place softmax and the bincount scatter keep every bit, with
-    repeated tokens in the windows and with windows passed in."""
+    repeated tokens in the windows."""
     vocab, samples = _memorization_setup()
     rng = make_rng(42)
     for k in range(6):
@@ -226,12 +227,11 @@ def test_loss_and_grads_bit_equal_to_reference():
         ids = samples[k % 2][1] if k < 2 else [int(i) for i in rng.integers(0, 12, size=30)]
         ctx = rng.normal(size=4)
         ref_loss, ref = _reference_loss_and_grads(head, ctx, ids)
-        for windows in (None, head.windows(ids)):
-            loss, grads = head.loss_and_grads(ctx, ids, windows)
-            assert loss == ref_loss
-            assert sorted(grads) == sorted(ref)
-            for name, g in grads.items():
-                assert g.shape == ref[name].shape and g.tobytes() == ref[name].tobytes(), name
+        loss, grads = head.loss_and_grads(ctx, ids, head.windows(ids))
+        assert loss == ref_loss
+        assert sorted(grads) == sorted(ref)
+        for name, g in grads.items():
+            assert g.shape == ref[name].shape and g.tobytes() == ref[name].tobytes(), name
 
 
 def test_train_cot_head_zero_lr_flat():

@@ -13,7 +13,7 @@ from graphact import (FrameRecord, InferenceSchedule, SCENARIOS, SampleStream, a
                       gen_episode, generate_cot, init_cot_head, init_flow_expert,
                       init_gnn_weights, make_context, make_rng, pooled_embedding,
                       run_inference_loop, sample_actions, scenario_onehot)
-from graphact.core import InvalidSetting, to_json
+from graphact.core import to_json
 from graphact.flow import FlowExpert
 from graphact.inference import BLOCK_FRAMES, frame_json, write_outputs
 from graphact.sim import EmptyEpisode, Episode
@@ -194,10 +194,10 @@ def test_empty_episode_raises(artifacts):
 def test_zero_counts_are_rejected_not_defaulted(artifacts):
     ep = gen_episode(SCENARIOS["food"], 0, 2, seed=37, cfg=CFG)
     for euler_steps in (0, -1):
-        with pytest.raises(InvalidSetting):
-            run_inference_loop(ep, *artifacts, InferenceSchedule(), CFG, euler_steps=euler_steps)
+        with pytest.raises(ValueError, match="euler_steps"):
+            dataclasses.replace(CFG, euler_steps=euler_steps)
     one, _ = run_inference_loop(ep, *artifacts, InferenceSchedule(),
-                                dataclasses.replace(CFG, cot_max_len=1), euler_steps=1)
+                                dataclasses.replace(CFG, cot_max_len=1, euler_steps=1))
     default, _ = run_inference_loop(ep, *artifacts, InferenceSchedule(), CFG)
     assert [frame_json(o) for o in one] != [frame_json(o) for o in default]
     assert len(one[0].cot_text.split()) <= 1

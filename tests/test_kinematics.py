@@ -49,13 +49,20 @@ def test_dh_theta_offset_added():
     assert np.abs(_homog(T) - _dh_oracle(0.3, 0.2, 0.1, 1.1)).max() < 1e-15
 
 
+def _fk(chain, q) -> np.ndarray:
+    """fk_positions of one chain: (dof + 1, 3) for q (dof,), (F, dof + 1, 3)
+    for q (F, dof)."""
+    pts = fk_positions((chain,), np.atleast_2d(q))[0]
+    return pts[0] if np.ndim(q) == 1 else pts
+
+
 def _planar_two_link():
     links = (DhLink(a=1.0, alpha=0, d=0), DhLink(a=1.0, alpha=0, d=0))
-    return KinematicChain(name="planar", base=RigidTransform.identity(), links=links)
+    return KinematicChain(name="planar", base=RigidTransform(np.eye(3), np.zeros(3)), links=links)
 
 
 def test_planar_two_link_straight():
-    pts = fk_positions(_planar_two_link(), [0.0, 0.0])
+    pts = _fk(_planar_two_link(), [0.0, 0.0])
     assert np.allclose(pts[0], [0, 0, 0])
     assert np.allclose(pts[1], [1, 0, 0])
     assert np.allclose(pts[2], [2, 0, 0])
@@ -63,10 +70,10 @@ def test_planar_two_link_straight():
 
 def test_planar_two_link_bent():
     # ee = (cos t1 + cos(t1+t2), sin t1 + sin(t1+t2)) evaluated by hand
-    pts = fk_positions(_planar_two_link(), [math.pi / 2, 0.0])
+    pts = _fk(_planar_two_link(), [math.pi / 2, 0.0])
     assert np.abs(pts[2] - np.array([0.0, 2.0, 0.0])).max() < 1e-12
     t1, t2 = 0.3, -0.8
-    pts = fk_positions(_planar_two_link(), [t1, t2])
+    pts = _fk(_planar_two_link(), [t1, t2])
     expected = [math.cos(t1) + math.cos(t1 + t2), math.sin(t1) + math.sin(t1 + t2), 0.0]
     assert np.abs(pts[2] - np.array(expected)).max() < 1e-12
 
@@ -83,7 +90,7 @@ def _fk_matrix_oracle(chain: KinematicChain, q) -> list:
 
 def test_seven_link_home_matches_matrix_oracle():
     chain = default_chains()[0]
-    got = fk_positions(chain, np.zeros(7))
+    got = _fk(chain, np.zeros(7))
     expected = _fk_matrix_oracle(chain, np.zeros(7))
     assert len(got) == 8
     for g, e in zip(got, expected):
@@ -95,7 +102,7 @@ def test_fk_matches_matrix_oracle_random_configs():
     rng = np.random.default_rng(4)
     for _ in range(25):
         q = rng.uniform(-np.pi, np.pi, size=7)
-        for g, e in zip(fk_positions(chain, q), _fk_matrix_oracle(chain, q)):
+        for g, e in zip(_fk(chain, q), _fk_matrix_oracle(chain, q)):
             assert np.abs(g - e).max() < 1e-12
 
 
@@ -114,7 +121,7 @@ def test_fk_bit_exact_against_compose_chain():
     for chain in default_chains():
         for _ in range(50):
             q = rng.uniform(-np.pi, np.pi, size=7)
-            got, want = fk_positions(chain, q), _compose_chain(chain, q)
+            got, want = _fk(chain, q), _compose_chain(chain, q)
             assert len(got) == len(want) == 8
             assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
@@ -124,7 +131,7 @@ def test_reachability_bound():
     rng = np.random.default_rng(5)
     for _ in range(50):
         q = rng.uniform(-np.pi, np.pi, size=7)
-        pts = fk_positions(chain, q)
+        pts = _fk(chain, q)
         for k, link in enumerate(chain.links):
             sep = np.linalg.norm(pts[k + 1] - pts[k])
             assert sep <= abs(link.a) + abs(link.d) + 1e-12
@@ -136,24 +143,23 @@ def test_consecutive_distance_independent_of_later_joints():
     rng = np.random.default_rng(6)
     q = rng.uniform(-1, 1, size=7)
     for k in range(6):
-        pts = fk_positions(chain, q)
+        pts = _fk(chain, q)
         d_ref = np.linalg.norm(pts[k + 1] - pts[k])
         for _ in range(5):
             q2 = q.copy()
             q2[k + 1:] = rng.uniform(-1, 1, size=7 - k - 1)
-            pts2 = fk_positions(chain, q2)
+            pts2 = _fk(chain, q2)
             assert abs(np.linalg.norm(pts2[k + 1] - pts2[k]) - d_ref) < 1e-12
 
 
 def test_dof_mismatch():
     with pytest.raises(DofMismatch):
-        fk_positions(_planar_two_link(), [0.0, 0.0, 0.0])
+        _fk(_planar_two_link(), [0.0, 0.0, 0.0])
 
 
 def test_fk_batch_bit_equal_to_one_frame_calls():
     """fk_positions on (F, dof) gives each frame the bits of its own (1, dof)
-    and (dof,) calls, and chain_positions gives each chain the bits of its
-    own call."""
+    call, and chain_positions gives each chain the bits of its own call."""
     rng = np.random.default_rng(8)
     chains = default_chains()
     Q = rng.uniform(-np.pi, np.pi, size=(40, sum(c.dof for c in chains)))
@@ -162,11 +168,10 @@ def test_fk_batch_bit_equal_to_one_frame_calls():
     for chain, together in zip(chains, stacked):
         q = Q[:, offset:offset + chain.dof]
         offset += chain.dof
-        batch = fk_positions(chain, q)
+        batch = _fk(chain, q)
         assert batch.shape == together.shape == (40, chain.dof + 1, 3)
         for i in range(len(q)):
-            assert (batch[i] == fk_positions(chain, q[i:i + 1])[0]).all()
-            assert (batch[i] == fk_positions(chain, q[i])).all()
+            assert (batch[i] == _fk(chain, q[i:i + 1])[0]).all()
             assert (together[i] == batch[i]).all()
 
 
@@ -203,7 +208,7 @@ def test_chain_positions_one_pass_per_equal_dof_run(monkeypatch):
                     q = Q[:, offset:offset + chain.dof]
                     offset += chain.dof
                     assert pos.shape == (F, chain.dof + 1, 3)
-                    assert pos.tobytes() == fk(chain, q).tobytes()
+                    assert pos.tobytes() == fk((chain,), q)[0].tobytes()
                     for i in range(F):
                         assert pos[i].tobytes() == np.array(_compose_chain(chain, q[i])).tobytes()
     # 12 groups met in turn, first in first out past 4: each was rebuilt

@@ -92,7 +92,8 @@ def test_backproject_scaling():
 
 
 def test_apply_cases():
-    assert np.array_equal(RigidTransform.identity().apply((1.0, 2.0, 3.0)), [1.0, 2.0, 3.0])
+    identity = RigidTransform(np.eye(3), np.zeros(3))
+    assert np.array_equal(identity.apply((1.0, 2.0, 3.0)), [1.0, 2.0, 3.0])
     T = RigidTransform(np.eye(3), [0.0, 0.0, 1.0])
     assert np.allclose(T.apply((1.0, 2.0, 3.0)), [1.0, 2.0, 4.0], atol=0)
     Rz90 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
