@@ -15,8 +15,8 @@ import zipfile
 
 import numpy as np
 
-from .core import (InvalidSetting, PipelineConfig, PipelineError, check_finite, derive_seed,
-                   make_rng, write_jsonl)
+from .core import (DECODE_ERRORS, InvalidSetting, PipelineConfig, PipelineError, check_finite,
+                   derive_seed, make_rng, write_jsonl)
 from .cot import (CotHead, build_default_vocab, init_cot_head, make_cot_label, tokenize,
                   train_cot_head, write_cot_dataset)
 from .flow import FlowExpert, init_flow_expert, train_step
@@ -33,15 +33,13 @@ class ConfigLoadError(PipelineError):
 
 
 def _load_named(error, load, path):
-    """load(path), with a malformed document's KeyError, TypeError, ValueError
-    (a value core.reader refuses, say), OverflowError or RecursionError (JSON
-    nested deeper than the decoder follows) raised as error. Named errors,
-    non-JSON and non-archive files (exit 3) pass through."""
+    """load(path), with a malformed document's core.DECODE_ERRORS raised as
+    error. Named errors, non-JSON and non-archive files (exit 3) pass through."""
     try:
         return load(path)
     except (PipelineError, json.JSONDecodeError):
         raise  # InvalidSetting and JSONDecodeError are also ValueErrors
-    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+    except DECODE_ERRORS as exc:
         raise error(str(exc)) from exc
 
 

@@ -21,6 +21,15 @@ RNG_ALGORITHM = "numpy.random.Generator(PCG64)"
 ORTHONORMAL_TOL = 1e-9
 _FLOAT_MAX = sys.float_info.max
 
+# The most entries a config lets one weight matrix hold: 2**24 float64
+# values, 128 MiB. PipelineConfig refuses size keys that would pass it.
+MAX_WEIGHT_ENTRIES = 2 ** 24
+
+# What reading a malformed document raises: KeyError (a missing member), TypeError
+# or ValueError (a value of the wrong kind, or one reader or a constructor refuses),
+# OverflowError (a number no float holds), RecursionError (nesting too deep to decode).
+DECODE_ERRORS = (KeyError, TypeError, ValueError, OverflowError, RecursionError)
+
 
 class PipelineError(Exception):
     """Base class for errors raised by this package."""
@@ -31,8 +40,8 @@ class ShapeMismatch(PipelineError):
 
 
 class InvalidSetting(PipelineError, ValueError):
-    """A setting out of range (a count or period below 1, a negative seed or
-    a non-finite rate, say) or a command line that does not parse."""
+    """A setting or library argument out of range (a count below 1, an empty
+    batch or a non-finite rate, say) or a command line that does not parse."""
 
 
 class NonFiniteOutput(PipelineError):
@@ -403,7 +412,9 @@ class PipelineConfig:
     cot_max_len: int = 96
 
     def __post_init__(self):
-        """Raise ValueError naming every value the pipeline cannot run with."""
+        """Raise ValueError naming every value the pipeline cannot run with, or
+        else the keys that size a weight matrix of over MAX_WEIGHT_ENTRIES
+        entries (the head's vocabulary counted as its cot_dt_frames + 1 offsets)."""
         dims, names = self.gnn_dims, self.scenario_names
         checks = [(name, "an integer >= 1", getattr(self, name) >= 1) for name in (
             "flow_horizon", "flow_hidden", "euler_steps", "cot_dt_frames",
@@ -419,6 +430,18 @@ class PipelineConfig:
                     0 < len(names) == len(set(names)))]
         bad = [f"{name} must be {what}, got {getattr(self, name)!r}"
                for name, what, ok in checks if not ok]
+        if not bad:
+            (d, h, d_out), e, hid, hf = dims, self.cot_embed, self.cot_hidden, self.flow_hidden
+            d_in = self.flow_horizon * self.j_total + self.context_dim + 1
+            # keys -> entries of the largest weight matrix they size; 6 is
+            # gnn.INPUT_DIM and 16 cot.CTX_EMBED, the head's context projection.
+            sizes = [("gnn_dims", max(6 * d, d * h, h * d_out, 16 * self.context_dim)),
+                     ("flow_horizon, flow_hidden", max(d_in, hf) * hf),
+                     ("cot_window, cot_embed, cot_hidden", (16 + self.cot_window * e) * hid),
+                     ("cot_dt_frames, cot_embed, cot_hidden",
+                      (self.cot_dt_frames + 1) * max(e, hid))]
+            bad = [f"a weight matrix sized by {keys} would hold {n} entries, more than "
+                   f"{MAX_WEIGHT_ENTRIES}" for keys, n in sizes if n > MAX_WEIGHT_ENTRIES]
         if bad:
             raise ValueError("config: " + "; ".join(bad))
 

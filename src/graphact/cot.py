@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (InvalidSetting, Model, PipelineError, check_finite, check_shapes,
-                   fan_in_normal, max_grad_error, write_jsonl)
+from .core import (InvalidSetting, Model, PipelineError, ShapeMismatch, check_finite,
+                   check_shapes, fan_in_normal, max_grad_error, write_jsonl)
 from .sim import SCENARIOS, EmptyEpisode, Episode, InstructionScenario, Scene
 
 PAD, END, SEP = "<pad>", "<end>", "<sep>"
@@ -29,18 +29,10 @@ class UnknownToken(PipelineError):
     pass
 
 
-class EmptyDataset(PipelineError):
-    pass
-
-
-class InvalidProbability(PipelineError):
-    pass
-
-
 def future_indices(t: int, dt: int) -> tuple:
     """Future sampling frames: (floor(t/dt)*dt + dt, t + dt)."""
     if t < 0 or dt < 1:
-        raise ValueError("need t >= 0 and dt >= 1")
+        raise InvalidSetting("need t >= 0 and dt >= 1")
     return (t // dt) * dt + dt, t + dt
 
 
@@ -190,7 +182,7 @@ def ce_loss(logits: np.ndarray, targets) -> float:
     logits = np.asarray(logits, dtype=float)
     targets = np.asarray(targets, dtype=int).reshape(-1)
     if logits.ndim != 2 or logits.shape[0] != targets.size:
-        raise PipelineError(f"logits {logits.shape} do not match {targets.size} targets")
+        raise ShapeMismatch(f"logits {logits.shape} do not match {targets.size} targets")
     m = logits.max(axis=1, keepdims=True)
     lse = m[:, 0] + np.log(np.exp(logits - m).sum(axis=1))
     return float(np.sum(lse - logits[np.arange(targets.size), targets]))
@@ -306,7 +298,7 @@ def train_cot_head(head: CotHead, dataset: list, lr: float, epochs: int,
     per-epoch mean per-token loss curve. An epoch whose mean is not finite
     raises NonFiniteOutput before the next epoch runs."""
     if not dataset:
-        raise EmptyDataset("CoT training needs at least one sample")
+        raise InvalidSetting("CoT training needs at least one sample")
     # Each sample's token windows depend only on its ids: built once per run.
     samples = [(context, token_ids, head.windows(token_ids)) for context, token_ids in dataset]
     curve = []
@@ -346,7 +338,7 @@ def generate_cot(head: CotHead, context, max_len: int) -> list:
     embeddings would build, so the decoded ids do not change.
     """
     if max_len < 1:
-        raise ValueError("max_len must be >= 1")
+        raise InvalidSetting("max_len must be >= 1")
     w1, w2, emb = head.w1, head.w2, head.emb
     b1, b2 = head.b1.reshape(1, -1), head.b2.reshape(1, -1)
     n_ctx, embed = head.wc.shape[1], emb.shape[1]
@@ -375,7 +367,7 @@ def generate_cot(head: CotHead, context, max_len: int) -> list:
 def sample_dropout(p: float, rng: np.random.Generator) -> int:
     """Bernoulli(p) gate; 1 means the reasoning loss is dropped."""
     if not 0.0 <= p <= 1.0:
-        raise InvalidProbability(f"p must be in [0, 1], got {p}")
+        raise InvalidSetting(f"p must be in [0, 1], got {p}")
     return int(rng.random() < p)
 
 
@@ -383,7 +375,7 @@ def total_loss(l_cot: float, l_action: float, d: int, w_cot: float,
                w_action: float) -> float:
     """(1 - d)*(w_cot*l_cot + w_action*l_action) + d*l_action."""
     if d not in (0, 1):
-        raise ValueError("d must be 0 or 1")
+        raise InvalidSetting("d must be 0 or 1")
     if d == 1:
         return l_action
     return w_cot * l_cot + w_action * l_action

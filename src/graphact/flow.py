@@ -23,14 +23,6 @@ from .core import (InvalidSetting, Model, PipelineError, ShapeMismatch, check_sh
 TAU_MAX_DRAWS = 100
 
 
-class EmptyBatch(PipelineError):
-    pass
-
-
-class InvalidShapeParam(PipelineError):
-    pass
-
-
 class DegenerateTau(PipelineError):
     pass
 
@@ -131,7 +123,7 @@ def sample_tau(alpha: float, beta: float, rng: np.random.Generator) -> float:
     then DegenerateTau is raised rather than looping forever.
     """
     if alpha <= 0 or beta <= 0:
-        raise InvalidShapeParam(f"Beta shape parameters must be positive, got ({alpha}, {beta})")
+        raise InvalidSetting(f"Beta shape parameters must be positive, got ({alpha}, {beta})")
     for _ in range(TAU_MAX_DRAWS):
         x = rng.beta(alpha, beta)
         if 0.0 < x < 1.0:
@@ -155,7 +147,7 @@ def _draw_batch(expert: FlowExpert, batch: list, rng: np.random.Generator):
     """Fresh (tau, eps) per element; returns stacked inputs X and denoising
     targets U = eps - A."""
     if not batch:
-        raise EmptyBatch("batch must be non-empty")
+        raise InvalidSetting("batch must be non-empty")
     X = np.zeros((len(batch), expert.input_dim))
     U = np.zeros((len(batch), expert.action_dim))
     for i, (A, context) in enumerate(batch):
@@ -216,7 +208,7 @@ def grad_check(expert: FlowExpert, sample, rng: np.random.Generator, h: float = 
     loss is a deterministic function of the parameters.
     """
     if h <= 0:
-        raise ValueError("h must be positive")
+        raise InvalidSetting("h must be positive")
     X, U = _draw_batch(expert, [sample], rng)
     _, grads = _loss_and_grads(expert, X, U)
     return max_grad_error(expert, grads, lambda: float(np.sum((expert.forward(X) - U) ** 2)),
@@ -234,7 +226,7 @@ def sample_actions(expert: FlowExpert, context: np.ndarray, steps: int,
     block, the numbers F one-context calls sharing rng would draw in turn.
     """
     if steps < 1:
-        raise ValueError("steps must be >= 1")
+        raise InvalidSetting("steps must be >= 1")
     ctx = np.asarray(context, dtype=float)
     stacked = ctx.ndim == 2
     n = len(ctx) if stacked else 1

@@ -16,10 +16,6 @@ class PixelOutsideImage(PipelineError):
     pass
 
 
-class NonPositiveDepth(PipelineError):
-    pass
-
-
 class BehindCamera(PipelineError):
     pass
 
@@ -55,10 +51,11 @@ def depth_at(depth: DepthGrid, p) -> float:
 
 def backproject(p, depth, K: CameraIntrinsics) -> np.ndarray:
     """Pixel + metric depth -> 3D point in the camera frame. p is one pixel
-    (2,) with a scalar depth, or a stack (N, 2) with (N,) depths -> (N, 3)."""
+    (2,) with a scalar depth, or a stack (N, 2) with (N,) depths -> (N, 3).
+    A depth that is not positive is invalid and raises NoValidDepth."""
     p, depth = np.asarray(p, dtype=float), np.asarray(depth, dtype=float)
     if (depth <= 0).any():
-        raise NonPositiveDepth(f"depth must be positive, got {depth}")
+        raise NoValidDepth(f"depth must be positive, got {depth}")
     out = np.empty(depth.shape + (3,))
     out[..., 0] = (p[..., 0] - K.cx) / K.fx * depth
     out[..., 1] = (p[..., 1] - K.cy) / K.fy * depth

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (BoundingBox, CameraIntrinsics, DepthGrid, FrameRecord,
+from .core import (DECODE_ERRORS, BoundingBox, CameraIntrinsics, DepthGrid, FrameRecord,
                    InvalidSetting, PipelineConfig, PipelineError, RigidTransform,
                    make_rng, reader, write_jsonl)
 from .kinematics import default_chains
@@ -70,7 +70,6 @@ class InstructionScenario:
     variants: tuple          # tuple of label tuples
     instruction_text: str
     nominal: dict            # label -> (x, y, z), every object of the family
-    table_bounds: tuple
 
 
 _TABLE = ((0.30, 0.80), (-0.35, 0.35), (0.0, 0.25))
@@ -84,7 +83,6 @@ FOOD = InstructionScenario(
     instruction_text="i want to eat spicy river food .",
     nominal={"egg": (0.45, -0.15, 0.02), "tomato": (0.45, 0.15, 0.02),
              "fish": (0.65, -0.15, 0.02), "pepper": (0.65, 0.15, 0.02)},
-    table_bounds=_TABLE,
 )
 
 OUTFIT = InstructionScenario(
@@ -96,7 +94,6 @@ OUTFIT = InstructionScenario(
     instruction_text="i want a light summer outfit .",
     nominal={"sweater": (0.45, -0.18, 0.02), "t-shirt": (0.45, 0.18, 0.02),
              "shorts": (0.65, 0.0, 0.02)},
-    table_bounds=_TABLE,
 )
 
 SCENARIOS = {s.name: s for s in (FOOD, OUTFIT)}
@@ -111,7 +108,7 @@ def look_at(eye, target, up=(0.0, 0.0, 1.0)) -> RigidTransform:
     right = np.cross(forward, np.asarray(up, dtype=float))
     nr = np.linalg.norm(right)
     if nr < 1e-9:
-        raise ValueError("view direction parallel to up vector")
+        raise InvalidSetting("view direction parallel to up vector")
     right = right / nr
     down = np.cross(forward, right)
     R = np.stack([right, down, forward], axis=1)
@@ -138,7 +135,7 @@ def gen_scene(scenario: InstructionScenario, variant: int, rng) -> Scene:
         objects.append(SceneObject(label=label,
                                    position=np.array([nx + dx, ny + dy, nz]),
                                    yaw=yaw))
-    return Scene(objects=objects, table_bounds=scenario.table_bounds)
+    return Scene(objects=objects, table_bounds=_TABLE)
 
 
 def _box_region(box: BoundingBox, width: int, height: int) -> tuple:
@@ -315,7 +312,7 @@ def load_episode(path) -> Episode:
             raise  # not JSON at all: an I/O-level failure
         except (MalformedEpisode, InvalidVariant) as exc:
             raise MalformedEpisode(f"{path}: line {n}: {exc}") from exc
-        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+        except DECODE_ERRORS as exc:
             raise MalformedEpisode(f"{path}: line {n}: {type(exc).__name__}: {exc}") from exc
     return Episode(frames=frames, scene=scene, scenario=scenario,
                    trajectory=[frame.q for frame in frames], variant=variant,

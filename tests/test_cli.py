@@ -18,9 +18,40 @@ from graphact.core import to_json
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
-def run(argv, capsys=None):
-    code = main(argv)
-    return code
+
+def _run(argv, fresh_process=False) -> tuple:
+    """(exit code, stdout, stderr) of the command line argv, run by main in
+    this process or, with fresh_process, by python -m graphact.cli."""
+    if fresh_process:
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "graphact.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        return proc.returncode, proc.stdout, proc.stderr
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_refused(result, code, error=None, words=(), folder=None, left=()) -> dict:
+    """The refusal contract on result, a _run: exit code code, nothing on
+    stdout, and exactly one JSON line {"error", "message"} on stderr, naming
+    error (any when None) with each of words in the message; when folder is
+    given, it holds only the names in left, so no output file was written.
+    Returns the line, parsed."""
+    got, stdout, stderr = result
+    assert got == code, stderr
+    assert stdout == ""
+    lines = stderr.splitlines()
+    assert len(lines) == 1, stderr
+    line = json.loads(lines[0])
+    assert set(line) == {"error", "message"}
+    assert error is None or line["error"] == error, line
+    assert [word for word in words if word not in line["message"]] == [], line
+    if folder is not None:
+        assert sorted(os.listdir(folder)) == sorted(left)
+    return line
 
 
 @pytest.fixture(scope="module")
@@ -286,6 +317,13 @@ CONFIG_CASES = {
     "joint_limits_reversed": (lambda d: d.update(joint_limits=[1.0, -1.0]), 2,
                               "ConfigLoadError"),
 }
+# A size key that would give a weight matrix no run could allocate. A size at
+# or just under core.MAX_WEIGHT_ENTRIES would allocate, so none is tested.
+HUGE_SIZES = {"cot_embed": 10 ** 17, "cot_hidden": 10 ** 17, "cot_window": 10 ** 17,
+              "flow_hidden": 10 ** 17, "flow_horizon": 10 ** 17, "cot_dt_frames": 10 ** 17,
+              "gnn_dims": [32, 32, 10 ** 17]}
+CONFIG_CASES.update({f"{key}_huge": (lambda d, key=key, v=v: d.update({key: v}), 2,
+                                     "ConfigLoadError") for key, v in HUGE_SIZES.items()})
 
 # The field a row's message names, for the rows whose value the reader refuses.
 CONFIG_FIELDS = {"flow_horizon_fraction": "config.flow_horizon",
@@ -296,14 +334,15 @@ CONFIG_FIELDS = {"flow_horizon_fraction": "config.flow_horizon",
                  "max_gap_inf": "unknown key 'max_gap'",
                  "max_gap_retired": "unknown key 'max_gap'",
                  "control_rate_hz_retired": "unknown key 'control_rate_hz'",
-                 "joint_limits_reversed": "joint_limits"}
+                 "joint_limits_reversed": "joint_limits",
+                 **{f"{key}_huge": key for key in HUGE_SIZES}}
 
 
 @pytest.mark.parametrize("via", ["flag", "env"])
 @pytest.mark.parametrize("command", ["gen", "infer"])
 @pytest.mark.parametrize("case", sorted(CONFIG_CASES))
 def test_malformed_config_follows_the_error_contract(case, command, via, tmp_path, workspace,
-                                                     monkeypatch, capsys):
+                                                     monkeypatch):
     """Through --config, a config with a missing key, a wrong type or a bad
     value exits 2 as ConfigLoadError, and one that is not JSON exits 3, before
     any work. The same file in the PIPELINE_CONFIG environment variable, which
@@ -323,20 +362,26 @@ def test_malformed_config_follows_the_error_contract(case, command, via, tmp_pat
     else:
         monkeypatch.setenv("PIPELINE_CONFIG", str(cfg_path))
         out.parent.mkdir()
-        assert main(argv) == 0
-        assert capsys.readouterr().err == "" and out.exists()
+        got, _, err = _run(argv)
+        assert got == 0 and err == "" and out.exists()
         return
-    assert main(argv) == code
-    captured = capsys.readouterr()
-    err = _one_json_error_line(captured.err)
-    assert err["error"] == error
-    assert CONFIG_FIELDS.get(case, "") in err["message"]
-    assert captured.out == ""
-    assert os.listdir(tmp_path) == ["cfg.json"]
+    _assert_refused(_run(argv), code, error, [CONFIG_FIELDS.get(case, "")], tmp_path,
+                    ["cfg.json"])
+
+
+def test_init_weights_refuses_a_config_too_large_to_draw(tmp_path):
+    """A size key whose weight matrix would pass MAX_WEIGHT_ENTRIES exits 2
+    as ConfigLoadError naming the key, before any array is drawn."""
+    doc = to_json(default_config())
+    doc["cot_embed"] = 10 ** 17
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    _assert_refused(_run(["init-weights", "--kind", "cot", "--config", str(tmp_path / "cfg.json"),
+                          "--out", str(tmp_path / "w.npz")]),
+                    2, "ConfigLoadError", ["cot_embed"], tmp_path, ["cfg.json"])
 
 
 @pytest.mark.parametrize("command", ["infer", "train-expert"])
-def test_episode_scenario_not_in_config_exits_2(command, tmp_path, workspace, capsys):
+def test_episode_scenario_not_in_config_exits_2(command, tmp_path, workspace):
     """An episode whose scenario the config does not name exits 2 with the
     scenario and the configured names in the message, and writes nothing."""
     data = tmp_path / "data"
@@ -345,55 +390,40 @@ def test_episode_scenario_not_in_config_exits_2(command, tmp_path, workspace, ca
     cfg = default_config()
     cfg.scenario_names = ("food", "laundry")
     cfg.save(tmp_path / "cfg.json")
-    capsys.readouterr()
     w = {**workspace, "data": data, "episode": data / "outfit_v0_000.jsonl"}
     out = tmp_path / "o.json"
     argv = _valid_argv(command, w, out) + ["--config", str(tmp_path / "cfg.json")]
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    err = _one_json_error_line(captured.err)
-    assert err["error"] == "UnknownScenario"
-    assert "'outfit'" in err["message"] and "['food', 'laundry']" in err["message"]
-    assert captured.out == ""
-    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "data"]
+    _assert_refused(_run(argv), 2, "UnknownScenario", ["'outfit'", "['food', 'laundry']"],
+                    tmp_path, ["cfg.json", "data"])
 
 
-def test_validation_error_exit_code_and_json(tmp_path, capsys):
-    code = main(["gen", "--scenario", "food", "--variant", "9", "--episodes", "1",
-                 "--frames", "2", "--seed", "0", "--out", str(tmp_path / "x")])
-    assert code == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "InvalidVariant"
+def test_validation_error_exit_code_and_json(tmp_path):
+    _assert_refused(_run(["gen", "--scenario", "food", "--variant", "9", "--episodes", "1",
+                          "--frames", "2", "--seed", "0", "--out", str(tmp_path / "x")]),
+                    2, "InvalidVariant", ["variant 9"], tmp_path)
 
 
-def test_io_error_exit_code(tmp_path, capsys):
-    code = main(["graph", "--episode", str(tmp_path / "missing.jsonl"),
-                 "--out", str(tmp_path / "g")])
-    assert code == 3
-    err = json.loads(capsys.readouterr().err)
-    assert "message" in err
+def test_io_error_exit_code(tmp_path):
+    _assert_refused(_run(["graph", "--episode", str(tmp_path / "missing.jsonl"),
+                          "--out", str(tmp_path / "g")]),
+                    3, "FileNotFoundError", ["missing.jsonl"], tmp_path)
 
 
-def test_infer_bad_artifact_exit_code(tmp_path, workspace, capsys):
+def test_infer_bad_artifact_exit_code(tmp_path, workspace):
     bad = tmp_path / "bad.json"
     with open(bad, "wb") as f:
         np.savez(f, header=np.array("{}"))
-    code = main(["infer", "--episode", str(workspace["episode"]), "--gnn", str(bad),
-                 "--expert", str(workspace["expert"]),
-                 "--cot-head", str(workspace["head"]),
-                 "--out", str(tmp_path / "o.json")])
-    assert code == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ArtifactLoadError"
+    _assert_refused(_run(["infer", "--episode", str(workspace["episode"]), "--gnn", str(bad),
+                          "--expert", str(workspace["expert"]),
+                          "--cot-head", str(workspace["head"]),
+                          "--out", str(tmp_path / "o.json")]),
+                    2, "ArtifactLoadError", ["lift_w"], tmp_path, ["bad.json"])
 
 
-def test_infer_missing_artifact_is_io_error(tmp_path, workspace, capsys):
-    out = tmp_path / "o.json"
-    argv = _infer_argv(workspace, workspace["episode"], out)
+def test_infer_missing_artifact_is_io_error(tmp_path, workspace):
+    argv = _infer_argv(workspace, workspace["episode"], tmp_path / "o.json")
     argv[argv.index("--expert") + 1] = str(tmp_path / "missing.json")
-    assert main(argv) == 3
-    assert _one_json_error_line(capsys.readouterr().err)["error"] == "FileNotFoundError"
-    assert not out.exists()
+    _assert_refused(_run(argv), 3, "FileNotFoundError", ["missing.json"], tmp_path)
 
 
 def _old_json_artifact(path) -> bytes:
@@ -413,17 +443,14 @@ UNREADABLE_ARTIFACTS = {
 
 
 @pytest.mark.parametrize("case", sorted(UNREADABLE_ARTIFACTS))
-def test_infer_unreadable_artifact_exits_3(case, tmp_path, workspace, capsys):
+def test_infer_unreadable_artifact_exits_3(case, tmp_path, workspace):
     """An artifact that is not a whole .npz archive exits 3 like a config or
     an episode that is not JSON; an archive that is not an artifact exits 2."""
-    out = tmp_path / "o.json"
     bad = tmp_path / "expert.json"
     bad.write_bytes(UNREADABLE_ARTIFACTS[case](workspace["expert"]))
-    argv = _infer_argv(workspace, workspace["episode"], out)
+    argv = _infer_argv(workspace, workspace["episode"], tmp_path / "o.json")
     argv[argv.index("--expert") + 1] = str(bad)
-    assert main(argv) == 3
-    assert _one_json_error_line(capsys.readouterr().err)["error"] == "BadZipFile"
-    assert not out.exists()
+    _assert_refused(_run(argv), 3, "BadZipFile", folder=tmp_path, left=["expert.json"])
 
 
 def test_train_cot_deterministic(tmp_path, workspace):
@@ -451,12 +478,6 @@ def _infer_argv(workspace, episode, out, *extra):
     return ["infer", "--episode", str(episode), "--gnn", str(workspace["gnn"]),
             "--expert", str(workspace["expert"]), "--cot-head", str(workspace["head"]),
             "--out", str(out), *extra]
-
-
-def _one_json_error_line(err: str) -> dict:
-    lines = err.splitlines()
-    assert len(lines) == 1, err
-    return json.loads(lines[0])
 
 
 def _valid_argv(command, workspace, out):
@@ -492,26 +513,19 @@ BAD_SETTINGS = [
 @pytest.mark.parametrize("command,extra", BAD_SETTINGS,
                          ids=[f"{c}_{'='.join([extra[0][2:], *extra[1:]])}"
                               for c, extra in BAD_SETTINGS])
-def test_rejects_invalid_settings(command, extra, tmp_path, workspace, capsys):
-    out = tmp_path / "out.json"
-    assert main(_valid_argv(command, workspace, out) + extra) == 2
-    captured = capsys.readouterr()
-    assert _one_json_error_line(captured.err)["error"] == "InvalidSetting"
-    assert captured.out == ""
-    assert os.listdir(tmp_path) == []  # no output, no loss CSV, no episode directory
+def test_rejects_invalid_settings(command, extra, tmp_path, workspace):
+    # no output, no loss CSV, no episode directory
+    _assert_refused(_run(_valid_argv(command, workspace, tmp_path / "out.json") + extra),
+                    2, "InvalidSetting", folder=tmp_path)
 
 
 @pytest.mark.parametrize("argv,word", [(["frobnicate"], "invalid choice"), ([], "required"),
                                        (["graph", "--episode", "e.jsonl"], "--out")],
                          ids=["unknown_command", "no_command", "missing_out"])
-def test_argument_errors_follow_the_error_contract(argv, word, capsys):
+def test_argument_errors_follow_the_error_contract(argv, word):
     """An unknown command, no command or a missing required flag exits 2 with
     one JSON line instead of a usage text."""
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    err = _one_json_error_line(captured.err)
-    assert err["error"] == "InvalidSetting" and word in err["message"]
-    assert captured.out == ""
+    _assert_refused(_run(argv), 2, "InvalidSetting", [word])
 
 
 def test_readme_documents_every_long_option():
@@ -554,15 +568,13 @@ def test_fuzz_numeric_flags_exit_contract(data, workspace):
             extra += [flag, value]
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out.json")
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = main(_valid_argv(command, workspace, out) + extra)
+        result = code, _, err = _run(_valid_argv(command, workspace, out) + extra)
         event(f"{command}: exit {code}")
         assert code in (0, 2, 3)
         if code:
-            assert set(_one_json_error_line(err.getvalue())) == {"error", "message"}
+            _assert_refused(result, code, folder=tmp)
         else:
-            assert err.getvalue() == ""
+            assert err == ""
         assert os.path.exists(out) == (code == 0)
 
 
@@ -634,36 +646,27 @@ def _corrupt(lines, what):
 @pytest.mark.parametrize("what", ["scenario", "values_length", "box_outside", "far_nan", "q_nan",
                                   "box_inf", "K_nan", "K_overflow", "seed_negative",
                                   "old_layout", "nested", *RETYPED])
-def test_infer_malformed_episode_exit_2(what, tmp_path, workspace, capsys):
+def test_infer_malformed_episode_exit_2(what, tmp_path, workspace):
     lines = workspace["episode"].read_text().splitlines()
     episode = tmp_path / "bad.jsonl"
     episode.write_text("\n".join(_corrupt(lines, what)) + "\n")
-    out = tmp_path / "o.json"
-    assert main(_infer_argv(workspace, episode, out)) == 2
-    err = _one_json_error_line(capsys.readouterr().err)
-    assert err["error"] == "MalformedEpisode"
-    assert RETYPED.get(what, (None, ""))[1] in err["message"]
-    assert not out.exists()
+    _assert_refused(_run(_infer_argv(workspace, episode, tmp_path / "o.json")), 2,
+                    "MalformedEpisode", [RETYPED.get(what, (None, ""))[1]], tmp_path,
+                    ["bad.jsonl"])
 
 
 @pytest.mark.parametrize("what", BAD_BOXES)
-def test_graph_refuses_detection_boxes_outside_the_image(what, tmp_path, workspace, capsys):
+def test_graph_refuses_detection_boxes_outside_the_image(what, tmp_path, workspace):
     """A box whose centre is infinite, or off the image, is refused before
     any graph is written, not back-projected at an edge pixel's depth."""
     lines = workspace["episode"].read_text().splitlines()
     episode = tmp_path / "bad.jsonl"
     episode.write_text("\n".join(_corrupt(lines, what)) + "\n")
-    out = tmp_path / "graphs"
-    assert main(["graph", "--episode", str(episode), "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    err = _one_json_error_line(captured.err)
-    assert err["error"] == "MalformedEpisode"
-    assert "line 2: detection box" in err["message"]
-    assert captured.out == ""
-    assert not out.exists()
+    _assert_refused(_run(["graph", "--episode", str(episode), "--out", str(tmp_path / "graphs")]),
+                    2, "MalformedEpisode", ["line 2: detection box"], tmp_path, ["bad.jsonl"])
 
 
-def test_malformed_episode_names_its_line(tmp_path, workspace, capsys):
+def test_malformed_episode_names_its_line(tmp_path, workspace):
     """A bad frame in the middle of an episode is named by its line number."""
     lines = workspace["episode"].read_text().splitlines()
     middle = len(lines) // 2
@@ -672,9 +675,9 @@ def test_malformed_episode_names_its_line(tmp_path, workspace, capsys):
     lines[middle] = json.dumps(frame)
     episode = tmp_path / "bad.jsonl"
     episode.write_text("\n".join(lines) + "\n")
-    assert main(_infer_argv(workspace, episode, tmp_path / "o.json")) == 2
-    message = _one_json_error_line(capsys.readouterr().err)["message"]
-    assert f"line {middle + 1}: " in message and "frame.q[]" in message
+    _assert_refused(_run(_infer_argv(workspace, episode, tmp_path / "o.json")), 2,
+                    "MalformedEpisode", [f"line {middle + 1}: ", "frame.q[]"], tmp_path,
+                    ["bad.jsonl"])
 
 
 def _number_slots(doc):
@@ -733,13 +736,11 @@ def test_fuzz_corrupt_episode_line_exit_contract(data, workspace):
         episode, out = os.path.join(tmp, "ep.jsonl"), os.path.join(tmp, "o.json")
         with open(episode, "w") as f:
             f.write("\n".join(lines) + "\n")
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = main(_infer_argv(workspace, episode, out))
+        result = code, _, _ = _run(_infer_argv(workspace, episode, out))
         event(f"{kind}: exit {code}")
         assert code in ((2,) if kind in ("retype", "nest") else (0, 2, 3))
         if code:
-            assert set(_one_json_error_line(err.getvalue())) == {"error", "message"}
+            _assert_refused(result, code, folder=tmp, left=["ep.jsonl"])
         assert os.path.exists(out) == (code == 0)
 
 
@@ -805,7 +806,7 @@ ARTIFACT_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(ARTIFACT_CASES))
-def test_infer_checks_artifacts_before_first_frame(case, tmp_path, workspace, capsys):
+def test_infer_checks_artifacts_before_first_frame(case, tmp_path, workspace):
     """A wrong-shape artifact, or one that disagrees with the config, exits 2
     with a named mismatch and writes nothing."""
     kind, edit, overrides, error, word = ARTIFACT_CASES[case]
@@ -817,20 +818,16 @@ def test_infer_checks_artifacts_before_first_frame(case, tmp_path, workspace, ca
     for key, value in overrides.items():
         setattr(cfg, key, value)
     cfg.save(cfg_path)
-    out = tmp_path / "o.json"
-    assert main(["infer", "--episode", str(workspace["episode"]), "--gnn", str(paths["gnn"]),
-                 "--expert", str(paths["expert"]), "--cot-head", str(paths["head"]),
-                 "--config", str(cfg_path), "--out", str(out)]) == 2
-    err = _one_json_error_line(capsys.readouterr().err)
-    assert err["error"] == error
-    assert word in err["message"]
-    assert not out.exists()
+    argv = ["infer", "--episode", str(workspace["episode"]), "--gnn", str(paths["gnn"]),
+            "--expert", str(paths["expert"]), "--cot-head", str(paths["head"]),
+            "--config", str(cfg_path), "--out", str(tmp_path / "o.json")]
+    _assert_refused(_run(argv), 2, error, [word], tmp_path,
+                    ["cfg.json"] + ([f"{kind}.json"] if kind else []))
 
 
 @pytest.mark.parametrize("fault", ["d_out", "nan", "nested"])
 @pytest.mark.parametrize("command", ["train-expert", "train-cot"])
-def test_train_checks_gnn_before_first_frame(command, fault, tmp_path, workspace, monkeypatch,
-                                             capsys):
+def test_train_checks_gnn_before_first_frame(command, fault, tmp_path, workspace, monkeypatch):
     """A --gnn file whose d_out differs from the config's gnn_dims, that
     holds a NaN, or whose header is nested too deep to decode exits 2 with a
     named error before any episode is read, and writes nothing."""
@@ -843,12 +840,10 @@ def test_train_checks_gnn_before_first_frame(command, fault, tmp_path, workspace
         _edit_artifact(workspace["gnn"], gnn,
                        lambda h, a: _set(a, "lift_w", (0, 0), float("nan")))
     monkeypatch.setattr(cli, "load_episode", lambda path: pytest.fail("an episode was read"))
-    out = tmp_path / "o.npz"
-    assert main(_valid_argv(command, workspace, out) + ["--gnn", str(gnn)]) == 2
-    err = _one_json_error_line(capsys.readouterr().err)
-    assert err["error"] == {"d_out": "ArtifactMismatch", "nan": "NonFiniteWeight",
-                            "nested": "ArtifactLoadError"}[fault]
-    assert os.listdir(tmp_path) == ["gnn.npz"]
+    error = {"d_out": "ArtifactMismatch", "nan": "NonFiniteWeight",
+             "nested": "ArtifactLoadError"}[fault]
+    _assert_refused(_run(_valid_argv(command, workspace, tmp_path / "o.npz") + ["--gnn", str(gnn)]),
+                    2, error, folder=tmp_path, left=["gnn.npz"])
 
 
 def test_train_gnn_file_equals_the_gnn_derived_from_seed(tmp_path, workspace):
@@ -881,26 +876,20 @@ def _episode_argv(command, workspace, episode, out):
 
 @pytest.mark.parametrize("lines", [0, 1], ids=["empty", "header_only"])
 @pytest.mark.parametrize("command", ["graph", "infer", "train-expert"])
-def test_empty_episode_exits_2(command, lines, tmp_path, workspace, capsys):
+def test_empty_episode_exits_2(command, lines, tmp_path, workspace):
     episode = tmp_path / "data" / "ep.jsonl"
     episode.parent.mkdir()
     episode.write_text("".join(workspace["episode"].read_text().splitlines(True)[:lines]))
-    out = tmp_path / "out"
-    assert main(_episode_argv(command, workspace, episode, out)) == 2
-    err = _one_json_error_line(capsys.readouterr().err)
-    assert err["error"] == "EmptyEpisode"
+    err = _assert_refused(_run(_episode_argv(command, workspace, episode, tmp_path / "out")),
+                          2, "EmptyEpisode", folder=tmp_path, left=["data"])
     assert err["message"].endswith(("is empty", "has no frames")[lines])
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["train-expert", "train-cot"])
-def test_data_without_episode_files_exits_2(command, tmp_path, capsys):
+def test_data_without_episode_files_exits_2(command, tmp_path):
     (tmp_path / "notes.txt").write_text("no episodes here\n")
-    out = tmp_path / "o.npz"
-    assert main([command, "--data", str(tmp_path), "--out", str(out)]) == 2
-    err = _one_json_error_line(capsys.readouterr().err)
-    assert err["error"] == "PipelineError" and "*.jsonl" in err["message"]
-    assert not out.exists()
+    _assert_refused(_run([command, "--data", str(tmp_path), "--out", str(tmp_path / "o.npz")]),
+                    2, "PipelineError", ["*.jsonl"], tmp_path, ["notes.txt"])
 
 
 def test_infer_refuses_non_finite_output(tmp_path, workspace):
@@ -908,17 +897,10 @@ def test_infer_refuses_non_finite_output(tmp_path, workspace):
     one JSON line on stderr (no numpy warning beside it) and writes nothing."""
     expert = tmp_path / "expert.npz"
     _edit_artifact(workspace["expert"], expert, lambda h, a: a["w3"].fill(1e308))
-    out = tmp_path / "o.json"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "graphact.cli",
-                           *_infer_argv({**workspace, "expert": expert}, workspace["episode"],
-                                        out)],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 2
-    assert _one_json_error_line(proc.stderr) == {
-        "error": "NonFiniteOutput", "message": "expert chunk of frame 0 has a non-finite entry"}
-    assert not out.exists()
+    argv = _infer_argv({**workspace, "expert": expert}, workspace["episode"], tmp_path / "o.json")
+    err = _assert_refused(_run(argv, fresh_process=True), 2, "NonFiniteOutput",
+                          folder=tmp_path, left=["expert.npz"])
+    assert err["message"] == "expert chunk of frame 0 has a non-finite entry"
 
 
 def _overflowing_fk(doc):
@@ -951,32 +933,25 @@ def test_non_finite_json_output_is_refused(command, tmp_path, workspace):
     edit(doc)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "graphact.cli", *argv(workspace, tmp_path),
-                           "--config", str(cfg), "--out", str(tmp_path / "out")],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 2
-    assert _one_json_error_line(proc.stderr) == {"error": "NonFiniteOutput", "message": message}
-    assert os.listdir(tmp_path) == ["cfg.json"]
+    err = _assert_refused(_run([*argv(workspace, tmp_path), "--config", str(cfg),
+                                "--out", str(tmp_path / "out")], fresh_process=True),
+                          2, "NonFiniteOutput", folder=tmp_path, left=["cfg.json"])
+    assert err["message"] == message
 
 
 @pytest.mark.parametrize("command,argv,word", [
     ("train-expert", ["--lr", "1e3", "--steps", "50"], "step"),
     ("train-cot", ["--lr", "1e308", "--epochs", "5"], "epoch")])
-def test_train_refuses_non_finite_loss(command, argv, word, tmp_path, workspace, capsys):
+def test_train_refuses_non_finite_loss(command, argv, word, tmp_path, workspace):
     """A diverging run exits 2 naming the step or epoch whose loss is not
     finite, and leaves neither an artifact nor a loss CSV."""
-    out = tmp_path / "o.npz"
-    assert main([command, "--data", str(workspace["data"]), *argv, "--out", str(out)]) == 2
-    err = _one_json_error_line(capsys.readouterr().err)
-    assert err["error"] == "NonFiniteOutput"
+    err = _assert_refused(_run([command, "--data", str(workspace["data"]), *argv,
+                                "--out", str(tmp_path / "o.npz")]),
+                          2, "NonFiniteOutput", folder=tmp_path)
     assert err["message"].split(" at ")[1].startswith(word)
-    assert os.listdir(tmp_path) == []
 
 
-def test_train_cot_stops_at_the_first_non_finite_epoch(tmp_path, workspace, monkeypatch,
-                                                       capsys):
+def test_train_cot_stops_at_the_first_non_finite_epoch(tmp_path, workspace, monkeypatch):
     """Epoch 1's loss is not finite, so the run stops after two epochs of
     its two samples instead of training all 50 epochs on NaN weights."""
     real, calls = CotHead.loss_and_grads, []
@@ -986,19 +961,17 @@ def test_train_cot_stops_at_the_first_non_finite_epoch(tmp_path, workspace, monk
         return real(head, *rest)
 
     monkeypatch.setattr(CotHead, "loss_and_grads", counted)
-    out = tmp_path / "o.npz"
-    assert main(["train-cot", "--data", str(workspace["data"]), "--lr", "1e308",
-                 "--epochs", "50", "--out", str(out)]) == 2
-    err = _one_json_error_line(capsys.readouterr().err)
+    err = _assert_refused(_run(["train-cot", "--data", str(workspace["data"]), "--lr", "1e308",
+                                "--epochs", "50", "--out", str(tmp_path / "o.npz")]),
+                          2, "NonFiniteOutput", folder=tmp_path)
     assert err["message"] == "cot loss at epoch 1 has a non-finite entry"
     assert len(calls) == 2 * len(os.listdir(workspace["data"]))
-    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("command,train,argv", [("train-expert", "train_step", ["--steps", "1"]),
                                                 ("train-cot", "train_cot_head", ["--epochs", "1"])])
 def test_train_refuses_non_finite_parameter(command, train, argv, tmp_path, workspace,
-                                            monkeypatch, capsys):
+                                            monkeypatch):
     """A trained parameter that is not finite behind finite losses stops the
     command before anything is saved."""
     real = getattr(cli, train)
@@ -1009,11 +982,9 @@ def test_train_refuses_non_finite_parameter(command, train, argv, tmp_path, work
         return result
 
     monkeypatch.setattr(cli, train, planted)
-    out = tmp_path / "o.npz"
-    assert main([command, "--data", str(workspace["data"]), *argv, "--out", str(out)]) == 2
-    err = _one_json_error_line(capsys.readouterr().err)
-    assert err["error"] == "NonFiniteOutput" and "parameter b2" in err["message"]
-    assert os.listdir(tmp_path) == []
+    _assert_refused(_run([command, "--data", str(workspace["data"]), *argv,
+                          "--out", str(tmp_path / "o.npz")]),
+                    2, "NonFiniteOutput", ["parameter b2"], tmp_path)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -1035,12 +1006,10 @@ def test_fuzz_damaged_artifact_exit_contract(data, workspace):
         artifact, out = os.path.join(tmp, "artifact.json"), os.path.join(tmp, "o.json")
         with open(artifact, "wb") as f:
             f.write(blob)
-        argv = _infer_argv({**workspace, kind: artifact}, workspace["episode"], out)
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = main(argv)
+        result = code, _, _ = _run(_infer_argv({**workspace, kind: artifact},
+                                               workspace["episode"], out))
         event(f"exit {code}")
         assert code in (0, 2, 3)
         if code:
-            assert set(_one_json_error_line(err.getvalue())) == {"error", "message"}
+            _assert_refused(result, code, folder=tmp, left=["artifact.json"])
         assert os.path.exists(out) == (code == 0)

@@ -8,8 +8,9 @@ from graphact import (SCENARIOS, build_default_vocab, ce_loss,
                       default_config, detokenize, future_indices, gen_episode,
                       generate_cot, init_cot_head, make_cot_label, make_rng,
                       sample_dropout, tokenize, total_loss, train_cot_head)
-from graphact.cot import (ALL_PRESENT, NONE_PRESENT, SOME_MISSING,
-                          EmptyDataset, InvalidProbability, UnknownToken, write_cot_dataset)
+from graphact.core import InvalidSetting
+from graphact.cot import (ALL_PRESENT, NONE_PRESENT, SOME_MISSING, UnknownToken,
+                          write_cot_dataset)
 from graphact.sim import EmptyEpisode
 
 CFG = default_config()
@@ -138,8 +139,8 @@ def test_ce_loss_nonnegative():
 
 
 def test_ce_loss_shape_mismatch():
-    from graphact.core import PipelineError
-    with pytest.raises(PipelineError):
+    from graphact.core import ShapeMismatch
+    with pytest.raises(ShapeMismatch):
         ce_loss(np.zeros((3, 4)), [0, 1])
 
 
@@ -244,7 +245,7 @@ def test_train_cot_head_zero_lr_flat():
 def test_train_cot_head_empty_dataset():
     vocab, _ = _memorization_setup()
     head = init_cot_head(vocab, context_dim=4, rng=make_rng(5))
-    with pytest.raises(EmptyDataset):
+    with pytest.raises(InvalidSetting):
         train_cot_head(head, [], lr=0.1, epochs=1, rng=make_rng(6))
 
 
@@ -329,7 +330,7 @@ def test_sample_dropout():
     assert all(sample_dropout(1.0, rng) == 1 for _ in range(100))
     draws = [sample_dropout(0.3, rng) for _ in range(10_000)]
     assert 0.28 <= np.mean(draws) <= 0.32
-    with pytest.raises(InvalidProbability):
+    with pytest.raises(InvalidSetting):
         sample_dropout(1.5, rng)
 
 

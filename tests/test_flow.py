@@ -3,9 +3,8 @@ import pytest
 
 from graphact import (fm_loss, grad_check, init_flow_expert, interpolate, make_rng,
                       sample_actions, sample_tau, train_step)
-from graphact.core import ShapeMismatch
-from graphact.flow import (TAU_MAX_DRAWS, DegenerateTau, EmptyBatch, InvalidShapeParam,
-                           _draw_batch, _loss_and_grads)
+from graphact.core import InvalidSetting, ShapeMismatch
+from graphact.flow import TAU_MAX_DRAWS, DegenerateTau, _draw_batch, _loss_and_grads
 
 
 def _tiny_expert(rng=None, sigma=1.0, alpha=1.0, beta=1.0, **kw):
@@ -48,9 +47,9 @@ def test_sample_tau_bounded_redraws():
 
 
 def test_sample_tau_invalid_params():
-    with pytest.raises(InvalidShapeParam):
+    with pytest.raises(InvalidSetting):
         sample_tau(0.0, 1.0, make_rng(0))
-    with pytest.raises(InvalidShapeParam):
+    with pytest.raises(InvalidSetting):
         sample_tau(1.0, -2.0, make_rng(0))
 
 
@@ -73,7 +72,7 @@ def test_fm_loss_hand_value():
 def test_fm_loss_nonnegative_and_empty_batch():
     expert = _tiny_expert()
     assert fm_loss(expert, [(np.ones((2, 2)), np.zeros(3))], make_rng(6)) >= 0.0
-    with pytest.raises(EmptyBatch):
+    with pytest.raises(InvalidSetting):
         fm_loss(expert, [], make_rng(6))
 
 

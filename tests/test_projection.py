@@ -5,8 +5,7 @@ import pytest
 
 from graphact import (BoundingBox, CameraIntrinsics, DepthGrid, RigidTransform,
                       backproject, bbox_center, depth_at, make_rng, project)
-from graphact.projection import (BehindCamera, NonPositiveDepth, NoValidDepth,
-                                 PixelOutsideImage)
+from graphact.projection import BehindCamera, NoValidDepth, PixelOutsideImage
 from conftest import random_rotation
 
 K = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
@@ -62,7 +61,7 @@ def test_backproject_unit_intrinsics():
 
 
 def test_backproject_rejects_nonpositive_depth():
-    with pytest.raises(NonPositiveDepth):
+    with pytest.raises(NoValidDepth):
         backproject((320.0, 240.0), 0.0, K)
 
 

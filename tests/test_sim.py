@@ -7,8 +7,8 @@ from graphact import (SCENARIOS, build_graph, default_config, gen_episode,
                       gen_scene, load_episode, make_rng, render_frame,
                       write_episode)
 from graphact.projection import BehindCamera
-from graphact.sim import (DEFAULT_FAR, TRANSLATE_JITTER, YAW_JITTER, InvalidVariant, Scene,
-                          SceneObject, look_at)
+from graphact.sim import (_TABLE, DEFAULT_FAR, TRANSLATE_JITTER, YAW_JITTER, InvalidVariant,
+                          Scene, SceneObject, look_at)
 
 CFG = default_config()
 
@@ -43,7 +43,7 @@ def test_gen_scene_jitter_bounds():
 def test_gen_scene_objects_inside_table():
     scen = SCENARIOS["outfit"]
     rng = make_rng(1)
-    (x0, x1), (y0, y1), _ = scen.table_bounds
+    (x0, x1), (y0, y1), _ = _TABLE
     for _ in range(100):
         for obj in gen_scene(scen, 0, rng).objects:
             assert x0 <= obj.position[0] <= x1
