@@ -30,7 +30,7 @@ head = init_cot_head(vocab, context_dim=cfg.context_dim, window=cfg.cot_window,
                      rng=make_rng(2))
 g0 = build_graph(episode.frames[0], episode.K, episode.T, cfg.chains)
 context0 = make_context(pooled_embedding(encode(g0, gnn_w)), episode.frames[0].q,
-                        scenario_onehot(cfg, "food"))
+                        scenario_onehot("food"))
 label = make_cot_label(episode.scene, episode.scenario, episode, t=0,
                        dt=cfg.cot_dt_frames)
 ids = tokenize(label.to_text(), vocab) + [vocab.end_id]

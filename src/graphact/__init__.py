@@ -24,7 +24,7 @@ from .cot import (CotHead, CotLabel, TokenVocab, build_default_vocab, ce_loss,
                   init_cot_head, make_cot_label, sample_dropout, tokenize, total_loss,
                   train_cot_head)
 from .sim import (SCENARIOS, Episode, InstructionScenario, Scene, default_config,
-                  gen_episode, gen_scene, load_episode, render_frame, write_episode)
+                  episode_text, gen_episode, gen_scene, load_episode, render_frame)
 from .inference import (BenchReport, FrameOutput, InferenceSchedule, episode_contexts,
                         make_context, run_inference_loop, scenario_onehot)
 from .selfcheck import run_selfcheck

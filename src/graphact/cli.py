@@ -15,17 +15,17 @@ import zipfile
 
 import numpy as np
 
-from .core import (DECODE_ERRORS, InvalidSetting, PipelineConfig, PipelineError, check_finite,
-                   derive_seed, make_rng, write_jsonl)
-from .cot import (CotHead, build_default_vocab, init_cot_head, make_cot_label, tokenize,
-                  train_cot_head, write_cot_dataset)
+from .core import (DECODE_ERRORS, SCENARIOS, InvalidSetting, PipelineConfig, PipelineError,
+                   check_finite, derive_seed, jsonl_text, make_rng, write_files)
+from .cot import (CotHead, build_default_vocab, cot_dataset_text, init_cot_head, make_cot_label,
+                  tokenize, train_cot_head)
 from .flow import FlowExpert, init_flow_expert, train_step
 from .gnn import GnnWeights, init_gnn_weights
-from .graph import episode_graphs
+from .graph import episode_graphs, joint_matrix
 from .inference import (ArtifactLoadError, InferenceSchedule, check_artifacts, episode_contexts,
                         frame_blocks, run_inference_loop, write_outputs)
 from .selfcheck import run_selfcheck
-from .sim import SCENARIOS, default_config, gen_episode, load_episode, write_episode
+from .sim import default_config, episode_text, gen_episode, load_episode
 
 
 class ConfigLoadError(PipelineError):
@@ -47,25 +47,19 @@ def _load_config(path) -> PipelineConfig:
     return _load_named(ConfigLoadError, PipelineConfig.load, path) if path else default_config()
 
 
-def _loss_csv_path(out: str) -> str:
-    return os.path.splitext(out)[0] + ".loss.csv"
-
-
-def _write_loss_csv(path, rows) -> None:
-    with open(path, "w") as f:
-        f.write("step,loss\n")
-        for step, loss in rows:
-            f.write(f"{step},{float(loss)}\n")
+def _loss_csv(out: str, rows) -> tuple:
+    """(path, text) of the loss CSV written beside the weight file out."""
+    return (os.path.splitext(out)[0] + ".loss.csv",
+            "step,loss\n" + "".join(f"{step},{float(loss)}\n" for step, loss in rows))
 
 
 def cmd_gen(args) -> int:
     cfg = _load_config(args.config)
-    scenario = SCENARIOS[args.scenario]
-    scen_idx = sorted(SCENARIOS).index(args.scenario)
-    for i in range(args.episodes):
-        seed = derive_seed(args.seed, scen_idx, args.variant, i)
-        ep = gen_episode(scenario, args.variant, args.frames, seed, cfg)
-        write_episode(ep, os.path.join(args.out, f"{args.scenario}_v{args.variant}_{i:03d}.jsonl"))
+    scen_idx = list(SCENARIOS).index(args.scenario)
+    write_files((os.path.join(args.out, f"{args.scenario}_v{args.variant}_{i:03d}.jsonl"),
+                 episode_text(gen_episode(SCENARIOS[args.scenario], args.variant, args.frames,
+                                          derive_seed(args.seed, scen_idx, args.variant, i), cfg)))
+                for i in range(args.episodes))
     print(f"wrote {args.episodes} episode(s) to {args.out}")
     return 0
 
@@ -73,10 +67,12 @@ def cmd_gen(args) -> int:
 def cmd_graph(args) -> int:
     cfg = _load_config(args.config)
     ep = load_episode(args.episode)
-    for lo, block in frame_blocks(ep.frames):
-        graphs = episode_graphs(block, ep.K, ep.T, cfg.chains, args.paper_literal)
-        for i, g in enumerate(graphs, lo):
-            write_jsonl(os.path.join(args.out, f"graph_{i:05d}.json"), [(f"graph of frame {i}", g)])
+    # Graphs are built a block at a time; write_files holds only their text.
+    write_files((os.path.join(args.out, f"graph_{i:05d}.json"),
+                 jsonl_text([(f"graph of frame {i}", g)]))
+                for lo, block in frame_blocks(ep.frames)
+                for i, g in enumerate(episode_graphs(block, ep.K, ep.T, cfg.chains,
+                                                     args.paper_literal), lo))
     print(f"wrote {len(ep.frames)} graph(s) to {args.out}")
     return 0
 
@@ -123,21 +119,16 @@ def _episode_files(data_dir: str) -> list:
     return files
 
 
-def _action_chunk(ep, t: int, horizon: int) -> np.ndarray:
-    """Future joint targets q_{t+1..t+H}, holding the last frame at the end."""
-    rows = [ep.trajectory[min(t + 1 + k, len(ep.trajectory) - 1)] for k in range(horizon)]
-    return np.stack(rows)
-
-
 def cmd_train_expert(args) -> int:
     cfg = _load_config(args.config)
     gnn_w = _train_gnn(args, cfg)
-    dataset = []
+    dataset, ahead = [], np.arange(1, cfg.flow_horizon + 1)
     for path in _episode_files(args.data):
         ep = load_episode(path)
         contexts = episode_contexts(ep, gnn_w, cfg, ep.frames)
-        dataset.extend((_action_chunk(ep, t, cfg.flow_horizon), contexts[t])
-                       for t in range(len(ep.frames)))
+        q, n = joint_matrix(ep.frames, cfg.chains), len(ep.frames)
+        # frame t's chunk: q at t+1..t+H, holding the last frame at the end
+        dataset.extend((q[np.minimum(t + ahead, n - 1)], contexts[t]) for t in range(n))
     expert = _new_expert(cfg, make_rng(derive_seed(args.seed, 0)))
     rng = make_rng(derive_seed(args.seed, 1))
     rows = []
@@ -147,7 +138,7 @@ def cmd_train_expert(args) -> int:
         check_finite(f"expert loss at step {step}", rows[-1][1])
     expert.check_finite_params("trained expert")
     expert.save(args.out)
-    _write_loss_csv(_loss_csv_path(args.out), rows)
+    write_files([_loss_csv(args.out, rows)])
     print(f"trained expert on {len(dataset)} samples; "
           f"loss {rows[0][1]:.4f} -> {rows[-1][1]:.4f}")
     return 0
@@ -167,13 +158,13 @@ def cmd_train_cot(args) -> int:
             label = make_cot_label(ep.scene, ep.scenario, ep, t, dt=cfg.cot_dt_frames)
             ids = tokenize(label.to_text(), vocab) + [vocab.end_id]
             samples.append((context, ids, label.to_text()))
-    if args.dump_dataset:
-        write_cot_dataset(args.dump_dataset, samples)
+    # checked before training, written only once the trained head passes
+    dump = [(args.dump_dataset, cot_dataset_text(samples))] if args.dump_dataset else []
     dataset = [(ctx, ids) for ctx, ids, _ in samples]
     curve = train_cot_head(head, dataset, args.lr, args.epochs, make_rng(derive_seed(args.seed, 1)))
     head.check_finite_params("trained cot head")
     head.save(args.out)
-    _write_loss_csv(_loss_csv_path(args.out), list(enumerate(curve)))
+    write_files([_loss_csv(args.out, enumerate(curve))] + dump)
     print(f"trained reasoning head on {len(dataset)} samples; "
           f"mean loss {curve[0]:.4f} -> {curve[-1]:.4f}")
     return 0
@@ -246,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", default=None, help="pipeline config JSON")
 
     g = sub.add_parser("gen", help="generate synthetic episodes")
-    g.add_argument("--scenario", choices=sorted(SCENARIOS), required=True)
+    g.add_argument("--scenario", choices=list(SCENARIOS), required=True)
     g.add_argument("--variant", type=NON_NEGATIVE_INT, required=True)
     g.add_argument("--episodes", type=POSITIVE_INT, default=1)
     g.add_argument("--frames", type=POSITIVE_INT, default=60)

@@ -145,13 +145,20 @@ def to_json(obj, what: str = "value"):
             [f.name for f in fields(obj)]}
 
 
-def write_jsonl(path, docs) -> None:
-    """One JSON line per (what, obj) of docs, all built by to_json(obj, what)
-    before the file and any missing directory are made, so a refusal leaves none."""
-    lines = [json.dumps(to_json(obj, what)) + "\n" for what, obj in docs]
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w") as f:
-        f.writelines(lines)
+def jsonl_text(docs) -> str:
+    """One JSON line per (what, obj) of docs, each built by to_json(obj, what)."""
+    return "".join([json.dumps(to_json(obj, what)) + "\n" for what, obj in docs])
+
+
+def write_files(files) -> None:
+    """Write the text of each (path, text) of files, making any missing
+    directory. files is read to its end before the first file or directory
+    is made, so a command refused while it builds any text leaves none."""
+    files = list(files)
+    for path, text in files:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        with open(path, "w") as f:
+            f.write(text)
 
 
 def fan_in_normal(rng: np.random.Generator, n_in: int, n_out: int) -> np.ndarray:
@@ -285,27 +292,25 @@ class RigidTransform:
     __slots__ = ("rotation", "translation")
     JSON = {"rotation": tuple[(float,) * 9], "translation": tuple[float, float, float]}
 
-    def __init__(self, rotation, translation, check: bool = True):
+    def __init__(self, rotation, translation):
         R = np.array(rotation, dtype=float).reshape(3, 3)
         t = np.array(translation, dtype=float).reshape(3)
         R.flags.writeable = t.flags.writeable = False
-        if check:
-            if not np.allclose(R.T @ R, np.eye(3), atol=ORTHONORMAL_TOL):
-                raise ValueError("rotation is not orthonormal")
-            if abs(np.linalg.det(R) - 1.0) > 1e-6:
-                raise ValueError("rotation determinant is not +1")
+        if not np.allclose(R.T @ R, np.eye(3), atol=ORTHONORMAL_TOL):
+            raise ValueError("rotation is not orthonormal")
+        if abs(np.linalg.det(R) - 1.0) > 1e-6:
+            raise ValueError("rotation determinant is not +1")
         self.rotation = R
         self.translation = t
 
     def compose(self, other: "RigidTransform") -> "RigidTransform":
         """self after other: (self ∘ other)(p) = self(other(p))."""
         return RigidTransform(self.rotation @ other.rotation,
-                              self.rotation @ other.translation + self.translation,
-                              check=False)
+                              self.rotation @ other.translation + self.translation)
 
     def inverse(self) -> "RigidTransform":
         Rt = self.rotation.T
-        return RigidTransform(Rt, -Rt @ self.translation, check=False)
+        return RigidTransform(Rt, -Rt @ self.translation)
 
     def apply(self, p) -> np.ndarray:
         """rotation @ p + translation, for one point (3,) or each row of (N, 3);
@@ -385,6 +390,44 @@ class KinematicChain:
         return len(self.links)
 
 
+@dataclass(frozen=True)
+class InstructionScenario:
+    """One task family: its objects' nominal positions, requirement set,
+    and availability variants (which subset of the objects is on the table)."""
+
+    name: str
+    required: tuple
+    variants: tuple          # tuple of label tuples
+    instruction_text: str
+    nominal: dict            # label -> (x, y, z), every object of the family
+
+
+FOOD = InstructionScenario(
+    name="food",
+    required=("fish", "pepper"),
+    variants=(("egg", "tomato", "fish", "pepper"),
+              ("egg", "tomato", "pepper"),
+              ("egg", "tomato")),
+    instruction_text="i want to eat spicy river food .",
+    nominal={"egg": (0.45, -0.15, 0.02), "tomato": (0.45, 0.15, 0.02),
+             "fish": (0.65, -0.15, 0.02), "pepper": (0.65, 0.15, 0.02)},
+)
+
+OUTFIT = InstructionScenario(
+    name="outfit",
+    required=("t-shirt", "shorts"),
+    variants=(("sweater", "t-shirt", "shorts"),
+              ("sweater", "t-shirt"),
+              ("sweater",)),
+    instruction_text="i want a light summer outfit .",
+    nominal={"sweater": (0.45, -0.18, 0.02), "t-shirt": (0.45, 0.18, 0.02),
+             "shorts": (0.65, 0.0, 0.02)},
+)
+
+# The registry of task families, in the order of the task one-hot and gen's seed streams.
+SCENARIOS = {s.name: s for s in (FOOD, OUTFIT)}
+
+
 @dataclass
 class PipelineConfig:
     """Everything the pipeline needs to run; round-trips through JSON
@@ -398,7 +441,6 @@ class PipelineConfig:
     max_gap: typing.ClassVar[float] = 2.0 / 30.0  # align_streams tolerance, seconds
     camera_rate_hz: float = 30.0
     control_rate_hz: typing.ClassVar[float] = 150.0
-    scenario_names: tuple[str, ...] = ("food", "outfit")
     gnn_dims: tuple[int, int, int] = (32, 32, 32)  # (d, h, d_out)
     flow_horizon: int = 30
     flow_hidden: int = 64
@@ -415,7 +457,7 @@ class PipelineConfig:
         """Raise ValueError naming every value the pipeline cannot run with, or
         else the keys that size a weight matrix of over MAX_WEIGHT_ENTRIES
         entries (the head's vocabulary counted as its cot_dt_frames + 1 offsets)."""
-        dims, names = self.gnn_dims, self.scenario_names
+        dims = self.gnn_dims
         checks = [(name, "an integer >= 1", getattr(self, name) >= 1) for name in (
             "flow_horizon", "flow_hidden", "euler_steps", "cot_dt_frames",
             "cot_window", "cot_hidden", "cot_embed", "cot_max_len")]
@@ -425,9 +467,7 @@ class PipelineConfig:
                    ("joint_limits", "(lo, hi) with lo < hi",
                     self.joint_limits[0] < self.joint_limits[1]),
                    ("gnn_dims", "3 integers >= 1", len(dims) == 3 and all(
-                       isinstance(v, int) and v >= 1 for v in dims)),
-                   ("scenario_names", "non-empty without repeats",
-                    0 < len(names) == len(set(names)))]
+                       isinstance(v, int) and v >= 1 for v in dims))]
         bad = [f"{name} must be {what}, got {getattr(self, name)!r}"
                for name, what, ok in checks if not ok]
         if not bad:
@@ -462,5 +502,5 @@ class PipelineConfig:
 
     @property
     def context_dim(self) -> int:
-        """pooled graph embedding + joint state + scenario one-hot."""
-        return self.gnn_dims[2] + self.j_total + len(self.scenario_names)
+        """pooled graph embedding + joint state + one-hot over SCENARIOS."""
+        return self.gnn_dims[2] + self.j_total + len(SCENARIOS)

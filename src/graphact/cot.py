@@ -12,13 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (InvalidSetting, Model, PipelineError, ShapeMismatch, check_finite,
-                   check_shapes, fan_in_normal, max_grad_error, write_jsonl)
-from .sim import SCENARIOS, EmptyEpisode, Episode, InstructionScenario, Scene
+from .core import (SCENARIOS, InstructionScenario, InvalidSetting, Model, PipelineError,
+                   ShapeMismatch, check_finite, check_shapes, fan_in_normal, jsonl_text,
+                   max_grad_error)
+from .sim import EmptyEpisode, Episode, Scene
 
 PAD, END, SEP = "<pad>", "<end>", "<sep>"
 
 CTX_EMBED = 16  # width of the head's context projection
+VALUE_RANGE = 3.2  # the vocabulary's number tokens span +-VALUE_RANGE
 
 ALL_PRESENT = "all_present"
 SOME_MISSING = "some_missing"
@@ -110,7 +112,7 @@ def make_cot_label(scene: Scene, instruction: InstructionScenario,
     else:
         future_obj = f"in {t_obj_c - t} frames : nothing ."
 
-    q = episode.trajectory[t_robot_c]
+    q = episode.frames[t_robot_c].q
     future_robot = f"in {t_robot_c - t} frames : joints {' '.join(bin_token(v) for v in q)} ."
 
     return CotLabel(scene_description=desc, feasibility_feedback=feedback,
@@ -145,7 +147,7 @@ class TokenVocab:
         return self.ids[END]
 
 
-def build_default_vocab(max_offset: int = 30, value_range: float = 3.2) -> TokenVocab:
+def build_default_vocab(max_offset: int = 30) -> TokenVocab:
     """Vocabulary covering the label generator's whole output language for
     future-frame offsets up to max_offset (the labels' dt)."""
     tokens = [PAD, END, SEP]
@@ -158,7 +160,7 @@ def build_default_vocab(max_offset: int = 30, value_range: float = 3.2) -> Token
             tokens.append(w)
     for i in range(max_offset + 1):
         tokens.append(str(i))
-    n_bins = int(round(value_range * 100))
+    n_bins = int(round(VALUE_RANGE * 100))
     tokens.extend(bin_token(i / 100.0) for i in range(-n_bins, n_bins + 1))
     return TokenVocab(tokens)
 
@@ -381,7 +383,7 @@ def total_loss(l_cot: float, l_action: float, d: int, w_cot: float,
     return w_cot * l_cot + w_action * l_action
 
 
-def write_cot_dataset(path, samples) -> None:
+def cot_dataset_text(samples) -> str:
     """JSONL dataset: {context: [...], tokens: [...], text: '...'} per line."""
-    write_jsonl(path, [(f"dataset sample {i}", {"context": context, "tokens": ids, "text": text})
+    return jsonl_text([(f"dataset sample {i}", {"context": context, "tokens": ids, "text": text})
                        for i, (context, ids, text) in enumerate(samples)])

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import InvalidSetting, PipelineConfig, PipelineError, check_finite, make_rng
+from .core import SCENARIOS, InvalidSetting, PipelineConfig, PipelineError, check_finite, make_rng
 from .cot import CotHead, detokenize, generate_cot
 from .flow import FlowExpert, sample_actions
 from .gnn import GnnWeights, encode_pooled
@@ -37,7 +37,7 @@ class NonFiniteWeight(PipelineError):
 
 
 class UnknownScenario(PipelineError):
-    """An episode's scenario is not one of the config's scenario_names."""
+    """A library-built Episode's scenario is not registered in SCENARIOS."""
 
 
 def check_artifacts(cfg: PipelineConfig, gnn_w: GnnWeights, expert: FlowExpert = None,
@@ -99,12 +99,12 @@ class FrameOutput:
     cot_text: str = None
 
 
-def scenario_onehot(cfg: PipelineConfig, name: str) -> np.ndarray:
-    """One-hot of name over cfg.scenario_names; UnknownScenario if absent."""
-    if name not in cfg.scenario_names:
-        raise UnknownScenario(f"episode scenario {name!r} is not among the configured "
-                              f"scenario_names {list(cfg.scenario_names)}")
-    return np.array([float(n == name) for n in cfg.scenario_names])
+def scenario_onehot(name: str) -> np.ndarray:
+    """One-hot of name over SCENARIOS, in its order; UnknownScenario if absent."""
+    if name not in SCENARIOS:
+        raise UnknownScenario(f"episode scenario {name!r} is not among the registered "
+                              f"scenarios {list(SCENARIOS)}")
+    return np.array([float(n == name) for n in SCENARIOS])
 
 
 def make_context(pooled: np.ndarray, q: np.ndarray, onehot: np.ndarray) -> np.ndarray:
@@ -145,7 +145,7 @@ def episode_contexts(episode: Episode, gnn_w: GnnWeights, cfg: PipelineConfig,
     built block by block as run_inference_loop builds them."""
     out = np.empty((len(frames), cfg.context_dim))
     for lo, contexts, _ in _block_contexts(episode, gnn_w, cfg, frames,
-                                           scenario_onehot(cfg, episode.scenario.name)):
+                                           scenario_onehot(episode.scenario.name)):
         out[lo:lo + len(contexts)] = contexts
     return out
 
@@ -172,7 +172,7 @@ def run_inference_loop(episode: Episode, gnn_w: GnnWeights, expert: FlowExpert,
     frames = episode.frames
     if not frames:
         raise EmptyEpisode("cannot run inference on an empty episode")
-    onehot = scenario_onehot(cfg, episode.scenario.name)
+    onehot = scenario_onehot(episode.scenario.name)
     rng = make_rng(seed)
     stages = {"graph_build": [], "encode": [], "cot_generation": [], "action_sampling": []}
     outputs, frame_samples = [], []

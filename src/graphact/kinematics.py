@@ -23,7 +23,7 @@ def dh_transform(link: DhLink, theta: float) -> RigidTransform:
     R = np.array([[ct, -st * ca, st * sa],
                   [st, ct * ca, -ct * sa],
                   [0.0, sa, ca]])
-    return RigidTransform(R, [link.a * ct, link.a * st, link.d], check=False)
+    return RigidTransform(R, [link.a * ct, link.a * st, link.d])
 
 
 # Group constants by chain ids (hashing the chains costs a tick more), first in
@@ -123,7 +123,7 @@ def default_chains() -> list:
     """Two mirrored 7-DOF arms mounted either side of the robot base."""
     links = default_arm_links()
     left = KinematicChain(name="left", links=links,
-                          base=RigidTransform(np.eye(3), [0.0, 0.22, 0.0], check=False))
+                          base=RigidTransform(np.eye(3), [0.0, 0.22, 0.0]))
     right = KinematicChain(name="right", links=links,
-                           base=RigidTransform(np.eye(3), [0.0, -0.22, 0.0], check=False))
+                           base=RigidTransform(np.eye(3), [0.0, -0.22, 0.0]))
     return [left, right]

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DECODE_ERRORS, BoundingBox, CameraIntrinsics, DepthGrid, FrameRecord,
-                   InvalidSetting, PipelineConfig, PipelineError, RigidTransform,
-                   make_rng, reader, write_jsonl)
+from .core import (DECODE_ERRORS, SCENARIOS, BoundingBox, CameraIntrinsics, DepthGrid,
+                   FrameRecord, InstructionScenario, InvalidSetting, PipelineConfig, PipelineError,
+                   RigidTransform, jsonl_text, make_rng, reader)
 from .kinematics import default_chains
 from .projection import BehindCamera, project
 
@@ -28,7 +28,7 @@ class EmptyEpisode(PipelineError):
 
 
 class MalformedEpisode(PipelineError):
-    """An episode file line breaks the format write_episode produces."""
+    """An episode file line breaks the format episode_text produces."""
 
 
 TRANSLATE_JITTER = 0.10          # meters, per horizontal axis
@@ -60,43 +60,7 @@ class Scene:
         raise KeyError(label)
 
 
-@dataclass(frozen=True)
-class InstructionScenario:
-    """One task family: its objects' nominal positions, requirement set,
-    and availability variants (which subset of the objects is on the table)."""
-
-    name: str
-    required: tuple
-    variants: tuple          # tuple of label tuples
-    instruction_text: str
-    nominal: dict            # label -> (x, y, z), every object of the family
-
-
 _TABLE = ((0.30, 0.80), (-0.35, 0.35), (0.0, 0.25))
-
-FOOD = InstructionScenario(
-    name="food",
-    required=("fish", "pepper"),
-    variants=(("egg", "tomato", "fish", "pepper"),
-              ("egg", "tomato", "pepper"),
-              ("egg", "tomato")),
-    instruction_text="i want to eat spicy river food .",
-    nominal={"egg": (0.45, -0.15, 0.02), "tomato": (0.45, 0.15, 0.02),
-             "fish": (0.65, -0.15, 0.02), "pepper": (0.65, 0.15, 0.02)},
-)
-
-OUTFIT = InstructionScenario(
-    name="outfit",
-    required=("t-shirt", "shorts"),
-    variants=(("sweater", "t-shirt", "shorts"),
-              ("sweater", "t-shirt"),
-              ("sweater",)),
-    instruction_text="i want a light summer outfit .",
-    nominal={"sweater": (0.45, -0.18, 0.02), "t-shirt": (0.45, 0.18, 0.02),
-             "shorts": (0.65, 0.0, 0.02)},
-)
-
-SCENARIOS = {s.name: s for s in (FOOD, OUTFIT)}
 
 
 def look_at(eye, target, up=(0.0, 0.0, 1.0)) -> RigidTransform:
@@ -254,8 +218,8 @@ FRAME = {"t": float, "q": list[float],
 _read_header, _read_frame = reader(HEADER, "header"), reader(FRAME, "frame")
 
 
-def write_episode(ep: Episode, path) -> None:
-    """One JSONL file in the HEADER and FRAME format, through write_jsonl."""
+def episode_text(ep: Episode) -> str:
+    """The episode as JSONL text in the HEADER and FRAME format."""
     lines = [("episode header", {"scenario": ep.scenario.name, "variant": ep.variant,
                                  "K": ep.K, "T": ep.T, "seed": ep.seed})]
     for i, frame in enumerate(ep.frames):
@@ -263,7 +227,7 @@ def write_episode(ep: Episode, path) -> None:
                  for d in frame.detections]
         lines.append((f"episode frame {i}", {"t": frame.t, "q": frame.q, "detections": boxes,
                                              "depth": frame.depth.patches, "far": frame.depth.far}))
-    write_jsonl(path, lines)
+    return jsonl_text(lines)
 
 
 def _decode_frame(rec, width: int, height: int) -> FrameRecord:
@@ -282,7 +246,8 @@ def _decode_frame(rec, width: int, height: int) -> FrameRecord:
 
 
 def load_episode(path) -> Episode:
-    """Inverse of write_episode; the scene is regenerated from the header seed.
+    """Inverse of episode_text, read from the file at path; the scene is
+    regenerated from the header seed.
 
     Lines are decoded one at a time and each frame keeps the file's
     rectangles as its depth, so memory grows with the number of boxes, not

@@ -15,6 +15,7 @@ from hypothesis import event, given, settings, strategies as st
 from graphact import CotHead, cli, default_config, init_gnn_weights, make_rng
 from graphact.cli import build_parser, main
 from graphact.core import to_json
+from graphact.sim import look_at
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -297,6 +298,8 @@ CONFIG_CASES = {
     "scenario_names_empty": (lambda d: d.update(scenario_names=[]), 2, "ConfigLoadError"),
     "scenario_names_repeated": (lambda d: d.update(scenario_names=["food", "food"]), 2,
                                 "ConfigLoadError"),
+    "scenario_names_retired": (lambda d: d.update(scenario_names=["food", "outfit"]), 2,
+                               "ConfigLoadError"),
     "chain_base_nan": (lambda d: d["chains"][0]["base"]["translation"].__setitem__(
         0, float("nan")), 2, "ConfigLoadError"),
     "dh_a_nan": (lambda d: d["chains"][1]["links"][2].update(a=float("nan")), 2,
@@ -334,6 +337,8 @@ CONFIG_FIELDS = {"flow_horizon_fraction": "config.flow_horizon",
                  "max_gap_inf": "unknown key 'max_gap'",
                  "max_gap_retired": "unknown key 'max_gap'",
                  "control_rate_hz_retired": "unknown key 'control_rate_hz'",
+                 **{f"scenario_names_{case}": "unknown key 'scenario_names'"
+                    for case in ("empty", "repeated", "retired")},
                  "joint_limits_reversed": "joint_limits",
                  **{f"{key}_huge": key for key in HUGE_SIZES}}
 
@@ -378,23 +383,6 @@ def test_init_weights_refuses_a_config_too_large_to_draw(tmp_path):
     _assert_refused(_run(["init-weights", "--kind", "cot", "--config", str(tmp_path / "cfg.json"),
                           "--out", str(tmp_path / "w.npz")]),
                     2, "ConfigLoadError", ["cot_embed"], tmp_path, ["cfg.json"])
-
-
-@pytest.mark.parametrize("command", ["infer", "train-expert"])
-def test_episode_scenario_not_in_config_exits_2(command, tmp_path, workspace):
-    """An episode whose scenario the config does not name exits 2 with the
-    scenario and the configured names in the message, and writes nothing."""
-    data = tmp_path / "data"
-    assert main(["gen", "--scenario", "outfit", "--variant", "0", "--frames", "2",
-                 "--out", str(data)]) == 0
-    cfg = default_config()
-    cfg.scenario_names = ("food", "laundry")
-    cfg.save(tmp_path / "cfg.json")
-    w = {**workspace, "data": data, "episode": data / "outfit_v0_000.jsonl"}
-    out = tmp_path / "o.json"
-    argv = _valid_argv(command, w, out) + ["--config", str(tmp_path / "cfg.json")]
-    _assert_refused(_run(argv), 2, "UnknownScenario", ["'outfit'", "['food', 'laundry']"],
-                    tmp_path, ["cfg.json", "data"])
 
 
 def test_validation_error_exit_code_and_json(tmp_path):
@@ -944,11 +932,42 @@ def test_non_finite_json_output_is_refused(command, tmp_path, workspace):
     ("train-cot", ["--lr", "1e308", "--epochs", "5"], "epoch")])
 def test_train_refuses_non_finite_loss(command, argv, word, tmp_path, workspace):
     """A diverging run exits 2 naming the step or epoch whose loss is not
-    finite, and leaves neither an artifact nor a loss CSV."""
+    finite, and leaves neither an artifact, a loss CSV nor a dataset dump."""
+    if command == "train-cot":
+        argv = argv + ["--dump-dataset", str(tmp_path / "d.jsonl")]
     err = _assert_refused(_run([command, "--data", str(workspace["data"]), *argv,
                                 "--out", str(tmp_path / "o.npz")]),
                           2, "NonFiniteOutput", folder=tmp_path)
     assert err["message"].split(" at ")[1].startswith(word)
+
+
+def test_graph_refused_at_a_later_frame_writes_no_graph(tmp_path):
+    """Two huge link offsets make frame 71's graph, in the third block, not
+    finite: graph exits 2 and leaves none of the 71 graphs before it."""
+    data = tmp_path / "data"
+    assert main(["gen", "--scenario", "food", "--variant", "0", "--frames", "90", "--seed", "1",
+                 "--out", str(data)]) == 0
+    doc = to_json(default_config())
+    for link in (3, 5):
+        doc["chains"][0]["links"][link]["a"] = 9.63076923076923e+307
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    err = _assert_refused(_run(["graph", "--episode", str(data / "food_v0_000.jsonl"),
+                                "--config", str(tmp_path / "cfg.json"),
+                                "--out", str(tmp_path / "graphs")]),
+                          2, "NonFiniteOutput", folder=tmp_path, left=["cfg.json", "data"])
+    assert err["message"] == "graph of frame 71 has a non-finite entry"
+
+
+def test_gen_refused_at_a_later_episode_writes_no_episode(tmp_path):
+    """With the camera low over the table, the third of four episodes puts an
+    object behind it: gen exits 2 and leaves neither of the first two."""
+    cfg = default_config()
+    cfg.extrinsics = look_at(eye=(0.45, -0.15, 0.3), target=(1.45, -0.15, 0.3))
+    cfg.save(tmp_path / "cfg.json")
+    _assert_refused(_run(["gen", "--scenario", "food", "--variant", "0", "--episodes", "4",
+                          "--frames", "2", "--seed", "4", "--config", str(tmp_path / "cfg.json"),
+                          "--out", str(tmp_path / "episodes")]),
+                    2, "BehindCamera", ["behind the head camera"], tmp_path, ["cfg.json"])
 
 
 def test_train_cot_stops_at_the_first_non_finite_epoch(tmp_path, workspace, monkeypatch):

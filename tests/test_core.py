@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from graphact import (CameraIntrinsics, CotHead, DhLink, FlowExpert, KinematicChain,
-                      PipelineConfig, RigidTransform, build_default_vocab, derive_seed,
-                      init_cot_head, init_flow_expert, init_gnn_weights, make_rng)
+                      PipelineConfig, RigidTransform, TokenVocab, derive_seed, init_cot_head,
+                      init_flow_expert, init_gnn_weights, make_rng)
 from graphact.core import NonFiniteOutput, reader, to_json
 from conftest import random_rotation
 
@@ -67,12 +67,13 @@ def test_config_json_roundtrip(cfg, tmp_path):
 
 def test_config_with_retired_keys_is_refused(cfg, tmp_path):
     """Keys older configs had (seed, j_total, now derived from the chains,
-    lambda_cot, lambda_action, dropout_p, and max_gap and control_rate_hz,
-    now constants) are unknown keys, refused by name like any other."""
+    lambda_cot, lambda_action, dropout_p, max_gap and control_rate_hz, now
+    constants, and scenario_names, now the SCENARIOS registry) are unknown
+    keys, refused by name like any other."""
     path = tmp_path / "cfg.json"
     for key, value in [("seed", 7), ("j_total", 14), ("lambda_cot", 1.0),
                        ("lambda_action", 1.0), ("dropout_p", 0.5), ("max_gap", 2 / 30),
-                       ("control_rate_hz", 150.0)]:
+                       ("control_rate_hz", 150.0), ("scenario_names", ["food", "outfit"])]:
         d = to_json(cfg)
         d[key] = value
         path.write_text(json.dumps(d))
@@ -158,7 +159,8 @@ def test_to_json_roundtrips_through_reader(cfg):
 
 def _small_models():
     """(model, expected header) for each of the three learned models."""
-    vocab = build_default_vocab(max_offset=10, value_range=0.2)
+    vocab = TokenVocab(["<pad>", "<end>", "<sep>", "grasp", "fish", "then", "pepper", ".",
+                        *map(str, range(11)), *(f"{i / 100:.2f}" for i in range(-20, 21))])
     expert = init_flow_expert(make_rng(25), horizon=2, j_dim=2, context_dim=3,
                               alpha=2.5, beta=0.5)
     return {

@@ -9,8 +9,8 @@ from graphact import (SCENARIOS, build_default_vocab, ce_loss,
                       generate_cot, init_cot_head, make_cot_label, make_rng,
                       sample_dropout, tokenize, total_loss, train_cot_head)
 from graphact.core import InvalidSetting
-from graphact.cot import (ALL_PRESENT, NONE_PRESENT, SOME_MISSING, UnknownToken,
-                          write_cot_dataset)
+from graphact.cot import (ALL_PRESENT, NONE_PRESENT, SOME_MISSING, UnknownToken, bin_token,
+                          cot_dataset_text)
 from graphact.sim import EmptyEpisode
 
 CFG = default_config()
@@ -71,6 +71,17 @@ def test_label_future_sections_and_clamping():
     assert late.clamped  # t' = 60 and t'' = 65 exceed the 40-frame episode
     assert "in 4 frames" in late.future_objects
     assert "in 4 frames" in late.future_robot_state
+
+
+def test_label_reads_the_future_robot_state_from_the_frames():
+    """The frames are the one record of an episode's joints: a trajectory
+    that disagrees with them does not reach the future-robot section."""
+    ep = _episode(0, n_frames=40)
+    ep.trajectory = [q + 1.0 for q in ep.trajectory]
+    for t, future in ((0, 30), (35, 39)):
+        label = make_cot_label(ep.scene, ep.scenario, ep, t, dt=30)
+        joints = " ".join(bin_token(v) for v in ep.frames[future].q)
+        assert label.future_robot_state == f"in {future - t} frames : joints {joints} ."
 
 
 def test_vocab_below_the_labels_dt_raises_unknown_token():
@@ -343,12 +354,10 @@ def test_total_loss_dropout_independent_of_cot_terms():
         assert got == l_action
 
 
-def test_cot_dataset_jsonl_roundtrip(tmp_path):
+def test_cot_dataset_jsonl_roundtrip():
     vocab, samples = _memorization_setup()
     rows = [(ctx, ids, detokenize(ids[:-1], vocab)) for ctx, ids in samples]
-    path = tmp_path / "data.jsonl"
-    write_cot_dataset(path, rows)
-    loaded = [json.loads(line) for line in path.read_text().splitlines()]
+    loaded = [json.loads(line) for line in cot_dataset_text(rows).splitlines()]
     assert len(loaded) == len(rows)
     for (c0, i0, t0), rec in zip(rows, loaded):
         assert list(rec) == ["context", "tokens", "text"]

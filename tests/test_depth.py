@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from graphact import (SCENARIOS, backproject, bbox_center, default_config, depth_at,
-                      gen_episode, load_episode, make_rng, render_frame, write_episode)
+                      episode_text, gen_episode, load_episode, make_rng, render_frame)
 from graphact.projection import NoValidDepth, project
 from graphact.sim import DEFAULT_BOX_SIZE, DEFAULT_FAR, Scene, SceneObject, _box_region
 
@@ -158,7 +158,7 @@ def test_scene_file_roundtrip_matches_dense_oracle(name, tmp_path):
     ep = gen_episode(SCENARIOS["food"], 0, 1, seed=3, cfg=CFG)
     ep.frames = [frame]
     path = tmp_path / "ep.jsonl"
-    write_episode(ep, path)
+    path.write_text(episode_text(ep))
     (dense,) = dense_from_file(path)
     assert np.array_equal(dense, dense_render(SCENES[name]()))
     assert_matches_dense(load_episode(path).frames[0], dense)
@@ -168,7 +168,7 @@ def test_scene_file_roundtrip_matches_dense_oracle(name, tmp_path):
 def test_episode_matches_dense_oracle(scenario, tmp_path):
     ep = gen_episode(SCENARIOS[scenario], 0, 4, seed=21, cfg=CFG)
     path = tmp_path / "ep.jsonl"
-    write_episode(ep, path)
+    path.write_text(episode_text(ep))
     loaded = load_episode(path)
     dense_grids = dense_from_file(path)
     rng = make_rng(6)
@@ -210,7 +210,7 @@ def _load_peak_bytes(path):
 ])
 def test_load_episode_memory_is_bounded_by_box_pixels(n_frames, limit, tmp_path):
     path = tmp_path / "ep.jsonl"
-    write_episode(gen_episode(SCENARIOS["food"], 0, n_frames, seed=8, cfg=CFG), path)
+    path.write_text(episode_text(gen_episode(SCENARIOS["food"], 0, n_frames, seed=8, cfg=CFG)))
     frames, peak = _load_peak_bytes(path)
     assert frames == n_frames
     assert peak < limit, f"load_episode peak {peak / 1e6:.2f} MB for {n_frames} frames"
@@ -220,5 +220,5 @@ def test_episode_file_is_under_2kb_per_frame(tmp_path):
     """A frame line holds t, q, the detections and one rectangle per box,
     not the pixels under each box."""
     path = tmp_path / "ep.jsonl"
-    write_episode(gen_episode(SCENARIOS["food"], 0, 60, seed=8, cfg=CFG), path)
+    path.write_text(episode_text(gen_episode(SCENARIOS["food"], 0, 60, seed=8, cfg=CFG)))
     assert path.stat().st_size < 60 * 2e3

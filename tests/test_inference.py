@@ -10,12 +10,12 @@ import pytest
 
 from graphact import (FrameRecord, InferenceSchedule, SCENARIOS, SampleStream, align_streams,
                       build_default_vocab, build_graph, default_config, detokenize, encode,
-                      gen_episode, generate_cot, init_cot_head, init_flow_expert,
-                      init_gnn_weights, make_context, make_rng, pooled_embedding,
-                      run_inference_loop, sample_actions, scenario_onehot)
+                      episode_contexts, gen_episode, generate_cot, init_cot_head,
+                      init_flow_expert, init_gnn_weights, make_context, make_rng,
+                      pooled_embedding, run_inference_loop, sample_actions, scenario_onehot)
 from graphact.core import to_json
 from graphact.flow import FlowExpert
-from graphact.inference import BLOCK_FRAMES, frame_json, write_outputs
+from graphact.inference import BLOCK_FRAMES, UnknownScenario, frame_json, write_outputs
 from graphact.sim import EmptyEpisode, Episode
 from graphact.stream_sync import CONTROL_STREAM
 
@@ -69,7 +69,7 @@ def test_blocks_give_the_bits_of_a_frame_by_frame_reference(artifacts):
     ep = gen_episode(SCENARIOS["outfit"], 0, n, seed=39, cfg=CFG)
     schedule = InferenceSchedule(cot_period=11)
     outputs, _ = run_inference_loop(ep, gnn_w, expert, head, schedule, CFG, seed=5)
-    onehot = scenario_onehot(CFG, ep.scenario.name)
+    onehot = scenario_onehot(ep.scenario.name)
     contexts = np.stack([
         make_context(pooled_embedding(encode(build_graph(f, ep.K, ep.T, CFG.chains), gnn_w)),
                      f.q, onehot)
@@ -178,10 +178,26 @@ def test_aligned_frames_feed_the_loop_directly(artifacts):
         assert (json.dumps(to_json(build_graph(a, CFG.intrinsics, CFG.extrinsics, CFG.chains)))
                 == json.dumps(to_json(build_graph(b, CFG.intrinsics, CFG.extrinsics, CFG.chains))))
     aligned = Episode(frames=frames, scene=ep.scene, scenario=ep.scenario,
-                      trajectory=ep.trajectory, K=ep.K, T=ep.T)
+                      trajectory=[f.q for f in frames], K=ep.K, T=ep.T)
     got, _ = run_inference_loop(aligned, *artifacts, InferenceSchedule(), CFG, seed=3)
     want, _ = run_inference_loop(ep, *artifacts, InferenceSchedule(), CFG, seed=3)
     assert [frame_json(o) for o in got] == [frame_json(o) for o in want]
+
+
+def test_scenario_onehot_follows_the_registry(artifacts):
+    """The task one-hot is over tuple(SCENARIOS), in its order, and the
+    config's context_dim counts it; a library-built Episode whose scenario is
+    not registered is refused as UnknownScenario."""
+    names = tuple(SCENARIOS)
+    for i, name in enumerate(names):
+        assert scenario_onehot(name).tolist() == [float(k == i) for k in range(len(names))]
+    assert CFG.context_dim == CFG.gnn_dims[2] + CFG.j_total + len(names) == 48
+    ep = gen_episode(SCENARIOS["food"], 0, 2, seed=35, cfg=CFG)
+    ep.scenario = dataclasses.replace(ep.scenario, name="laundry")
+    for run in (lambda: run_inference_loop(ep, *artifacts, InferenceSchedule(), CFG),
+                lambda: episode_contexts(ep, artifacts[0], CFG, ep.frames)):
+        with pytest.raises(UnknownScenario, match="'laundry'"):
+            run()
 
 
 def test_empty_episode_raises(artifacts):

@@ -241,7 +241,7 @@ def test_transform_owns_read_only_copies_so_the_fk_cache_stays_true():
     neither the transform nor the base the FK cache holds for its chain,
     and the transform's own arrays refuse writes."""
     R, t = np.eye(3), np.array([0.0, 0.5, 0.0])
-    chain = KinematicChain(name="planar", base=RigidTransform(R, t, check=False),
+    chain = KinematicChain(name="planar", base=RigidTransform(R, t),
                            links=_planar_two_link().links)
     before = chain_positions(np.zeros((1, 2)), [chain])[0][0]
     t[1], R[0, 0] = 9.0, 2.0

@@ -3,14 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from graphact import (SCENARIOS, build_graph, default_config, gen_episode,
-                      gen_scene, load_episode, make_rng, render_frame,
-                      write_episode)
+from graphact import (SCENARIOS, build_graph, default_config, episode_text, gen_episode,
+                      gen_scene, load_episode, make_rng, render_frame)
 from graphact.projection import BehindCamera
 from graphact.sim import (_TABLE, DEFAULT_FAR, TRANSLATE_JITTER, YAW_JITTER, InvalidVariant,
                           Scene, SceneObject, look_at)
 
 CFG = default_config()
+
+
+def test_sim_reads_the_one_scenario_registry():
+    """core holds the task families; sim and the package name the same objects."""
+    import graphact
+    assert graphact.sim.SCENARIOS is graphact.core.SCENARIOS is graphact.SCENARIOS
+    assert graphact.sim.InstructionScenario is graphact.core.InstructionScenario
 
 
 def test_table_one_availability_rows():
@@ -185,7 +191,7 @@ def test_episode_timestamps_at_camera_rate():
 def test_episode_file_roundtrip(tmp_path):
     ep = gen_episode(SCENARIOS["food"], 1, 6, seed=16, cfg=CFG)
     path = tmp_path / "ep.jsonl"
-    write_episode(ep, path)
+    path.write_text(episode_text(ep))
     loaded = load_episode(path)
     assert len(loaded.frames) == len(ep.frames)
     assert loaded.scenario.name == "food" and loaded.variant == 1
@@ -204,8 +210,8 @@ def test_episode_file_roundtrip(tmp_path):
 
 def test_episode_files_byte_identical_across_runs(tmp_path):
     p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    write_episode(gen_episode(SCENARIOS["outfit"], 1, 5, seed=17, cfg=CFG), p1)
-    write_episode(gen_episode(SCENARIOS["outfit"], 1, 5, seed=17, cfg=CFG), p2)
+    p1.write_text(episode_text(gen_episode(SCENARIOS["outfit"], 1, 5, seed=17, cfg=CFG)))
+    p2.write_text(episode_text(gen_episode(SCENARIOS["outfit"], 1, 5, seed=17, cfg=CFG)))
     assert p1.read_bytes() == p2.read_bytes()
 
 
