@@ -2,8 +2,8 @@
 inference, and the embedded oracle suite.
 
 Exit codes: 0 ok, 2 validation failure, 3 I/O failure (a file that cannot
-be read, or is not JSON or not an .npz archive), 4 oracle-suite failure.
-Errors are emitted as one JSON object on stderr.
+be read or written, or is not JSON or not an .npz archive), 4 oracle-suite
+failure. Errors are emitted as one JSON object on stderr.
 """
 
 import argparse
@@ -16,14 +16,14 @@ import zipfile
 import numpy as np
 
 from .core import (DECODE_ERRORS, SCENARIOS, InvalidSetting, PipelineConfig, PipelineError,
-                   check_finite, derive_seed, jsonl_text, make_rng, write_files)
+                   check_finite, check_outputs, derive_seed, jsonl_text, make_rng, write_files)
 from .cot import (CotHead, build_default_vocab, cot_dataset_text, init_cot_head, make_cot_label,
                   tokenize, train_cot_head)
 from .flow import FlowExpert, init_flow_expert, train_step
 from .gnn import GnnWeights, init_gnn_weights
 from .graph import episode_graphs, joint_matrix
 from .inference import (ArtifactLoadError, InferenceSchedule, check_artifacts, episode_contexts,
-                        frame_blocks, run_inference_loop, write_outputs)
+                        frame_blocks, output_text, run_inference_loop)
 from .selfcheck import run_selfcheck
 from .sim import default_config, episode_text, gen_episode, load_episode
 
@@ -47,19 +47,21 @@ def _load_config(path) -> PipelineConfig:
     return _load_named(ConfigLoadError, PipelineConfig.load, path) if path else default_config()
 
 
-def _loss_csv(out: str, rows) -> tuple:
-    """(path, text) of the loss CSV written beside the weight file out."""
+def _loss_csv(out: str, rows=()) -> tuple:
+    """(path, text) of the loss CSV of (step, loss) rows beside the weight file out."""
     return (os.path.splitext(out)[0] + ".loss.csv",
             "step,loss\n" + "".join(f"{step},{float(loss)}\n" for step, loss in rows))
 
 
 def cmd_gen(args) -> int:
+    paths = check_outputs([os.path.join(args.out, f"{args.scenario}_v{args.variant}_{i:03d}.jsonl")
+                           for i in range(args.episodes)])
     cfg = _load_config(args.config)
     scen_idx = list(SCENARIOS).index(args.scenario)
-    write_files((os.path.join(args.out, f"{args.scenario}_v{args.variant}_{i:03d}.jsonl"),
-                 episode_text(gen_episode(SCENARIOS[args.scenario], args.variant, args.frames,
-                                          derive_seed(args.seed, scen_idx, args.variant, i), cfg)))
-                for i in range(args.episodes))
+    seeds = [derive_seed(args.seed, scen_idx, args.variant, i) for i in range(args.episodes)]
+    write_files((path, episode_text(gen_episode(SCENARIOS[args.scenario], args.variant,
+                                                args.frames, seed, cfg)))
+                for path, seed in zip(paths, seeds))
     print(f"wrote {args.episodes} episode(s) to {args.out}")
     return 0
 
@@ -67,9 +69,10 @@ def cmd_gen(args) -> int:
 def cmd_graph(args) -> int:
     cfg = _load_config(args.config)
     ep = load_episode(args.episode)
+    paths = check_outputs([os.path.join(args.out, f"graph_{i:05d}.json")
+                           for i in range(len(ep.frames))])
     # Graphs are built a block at a time; write_files holds only their text.
-    write_files((os.path.join(args.out, f"graph_{i:05d}.json"),
-                 jsonl_text([(f"graph of frame {i}", g)]))
+    write_files((paths[i], jsonl_text([(f"graph of frame {i}", g)]))
                 for lo, block in frame_blocks(ep.frames)
                 for i, g in enumerate(episode_graphs(block, ep.K, ep.T, cfg.chains,
                                                      args.paper_literal), lo))
@@ -96,6 +99,7 @@ def _new_head(cfg: PipelineConfig, rng: np.random.Generator) -> CotHead:
 
 
 def cmd_init_weights(args) -> int:
+    check_outputs([args.out])
     cfg = _load_config(args.config)
     new = {"gnn": _new_gnn, "expert": _new_expert, "cot": _new_head}[args.kind]
     new(cfg, make_rng(args.seed)).save(args.out)
@@ -120,6 +124,7 @@ def _episode_files(data_dir: str) -> list:
 
 
 def cmd_train_expert(args) -> int:
+    check_outputs([args.out, _loss_csv(args.out)[0]])
     cfg = _load_config(args.config)
     gnn_w = _train_gnn(args, cfg)
     dataset, ahead = [], np.arange(1, cfg.flow_horizon + 1)
@@ -137,14 +142,14 @@ def cmd_train_expert(args) -> int:
         rows.append((step, train_step(expert, [dataset[i] for i in idx], args.lr, rng)))
         check_finite(f"expert loss at step {step}", rows[-1][1])
     expert.check_finite_params("trained expert")
-    expert.save(args.out)
-    write_files([_loss_csv(args.out, rows)])
+    expert.save(args.out, _loss_csv(args.out, rows))
     print(f"trained expert on {len(dataset)} samples; "
           f"loss {rows[0][1]:.4f} -> {rows[-1][1]:.4f}")
     return 0
 
 
 def cmd_train_cot(args) -> int:
+    check_outputs([args.out, _loss_csv(args.out)[0], *filter(None, [args.dump_dataset])])
     cfg = _load_config(args.config)
     gnn_w = _train_gnn(args, cfg)
     head = _new_head(cfg, make_rng(derive_seed(args.seed, 0)))
@@ -163,8 +168,7 @@ def cmd_train_cot(args) -> int:
     dataset = [(ctx, ids) for ctx, ids, _ in samples]
     curve = train_cot_head(head, dataset, args.lr, args.epochs, make_rng(derive_seed(args.seed, 1)))
     head.check_finite_params("trained cot head")
-    head.save(args.out)
-    write_files([_loss_csv(args.out, enumerate(curve))] + dump)
+    head.save(args.out, _loss_csv(args.out, enumerate(curve)), *dump)
     print(f"trained reasoning head on {len(dataset)} samples; "
           f"mean loss {curve[0]:.4f} -> {curve[-1]:.4f}")
     return 0
@@ -181,6 +185,7 @@ def _load_artifacts(args, cfg):
 
 
 def cmd_infer(args) -> int:
+    check_outputs([args.out])
     cfg = _load_config(args.config)
     schedule = InferenceSchedule(cot_on_first_frame=not args.no_first_cot,
                                  cot_period=args.cot_period)
@@ -188,7 +193,7 @@ def cmd_infer(args) -> int:
     gnn_w, expert, head = _load_artifacts(args, cfg)
     outputs, report = run_inference_loop(ep, gnn_w, expert, head, schedule, cfg,
                                          seed=args.seed)
-    write_outputs(args.out, outputs)
+    write_files([(args.out, output_text(outputs))])
     n_cot = sum(1 for o in outputs if o.cot_text is not None)
     print(f"{len(outputs)} frame(s), {n_cot} with reasoning; "
           f"mean frame {np.mean(report.frame_samples):.2f} ms -> {args.out}")

@@ -4,6 +4,9 @@ All geometry is double precision. Timestamps are plain floats (seconds since
 episode start); joint configurations are 1-D float arrays in radians.
 """
 
+import contextlib
+import errno
+import io
 import json
 import math
 import os
@@ -150,15 +153,47 @@ def jsonl_text(docs) -> str:
     return "".join([json.dumps(to_json(obj, what)) + "\n" for what, obj in docs])
 
 
+def check_outputs(paths) -> list:
+    """The real paths of a command's destinations, creating nothing. Raises
+    InvalidSetting for two naming one file or one neither new nor a regular
+    file (a device a rename would replace), IsADirectoryError for a
+    directory and NotADirectoryError for one under a regular file."""
+    reals, seen = [os.path.realpath(path) for path in paths], set()
+    for path, real in zip(paths, reals):
+        if real in seen:
+            raise InvalidSetting(f"two outputs name one file: {path}")
+        seen.add(real)
+        if os.path.isdir(real) or os.path.basename(path) in ("", ".", ".."):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if os.path.exists(real) and not os.path.isfile(real):
+            raise InvalidSetting(f"output {path} is not a regular file")
+        with contextlib.suppress(FileNotFoundError):  # a missing directory is made
+            os.stat(path)  # NotADirectoryError when a parent is a regular file
+    return reals
+
+
 def write_files(files) -> None:
-    """Write the text of each (path, text) of files, making any missing
-    directory. files is read to its end before the first file or directory
-    is made, so a command refused while it builds any text leaves none."""
+    """Put each (path, data) of files in place whole, data a str, bytes or an
+    iterable of str pieces: files is read to its end and checked by
+    check_outputs, each file written to a temporary beside it (mode as
+    open(path, "w") gives), then all os.replace'd onto their names. A
+    failure removes every file made; a directory made stays."""
     files = list(files)
-    for path, text in files:
-        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-        with open(path, "w") as f:
-            f.write(text)
+    reals, made = check_outputs([path for path, _ in files]), []
+    try:
+        for real, (_, data) in zip(reals, files):
+            os.makedirs(os.path.dirname(real), exist_ok=True)
+            made.append(f"{real}.{os.getpid()}.tmp")
+            with open(made[-1], "wb" if isinstance(data, bytes) else "w") as f:
+                f.writelines([data] if isinstance(data, (str, bytes)) else data)
+        for k, real in enumerate(reals):
+            os.replace(made[k], real)
+            made[k] = real  # in place: removed too if a later file fails
+    except BaseException:
+        for path in made:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
 
 
 def fan_in_normal(rng: np.random.Generator, n_in: int, n_out: int) -> np.ndarray:
@@ -189,15 +224,16 @@ class Model:
         return {f.name: f.type for f in fields(cls)
                 if f.name not in cls.PARAMS and not f.name.startswith("_")}
 
-    def save(self, path) -> None:
-        """Write one uncompressed .npz to exactly path (np.savez given a name
-        would append .npz to it): first a 0-d unicode array "header" holding
-        the JSON of the header fields, then the PARAMS arrays as float64, in
-        PARAMS order. Equal models give equal bytes."""
+    def save(self, path, *files) -> None:
+        """Write one uncompressed .npz to exactly path, with the (path, text)
+        pairs of files, through write_files: first a 0-d unicode array
+        "header" holding the JSON of the header fields, then the PARAMS
+        arrays as float64, in PARAMS order. Equal models give equal bytes."""
         header = to_json({name: getattr(self, name) for name in self._header_fields()})
-        with open(path, "wb") as f:
-            np.savez(f, header=np.array(json.dumps(header)),
-                     **{name: np.asarray(p, dtype=np.float64) for name, p in self.params()})
+        npz = io.BytesIO()
+        np.savez(npz, header=np.array(json.dumps(header)),
+                 **{name: np.asarray(p, dtype=np.float64) for name, p in self.params()})
+        write_files([(path, npz.getvalue()), *files])
 
     @classmethod
     def load(cls, path):
@@ -486,8 +522,7 @@ class PipelineConfig:
             raise ValueError("config: " + "; ".join(bad))
 
     def save(self, path) -> None:
-        with open(path, "w") as f:
-            f.write(json.dumps(to_json(self, "config"), indent=2) + "\n")
+        write_files([(path, json.dumps(to_json(self, "config"), indent=2) + "\n")])
 
     @classmethod
     def load(cls, path) -> "PipelineConfig":

@@ -3,6 +3,7 @@ frames (by default the first), every frame gets a sampled action chunk, the
 frames run in blocks of BLOCK_FRAMES, and per-stage wall-clock timings are
 collected into a benchmark report."""
 
+import itertools
 import json
 import time
 from dataclasses import dataclass, field
@@ -211,15 +212,11 @@ def frame_json(o: FrameOutput) -> str:
                        "cot": o.cot_text}, allow_nan=False)
 
 
-def write_outputs(path, outputs: list) -> None:
-    """Write the infer output file frame by frame: {"frames": [...]} and a
-    newline, the bytes json.dumps of the whole document gives, holding one
-    frame's text at a time. A non-finite chunk raises NonFiniteOutput before
-    the file is opened."""
+def output_text(outputs: list):
+    """The infer output file's text in pieces of one frame each: {"frames":
+    [...]} and a newline, the bytes json.dumps of the whole document gives.
+    A non-finite chunk raises NonFiniteOutput here, before the first piece."""
     for o in outputs:
         check_finite(f"expert chunk of frame {o.index}", o.actions)
-    with open(path, "w") as f:
-        f.write('{"frames": [')
-        for k, o in enumerate(outputs):
-            f.write(", " + frame_json(o) if k else frame_json(o))
-        f.write("]}\n")
+    return itertools.chain(['{"frames": ['], (", " + frame_json(o) if k else frame_json(o)
+                                               for k, o in enumerate(outputs)), ["]}\n"])

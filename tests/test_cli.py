@@ -474,6 +474,7 @@ def _valid_argv(command, workspace, out):
     artifacts = ["--gnn", w["gnn"], "--expert", w["expert"], "--cot-head", w["head"]]
     return {
         "gen": ["gen", "--scenario", "food", "--variant", "0", "--frames", "2"],
+        "graph": ["graph", "--episode", w["episode"]],
         "init-weights": ["init-weights", "--kind", "gnn"],
         "train-expert": ["train-expert", "--data", w["data"], "--steps", "2", "--batch", "2"],
         "train-cot": ["train-cot", "--data", w["data"], "--epochs", "1"],
@@ -968,6 +969,86 @@ def test_gen_refused_at_a_later_episode_writes_no_episode(tmp_path):
                           "--frames", "2", "--seed", "4", "--config", str(tmp_path / "cfg.json"),
                           "--out", str(tmp_path / "episodes")]),
                     2, "BehindCamera", ["behind the head camera"], tmp_path, ["cfg.json"])
+
+
+def _tree(root) -> dict:
+    """Every path under root, relative: a file's bytes, None for a directory."""
+    return {str(p.relative_to(root)): None if p.is_dir() else p.read_bytes()
+            for p in root.rglob("*")}
+
+
+def _must_not_run(name):
+    def work(*args, **kwargs):
+        raise AssertionError(f"{name} ran")
+    return work
+
+
+# command -> (the function in cli that does its work, the name of its first
+# file under --out, or None when --out names the file itself)
+COMMAND_WORK = {"gen": ("gen_episode", "food_v0_000.jsonl"),
+                "graph": ("episode_graphs", "graph_00000.json"),
+                "init-weights": ("init_gnn_weights", None),
+                "train-expert": ("train_step", None),
+                "train-cot": ("train_cot_head", None),
+                "infer": ("run_inference_loop", None)}
+
+
+@pytest.mark.parametrize("case", ["directory", "under_a_file", "missing_directory"])
+@pytest.mark.parametrize("command", sorted(COMMAND_WORK))
+def test_a_bad_destination_costs_no_work(command, case, tmp_path, workspace, monkeypatch):
+    """Destinations are checked before the work: a first file that is a
+    directory, or one under a regular file, exits 3 with the work not run
+    and the folder as it was; a missing --out directory is made."""
+    work, first = COMMAND_WORK[command]
+    if case == "missing_directory":
+        out = tmp_path / "new" / "dir" / ("out" if first else "o.npz")
+        code, _, stderr = _run(_valid_argv(command, workspace, out))
+        assert code == 0, stderr
+        assert (out / first if first else out).is_file()
+        return
+    monkeypatch.setattr(cli, work, _must_not_run(work))
+    (tmp_path / "file").write_text("a regular file\n")
+    if case == "directory":
+        out = tmp_path / "out" if first else tmp_path / "o.npz"
+        (out / first if first else out).mkdir(parents=True)
+    else:
+        out = tmp_path / "file" if first else tmp_path / "file" / "o.npz"
+    before = _tree(tmp_path)
+    _assert_refused(_run(_valid_argv(command, workspace, out)), 3,
+                    {"directory": "IsADirectoryError", "under_a_file": "NotADirectoryError"}[case])
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("dump", ["h.npz", "h.loss.csv"], ids=["weights", "loss_csv"])
+def test_train_cot_refuses_a_dump_over_another_output(dump, tmp_path, workspace, monkeypatch):
+    """--dump-dataset naming the head or its loss CSV exits 2 before
+    training, naming the path, instead of replacing the trained file."""
+    monkeypatch.setattr(cli, "train_cot_head", _must_not_run("train_cot_head"))
+    _assert_refused(_run(["train-cot", "--data", str(workspace["data"]), "--dump-dataset",
+                          str(tmp_path / dump), "--out", str(tmp_path / "h.npz")]),
+                    2, "InvalidSetting", ["two outputs name one file", dump], tmp_path)
+
+
+def test_an_unwritable_loss_csv_leaves_no_weights(tmp_path, workspace):
+    """train-expert whose loss CSV path is a directory exits 3 and does not
+    leave the weight file beside it."""
+    (tmp_path / "pw" / "e.loss.csv").mkdir(parents=True)
+    before = _tree(tmp_path)
+    _assert_refused(_run(["train-expert", "--data", str(workspace["data"]), "--steps", "2",
+                          "--out", str(tmp_path / "pw" / "e.npz")]),
+                    3, "IsADirectoryError", ["e.loss.csv"])
+    assert _tree(tmp_path) == before
+
+
+def test_an_unwritable_episode_leaves_no_episode(tmp_path):
+    """gen --episodes 3 whose second episode path is a directory exits 3 and
+    does not leave the first episode."""
+    (tmp_path / "gw" / "food_v0_001.jsonl").mkdir(parents=True)
+    before = _tree(tmp_path)
+    _assert_refused(_run(["gen", "--scenario", "food", "--variant", "0", "--episodes", "3",
+                          "--frames", "2", "--out", str(tmp_path / "gw")]),
+                    3, "IsADirectoryError", ["food_v0_001.jsonl"])
+    assert _tree(tmp_path) == before
 
 
 def test_train_cot_stops_at_the_first_non_finite_epoch(tmp_path, workspace, monkeypatch):

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import zipfile
@@ -8,7 +9,7 @@ import pytest
 from graphact import (CameraIntrinsics, CotHead, DhLink, FlowExpert, KinematicChain,
                       PipelineConfig, RigidTransform, TokenVocab, derive_seed, init_cot_head,
                       init_flow_expert, init_gnn_weights, make_rng)
-from graphact.core import NonFiniteOutput, reader, to_json
+from graphact.core import InvalidSetting, NonFiniteOutput, reader, to_json, write_files
 from conftest import random_rotation
 
 
@@ -195,6 +196,84 @@ def test_model_npz_roundtrip(kind, tmp_path):
     again = tmp_path / "again.json"
     loaded.save(again)
     assert again.read_bytes() == path.read_bytes()
+
+
+def test_write_files_puts_its_files_in_place_whole(tmp_path):
+    """text, bytes and pieces of text reach their names whole, in a made
+    directory too, over an existing file, with the mode a plain open(path,
+    "w") gives in the same directory, and no temporary is left."""
+    with open(tmp_path / "plain", "w"):
+        pass
+    mode = os.stat(tmp_path / "plain").st_mode
+    os.remove(tmp_path / "plain")
+    (tmp_path / "old.txt").write_text("an older and longer text\n")
+    write_files([(tmp_path / "a.txt", "text\n"), (tmp_path / "sub" / "b.npz", b"\x00\xff"),
+                 (tmp_path / "old.txt", iter(["one ", "piece at a time\n"]))])
+    assert sorted(os.listdir(tmp_path)) == ["a.txt", "old.txt", "sub"]
+    assert os.listdir(tmp_path / "sub") == ["b.npz"]
+    assert (tmp_path / "a.txt").read_text() == "text\n"
+    assert (tmp_path / "sub" / "b.npz").read_bytes() == b"\x00\xff"
+    assert (tmp_path / "old.txt").read_text() == "one piece at a time\n"
+    for path in ("a.txt", "sub/b.npz", "old.txt"):
+        assert os.stat(tmp_path / path).st_mode == mode, path
+
+
+def test_write_files_writes_through_a_symlink(tmp_path):
+    """A symlinked destination keeps its link and its target is replaced, as
+    open(path, "w") would write it; the link and its target are one file."""
+    (tmp_path / "target.txt").write_text("old\n")
+    (tmp_path / "link.txt").symlink_to(tmp_path / "target.txt")
+    write_files([(tmp_path / "link.txt", "new\n")])
+    assert (tmp_path / "link.txt").is_symlink()
+    assert (tmp_path / "target.txt").read_text() == "new\n"
+    with pytest.raises(InvalidSetting, match="two outputs name one file"):
+        write_files([(tmp_path / "target.txt", "a\n"), (tmp_path / "link.txt", "b\n")])
+    assert sorted(os.listdir(tmp_path)) == ["link.txt", "target.txt"]
+
+
+@pytest.mark.parametrize("name", ["new/", "new/.", "new/.."])
+def test_write_files_refuses_a_name_of_a_directory(name, tmp_path):
+    """A destination that can only name a directory is refused before any
+    directory is made, not written as a file of the directory's name."""
+    with pytest.raises(IsADirectoryError):
+        write_files([(os.path.join(tmp_path, name), "text\n")])
+    assert os.listdir(tmp_path) == []
+
+
+def test_write_files_refuses_a_destination_that_is_not_a_regular_file(tmp_path):
+    """A FIFO (or a device such as /dev/null) is refused, not replaced by
+    the rename that puts a file in place."""
+    os.mkfifo(tmp_path / "fifo")
+    with pytest.raises(InvalidSetting, match="not a regular file"):
+        write_files([(tmp_path / "fifo", "text\n")])
+    assert os.listdir(tmp_path) == ["fifo"]
+
+
+def _failing_pieces():
+    yield "the first piece"
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("fault", ["second_replace", "second_file_pieces"])
+def test_write_files_failure_leaves_no_file(fault, tmp_path, monkeypatch):
+    """A failure while the second of three files is written, or once the
+    first is already in place, leaves no destination and no temporary."""
+    real_replace, replaced = os.replace, []
+
+    def replace(src, dst):
+        replaced.append(dst)
+        if len(replaced) == 2:
+            raise OSError(errno.EIO, "Input/output error", dst)
+        real_replace(src, dst)
+
+    if fault == "second_replace":
+        monkeypatch.setattr(os, "replace", replace)
+    second = _failing_pieces() if fault == "second_file_pieces" else "second\n"
+    with pytest.raises(OSError):
+        write_files([(tmp_path / "a.txt", "first\n"), (tmp_path / "b.txt", second),
+                     (tmp_path / "c.txt", "third\n")])
+    assert os.listdir(tmp_path) == []
+    assert len(replaced) == (2 if fault == "second_replace" else 0)
 
 
 @pytest.mark.parametrize("cls,method,param", [(FlowExpert, "_backward", "b3"),

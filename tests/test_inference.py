@@ -13,9 +13,9 @@ from graphact import (FrameRecord, InferenceSchedule, SCENARIOS, SampleStream, a
                       episode_contexts, gen_episode, generate_cot, init_cot_head,
                       init_flow_expert, init_gnn_weights, make_context, make_rng,
                       pooled_embedding, run_inference_loop, sample_actions, scenario_onehot)
-from graphact.core import to_json
+from graphact.core import to_json, write_files
 from graphact.flow import FlowExpert
-from graphact.inference import BLOCK_FRAMES, UnknownScenario, frame_json, write_outputs
+from graphact.inference import BLOCK_FRAMES, UnknownScenario, frame_json, output_text
 from graphact.sim import EmptyEpisode, Episode
 from graphact.stream_sync import CONTROL_STREAM
 
@@ -93,7 +93,7 @@ def _infer_peaks(artifacts, n_frames, path):
         outputs, _ = run_inference_loop(ep, *artifacts, InferenceSchedule(), CFG)
         held, loop_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        write_outputs(path, outputs)
+        write_files([(path, output_text(outputs))])
         _, write_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
