@@ -7,6 +7,8 @@ failure. Errors are emitted as one JSON object on stderr.
 """
 
 import argparse
+import contextlib
+import ctypes
 import glob
 import json
 import os
@@ -43,8 +45,25 @@ def _load_named(error, load, path):
         raise error(str(exc)) from exc
 
 
-def _load_config(path) -> PipelineConfig:
-    return _load_named(ConfigLoadError, PipelineConfig.load, path) if path else default_config()
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's BLAS on one thread, then restore the
+    caller's count. A threaded product sums in another order, so train-cot
+    and train-expert at --batch >= 32 would give bytes that depend on it."""
+    try:  # dlsym on numpy's core module also searches the libraries it loaded
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get, set_threads = (lib.scipy_openblas_get_num_threads64_,
+                            lib.scipy_openblas_set_num_threads64_)
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    except (AttributeError, OSError):  # a BLAS without the setter keeps its own count
+        get = set_threads = lambda *count: None
+    threads = get()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(threads)
 
 
 def _loss_csv(out: str, rows=()) -> tuple:
@@ -53,10 +72,9 @@ def _loss_csv(out: str, rows=()) -> tuple:
             "step,loss\n" + "".join(f"{step},{float(loss)}\n" for step, loss in rows))
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args, cfg: PipelineConfig) -> int:
     paths = check_outputs([os.path.join(args.out, f"{args.scenario}_v{args.variant}_{i:03d}.jsonl")
                            for i in range(args.episodes)])
-    cfg = _load_config(args.config)
     scen_idx = list(SCENARIOS).index(args.scenario)
     seeds = [derive_seed(args.seed, scen_idx, args.variant, i) for i in range(args.episodes)]
     write_files((path, episode_text(gen_episode(SCENARIOS[args.scenario], args.variant,
@@ -66,8 +84,7 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def cmd_graph(args) -> int:
-    cfg = _load_config(args.config)
+def cmd_graph(args, cfg: PipelineConfig) -> int:
     ep = load_episode(args.episode)
     paths = check_outputs([os.path.join(args.out, f"graph_{i:05d}.json")
                            for i in range(len(ep.frames))])
@@ -81,8 +98,7 @@ def cmd_graph(args) -> int:
 
 
 def _new_gnn(cfg: PipelineConfig, rng: np.random.Generator) -> GnnWeights:
-    d, h, d_out = cfg.gnn_dims
-    return init_gnn_weights(rng, d=d, h=h, d_out=d_out)
+    return init_gnn_weights(rng, *cfg.gnn_dims)
 
 
 def _new_expert(cfg: PipelineConfig, rng: np.random.Generator) -> FlowExpert:
@@ -98,22 +114,27 @@ def _new_head(cfg: PipelineConfig, rng: np.random.Generator) -> CotHead:
                          rng=rng)
 
 
-def cmd_init_weights(args) -> int:
+def cmd_init_weights(args, cfg: PipelineConfig) -> int:
     check_outputs([args.out])
-    cfg = _load_config(args.config)
     new = {"gnn": _new_gnn, "expert": _new_expert, "cot": _new_head}[args.kind]
     new(cfg, make_rng(args.seed)).save(args.out)
     print(f"wrote {args.kind} weights to {args.out}")
     return 0
 
 
+def _load_artifact(cls, path, cfg: PipelineConfig):
+    """The cls model in the weight file at path, checked against cfg, so a
+    mismatch exits 2 before the first frame instead of failing mid-loop."""
+    model = _load_named(ArtifactLoadError, cls.load, path)
+    check_artifacts(cfg, model)
+    return model
+
+
 def _train_gnn(args, cfg: PipelineConfig) -> GnnWeights:
     """The --gnn file checked against cfg, or a GNN drawn from --seed."""
-    if not args.gnn:
-        return _new_gnn(cfg, make_rng(args.seed))
-    gnn_w = _load_named(ArtifactLoadError, GnnWeights.load, args.gnn)
-    check_artifacts(cfg, gnn_w)
-    return gnn_w
+    if args.gnn:
+        return _load_artifact(GnnWeights, args.gnn, cfg)
+    return _new_gnn(cfg, make_rng(args.seed))
 
 
 def _episode_files(data_dir: str) -> list:
@@ -123,9 +144,8 @@ def _episode_files(data_dir: str) -> list:
     return files
 
 
-def cmd_train_expert(args) -> int:
+def cmd_train_expert(args, cfg: PipelineConfig) -> int:
     check_outputs([args.out, _loss_csv(args.out)[0]])
-    cfg = _load_config(args.config)
     gnn_w = _train_gnn(args, cfg)
     dataset, ahead = [], np.arange(1, cfg.flow_horizon + 1)
     for path in _episode_files(args.data):
@@ -148,9 +168,8 @@ def cmd_train_expert(args) -> int:
     return 0
 
 
-def cmd_train_cot(args) -> int:
+def cmd_train_cot(args, cfg: PipelineConfig) -> int:
     check_outputs([args.out, _loss_csv(args.out)[0], *filter(None, [args.dump_dataset])])
-    cfg = _load_config(args.config)
     gnn_w = _train_gnn(args, cfg)
     head = _new_head(cfg, make_rng(derive_seed(args.seed, 0)))
     vocab = head.vocab
@@ -174,23 +193,13 @@ def cmd_train_cot(args) -> int:
     return 0
 
 
-def _load_artifacts(args, cfg):
-    """Load the three artifacts and check them against cfg, so a mismatch
-    exits 2 before the first frame instead of failing mid-loop."""
-    gnn_w = _load_named(ArtifactLoadError, GnnWeights.load, args.gnn)
-    expert = _load_named(ArtifactLoadError, FlowExpert.load, args.expert)
-    head = _load_named(ArtifactLoadError, CotHead.load, args.cot_head)
-    check_artifacts(cfg, gnn_w, expert, head)
-    return gnn_w, expert, head
-
-
-def cmd_infer(args) -> int:
+def cmd_infer(args, cfg: PipelineConfig) -> int:
     check_outputs([args.out])
-    cfg = _load_config(args.config)
     schedule = InferenceSchedule(cot_on_first_frame=not args.no_first_cot,
                                  cot_period=args.cot_period)
     ep = load_episode(args.episode)
-    gnn_w, expert, head = _load_artifacts(args, cfg)
+    gnn_w, expert, head = [_load_artifact(cls, path, cfg) for cls, path in (
+        (GnnWeights, args.gnn), (FlowExpert, args.expert), (CotHead, args.cot_head))]
     outputs, report = run_inference_loop(ep, gnn_w, expert, head, schedule, cfg,
                                          seed=args.seed)
     write_files([(args.out, output_text(outputs))])
@@ -200,7 +209,7 @@ def cmd_infer(args) -> int:
     return 0
 
 
-def cmd_selfcheck(args) -> int:
+def cmd_selfcheck(args, cfg: PipelineConfig) -> int:
     results = run_selfcheck()
     failed = False
     for name, ok, detail in results:
@@ -305,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(fn=cmd_infer)
 
     g = sub.add_parser("selfcheck", help="run the embedded oracle suite")
-    g.set_defaults(fn=cmd_selfcheck)
+    g.set_defaults(fn=cmd_selfcheck, config=None)
 
     return p
 
@@ -315,8 +324,10 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         # A non-finite result is refused by name; numpy's warnings would only
         # add lines to stderr's one-JSON-line error contract.
-        with np.errstate(all="ignore"):
-            return args.fn(args)
+        with np.errstate(all="ignore"), _one_blas_thread():
+            cfg = (_load_named(ConfigLoadError, PipelineConfig.load, args.config)
+                   if args.config else default_config())
+            return args.fn(args, cfg)
     except (PipelineError, OSError, json.JSONDecodeError, zipfile.BadZipFile) as exc:
         sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 2 if isinstance(exc, PipelineError) else 3

@@ -10,6 +10,7 @@ import io
 import json
 import math
 import os
+import stat
 import sys
 import typing
 import zipfile
@@ -157,19 +158,33 @@ def check_outputs(paths) -> list:
     """The real paths of a command's destinations, creating nothing. Raises
     InvalidSetting for two naming one file or one neither new nor a regular
     file (a device a rename would replace), IsADirectoryError for a
-    directory and NotADirectoryError for one under a regular file."""
-    reals, seen = [os.path.realpath(path) for path in paths], set()
-    for path, real in zip(paths, reals):
-        if real in seen:
-            raise InvalidSetting(f"two outputs name one file: {path}")
-        seen.add(real)
-        if os.path.isdir(real) or os.path.basename(path) in ("", ".", ".."):
+    directory and NotADirectoryError for one under a regular file. Each path
+    costs one lstat, each directory one realpath and a symlink its own."""
+    reals, dirs = {}, {}
+    for path in paths:
+        head, name = os.path.split(path)
+        if name in ("", ".", ".."):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-        if os.path.exists(real) and not os.path.isfile(real):
+        try:
+            mode = os.lstat(path).st_mode  # NotADirectoryError under a regular file
+        except FileNotFoundError:
+            mode = 0  # a new file; a missing directory is made
+        if stat.S_ISLNK(mode):
+            real, mode = os.path.realpath(path), 0
+            with contextlib.suppress(FileNotFoundError):  # a dangling link names a new file
+                mode = os.stat(path).st_mode
+        else:
+            if head not in dirs:
+                dirs[head] = os.path.realpath(head)
+            real = os.path.join(dirs[head], name)
+        if real in reals:
+            raise InvalidSetting(f"two outputs name one file: {path}")
+        reals[real] = path
+        if stat.S_ISDIR(mode):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if mode and not stat.S_ISREG(mode):
             raise InvalidSetting(f"output {path} is not a regular file")
-        with contextlib.suppress(FileNotFoundError):  # a missing directory is made
-            os.stat(path)  # NotADirectoryError when a parent is a regular file
-    return reals
+    return list(reals)
 
 
 def write_files(files) -> None:
@@ -207,6 +222,8 @@ class Model:
     hyperparameters. save and load are the one weight-file format."""
 
     PARAMS = ()
+    NAME = "model"  # the model in messages
+    TIES = {}  # attribute -> the PipelineConfig attribute it must equal in a loaded artifact
 
     def params(self) -> list:
         """[(name, array)] in PARAMS order; the arrays, not copies."""

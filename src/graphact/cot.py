@@ -209,6 +209,8 @@ class CotHead(Model):
     b2: np.ndarray    # (V,)
 
     PARAMS = ("wc", "bc", "emb", "w1", "b1", "w2", "b2")
+    NAME = "cot head"
+    TIES = {"context_dim": "context_dim", "window": "cot_window"}
 
     def __post_init__(self):
         """Raise a PipelineError when the window is below 1, the vocabulary
@@ -223,7 +225,7 @@ class CotHead(Model):
         V = len(self.vocab)
         ctx_embed, hidden = np.size(self.bc), np.size(self.b1)
         embed = np.shape(self.emb)[1] if np.ndim(self.emb) == 2 else -1
-        check_shapes("cot head", {
+        check_shapes(self.NAME, {
             "wc": (self.wc, (self.context_dim, ctx_embed)), "bc": (self.bc, (ctx_embed,)),
             "emb": (self.emb, (V, embed)),
             "w1": (self.w1, (ctx_embed + self.window * embed, hidden)),

@@ -48,12 +48,15 @@ class FlowExpert(Model):
     _grad_w1: np.ndarray = field(default=None, repr=False)     # see _backward
 
     PARAMS = ("w1", "b1", "w2", "b2", "w3", "b3")
+    NAME = "expert"
+    TIES = {"horizon": "flow_horizon", "j_dim": "j_total", "context_dim": "context_dim",
+            "sigma": "sigma"}
 
     def __post_init__(self):
         if self.sigma < 0:
             raise InvalidSetting(f"expert sigma must be non-negative, got {self.sigma}")
         h1, h2 = np.size(self.b1), np.size(self.b2)
-        check_shapes("expert", {
+        check_shapes(self.NAME, {
             "w1": (self.w1, (self.input_dim, h1)), "b1": (self.b1, (h1,)),
             "w2": (self.w2, (h1, h2)), "b2": (self.b2, (h2,)),
             "w3": (self.w3, (h2, self.action_dim)), "b3": (self.b3, (self.action_dim,))})

@@ -30,6 +30,8 @@ class GnnWeights(Model):
     layer2_b: np.ndarray  # (d_out,)
 
     PARAMS = ("lift_w", "lift_b", "layer1_w", "layer1_b", "layer2_w", "layer2_b")
+    NAME = "gnn"
+    TIES = {"dims": "gnn_dims"}
 
     @property
     def dims(self) -> tuple:
@@ -37,7 +39,7 @@ class GnnWeights(Model):
 
     def __post_init__(self):
         d, h, d_out = np.size(self.lift_b), np.size(self.layer1_b), np.size(self.layer2_b)
-        check_shapes("gnn", {
+        check_shapes(self.NAME, {
             "lift_w": (self.lift_w, (INPUT_DIM, d)), "lift_b": (self.lift_b, (d,)),
             "layer1_w": (self.layer1_w, (d, h)), "layer1_b": (self.layer1_b, (h,)),
             "layer2_w": (self.layer2_w, (h, d_out)), "layer2_b": (self.layer2_b, (d_out,))})

@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SCENARIOS, InvalidSetting, PipelineConfig, PipelineError, check_finite, make_rng
+from .core import (SCENARIOS, InvalidSetting, Model, PipelineConfig, PipelineError, check_finite,
+                   make_rng)
 from .cot import CotHead, detokenize, generate_cot
 from .flow import FlowExpert, sample_actions
 from .gnn import GnnWeights, encode_pooled
@@ -41,27 +42,16 @@ class UnknownScenario(PipelineError):
     """A library-built Episode's scenario is not registered in SCENARIOS."""
 
 
-def check_artifacts(cfg: PipelineConfig, gnn_w: GnnWeights, expert: FlowExpert = None,
-                    cot_head: CotHead = None) -> None:
-    """Raise ArtifactMismatch naming the first artifact setting that differs
-    from cfg, or NonFiniteWeight naming the first non-finite parameter; the
-    expert and head are checked when given. Weight shapes are checked at
-    build or load; this ties the artifacts to cfg before any frame runs."""
-    pairs = [("gnn dims", gnn_w.dims, tuple(cfg.gnn_dims), "gnn_dims")]
-    if expert is not None:
-        pairs += [("expert horizon", expert.horizon, cfg.flow_horizon, "flow_horizon"),
-                  ("expert j_dim", expert.j_dim, cfg.j_total, "j_total"),
-                  ("expert context_dim", expert.context_dim, cfg.context_dim, "context_dim"),
-                  ("expert sigma", expert.sigma, cfg.sigma, "sigma")]
-    if cot_head is not None:
-        pairs += [("cot head context_dim", cot_head.context_dim, cfg.context_dim, "context_dim"),
-                  ("cot head window", cot_head.window, cfg.cot_window, "cot_window")]
-    for what, got, want, key in pairs:
-        if got != want:
-            raise ArtifactMismatch(f"{what} {got} does not match config {key} {want}")
-    for what, model in (("gnn", gnn_w), ("expert", expert), ("cot head", cot_head)):
-        if model is not None:
-            model.check_finite_params(what, NonFiniteWeight)
+def check_artifacts(cfg: PipelineConfig, model: Model) -> None:
+    """Raise ArtifactMismatch naming the first of the model's TIES that
+    differs from cfg, or NonFiniteWeight naming its first non-finite
+    parameter. Weight shapes are checked at build or load; this ties an
+    artifact to cfg before any frame runs."""
+    for attr, key in model.TIES.items():
+        got, want = getattr(model, attr), getattr(cfg, key)
+        if not np.array_equal(got, want):  # a library config's gnn_dims may be a list
+            raise ArtifactMismatch(f"{model.NAME} {attr} {got} does not match config {key} {want}")
+    model.check_finite_params(model.NAME, NonFiniteWeight)
 
 
 @dataclass

@@ -20,11 +20,12 @@ from graphact.sim import look_at
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def _run(argv, fresh_process=False) -> tuple:
+def _run(argv, fresh_process=False, env=None) -> tuple:
     """(exit code, stdout, stderr) of the command line argv, run by main in
-    this process or, with fresh_process, by python -m graphact.cli."""
+    this process or, with fresh_process, by python -m graphact.cli with the
+    variables of env added to the environment."""
     if fresh_process:
-        env = dict(os.environ)
+        env = dict(os.environ, **(env or {}))
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-m", "graphact.cli", *argv], env=env,
                               capture_output=True, text=True, timeout=120)
@@ -343,15 +344,15 @@ CONFIG_FIELDS = {"flow_horizon_fraction": "config.flow_horizon",
                  **{f"{key}_huge": key for key in HUGE_SIZES}}
 
 
-@pytest.mark.parametrize("via", ["flag", "env"])
+# The config reaches a command through --config; test_pipeline_config_env_var
+# shows that the PIPELINE_CONFIG environment variable is not read.
+@pytest.mark.parametrize("via", ["flag"])
 @pytest.mark.parametrize("command", ["gen", "infer"])
 @pytest.mark.parametrize("case", sorted(CONFIG_CASES))
-def test_malformed_config_follows_the_error_contract(case, command, via, tmp_path, workspace,
-                                                     monkeypatch):
+def test_malformed_config_follows_the_error_contract(case, command, via, tmp_path, workspace):
     """Through --config, a config with a missing key, a wrong type or a bad
     value exits 2 as ConfigLoadError, and one that is not JSON exits 3, before
-    any work. The same file in the PIPELINE_CONFIG environment variable, which
-    no command reads, changes nothing: the command runs on the built-in rig."""
+    any work."""
     edit, code, error = CONFIG_CASES[case]
     cfg_path = tmp_path / "cfg.json"
     if callable(edit):
@@ -360,18 +361,9 @@ def test_malformed_config_follows_the_error_contract(case, command, via, tmp_pat
         cfg_path.write_text(json.dumps(doc))
     else:
         cfg_path.write_text(edit)
-    out = tmp_path / "out" / "o.json"
-    argv = _valid_argv(command, workspace, out)
-    if via == "flag":
-        argv += ["--config", str(cfg_path)]
-    else:
-        monkeypatch.setenv("PIPELINE_CONFIG", str(cfg_path))
-        out.parent.mkdir()
-        got, _, err = _run(argv)
-        assert got == 0 and err == "" and out.exists()
-        return
-    _assert_refused(_run(argv), code, error, [CONFIG_FIELDS.get(case, "")], tmp_path,
-                    ["cfg.json"])
+    argv = _valid_argv(command, workspace, tmp_path / "out" / "o.json")
+    _assert_refused(_run(argv + ["--config", str(cfg_path)]), code, error,
+                    [CONFIG_FIELDS.get(case, "")], tmp_path, ["cfg.json"])
 
 
 def test_init_weights_refuses_a_config_too_large_to_draw(tmp_path):
@@ -453,13 +445,55 @@ def test_train_cot_deterministic(tmp_path, workspace):
             == outs[1].with_suffix(".loss.csv").read_bytes())
 
 
-def test_pipeline_config_env_var(tmp_path, workspace, monkeypatch):
+# sha256 of the weight files of the BLAS-thread test's two commands
+ONE_THREAD_SHA256 = {
+    "cot.npz": "17ab1c638632c0b18138ec4f5e038af6747d9c6d7b2d3f79e997705060f462ee",
+    "expert.npz": "404cc576ee77d90a95960636c222989746b27598a58ed276f2d5c96aab4c27d1"}
+
+
+def test_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """train-cot, whose products have 32 or more token rows, and train-expert
+    at --batch 64 write the same bytes under OPENBLAS_NUM_THREADS=1 and =2,
+    each command in a fresh process: the CLI runs numpy's BLAS on one thread."""
+    data = tmp_path / "data"
+    for scenario in ("food", "outfit"):
+        assert main(["gen", "--scenario", scenario, "--variant", "0", "--frames", "40",
+                     "--seed", "1", "--out", str(data)]) == 0
+    files = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        for argv in (["train-cot", "--stride", "10", "--epochs", "2", "--out", out / "cot.npz"],
+                     ["train-expert", "--batch", "64", "--steps", "5",
+                      "--out", out / "expert.npz"]):
+            code, _, stderr = _run([*map(str, argv), "--data", str(data)], fresh_process=True,
+                                   env={"OPENBLAS_NUM_THREADS": threads})
+            assert code == 0, stderr
+        files[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert len(files["1"]) == 4 and files["1"] == files["2"]
+    assert {name: hashlib.sha256(files["1"][name]).hexdigest()
+            for name in ONE_THREAD_SHA256} == ONE_THREAD_SHA256
+
+
+@pytest.mark.parametrize("command", ["gen", "infer"])
+def test_pipeline_config_env_var(command, tmp_path, workspace, monkeypatch):
     """The config comes from --config only: PIPELINE_CONFIG naming a file
-    that does not exist leaves graph on the built-in rig."""
-    monkeypatch.setenv("PIPELINE_CONFIG", str(tmp_path / "missing.json"))
-    out = tmp_path / "g"
-    assert main(["graph", "--episode", str(workspace["episode"]), "--out", str(out)]) == 0
-    assert len(os.listdir(out)) == 6
+    that does not exist, a malformed config or a file that is not JSON
+    leaves the command on the built-in rig, with the bytes it writes
+    without the variable."""
+    doc = to_json(default_config())
+    doc.pop("sigma")
+    (tmp_path / "malformed.json").write_text(json.dumps(doc))
+    (tmp_path / "not_json.json").write_text('{"sigma": 1.0,')
+    outputs = {}
+    for name in ("unset", "missing.json", "malformed.json", "not_json.json"):
+        if name != "unset":
+            monkeypatch.setenv("PIPELINE_CONFIG", str(tmp_path / name))
+        out = tmp_path / f"out_{name}"
+        out.mkdir()
+        code, _, stderr = _run(_valid_argv(command, workspace, out / "o.json"))
+        assert (code, stderr) == (0, "")
+        outputs[name] = _tree(out)
+    assert outputs["unset"] and all(files == outputs["unset"] for files in outputs.values())
 
 
 def _infer_argv(workspace, episode, out, *extra):
@@ -785,6 +819,13 @@ ARTIFACT_CASES = {
     "config_gnn_dims": (None, None, {"gnn_dims": (16, 16, 32)}, "ArtifactMismatch", "gnn dims"),
     "config_cot_window": (None, None, {"cot_window": 4}, "ArtifactMismatch", "window"),
     "config_sigma": (None, None, {"sigma": 0.5}, "ArtifactMismatch", "sigma"),
+    "config_one_chain": (None, None, {"chains": default_config().chains[:1]}, "ArtifactMismatch",
+                         "expert j_dim 14 does not match config j_total 7"),
+    "expert_context_dim": ("expert", lambda h, a: (h.update(context_dim=47),
+                                                   a.update(w1=a["w1"][:-1])), {},
+                           "ArtifactMismatch", "expert context_dim 47"),
+    "cot_context_dim": ("head", lambda h, a: (h.update(context_dim=47), a.update(wc=a["wc"][:-1])),
+                        {}, "ArtifactMismatch", "cot head context_dim 47"),
     "gnn_nan": ("gnn", lambda h, a: _set(a, "layer2_b", 0, float("nan")), {},
                 "NonFiniteWeight", "layer2_b"),
     "expert_nan": ("expert", lambda h, a: _set(a, "w3", (0, 0), float("nan")), {},
@@ -833,6 +874,31 @@ def test_train_checks_gnn_before_first_frame(command, fault, tmp_path, workspace
              "nested": "ArtifactLoadError"}[fault]
     _assert_refused(_run(_valid_argv(command, workspace, tmp_path / "o.npz") + ["--gnn", str(gnn)]),
                     2, error, folder=tmp_path, left=["gnn.npz"])
+
+
+@pytest.mark.parametrize("case", ["config_and_destination", "gnn_and_expert"])
+def test_the_first_input_read_names_the_fault(case, tmp_path, workspace):
+    """With two faults, the input read first is the one refused: the config
+    before the destinations, and each artifact as it is read, so a NaN GNN
+    is named before a missing expert file."""
+    if case == "config_and_destination":
+        doc = to_json(default_config())
+        doc.pop("sigma")
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        (tmp_path / "o.npz").mkdir()
+        argv = ["init-weights", "--kind", "gnn", "--config", str(tmp_path / "cfg.json"),
+                "--out", str(tmp_path / "o.npz")]
+        error = "ConfigLoadError"
+    else:
+        gnn = _edit_artifact(workspace["gnn"], tmp_path / "gnn.npz",
+                             lambda h, a: _set(a, "lift_w", (0, 0), float("nan")))
+        argv = _infer_argv(workspace, workspace["episode"], tmp_path / "o.json")
+        argv[argv.index("--gnn") + 1] = str(gnn)
+        argv[argv.index("--expert") + 1] = str(tmp_path / "missing.npz")
+        error = "NonFiniteWeight"
+    before = _tree(tmp_path)
+    _assert_refused(_run(argv), 2, error)
+    assert _tree(tmp_path) == before
 
 
 def test_train_gnn_file_equals_the_gnn_derived_from_seed(tmp_path, workspace):

@@ -15,7 +15,8 @@ from graphact import (FrameRecord, InferenceSchedule, SCENARIOS, SampleStream, a
                       pooled_embedding, run_inference_loop, sample_actions, scenario_onehot)
 from graphact.core import to_json, write_files
 from graphact.flow import FlowExpert
-from graphact.inference import BLOCK_FRAMES, UnknownScenario, frame_json, output_text
+from graphact.inference import (BLOCK_FRAMES, UnknownScenario, check_artifacts, frame_json,
+                                output_text)
 from graphact.sim import EmptyEpisode, Episode
 from graphact.stream_sync import CONTROL_STREAM
 
@@ -31,6 +32,13 @@ def artifacts():
     head = init_cot_head(build_default_vocab(), context_dim=CFG.context_dim,
                          window=CFG.cot_window, rng=make_rng(2))
     return gnn_w, expert, head
+
+
+def test_a_library_configs_list_gnn_dims_matches_the_gnn():
+    """check_artifacts compares values, not types: a config built in the
+    library with gnn_dims as a list accepts a GNN of those dims."""
+    cfg = dataclasses.replace(CFG, gnn_dims=list(CFG.gnn_dims))
+    check_artifacts(cfg, init_gnn_weights(make_rng(0), *CFG.gnn_dims))
 
 
 def test_default_schedule_single_cot(artifacts):

@@ -1,0 +1,119 @@
+"""Print a same-bytes listing of the graphact CLI: run a fixed matrix of
+commands and list each one's exit code, stdout and stderr digests, and the
+sha256 of every file the matrix leaves.
+
+Usage: python3 tools/cli_digests.py SRC WORKDIR
+
+SRC is the directory holding the graphact package (a checkout's src/), and
+WORKDIR a directory the matrix may fill; it is emptied first. Every command
+runs in its own process at OPENBLAS_NUM_THREADS=1, with WORKDIR written as W
+in every digest. infer's stdout carries wall-clock timings and is left out.
+Two checkouts give the same bytes when `diff` of their listings is empty.
+"""
+
+import hashlib
+import os
+import shutil
+import subprocess
+import sys
+
+# A config other than the built-in rig: a shorter action chunk and reasoning window.
+SMALL_CONFIG = ("from graphact import default_config; c = default_config(); "
+                "c.flow_horizon, c.cot_window, c.gnn_dims = 10, 4, (16, 16, 16); c.save('{}')")
+
+
+def matrix(w):
+    """(name, argv) of each command, in order; later commands read earlier outputs."""
+    ep, small = f"{w}/data/food_v0_000.jsonl", ["--config", f"{w}/small.json"]
+    train = ["--data", f"{w}/data", "--seed", "3"]
+    artifacts = ["--gnn", f"{w}/gnn.npz", "--expert", f"{w}/expert_gnn.npz",
+                 "--cot-head", f"{w}/cot_gnn.npz"]
+    return [
+        ("gen food", ["gen", "--scenario", "food", "--variant", "0", "--episodes", "2",
+                      "--frames", "40", "--seed", "3", "--out", f"{w}/data"]),
+        ("gen outfit", ["gen", "--scenario", "outfit", "--variant", "1", "--frames", "40",
+                        "--seed", "4", "--out", f"{w}/data"]),
+        ("gen small", ["gen", "--scenario", "food", "--variant", "2", "--frames", "12",
+                       "--out", f"{w}/data_small", *small]),
+        ("graph", ["graph", "--episode", ep, "--out", f"{w}/graphs"]),
+        ("graph paper-literal", ["graph", "--episode", ep, "--paper-literal",
+                                 "--out", f"{w}/graphs_literal"]),
+        *[(f"init-weights {kind}", ["init-weights", "--kind", kind, "--seed", "3",
+                                    "--out", f"{w}/init/{kind}.npz"])
+          for kind in ("gnn", "expert", "cot")],
+        ("init-weights gnn small", ["init-weights", "--kind", "gnn", "--seed", "5",
+                                    "--out", f"{w}/small_gnn.npz", *small]),
+        ("init-weights gnn as --gnn", ["init-weights", "--kind", "gnn", "--seed", "7",
+                                       "--out", f"{w}/gnn.npz"]),
+        ("train-expert", ["train-expert", *train, "--steps", "30", "--out", f"{w}/expert.npz"]),
+        ("train-expert batch 64", ["train-expert", *train, "--steps", "10", "--batch", "64",
+                                   "--out", f"{w}/expert_b64.npz"]),
+        ("train-expert --gnn", ["train-expert", *train, "--steps", "30", "--gnn", f"{w}/gnn.npz",
+                                "--out", f"{w}/expert_gnn.npz"]),
+        ("train-expert small", ["train-expert", "--data", f"{w}/data_small", "--steps", "10",
+                                "--gnn", f"{w}/small_gnn.npz", "--out", f"{w}/small_expert.npz",
+                                *small]),
+        ("train-cot", ["train-cot", *train, "--epochs", "3", "--stride", "10",
+                       "--dump-dataset", f"{w}/cot_data.jsonl", "--out", f"{w}/cot.npz"]),
+        ("train-cot --gnn", ["train-cot", *train, "--epochs", "3", "--stride", "10",
+                             "--gnn", f"{w}/gnn.npz", "--out", f"{w}/cot_gnn.npz"]),
+        ("train-cot small", ["train-cot", "--data", f"{w}/data_small", "--epochs", "2",
+                             "--stride", "4", "--gnn", f"{w}/small_gnn.npz",
+                             "--out", f"{w}/small_cot.npz", *small]),
+        ("infer", ["infer", "--episode", ep, *artifacts, "--out", f"{w}/infer.json"]),
+        ("infer cot-period", ["infer", "--episode", ep, *artifacts, "--cot-period", "7",
+                              "--no-first-cot", "--seed", "2", "--out", f"{w}/infer_period.json"]),
+        ("infer small", ["infer", "--episode", f"{w}/data_small/food_v2_000.jsonl",
+                         "--gnn", f"{w}/small_gnn.npz", "--expert", f"{w}/small_expert.npz",
+                         "--cot-head", f"{w}/small_cot.npz", "--out", f"{w}/infer_small.json",
+                         *small]),
+        ("refuse non-JSON config", ["gen", "--scenario", "food", "--variant", "0",
+                                    "--config", f"{w}/not_json.json", "--out", f"{w}/refused"]),
+        ("refuse missing artifact", ["infer", "--episode", ep, "--gnn", f"{w}/gnn.npz",
+                                     "--expert", f"{w}/missing.npz", "--cot-head",
+                                     f"{w}/cot_gnn.npz", "--out", f"{w}/refused/o.json"]),
+        ("refuse wrong-kind artifact", ["infer", "--episode", ep, "--gnn", f"{w}/expert.npz",
+                                        "--expert", f"{w}/expert_gnn.npz", "--cot-head",
+                                        f"{w}/cot_gnn.npz", "--out", f"{w}/refused/o.json"]),
+        ("refuse mismatched artifact", ["infer", "--episode", ep, *artifacts,
+                                        "--out", f"{w}/refused/o.json", *small]),
+        ("refuse --out directory", ["init-weights", "--kind", "gnn", "--out", f"{w}/data"]),
+        ("selfcheck", ["selfcheck"]),
+    ]
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main(argv) -> int:
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    src, work = (os.path.abspath(a) for a in argv)
+    shutil.rmtree(work, ignore_errors=True)
+    os.makedirs(work)
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    subprocess.run([sys.executable, "-c", SMALL_CONFIG.format(f"{work}/small.json")],
+                   env=env, check=True)
+    with open(f"{work}/not_json.json", "w") as f:
+        f.write('{"sigma": 1.0,')
+    for name, args in matrix(work):
+        proc = subprocess.run([sys.executable, "-m", "graphact.cli", *args], env=env,
+                              capture_output=True, timeout=600)
+        out, err = (s.replace(work.encode(), b"W") for s in (proc.stdout, proc.stderr))
+        print(f"{name}: exit {proc.returncode}, stderr {digest(err)} "
+              f"{err.decode(errors='replace').strip()}")
+        if args[0] != "infer":
+            print(f"{name}: stdout {digest(out)}")
+    for root, dirs, files in sorted(os.walk(work)):
+        dirs.sort()
+        for file in sorted(files):
+            path = os.path.join(root, file)
+            with open(path, "rb") as f:
+                print(f"{os.path.relpath(path, work)} {digest(f.read())}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
