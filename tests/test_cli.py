@@ -344,15 +344,15 @@ CONFIG_FIELDS = {"flow_horizon_fraction": "config.flow_horizon",
                  **{f"{key}_huge": key for key in HUGE_SIZES}}
 
 
-# The config reaches a command through --config; test_pipeline_config_env_var
-# shows that the PIPELINE_CONFIG environment variable is not read.
-@pytest.mark.parametrize("via", ["flag"])
+@pytest.mark.parametrize("via", ["flag", "env"])
 @pytest.mark.parametrize("command", ["gen", "infer"])
 @pytest.mark.parametrize("case", sorted(CONFIG_CASES))
-def test_malformed_config_follows_the_error_contract(case, command, via, tmp_path, workspace):
+def test_malformed_config_follows_the_error_contract(case, command, via, tmp_path, workspace,
+                                                     monkeypatch):
     """Through --config, a config with a missing key, a wrong type or a bad
     value exits 2 as ConfigLoadError, and one that is not JSON exits 3, before
-    any work."""
+    any work. The same file in the PIPELINE_CONFIG environment variable, which
+    no command reads, changes nothing: the command runs on the built-in rig."""
     edit, code, error = CONFIG_CASES[case]
     cfg_path = tmp_path / "cfg.json"
     if callable(edit):
@@ -361,9 +361,18 @@ def test_malformed_config_follows_the_error_contract(case, command, via, tmp_pat
         cfg_path.write_text(json.dumps(doc))
     else:
         cfg_path.write_text(edit)
-    argv = _valid_argv(command, workspace, tmp_path / "out" / "o.json")
-    _assert_refused(_run(argv + ["--config", str(cfg_path)]), code, error,
-                    [CONFIG_FIELDS.get(case, "")], tmp_path, ["cfg.json"])
+    out = tmp_path / "out" / "o.json"
+    argv = _valid_argv(command, workspace, out)
+    if via == "flag":
+        argv += ["--config", str(cfg_path)]
+    else:
+        monkeypatch.setenv("PIPELINE_CONFIG", str(cfg_path))
+        out.parent.mkdir()
+        got, _, err = _run(argv)
+        assert got == 0 and err == "" and out.exists()
+        return
+    _assert_refused(_run(argv), code, error, [CONFIG_FIELDS.get(case, "")], tmp_path,
+                    ["cfg.json"])
 
 
 def test_init_weights_refuses_a_config_too_large_to_draw(tmp_path):
