@@ -9,6 +9,7 @@ import errno
 import io
 import json
 import math
+import operator
 import os
 import stat
 import sys
@@ -481,6 +482,14 @@ OUTFIT = InstructionScenario(
 SCENARIOS = {s.name: s for s in (FOOD, OUTFIT)}
 
 
+def _is_count(v) -> bool:
+    """v is an integer >= 1: operator.index takes it (numpy ints too) and it is no bool."""
+    try:
+        return not isinstance(v, bool) and operator.index(v) >= 1
+    except TypeError:
+        return False
+
+
 @dataclass
 class PipelineConfig:
     """Everything the pipeline needs to run; round-trips through JSON
@@ -511,7 +520,7 @@ class PipelineConfig:
         else the keys that size a weight matrix of over MAX_WEIGHT_ENTRIES
         entries (the head's vocabulary counted as its cot_dt_frames + 1 offsets)."""
         dims = self.gnn_dims
-        checks = [(name, "an integer >= 1", getattr(self, name) >= 1) for name in (
+        checks = [(name, "an integer >= 1", _is_count(getattr(self, name))) for name in (
             "flow_horizon", "flow_hidden", "euler_steps", "cot_dt_frames",
             "cot_window", "cot_hidden", "cot_embed", "cot_max_len")]
         checks += [(name, "finite and > 0", 0 < getattr(self, name) < np.inf) for name in (

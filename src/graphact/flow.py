@@ -148,21 +148,31 @@ def interpolate(A: np.ndarray, eps: np.ndarray, tau: float) -> np.ndarray:
 
 def _draw_batch(expert: FlowExpert, batch: list, rng: np.random.Generator):
     """Fresh (tau, eps) per element; returns stacked inputs X and denoising
-    targets U = eps - A."""
+    targets U = eps - A. Sizes are checked before the first draw; then each
+    element draws its tau and then its eps, in batch order, and the whole
+    batch gets interpolate's arithmetic per entry (sample_tau keeps every tau
+    off interpolate's exact endpoints 0 and 1)."""
     if not batch:
         raise InvalidSetting("batch must be non-empty")
-    X = np.zeros((len(batch), expert.input_dim))
-    U = np.zeros((len(batch), expert.action_dim))
-    for i, (A, context) in enumerate(batch):
-        A = np.asarray(A, dtype=float)
-        if A.size != expert.action_dim:
-            raise ShapeMismatch(f"chunk has {A.size} entries, expert expects {expert.action_dim}")
-        tau = sample_tau(expert.alpha, expert.beta, rng)
-        eps = rng.normal(0.0, expert.sigma, size=A.shape)
-        A_tau = interpolate(A, eps, tau)
-        X[i] = np.concatenate([A_tau.ravel(), np.ravel(context), [tau]])
-        U[i] = (eps - A).ravel()
-    return X, U
+    n, d_a, d_c = len(batch), expert.action_dim, expert.context_dim
+    chunks = [np.asarray(A) for A, _ in batch]
+    contexts = [np.asarray(context) for _, context in batch]
+    for A, context in zip(chunks, contexts):
+        if A.size != d_a:
+            raise ShapeMismatch(f"chunk has {A.size} entries, expert expects {d_a}")
+        if context.size != d_c:
+            raise ShapeMismatch(f"context has {context.size} entries, expert expects {d_c}")
+    taus, eps = [], []
+    for _ in batch:
+        taus.append(sample_tau(expert.alpha, expert.beta, rng))
+        eps.append(rng.normal(0.0, expert.sigma, size=d_a))
+    tau, eps = np.reshape(taus, (n, 1)), np.concatenate(eps).reshape(n, d_a)
+    A = np.concatenate(chunks, axis=None, dtype=float).reshape(n, d_a)
+    X = np.empty((n, expert.input_dim))
+    X[:, :d_a] = tau * A + (1.0 - tau) * eps
+    X[:, d_a:-1] = np.concatenate(contexts, axis=None).reshape(n, d_c)
+    X[:, -1:] = tau
+    return X, eps - A
 
 
 def fm_loss(expert: FlowExpert, batch: list, rng: np.random.Generator) -> float:

@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import json
 import os
@@ -80,6 +81,19 @@ def test_config_with_retired_keys_is_refused(cfg, tmp_path):
         path.write_text(json.dumps(d))
         with pytest.raises(ValueError, match=f"unknown key '{key}'"):
             PipelineConfig.load(path)
+
+
+@pytest.mark.parametrize("value", [30.9, 30.0, True], ids=["fraction", "integral_float", "bool"])
+def test_library_config_refuses_a_count_that_is_no_integer(cfg, value):
+    """A config built in the library is held to the counts' own message, "an
+    integer >= 1", as the JSON reader is: a float (even 30.0) or a bool is
+    refused by name before any weight matrix is drawn."""
+    with pytest.raises(ValueError, match=f"flow_horizon must be an integer >= 1, got {value!r}"):
+        dataclasses.replace(cfg, flow_horizon=value)
+
+
+def test_library_config_takes_a_numpy_integer_count(cfg):
+    assert dataclasses.replace(cfg, flow_horizon=np.int64(10)).flow_horizon == 10
 
 
 # (spec, parsed JSON value, decoded value or the ValueError's message)

@@ -76,6 +76,65 @@ def test_fm_loss_nonnegative_and_empty_batch():
         fm_loss(expert, [], make_rng(6))
 
 
+def _reference_draw(expert, batch, rng):
+    """The per-element draw: tau, then eps, then interpolate and concatenate."""
+    X, U = [], []
+    for A, context in batch:
+        A = np.asarray(A, dtype=float)
+        tau = sample_tau(expert.alpha, expert.beta, rng)
+        eps = rng.normal(0.0, expert.sigma, size=A.shape)
+        X.append(np.concatenate([interpolate(A, eps, tau).ravel(), np.ravel(context), [tau]]))
+        U.append((eps - A).ravel())
+    return np.array(X), np.array(U)
+
+
+@pytest.mark.parametrize("sigma", [1.0, 0.0])
+@pytest.mark.parametrize("n", [1, 4, 64])
+def test_draw_batch_bit_equal_to_a_per_element_reference(n, sigma):
+    """The batched draw gives the per-element loop's X and U bit for bit and
+    leaves the generator where the loop leaves it. Chunks come as arrays,
+    lists and float32 with signed zeros, which sigma 0 keeps visible in U."""
+    expert = init_flow_expert(make_rng(30), horizon=3, j_dim=2, context_dim=5,
+                              sigma=sigma, alpha=1.5, beta=1.0)
+    data = make_rng(31)
+    batch = []
+    for i in range(n):
+        A, context = data.normal(size=(3, 2)), data.normal(size=5)
+        A[0] = 0.0, -0.0
+        batch.append([(A, context), (A.tolist(), context.tolist()),
+                      (A.astype(np.float32), context.astype(np.float32))][i % 3])
+    rng, ref_rng = make_rng(32), make_rng(32)
+    X, U = _draw_batch(expert, batch, rng)
+    X_ref, U_ref = _reference_draw(expert, batch, ref_rng)
+    assert X.shape == X_ref.shape and X.tobytes() == X_ref.tobytes()
+    assert U.shape == U_ref.shape and U.tobytes() == U_ref.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("bad,message", [
+    ((np.ones(5), np.zeros(3)), "chunk has 5 entries, expert expects 4"),
+    ((np.ones((2, 2)), np.zeros(4)), "context has 4 entries, expert expects 3"),
+    ((np.ones((2, 2)), np.zeros((2, 1))), "context has 2 entries, expert expects 3"),
+], ids=["chunk", "context", "context_2d"])
+@pytest.mark.parametrize("call", ["fm_loss", "train_step"])
+def test_a_wrong_sized_element_is_named_before_any_draw(call, bad, message):
+    """A chunk or context of the wrong size, anywhere in the batch, is refused
+    by name before the first draw: the generator and the weights are as they were."""
+    expert = _tiny_expert()
+    before = {name: p.copy() for name, p in expert.params()}
+    rng = make_rng(3)
+    state = rng.bit_generator.state
+    batch = [(np.ones((2, 2)), np.zeros(3)), bad]
+    with pytest.raises(ShapeMismatch, match=f"^{message}$"):
+        if call == "fm_loss":
+            fm_loss(expert, batch, rng)
+        else:
+            train_step(expert, batch, 0.1, rng)
+    assert rng.bit_generator.state == state
+    for name, p in expert.params():
+        assert np.array_equal(p, before[name]), name
+
+
 def test_train_step_zero_lr_leaves_params():
     expert = _tiny_expert()
     before = {name: p.copy() for name, p in expert.params()}

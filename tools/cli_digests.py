@@ -17,9 +17,12 @@ import shutil
 import subprocess
 import sys
 
-# A config other than the built-in rig: a shorter action chunk and reasoning window.
-SMALL_CONFIG = ("from graphact import default_config; c = default_config(); "
-                "c.flow_horizon, c.cot_window, c.gnn_dims = 10, 4, (16, 16, 16); c.save('{}')")
+# Configs other than the built-in rig, by file name: a shorter action chunk and
+# reasoning window, and noise-free flow training (sigma 0, where eps is all +0.0).
+CONFIGS = {
+    "small.json": "c.flow_horizon, c.cot_window, c.gnn_dims = 10, 4, (16, 16, 16)",
+    "sigma0.json": "c.sigma = 0.0",
+}
 
 
 def matrix(w):
@@ -48,6 +51,10 @@ def matrix(w):
         ("train-expert", ["train-expert", *train, "--steps", "30", "--out", f"{w}/expert.npz"]),
         ("train-expert batch 64", ["train-expert", *train, "--steps", "10", "--batch", "64",
                                    "--out", f"{w}/expert_b64.npz"]),
+        ("train-expert batch 1", ["train-expert", *train, "--steps", "10", "--batch", "1",
+                                  "--out", f"{w}/expert_b1.npz"]),
+        ("train-expert sigma 0", ["train-expert", *train, "--steps", "10", "--config",
+                                  f"{w}/sigma0.json", "--out", f"{w}/expert_sigma0.npz"]),
         ("train-expert --gnn", ["train-expert", *train, "--steps", "30", "--gnn", f"{w}/gnn.npz",
                                 "--out", f"{w}/expert_gnn.npz"]),
         ("train-expert small", ["train-expert", "--data", f"{w}/data_small", "--steps", "10",
@@ -94,8 +101,10 @@ def main(argv) -> int:
     shutil.rmtree(work, ignore_errors=True)
     os.makedirs(work)
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
-    subprocess.run([sys.executable, "-c", SMALL_CONFIG.format(f"{work}/small.json")],
-                   env=env, check=True)
+    for name, edit in CONFIGS.items():
+        subprocess.run([sys.executable, "-c", "from graphact import default_config; "
+                        f"c = default_config(); {edit}; c.save({f'{work}/{name}'!r})"],
+                       env=env, check=True)
     with open(f"{work}/not_json.json", "w") as f:
         f.write('{"sigma": 1.0,')
     for name, args in matrix(work):
