@@ -2,8 +2,8 @@
 inference, and the embedded oracle suite.
 
 Exit codes: 0 ok, 2 validation failure, 3 I/O failure (a file that cannot
-be read or written, or is not JSON or not an .npz archive), 4 oracle-suite
-failure. Errors are emitted as one JSON object on stderr.
+be read or written, or is not JSON, not UTF-8 or not an .npz archive), 4
+oracle-suite failure. Errors are emitted as one JSON object on stderr.
 """
 
 import argparse
@@ -36,11 +36,12 @@ class ConfigLoadError(PipelineError):
 
 def _load_named(error, load, path):
     """load(path), with a malformed document's core.DECODE_ERRORS raised as
-    error. Named errors, non-JSON and non-archive files (exit 3) pass through."""
+    error. Named errors and files that are not JSON, not UTF-8 or not an
+    archive (exit 3) pass through."""
     try:
         return load(path)
-    except (PipelineError, json.JSONDecodeError):
-        raise  # InvalidSetting and JSONDecodeError are also ValueErrors
+    except (PipelineError, json.JSONDecodeError, UnicodeDecodeError):
+        raise  # InvalidSetting and both decode errors are also ValueErrors
     except DECODE_ERRORS as exc:
         raise error(str(exc)) from exc
 
@@ -140,7 +141,7 @@ def _train_gnn(args, cfg: PipelineConfig) -> GnnWeights:
 def _episode_files(data_dir: str) -> list:
     files = sorted(glob.glob(os.path.join(data_dir, "*.jsonl")))
     if not files:
-        raise PipelineError(f"no episode files (*.jsonl) under {data_dir}")
+        raise InvalidSetting(f"no episode files (*.jsonl) under {data_dir}")
     return files
 
 
@@ -328,7 +329,8 @@ def main(argv=None) -> int:
             cfg = (_load_named(ConfigLoadError, PipelineConfig.load, args.config)
                    if args.config else default_config())
             return args.fn(args, cfg)
-    except (PipelineError, OSError, json.JSONDecodeError, zipfile.BadZipFile) as exc:
+    except (PipelineError, OSError, json.JSONDecodeError, UnicodeDecodeError,
+            zipfile.BadZipFile) as exc:
         sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 2 if isinstance(exc, PipelineError) else 3
 

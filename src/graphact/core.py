@@ -30,6 +30,13 @@ _FLOAT_MAX = sys.float_info.max
 # values, 128 MiB. PipelineConfig refuses size keys that would pass it.
 MAX_WEIGHT_ENTRIES = 2 ** 24
 
+# The widths no config key sets, read by the models and by that bound: the
+# scene-graph node kinds, in the order of the GNN input's kind one-hot, the
+# GNN input [x, y, z, one-hot], and the head's context projection.
+NODE_KINDS = ("object", "end_effector", "joint")
+GNN_INPUT_DIM = 3 + len(NODE_KINDS)
+CTX_EMBED = 16
+
 # What reading a malformed document raises: KeyError (a missing member), TypeError
 # or ValueError (a value of the wrong kind, or one reader or a constructor refuses),
 # OverflowError (a number no float holds), RecursionError (nesting too deep to decode).
@@ -490,6 +497,12 @@ def _is_count(v) -> bool:
         return False
 
 
+def check_count(name: str, v) -> None:
+    """Raise InvalidSetting naming name unless v is a count, as a config's counts are."""
+    if not _is_count(v):
+        raise InvalidSetting(f"{name} must be an integer >= 1, got {v!r}")
+
+
 @dataclass
 class PipelineConfig:
     """Everything the pipeline needs to run; round-trips through JSON
@@ -535,11 +548,12 @@ class PipelineConfig:
         if not bad:
             (d, h, d_out), e, hid, hf = dims, self.cot_embed, self.cot_hidden, self.flow_hidden
             d_in = self.flow_horizon * self.j_total + self.context_dim + 1
-            # keys -> entries of the largest weight matrix they size; 6 is
-            # gnn.INPUT_DIM and 16 cot.CTX_EMBED, the head's context projection.
-            sizes = [("gnn_dims", max(6 * d, d * h, h * d_out, 16 * self.context_dim)),
+            # keys -> entries of the largest weight matrix they size
+            sizes = [("gnn_dims", max(GNN_INPUT_DIM * d, d * h, h * d_out,
+                                      CTX_EMBED * self.context_dim)),
                      ("flow_horizon, flow_hidden", max(d_in, hf) * hf),
-                     ("cot_window, cot_embed, cot_hidden", (16 + self.cot_window * e) * hid),
+                     ("cot_window, cot_embed, cot_hidden",
+                      (CTX_EMBED + self.cot_window * e) * hid),
                      ("cot_dt_frames, cot_embed, cot_hidden",
                       (self.cot_dt_frames + 1) * max(e, hid))]
             bad = [f"a weight matrix sized by {keys} would hold {n} entries, more than "

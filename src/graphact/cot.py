@@ -12,14 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (SCENARIOS, InstructionScenario, InvalidSetting, Model, PipelineError,
-                   ShapeMismatch, check_finite, check_shapes, fan_in_normal, jsonl_text,
-                   max_grad_error)
+from .core import (CTX_EMBED, SCENARIOS, InstructionScenario, InvalidSetting, Model,
+                   PipelineError, ShapeMismatch, check_count, check_finite, check_shapes,
+                   fan_in_normal, jsonl_text, max_grad_error)
 from .sim import EmptyEpisode, Episode, Scene
 
 PAD, END, SEP = "<pad>", "<end>", "<sep>"
 
-CTX_EMBED = 16  # width of the head's context projection
 VALUE_RANGE = 3.2  # the vocabulary's number tokens span +-VALUE_RANGE
 
 ALL_PRESENT = "all_present"
@@ -213,12 +212,12 @@ class CotHead(Model):
     TIES = {"context_dim": "context_dim", "window": "cot_window"}
 
     def __post_init__(self):
-        """Raise a PipelineError when the window is below 1, the vocabulary
-        lacks <pad> or <end>, or a parameter's shape disagrees with the
+        """Raise InvalidSetting when the window is no count (check_count),
+        UnknownToken when the vocabulary lacks <pad> or <end>, or
+        ShapeMismatch when a parameter's shape disagrees with the
         vocabulary, window and context_dim."""
         self.vocab = TokenVocab(self.tokens)
-        if self.window < 1:
-            raise InvalidSetting(f"cot head window must be >= 1, got {self.window}")
+        check_count("cot head window", self.window)
         missing = [tok for tok in (PAD, END) if tok not in self.vocab.ids]
         if missing:
             raise UnknownToken(f"cot head vocabulary lacks {', '.join(missing)}")
@@ -341,8 +340,7 @@ def generate_cot(head: CotHead, context, max_len: int) -> list:
     order, on the row that concatenating the projection and the window's
     embeddings would build, so the decoded ids do not change.
     """
-    if max_len < 1:
-        raise InvalidSetting("max_len must be >= 1")
+    check_count("max_len", max_len)
     w1, w2, emb = head.w1, head.w2, head.emb
     b1, b2 = head.b1.reshape(1, -1), head.b2.reshape(1, -1)
     n_ctx, embed = head.wc.shape[1], emb.shape[1]

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (InvalidSetting, Model, PipelineError, ShapeMismatch, check_shapes,
-                   fan_in_normal, max_grad_error)
+from .core import (InvalidSetting, Model, PipelineError, ShapeMismatch, check_count,
+                   check_shapes, fan_in_normal, max_grad_error)
 
 # Redraws sample_tau allows before it gives up; an ordinary Beta draw lands
 # strictly inside (0, 1) on the first try.
@@ -238,8 +238,7 @@ def sample_actions(expert: FlowExpert, context: np.ndarray, steps: int,
     steps, context, weights). F contexts draw their noise as one (F, D_a)
     block, the numbers F one-context calls sharing rng would draw in turn.
     """
-    if steps < 1:
-        raise InvalidSetting("steps must be >= 1")
+    check_count("steps", steps)
     ctx = np.asarray(context, dtype=float)
     stacked = ctx.ndim == 2
     n = len(ctx) if stacked else 1

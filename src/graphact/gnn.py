@@ -6,14 +6,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Model, PipelineError, ShapeMismatch, check_shapes, fan_in_normal
-from .graph import END_EFFECTOR, JOINT, OBJECT, PoseObjectGraph, adjacency_matrix
+from .core import (GNN_INPUT_DIM, NODE_KINDS, Model, PipelineError, ShapeMismatch, check_shapes,
+                   fan_in_normal)
+from .graph import PoseObjectGraph, adjacency_matrix
 
 LN_EPS = 1e-5
-
-# Node-kind one-hot order appended to raw 3D positions (input dim 6).
-KIND_ORDER = (OBJECT, END_EFFECTOR, JOINT)
-INPUT_DIM = 3 + len(KIND_ORDER)
 
 
 class EmptyGraph(PipelineError):
@@ -22,7 +19,7 @@ class EmptyGraph(PipelineError):
 
 @dataclass
 class GnnWeights(Model):
-    lift_w: np.ndarray   # (INPUT_DIM, d)
+    lift_w: np.ndarray   # (GNN_INPUT_DIM, d)
     lift_b: np.ndarray   # (d,)
     layer1_w: np.ndarray  # (d, h)
     layer1_b: np.ndarray  # (h,)
@@ -40,7 +37,7 @@ class GnnWeights(Model):
     def __post_init__(self):
         d, h, d_out = np.size(self.lift_b), np.size(self.layer1_b), np.size(self.layer2_b)
         check_shapes(self.NAME, {
-            "lift_w": (self.lift_w, (INPUT_DIM, d)), "lift_b": (self.lift_b, (d,)),
+            "lift_w": (self.lift_w, (GNN_INPUT_DIM, d)), "lift_b": (self.lift_b, (d,)),
             "layer1_w": (self.layer1_w, (d, h)), "layer1_b": (self.layer1_b, (h,)),
             "layer2_w": (self.layer2_w, (h, d_out)), "layer2_b": (self.layer2_b, (d_out,))})
 
@@ -48,18 +45,18 @@ class GnnWeights(Model):
 def init_gnn_weights(rng: np.random.Generator, d: int = 32, h: int = 32,
                      d_out: int = 32) -> GnnWeights:
     """Seeded random init, 1/sqrt(fan_in) scale, zero biases."""
-    return GnnWeights(lift_w=fan_in_normal(rng, INPUT_DIM, d), lift_b=np.zeros(d),
+    return GnnWeights(lift_w=fan_in_normal(rng, GNN_INPUT_DIM, d), lift_b=np.zeros(d),
                       layer1_w=fan_in_normal(rng, d, h), layer1_b=np.zeros(h),
                       layer2_w=fan_in_normal(rng, h, d_out), layer2_b=np.zeros(d_out))
 
 
 def node_inputs(g: PoseObjectGraph) -> np.ndarray:
-    """Raw per-node inputs: [x, y, z, one-hot(kind)] in KIND_ORDER."""
+    """Raw per-node inputs: [x, y, z, one-hot(kind)] in NODE_KINDS order."""
     if not g.nodes:
         raise EmptyGraph("graph has no nodes")
-    X = np.zeros((len(g.nodes), INPUT_DIM))
+    X = np.zeros((len(g.nodes), GNN_INPUT_DIM))
     X[:, :3] = [n.position for n in g.nodes]
-    X[np.arange(len(g.nodes)), [3 + KIND_ORDER.index(n.kind) for n in g.nodes]] = 1.0
+    X[np.arange(len(g.nodes)), [3 + NODE_KINDS.index(n.kind) for n in g.nodes]] = 1.0
     return X
 
 
@@ -98,8 +95,8 @@ _ADJACENCIES = {}
 def encode(g: PoseObjectGraph, w: GnnWeights, X: np.ndarray = None) -> np.ndarray:
     """H1 = ReLU(conv(LN(H0))); H2 = ReLU(conv(LN(H1))); returns H2.
     Both layers share the normalized adjacency of g's shape (node count,
-    edges). X defaults to g's node inputs (n, INPUT_DIM) and gives (n, d_out);
-    a stack (G, n, INPUT_DIM) of graphs with g's edges gives (G, n, d_out),
+    edges). X defaults to g's node inputs (n, GNN_INPUT_DIM) and gives (n, d_out);
+    a stack (G, n, GNN_INPUT_DIM) of graphs with g's edges gives (G, n, d_out),
     each graph with the bits of its own call."""
     shape = (len(g.nodes), tuple(g.edges))
     if (A_hat := _ADJACENCIES.get(shape)) is None:
@@ -117,7 +114,7 @@ def encode_pooled(graphs: list, w: GnnWeights) -> np.ndarray:
     """pooled_embedding(encode(g, w)) of every graph, (len(graphs), d_out).
 
     Graphs with the same edge list share one normalized adjacency, so each
-    such group goes through encode as one (G, n, INPUT_DIM) stack.
+    such group goes through encode as one (G, n, GNN_INPUT_DIM) stack.
     """
     groups = {}
     for i, g in enumerate(graphs):

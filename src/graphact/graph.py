@@ -7,15 +7,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CameraIntrinsics, PipelineError, RigidTransform
+from .core import NODE_KINDS, CameraIntrinsics, InvalidSetting, RigidTransform
 from .kinematics import DofMismatch, chain_positions
 from .projection import NoValidDepth, backproject, bbox_center, depth_at
 
 log = logging.getLogger(__name__)
 
-OBJECT = "object"
-END_EFFECTOR = "end_effector"
-JOINT = "joint"
+OBJECT, END_EFFECTOR, JOINT = NODE_KINDS
 
 
 @dataclass
@@ -55,7 +53,7 @@ def build_graph(frame, K: CameraIntrinsics, T: RigidTransform, chains: list,
     Node order is deterministic: objects in detection order, then per chain in
     config order (joint origins base-to-tip unless paper_literal, then end
     effector). Detections with no valid depth get no node, with a warning;
-    a box whose center is not a pixel of the image raises PixelOutsideImage.
+    a box whose center is not a pixel of the image raises InvalidSetting.
     """
     if positions is None:
         positions = [p[0] for p in chain_positions(joint_matrix([frame], chains), chains)]
@@ -112,7 +110,7 @@ def adjacency_matrix(g: PoseObjectGraph) -> np.ndarray:
     A = np.zeros((n, n), dtype=float)
     for i, j in g.edges:
         if i == j or not (0 <= i < n and 0 <= j < n):
-            raise PipelineError(f"invalid edge ({i}, {j}) for {n} nodes")
+            raise InvalidSetting(f"invalid edge ({i}, {j}) for {n} nodes")
         A[i, j] = 1.0
         A[j, i] = 1.0
     return A

@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (SCENARIOS, InvalidSetting, Model, PipelineConfig, PipelineError, check_finite,
-                   make_rng)
+from .core import (SCENARIOS, InvalidSetting, Model, PipelineConfig, PipelineError, check_count,
+                   check_finite, make_rng)
 from .cot import CotHead, detokenize, generate_cot
 from .flow import FlowExpert, sample_actions
 from .gnn import GnnWeights, encode_pooled
@@ -38,10 +38,6 @@ class NonFiniteWeight(PipelineError):
     """A loaded artifact holds a NaN or infinite parameter entry."""
 
 
-class UnknownScenario(PipelineError):
-    """A library-built Episode's scenario is not registered in SCENARIOS."""
-
-
 def check_artifacts(cfg: PipelineConfig, model: Model) -> None:
     """Raise ArtifactMismatch naming the first of the model's TIES that
     differs from cfg, or NonFiniteWeight naming its first non-finite
@@ -63,8 +59,8 @@ class InferenceSchedule:
     cot_period: int = None
 
     def __post_init__(self):
-        if self.cot_period is not None and self.cot_period < 1:
-            raise InvalidSetting(f"cot_period must be >= 1 when set, got {self.cot_period}")
+        if self.cot_period is not None:
+            check_count("cot_period", self.cot_period)
 
     def wants_cot(self, frame_index: int) -> bool:
         if frame_index == 0:
@@ -91,10 +87,10 @@ class FrameOutput:
 
 
 def scenario_onehot(name: str) -> np.ndarray:
-    """One-hot of name over SCENARIOS, in its order; UnknownScenario if absent."""
+    """One-hot of name over SCENARIOS, in its order; InvalidSetting if absent."""
     if name not in SCENARIOS:
-        raise UnknownScenario(f"episode scenario {name!r} is not among the registered "
-                              f"scenarios {list(SCENARIOS)}")
+        raise InvalidSetting(f"episode scenario {name!r} is not among the registered "
+                             f"scenarios {list(SCENARIOS)}")
     return np.array([float(n == name) for n in SCENARIOS])
 
 

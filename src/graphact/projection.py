@@ -5,14 +5,10 @@ import math
 
 import numpy as np
 
-from .core import BoundingBox, CameraIntrinsics, DepthGrid, PipelineError
+from .core import BoundingBox, CameraIntrinsics, DepthGrid, InvalidSetting, PipelineError
 
 
 class NoValidDepth(PipelineError):
-    pass
-
-
-class PixelOutsideImage(PipelineError):
     pass
 
 
@@ -28,7 +24,7 @@ def bbox_center(b: BoundingBox) -> tuple:
 def depth_at(depth: DepthGrid, p) -> float:
     """Depth at the nearest integer pixel; median fallback over a 3x3 window.
 
-    A p off [0, width] x [0, height], or not finite, raises PixelOutsideImage.
+    A p off [0, width] x [0, height], or not finite, raises InvalidSetting.
     Invalid depths are non-positive (or non-finite). When the depth at the
     pixel is invalid, returns the median of valid ones in its 3x3
     neighborhood, clipped to the image, or raises NoValidDepth if there are
@@ -36,7 +32,7 @@ def depth_at(depth: DepthGrid, p) -> float:
     """
     u, v = float(p[0]), float(p[1])
     if not (0.0 <= u <= depth.width and 0.0 <= v <= depth.height):
-        raise PixelOutsideImage(f"pixel {u, v} is off the {depth.width}x{depth.height} image")
+        raise InvalidSetting(f"pixel {u, v} is off the {depth.width}x{depth.height} image")
     u, v = min(int(round(u)), depth.width - 1), min(int(round(v)), depth.height - 1)
     val = depth.at(u, v)
     if math.isfinite(val) and val > 0:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import (DECODE_ERRORS, SCENARIOS, BoundingBox, CameraIntrinsics, DepthGrid,
                    FrameRecord, InstructionScenario, InvalidSetting, PipelineConfig, PipelineError,
-                   RigidTransform, jsonl_text, make_rng, reader)
+                   RigidTransform, check_count, jsonl_text, make_rng, reader)
 from .kinematics import default_chains
 from .projection import BehindCamera, project
 
@@ -190,8 +190,7 @@ def gen_episode(scenario: InstructionScenario, variant: int, n_frames: int,
     """Deterministic episode: jittered scene, cubic home-to-goal trajectory,
     frames rendered at the camera rate. The scene is reproducible from the
     recorded seed (it consumes the generator's first draws)."""
-    if n_frames < 1:
-        raise InvalidSetting(f"n_frames must be >= 1, got {n_frames}")
+    check_count("n_frames", n_frames)
     rng = make_rng(seed)
     scene = gen_scene(scenario, variant, rng)
     home = np.zeros(cfg.j_total)
@@ -254,27 +253,32 @@ def load_episode(path) -> Episode:
     with the image size. A header or frame that breaks the format or nests
     too deep to decode, holds a non-finite number (NaN, +-Infinity, or a
     literal too large for a float), or a seed or variant the generator
-    refuses raises MalformedEpisode, which names the file's line number.
+    refuses raises MalformedEpisode; a line that is not UTF-8 or not JSON,
+    UnicodeDecodeError or JSONDecodeError. Each names the file and line.
     """
-    with open(path) as f:
+    with open(path, "rb") as f:
         lines = ((n, line) for n, line in enumerate(f, 1) if line.strip())
         n = 0
         try:
             n, line = next(lines, (0, None))
             if line is None:
                 raise EmptyEpisode(f"episode file {path} is empty")
-            name, variant, K, T, seed = _read_header(json.loads(line)).values()
+            name, variant, K, T, seed = _read_header(json.loads(line.decode())).values()
             if name not in SCENARIOS:
                 raise MalformedEpisode(f"unknown scenario {name!r}")
             scenario = SCENARIOS[name]
             scene = gen_scene(scenario, variant, make_rng(seed))
             frames = []
             for n, line in lines:
-                frames.append(_decode_frame(json.loads(line), K.width, K.height))
+                frames.append(_decode_frame(json.loads(line.decode()), K.width, K.height))
             if not frames:
                 raise EmptyEpisode(f"episode file {path} has no frames")
-        except json.JSONDecodeError:
-            raise  # not JSON at all: an I/O-level failure
+        except json.JSONDecodeError as exc:  # not JSON at all: an I/O-level failure
+            exc.args = (f"{path}: line {n}: {exc.msg} (char {exc.pos})",)
+            raise
+        except UnicodeDecodeError as exc:  # not UTF-8, so not JSON text either
+            exc.reason += f" ({path}: line {n})"
+            raise
         except (MalformedEpisode, InvalidVariant) as exc:
             raise MalformedEpisode(f"{path}: line {n}: {exc}") from exc
         except DECODE_ERRORS as exc:

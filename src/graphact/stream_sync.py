@@ -11,17 +11,9 @@ import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .core import FrameRecord, InvalidSetting, PipelineError
+from .core import FrameRecord, InvalidSetting
 
 CONTROL_STREAM = "control"
-
-
-class EmptyStream(PipelineError):
-    pass
-
-
-class NonMonotoneTimestamps(PipelineError):
-    pass
 
 
 @dataclass
@@ -34,16 +26,16 @@ class SampleStream:
 
 
 def _check_stream(s: SampleStream) -> list:
-    """s's timestamps, which must be finite and strictly increasing. A NaN
-    fails every comparison, so one between two samples fails the order
-    check, and finite ends bound every timestamp between them."""
+    """s's timestamps, which must be finite and strictly increasing (else
+    InvalidSetting, as for no samples). A NaN fails every comparison, so one
+    between two samples fails the order check, and finite ends bound every
+    timestamp between them."""
     if not s.samples:
-        raise EmptyStream(f"stream '{s.name}' has no samples")
+        raise InvalidSetting(f"stream '{s.name}' has no samples")
     ts = [t for t, _ in s.samples]
     if not (math.isfinite(ts[0]) and math.isfinite(ts[-1])
             and all(map(operator.lt, ts, ts[1:]))):
-        raise NonMonotoneTimestamps(
-            f"stream '{s.name}' timestamps not finite and strictly increasing")
+        raise InvalidSetting(f"stream '{s.name}' timestamps not finite and strictly increasing")
     return ts
 
 

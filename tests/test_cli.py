@@ -569,6 +569,21 @@ def test_readme_documents_every_long_option():
     assert missing == []
 
 
+def test_readme_documents_every_error_class():
+    """Every PipelineError subclass that graphact and its CLI define, the base
+    class included, is named in README, and there are 17 of them."""
+    import graphact
+    import graphact.cli  # noqa: F401  (its ConfigLoadError)
+    classes, todo = [], [graphact.PipelineError]
+    while todo:
+        classes.append(todo.pop())
+        todo += classes[-1].__subclasses__()
+    readme = open(os.path.join(os.path.dirname(SRC), "README.md")).read()
+    names = {cls.__name__ for cls in classes if cls.__module__.startswith("graphact")}
+    assert sorted(name for name in names if f"`{name}`" not in readme) == []
+    assert len(names) == 17
+
+
 def test_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "-h"])
@@ -949,11 +964,41 @@ def test_empty_episode_exits_2(command, lines, tmp_path, workspace):
     assert err["message"].endswith(("is empty", "has no frames")[lines])
 
 
+# line 4 of an episode broken: cut short, or holding a byte that is not UTF-8
+NOT_JSON_LINES = {"cut_short": (lambda line: line[:40] + b"\n", "JSONDecodeError"),
+                  "not_utf8": (lambda line: line[:20] + b"\xff" + line[21:], "UnicodeDecodeError")}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_JSON_LINES))
+@pytest.mark.parametrize("command", ["graph", "infer", "train-expert"])
+def test_an_episode_line_that_is_not_json_exits_3_naming_its_line(command, case, tmp_path,
+                                                                  workspace):
+    """An episode line that is not JSON text, as a cut-short line or one that
+    is not UTF-8 is, exits 3 under its own error name, with the file and its
+    1-based line named, as a malformed line is (exit 2)."""
+    lines = workspace["episode"].read_bytes().splitlines(True)
+    edit, error = NOT_JSON_LINES[case]
+    episode = tmp_path / "data" / "ep.jsonl"
+    episode.parent.mkdir()
+    episode.write_bytes(b"".join([*lines[:3], edit(lines[3]), *lines[4:]]))
+    _assert_refused(_run(_episode_argv(command, workspace, episode, tmp_path / "out")), 3,
+                    error, [f"{episode}: line 4"], tmp_path, ["data"])
+
+
+def test_a_config_that_is_not_utf8_exits_3(tmp_path):
+    """A config that is not UTF-8 (here opening with a UTF-16 byte-order
+    mark) is not JSON text: it exits 3, as a config that is not JSON does."""
+    (tmp_path / "cfg.json").write_bytes(b"\xff\xfe{}")
+    _assert_refused(_run(["gen", "--scenario", "food", "--variant", "0", "--config",
+                          str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]),
+                    3, "UnicodeDecodeError", ["0xff"], tmp_path, ["cfg.json"])
+
+
 @pytest.mark.parametrize("command", ["train-expert", "train-cot"])
 def test_data_without_episode_files_exits_2(command, tmp_path):
     (tmp_path / "notes.txt").write_text("no episodes here\n")
     _assert_refused(_run([command, "--data", str(tmp_path), "--out", str(tmp_path / "o.npz")]),
-                    2, "PipelineError", ["*.jsonl"], tmp_path, ["notes.txt"])
+                    2, "InvalidSetting", ["*.jsonl"], tmp_path, ["notes.txt"])
 
 
 def test_infer_refuses_non_finite_output(tmp_path, workspace):

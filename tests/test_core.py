@@ -7,9 +7,11 @@ import zipfile
 import numpy as np
 import pytest
 
-from graphact import (CameraIntrinsics, CotHead, DhLink, FlowExpert, KinematicChain,
-                      PipelineConfig, RigidTransform, TokenVocab, derive_seed, init_cot_head,
-                      init_flow_expert, init_gnn_weights, make_rng)
+from graphact import (SCENARIOS, CameraIntrinsics, CotHead, DhLink, FlowExpert,
+                      InferenceSchedule, KinematicChain, PipelineConfig, RigidTransform,
+                      TokenVocab, build_default_vocab, derive_seed, episode_text, gen_episode,
+                      generate_cot, init_cot_head, init_flow_expert, init_gnn_weights, make_rng,
+                      sample_actions)
 from graphact.core import InvalidSetting, NonFiniteOutput, reader, to_json, write_files
 from conftest import random_rotation
 
@@ -94,6 +96,44 @@ def test_library_config_refuses_a_count_that_is_no_integer(cfg, value):
 
 def test_library_config_takes_a_numpy_integer_count(cfg):
     assert dataclasses.replace(cfg, flow_horizon=np.int64(10)).flow_horizon == 10
+
+
+# The library's counts, by the name each refusal gives: (cfg, n) -> the result
+# of a small call with the count set to n, on a 3-entry context.
+LIBRARY_COUNTS = {
+    "n_frames": lambda cfg, n: episode_text(gen_episode(SCENARIOS["food"], 0, n, 1, cfg)),
+    "steps": lambda cfg, n: sample_actions(init_flow_expert(make_rng(1), 2, 2, 3),
+                                           np.linspace(-1, 1, 3), n, make_rng(2)).tolist(),
+    "max_len": lambda cfg, n: generate_cot(init_cot_head(build_default_vocab(2), 3, make_rng(3)),
+                                           np.linspace(-1, 1, 3), n),
+    "cot_period": lambda cfg, n: [InferenceSchedule(cot_period=n).wants_cot(i) for i in range(9)],
+    "cot head window": lambda cfg, n: generate_cot(dataclasses.replace(
+        init_cot_head(build_default_vocab(2), 3, make_rng(3), window=2), window=n),
+        np.linspace(-1, 1, 3), 4),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, True, 0], ids=["fraction", "bool", "zero"])
+@pytest.mark.parametrize("name", sorted(LIBRARY_COUNTS))
+def test_library_counts_follow_the_config_count_rule(name, value, cfg):
+    """Each count a library function takes is refused by name unless it is
+    an integer >= 1, as a config's counts are: a fraction, a bool or 0."""
+    with pytest.raises(InvalidSetting, match=f"^{name} must be an integer >= 1, got {value!r}$"):
+        LIBRARY_COUNTS[name](cfg, value)
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY_COUNTS))
+def test_library_counts_take_a_numpy_integer(name, cfg):
+    assert LIBRARY_COUNTS[name](cfg, np.int64(2)) == LIBRARY_COUNTS[name](cfg, 2)
+
+
+def test_sample_actions_refusing_its_steps_leaves_the_generator():
+    expert, rng = init_flow_expert(make_rng(1), 2, 2, 3), make_rng(2)
+    state = rng.bit_generator.state
+    for steps in (2.5, True, 0):
+        with pytest.raises(InvalidSetting, match="steps"):
+            sample_actions(expert, np.zeros(3), steps, rng)
+    assert rng.bit_generator.state == state
 
 
 # (spec, parsed JSON value, decoded value or the ValueError's message)

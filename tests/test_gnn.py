@@ -6,11 +6,10 @@ import pytest
 from graphact import (BoundingBox, DepthGrid, FrameRecord, GnnWeights, GraphNode,
                       PoseObjectGraph, build_graph, default_config, encode, graph_conv,
                       init_gnn_weights, layer_norm, make_rng, pooled_embedding)
-from graphact.gnn import (INPUT_DIM, KIND_ORDER, LN_EPS, EmptyGraph, encode_pooled,
-                          node_inputs, normalized_adjacency)
+from graphact.gnn import LN_EPS, EmptyGraph, encode_pooled, node_inputs, normalized_adjacency
 from graphact.graph import adjacency_matrix, episode_graphs
 from graphact.sim import SCENARIOS, gen_episode
-from graphact.core import ShapeMismatch
+from graphact.core import GNN_INPUT_DIM, NODE_KINDS, ShapeMismatch
 
 
 def _graph(positions, kinds, edges):
@@ -20,13 +19,13 @@ def _graph(positions, kinds, edges):
 
 
 def _random_graph(rng, n):
-    kinds = [KIND_ORDER[rng.integers(len(KIND_ORDER))] for _ in range(n)]
+    kinds = [NODE_KINDS[rng.integers(len(NODE_KINDS))] for _ in range(n)]
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
     return _graph(rng.normal(size=(n, 3)), kinds, edges)
 
 
 def _zero_weights(d=4, h=4, d_out=4):
-    return GnnWeights(lift_w=np.zeros((INPUT_DIM, d)), lift_b=np.zeros(d),
+    return GnnWeights(lift_w=np.zeros((GNN_INPUT_DIM, d)), lift_b=np.zeros(d),
                       layer1_w=np.zeros((d, h)), layer1_b=np.zeros(h),
                       layer2_w=np.zeros((h, d_out)), layer2_b=np.zeros(d_out))
 
@@ -54,10 +53,10 @@ def _oracle_encode(g, w):
     A = np.zeros((len(g.nodes), len(g.nodes)))
     for i, j in g.edges:
         A[i][j] = A[j][i] = 1.0
-    X = np.zeros((len(g.nodes), INPUT_DIM))
+    X = np.zeros((len(g.nodes), GNN_INPUT_DIM))
     for i, node in enumerate(g.nodes):
         X[i, :3] = node.position
-        X[i, 3 + KIND_ORDER.index(node.kind)] = 1.0
+        X[i, 3 + NODE_KINDS.index(node.kind)] = 1.0
     H = X @ w.lift_w + w.lift_b
     Abar = _oracle_norm_adj(A)
     H = np.maximum(Abar @ _oracle_layer_norm(H) @ w.layer1_w + w.layer1_b, 0.0)
@@ -68,7 +67,7 @@ def _oracle_encode(g, w):
 def test_node_inputs_positions_in_columns_0_to_2():
     positions = [(1.0, 2.0, 3.0), (-4.0, 0.5, 6.0)]
     X = node_inputs(_graph(positions, ["object", "joint"], [(0, 1)]))
-    assert X.shape == (2, INPUT_DIM)
+    assert X.shape == (2, GNN_INPUT_DIM)
     assert np.array_equal(X[:, :3], positions)
 
 
@@ -76,7 +75,7 @@ def test_node_inputs_kind_onehot_in_kind_order():
     rng = make_rng(2)
     kinds = ["object", "object", "joint", "joint", "end_effector", "end_effector"]
     X = node_inputs(_graph(rng.normal(size=(6, 3)), kinds, []))
-    assert np.array_equal(X[:, 3:], [[k == kind for kind in KIND_ORDER] for k in kinds])
+    assert np.array_equal(X[:, 3:], [[k == kind for kind in NODE_KINDS] for k in kinds])
 
 
 def test_layer_norm_constant_row():

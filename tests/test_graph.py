@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from graphact import (BoundingBox, DepthGrid, FrameRecord, PipelineError, SampleStream,
-                      adjacency_matrix, align_streams, build_graph, default_config, gen_episode)
-from graphact.core import to_json
+from graphact import (BoundingBox, DepthGrid, FrameRecord, SampleStream, adjacency_matrix,
+                      align_streams, build_graph, default_config, gen_episode)
+from graphact.core import InvalidSetting, to_json
 from graphact.graph import END_EFFECTOR, JOINT, OBJECT, episode_graphs
 from graphact.kinematics import DofMismatch
 from graphact.projection import NoValidDepth
@@ -82,6 +82,18 @@ def test_adjacency_empty_edges():
     g = build_graph(_frame(0, n_joints=7), CFG.intrinsics, CFG.extrinsics,
                     CFG.chains[:1], paper_literal=True)
     assert np.array_equal(adjacency_matrix(g), np.zeros((1, 1)))
+
+
+@pytest.mark.parametrize("edge", [(1, 1), (0, 4), (-1, 2), (3, 7)],
+                         ids=["self_loop", "past_the_end", "negative", "far_past_the_end"])
+def test_adjacency_refuses_an_invalid_edge(edge):
+    """A self-loop, or an end outside the graph's node ids (a negative one
+    included), is refused by name rather than written or wrapped around."""
+    g = build_graph(_frame(2), CFG.intrinsics, CFG.extrinsics, CFG.chains, paper_literal=True)
+    g.edges.append(edge)
+    i, j = edge
+    with pytest.raises(InvalidSetting, match=rf"^invalid edge \({i}, {j}\) for 4 nodes$"):
+        adjacency_matrix(g)
 
 
 def test_kinematic_edges_connect_consecutive_joints():
@@ -165,6 +177,6 @@ def test_build_graph_refuses_a_box_center_off_the_image(box):
     assert len(aligned) == 1
     for frame in [FrameRecord(t=0.0, detections=dets, depth=depth, q=np.zeros(CFG.j_total)),
                   aligned[0]]:
-        with pytest.raises(PipelineError, match="off the 640x480 image") as err:
+        with pytest.raises(InvalidSetting, match="off the 640x480 image") as err:
             build_graph(frame, K, CFG.extrinsics, CFG.chains)
         assert not isinstance(err.value, NoValidDepth)

@@ -13,9 +13,9 @@ from graphact import (FrameRecord, InferenceSchedule, SCENARIOS, SampleStream, a
                       episode_contexts, gen_episode, generate_cot, init_cot_head,
                       init_flow_expert, init_gnn_weights, make_context, make_rng,
                       pooled_embedding, run_inference_loop, sample_actions, scenario_onehot)
-from graphact.core import to_json, write_files
+from graphact.core import InvalidSetting, to_json, write_files
 from graphact.flow import FlowExpert
-from graphact.inference import (BLOCK_FRAMES, UnknownScenario, check_artifacts, frame_json,
+from graphact.inference import (BLOCK_FRAMES, check_artifacts, frame_json,
                                 output_text)
 from graphact.sim import EmptyEpisode, Episode
 from graphact.stream_sync import CONTROL_STREAM
@@ -195,7 +195,7 @@ def test_aligned_frames_feed_the_loop_directly(artifacts):
 def test_scenario_onehot_follows_the_registry(artifacts):
     """The task one-hot is over tuple(SCENARIOS), in its order, and the
     config's context_dim counts it; a library-built Episode whose scenario is
-    not registered is refused as UnknownScenario."""
+    not registered is refused as InvalidSetting."""
     names = tuple(SCENARIOS)
     for i, name in enumerate(names):
         assert scenario_onehot(name).tolist() == [float(k == i) for k in range(len(names))]
@@ -204,7 +204,7 @@ def test_scenario_onehot_follows_the_registry(artifacts):
     ep.scenario = dataclasses.replace(ep.scenario, name="laundry")
     for run in (lambda: run_inference_loop(ep, *artifacts, InferenceSchedule(), CFG),
                 lambda: episode_contexts(ep, artifacts[0], CFG, ep.frames)):
-        with pytest.raises(UnknownScenario, match="'laundry'"):
+        with pytest.raises(InvalidSetting, match="'laundry' is not among the registered"):
             run()
 
 

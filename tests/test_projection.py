@@ -5,7 +5,8 @@ import pytest
 
 from graphact import (BoundingBox, CameraIntrinsics, DepthGrid, RigidTransform,
                       backproject, bbox_center, depth_at, make_rng, project)
-from graphact.projection import BehindCamera, NoValidDepth, PixelOutsideImage
+from graphact.core import InvalidSetting
+from graphact.projection import BehindCamera, NoValidDepth
 from conftest import random_rotation
 
 K = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
@@ -131,5 +132,5 @@ def test_depth_at_refuses_pixels_off_the_image_and_keeps_its_edges():
         assert depth_at(grid, p) == 2.0
     for p in ((-1e-9, 3.0), (8.000001, 3.0), (3.0, 6.5), (3.0, -2.0), (math.nan, 1.0),
               (1.0, math.inf), (-math.inf, 1.0)):
-        with pytest.raises(PixelOutsideImage, match="off the 8x6 image"):
+        with pytest.raises(InvalidSetting, match="off the 8x6 image"):
             depth_at(grid, p)

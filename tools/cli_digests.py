@@ -76,6 +76,14 @@ def matrix(w):
                          *small]),
         ("refuse non-JSON config", ["gen", "--scenario", "food", "--variant", "0",
                                     "--config", f"{w}/not_json.json", "--out", f"{w}/refused"]),
+        ("refuse non-UTF-8 config", ["gen", "--scenario", "food", "--variant", "0",
+                                     "--config", f"{w}/not_utf8.json", "--out", f"{w}/refused"]),
+        ("refuse cut-short episode line", ["graph", "--episode", f"{w}/cut_short.jsonl",
+                                           "--out", f"{w}/refused"]),
+        ("refuse non-UTF-8 episode line", ["graph", "--episode", f"{w}/not_utf8.jsonl",
+                                           "--out", f"{w}/refused"]),
+        ("refuse --data without episodes", ["train-expert", "--data", f"{w}/no_episodes",
+                                            "--out", f"{w}/refused/e.npz"]),
         ("refuse missing artifact", ["infer", "--episode", ep, "--gnn", f"{w}/gnn.npz",
                                      "--expert", f"{w}/missing.npz", "--cot-head",
                                      f"{w}/cot_gnn.npz", "--out", f"{w}/refused/o.json"]),
@@ -105,8 +113,23 @@ def main(argv) -> int:
         subprocess.run([sys.executable, "-c", "from graphact import default_config; "
                         f"c = default_config(); {edit}; c.save({f'{work}/{name}'!r})"],
                        env=env, check=True)
-    with open(f"{work}/not_json.json", "w") as f:
-        f.write('{"sigma": 1.0,')
+    episode = subprocess.run(
+        [sys.executable, "-c", "import sys; from graphact import SCENARIOS, default_config, "
+         "episode_text, gen_episode; sys.stdout.write(episode_text(gen_episode("
+         "SCENARIOS['food'], 0, 5, 3, default_config())))"],
+        env=env, check=True, capture_output=True).stdout.splitlines(True)
+    # Inputs that are not JSON text: a cut-short document, a config opening
+    # with a UTF-16 byte-order mark, and a 5-frame episode whose line 4 is cut
+    # short or holds a byte that is not UTF-8.
+    line = episode[3]
+    inputs = {"not_json.json": b'{"sigma": 1.0,', "not_utf8.json": b'\xff\xfe{}',
+              "cut_short.jsonl": b"".join([*episode[:3], line[:40] + b"\n", *episode[4:]]),
+              "not_utf8.jsonl": b"".join([*episode[:3], line[:20] + b"\xff" + line[21:],
+                                          *episode[4:]])}
+    for name, data in inputs.items():
+        with open(f"{work}/{name}", "wb") as f:
+            f.write(data)
+    os.makedirs(f"{work}/no_episodes")
     for name, args in matrix(work):
         proc = subprocess.run([sys.executable, "-m", "graphact.cli", *args], env=env,
                               capture_output=True, timeout=600)
