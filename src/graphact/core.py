@@ -566,9 +566,20 @@ class PipelineConfig:
 
     @classmethod
     def load(cls, path) -> "PipelineConfig":
-        """The config in the file at path, through reader."""
-        with open(path) as f:
-            return reader(cls, "config")(json.load(f))
+        """The config in the file at path, through reader. A file that is not
+        UTF-8 or not JSON raises UnicodeDecodeError or JSONDecodeError naming
+        the config and its path."""
+        with open(path, "rb") as f:
+            data = f.read()
+        try:
+            doc = json.loads(data.decode())
+        except json.JSONDecodeError as exc:
+            exc.args = (f"config {path}: {exc}",)
+            raise
+        except UnicodeDecodeError as exc:
+            exc.reason += f" (config {path})"
+            raise
+        return reader(cls, "config")(doc)
 
     @property
     def j_total(self) -> int:

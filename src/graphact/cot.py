@@ -286,6 +286,8 @@ def init_cot_head(vocab: TokenVocab, context_dim: int, rng: np.random.Generator,
                   window: int = 8, embed: int = 16, hidden: int = 64) -> CotHead:
     """Seeded random head, drawn in the order wc, emb, w1, w2: fan-in normal
     projections, N(0, 0.1^2) token embeddings, zero biases."""
+    for name, v in (("window", window), ("embed", embed), ("hidden", hidden)):
+        check_count(f"cot head {name}", v)
     V = len(vocab)
     wc = fan_in_normal(rng, context_dim, CTX_EMBED)
     emb = rng.normal(0.0, 0.1, size=(V, embed))

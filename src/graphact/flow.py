@@ -45,7 +45,8 @@ class FlowExpert(Model):
     beta: float = 1.0
     sigma: float = 1.0
     _velocity: dict = field(default_factory=dict, repr=False)  # momentum buffers
-    _grad_w1: np.ndarray = field(default=None, repr=False)     # see _backward
+    _grad_w1: np.ndarray = field(default=None, init=False, repr=False, compare=False)  # _backward
+    _fused: tuple = field(default=None, init=False, repr=False, compare=False)  # fused_operator
 
     PARAMS = ("w1", "b1", "w2", "b2", "w3", "b3")
     NAME = "expert"
@@ -68,6 +69,22 @@ class FlowExpert(Model):
     @property
     def input_dim(self) -> int:
         return self.action_dim + self.context_dim + 1
+
+    def fused_operator(self) -> tuple:
+        """(M, c) = (w3, b3) @ w1[:D_a], kept with w1, w3 and b3 read-only (an
+        edit raises ValueError) until drop_fused_operator, as train_step does."""
+        if self._fused is None:
+            held = [p for p in (self.w1, self.w3, self.b3) if p.flags.writeable]
+            for p in held:
+                p.flags.writeable = False
+            w1a = self.w1[:self.action_dim]
+            self._fused = (self.w3 @ w1a, self.b3 @ w1a, held)
+        return self._fused[:2]
+
+    def drop_fused_operator(self) -> None:
+        for p in self._fused[2] if self._fused else ():
+            p.flags.writeable = True
+        self._fused = None
 
     def forward(self, X: np.ndarray) -> np.ndarray:
         """Batched field evaluation; X is (B, input_dim) or (F, B, input_dim)."""
@@ -112,6 +129,8 @@ class FlowExpert(Model):
 
 def init_flow_expert(rng: np.random.Generator, horizon: int, j_dim: int,
                      context_dim: int, hidden: int = 64, **hyper) -> FlowExpert:
+    for name, v in (("horizon", horizon), ("j_dim", j_dim), ("hidden", hidden)):
+        check_count(f"expert {name}", v)
     d_a = horizon * j_dim
     return FlowExpert(horizon=horizon, j_dim=j_dim, context_dim=context_dim,
                       w1=fan_in_normal(rng, d_a + context_dim + 1, hidden), b1=np.zeros(hidden),
@@ -194,6 +213,7 @@ def train_step(expert: FlowExpert, batch: list, lr: float, rng: np.random.Genera
     """One gradient-descent step on fm_loss; returns the pre-step loss."""
     if not 0 <= lr < np.inf:
         raise InvalidSetting(f"learning rate must be finite and >= 0, got {lr}")
+    expert.drop_fused_operator()
     X, U = _draw_batch(expert, batch, rng)
     loss, grads = _loss_and_grads(expert, X, U)
     for name, p in expert.params():
@@ -222,6 +242,7 @@ def grad_check(expert: FlowExpert, sample, rng: np.random.Generator, h: float = 
     """
     if h <= 0:
         raise InvalidSetting("h must be positive")
+    expert.drop_fused_operator()
     X, U = _draw_batch(expert, [sample], rng)
     _, grads = _loss_and_grads(expert, X, U)
     return max_grad_error(expert, grads, lambda: float(np.sum((expert.forward(X) - U) ** 2)),
@@ -237,6 +258,8 @@ def sample_actions(expert: FlowExpert, context: np.ndarray, steps: int,
     A <- A - v(A, context, tau) * dtau. Deterministic given (rng state,
     steps, context, weights). F contexts draw their noise as one (F, D_a)
     block, the numbers F one-context calls sharing rng would draw in turn.
+    Steps 1..K-1 step the first layer's pre-activation z by -dtau * (a2 @ M
+    + c) (FlowExpert.fused_operator) and form the chunk once, from sum(a2).
     """
     check_count("steps", steps)
     ctx = np.asarray(context, dtype=float)
@@ -246,21 +269,29 @@ def sample_actions(expert: FlowExpert, context: np.ndarray, steps: int,
         raise ShapeMismatch(f"context has shape {ctx.shape}, expert expects "
                             f"{expert.context_dim} entries per frame")
     ctx = ctx.reshape(n, expert.context_dim)
-    # One input row [A, context, tau] per frame for every step, as an
-    # (F, 1, input_dim) stack so each frame's product is a one-row product:
-    # the context is written once, A is updated in place and tau is
-    # rewritten, so each step builds the rows the concatenation
-    # [A, ctx, [tau]] would.
+    # Every product is an (F, 1, .) stack of one-row products, with (1, 1, .)
+    # biases, so a frame's bits do not depend on F.
     d_a = expert.action_dim
-    X = np.empty((n, 1, expert.input_dim))
+    X = np.zeros((n, 1, expert.input_dim))
     X[:, 0, :d_a] = rng.normal(0.0, expert.sigma, size=(n, d_a))
     X[:, 0, d_a:-1] = ctx
     A = X[:, 0, :d_a]
     dtau = 1.0 / steps
-    for k in range(steps):
-        X[:, 0, -1] = k * dtau
-        v = expert.forward(X)
-        v *= dtau
-        A -= v[:, 0]
+    A -= dtau * expert.forward(X)[:, 0]
+    M, c = expert.fused_operator()
+    X[:, 0, -1] = dtau
+    z = X @ expert.w1 + expert.b1  # steps 1..K-1 run in z
+    w_tau, b2, c = [a.reshape(1, 1, -1) for a in (expert.w1[-1], expert.b2, c)]
+    a2_sum = np.zeros((n, 1, b2.size))
+    for k in range(1, steps):
+        a1 = np.tanh(z + (k * dtau - dtau) * w_tau)
+        a2 = a1 @ expert.w2
+        a2 += b2
+        a2_sum += np.tanh(a2, out=a2)
+        if k < steps - 1:  # the last step's z is never read
+            z -= dtau * (a2 @ M + c)
+    v = a2_sum @ expert.w3 + (steps - 1) * expert.b3
+    v *= dtau
+    A -= v[:, 0]
     chunks = A.reshape(n, expert.horizon, expert.j_dim).copy()
     return chunks if stacked else chunks[0]

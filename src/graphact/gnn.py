@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (GNN_INPUT_DIM, NODE_KINDS, Model, PipelineError, ShapeMismatch, check_shapes,
-                   fan_in_normal)
+from .core import (GNN_INPUT_DIM, NODE_KINDS, Model, PipelineError, ShapeMismatch, check_count,
+                   check_shapes, fan_in_normal)
 from .graph import PoseObjectGraph, adjacency_matrix
 
 LN_EPS = 1e-5
@@ -45,6 +45,8 @@ class GnnWeights(Model):
 def init_gnn_weights(rng: np.random.Generator, d: int = 32, h: int = 32,
                      d_out: int = 32) -> GnnWeights:
     """Seeded random init, 1/sqrt(fan_in) scale, zero biases."""
+    for name, v in (("d", d), ("h", h), ("d_out", d_out)):
+        check_count(f"gnn {name}", v)
     return GnnWeights(lift_w=fan_in_normal(rng, GNN_INPUT_DIM, d), lift_b=np.zeros(d),
                       layer1_w=fan_in_normal(rng, d, h), layer1_b=np.zeros(h),
                       layer2_w=fan_in_normal(rng, h, d_out), layer2_b=np.zeros(d_out))

@@ -192,11 +192,13 @@ def test_infer_default_schedule_and_determinism(tmp_path, workspace):
 
 # sha256 of the infer output below. Recorded again when labels began to name
 # future frames by offset, which changed the random head's vocabulary and so
-# its reasoning text.
-INFER_GOLDEN_SHA256 = "38aeb70ff1d0c9918d428c469b18f0484a2e95a3af7aa08258cf23e4ea067591"
+# its reasoning text, and when Euler steps 2..K moved into the expert's first
+# hidden layer, which moved the actions by rounding (at most ~2e-15).
+INFER_GOLDEN_SHA256 = "58166e4b7d60db9d033011953233d909993746e25478bae0069148602f936c85"
 # sha256 of json.dumps of that output's per-frame actions, recorded before the
-# offset labels: the reasoning head's vocabulary must not move an action's bits.
-INFER_ACTIONS_GOLDEN_SHA256 = "01d2f5e7ebbf32ad0021f7ee13deb2e37bb77e6ea38ad5e1766c37113e50c4d6"
+# offset labels (the reasoning head's vocabulary must not move an action's
+# bits) and again with the hidden-layer Euler steps.
+INFER_ACTIONS_GOLDEN_SHA256 = "74973f62816b89de69982a22c0dbb4bdddf91e9204ecd8b8047c2a85ff652486"
 
 
 def test_infer_golden_sha256(tmp_path):
@@ -219,9 +221,10 @@ def test_infer_golden_sha256(tmp_path):
 # sha256 of the infer output below: 100 frames at --cot-period 7 span several
 # blocks of the loop, a partial last block among them, with decodes in each.
 # Recorded by running these commands at commit d563f52, whose loop ran every
-# stage once over all frames.
+# stage once over all frames, and again when Euler steps 2..K moved into the
+# expert's first hidden layer.
 INFER_MULTI_BLOCK_GOLDEN_SHA256 = \
-    "9336fd86d54dabbf5804f1f66a72a438f6af4354b1e5f44c4cc083fecbf7a0e4"
+    "f270bc1d8b22854652baaa93f7b85c5ae8a4820876b7cc58495f9b92638299a2"
 
 
 def test_infer_multi_block_golden_sha256(tmp_path):
@@ -987,11 +990,22 @@ def test_an_episode_line_that_is_not_json_exits_3_naming_its_line(command, case,
 
 def test_a_config_that_is_not_utf8_exits_3(tmp_path):
     """A config that is not UTF-8 (here opening with a UTF-16 byte-order
-    mark) is not JSON text: it exits 3, as a config that is not JSON does."""
+    mark) is not JSON text: it exits 3, as a config that is not JSON does,
+    naming the config and its path."""
     (tmp_path / "cfg.json").write_bytes(b"\xff\xfe{}")
     _assert_refused(_run(["gen", "--scenario", "food", "--variant", "0", "--config",
                           str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]),
-                    3, "UnicodeDecodeError", ["0xff"], tmp_path, ["cfg.json"])
+                    3, "UnicodeDecodeError", ["0xff", f"(config {tmp_path / 'cfg.json'})"],
+                    tmp_path, ["cfg.json"])
+
+
+def test_a_config_that_is_not_json_exits_3_naming_it(tmp_path):
+    (tmp_path / "cfg.json").write_text('{"sigma": 1.0,')
+    err = _assert_refused(_run(["gen", "--scenario", "food", "--variant", "0", "--config",
+                                str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]),
+                          3, "JSONDecodeError", [], tmp_path, ["cfg.json"])
+    assert err["message"] == (f"config {tmp_path / 'cfg.json'}: Expecting property name "
+                              "enclosed in double quotes: line 1 column 15 (char 14)")
 
 
 @pytest.mark.parametrize("command", ["train-expert", "train-cot"])

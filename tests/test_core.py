@@ -110,6 +110,15 @@ LIBRARY_COUNTS = {
     "cot head window": lambda cfg, n: generate_cot(dataclasses.replace(
         init_cot_head(build_default_vocab(2), 3, make_rng(3), window=2), window=n),
         np.linspace(-1, 1, 3), 4),
+    **{f"expert {key}": lambda cfg, n, key=key: [p.tolist() for _, p in init_flow_expert(
+        make_rng(4), **{"horizon": 2, "j_dim": 2, "context_dim": 3, "hidden": 3, key: n}
+    ).params()] for key in ("horizon", "j_dim", "hidden")},
+    **{f"cot head {key}": lambda cfg, n, key=key: [p.tolist() for _, p in init_cot_head(
+        build_default_vocab(2), 3, make_rng(5), **{"window": 2, "embed": 2, "hidden": 3, key: n}
+    ).params()] for key in ("window", "embed", "hidden")},
+    **{f"gnn {key}": lambda cfg, n, key=key: [p.tolist() for _, p in init_gnn_weights(
+        make_rng(6), **{"d": 2, "h": 2, "d_out": 2, key: n}).params()]
+       for key in ("d", "h", "d_out")},
 }
 
 

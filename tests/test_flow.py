@@ -245,8 +245,10 @@ def _concat_euler(expert, context, steps, rng):
     return A.reshape(expert.horizon, expert.j_dim)
 
 
-@pytest.mark.parametrize("steps", [1, 10])
+@pytest.mark.parametrize("steps", [1, 2, 10, 37])
 def test_sampler_bit_exact_against_concat_euler(steps):
+    """Bit for bit at 1 and 2 steps, where the sampler's one hidden-space step
+    does the reference's arithmetic; within rounding beyond (1.3e-15 measured)."""
     for seed in range(6):
         horizon, j_dim, context_dim = ((30, 14, 48), (2, 2, 3), (4, 3, 0))[seed % 3]
         expert = init_flow_expert(make_rng(seed), horizon=horizon, j_dim=j_dim,
@@ -255,7 +257,37 @@ def test_sampler_bit_exact_against_concat_euler(steps):
         got = sample_actions(expert, ctx, steps, make_rng(70 + seed))
         want = _concat_euler(expert, ctx, steps, make_rng(70 + seed))
         assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+        if steps <= 2:
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert (np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want))).all()
+
+
+def test_sampler_after_training_matches_a_fresh_expert():
+    """train_step drops the operator a sample built from the old weights: the
+    next sample equals, bit for bit, a fresh expert's on copies of the new ones."""
+    expert = _tiny_expert(rng=make_rng(25), momentum=0.9)
+    ctx, rng = np.array([0.3, -0.2, 0.1]), make_rng(26)
+    sample_actions(expert, ctx, 10, make_rng(27))
+    batch = [(rng.normal(size=(2, 2)), rng.normal(size=3)) for _ in range(4)]
+    train_step(expert, batch, 0.1, rng)
+    fresh = type(expert)(horizon=2, j_dim=2, context_dim=3, sigma=expert.sigma,
+                         **{name: p.copy() for name, p in expert.params()})
+    got = sample_actions(expert, ctx, 10, make_rng(28))
+    assert got.tobytes() == sample_actions(fresh, ctx, 10, make_rng(28)).tobytes()
+
+
+def test_weights_are_read_only_while_a_sample_holds_them():
+    expert = _tiny_expert(rng=make_rng(29))
+    expert.w3[0, 0] = 0.5
+    sample_actions(expert, np.zeros(3), 10, make_rng(30))
+    for name in ("w1", "w3", "b3"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(expert, name)[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        expert.w3[0, 0] = 1.0
+    expert.drop_fused_operator()
+    expert.w3[0, 0] = 1.0
 
 
 def test_sampler_rejects_wrong_context_size():
