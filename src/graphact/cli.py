@@ -23,7 +23,7 @@ from .cot import (CotHead, build_default_vocab, cot_dataset_text, init_cot_head,
                   tokenize, train_cot_head)
 from .flow import FlowExpert, init_flow_expert, train_step
 from .gnn import GnnWeights, init_gnn_weights
-from .graph import episode_graphs, joint_matrix
+from .graph import episode_graphs, joint_matrix, objects_skipped
 from .inference import (ArtifactLoadError, InferenceSchedule, check_artifacts, episode_contexts,
                         frame_blocks, output_text, run_inference_loop)
 from .selfcheck import run_selfcheck
@@ -85,16 +85,21 @@ def cmd_gen(args, cfg: PipelineConfig) -> int:
     return 0
 
 
+def _skipped_note(n: int) -> str:
+    """The summary line's count of detections that got no graph node, or "" for none."""
+    return f"; {n} object(s) skipped for no valid depth" if n else ""
+
+
 def cmd_graph(args, cfg: PipelineConfig) -> int:
-    ep = load_episode(args.episode)
-    paths = check_outputs([os.path.join(args.out, f"graph_{i:05d}.json")
-                           for i in range(len(ep.frames))])
-    # Graphs are built a block at a time; write_files holds only their text.
-    write_files((paths[i], jsonl_text([(f"graph of frame {i}", g)]))
-                for lo, block in frame_blocks(ep.frames)
-                for i, g in enumerate(episode_graphs(block, ep.K, ep.T, cfg.chains,
-                                                     args.paper_literal), lo))
-    print(f"wrote {len(ep.frames)} graph(s) to {args.out}")
+    def lines(ep, skipped):  # one JSON line per frame, built a block of graphs at a time
+        for lo, block in frame_blocks(ep.frames):
+            graphs = episode_graphs(block, ep.K, ep.T, cfg.chains, args.paper_literal)
+            skipped.append(objects_skipped(block, graphs, cfg.chains, args.paper_literal))
+            yield jsonl_text([(f"graph of frame {i}", g) for i, g in enumerate(graphs, lo)])
+    check_outputs([args.out])
+    ep, skipped = load_episode(args.episode), []
+    write_files([(args.out, lines(ep, skipped))])
+    print(f"wrote {len(ep.frames)} graph(s) to {args.out}{_skipped_note(sum(skipped))}")
     return 0
 
 
@@ -206,7 +211,8 @@ def cmd_infer(args, cfg: PipelineConfig) -> int:
     write_files([(args.out, output_text(outputs))])
     n_cot = sum(1 for o in outputs if o.cot_text is not None)
     print(f"{len(outputs)} frame(s), {n_cot} with reasoning; "
-          f"mean frame {np.mean(report.frame_samples):.2f} ms -> {args.out}")
+          f"mean frame {np.mean(report.frame_samples):.2f} ms -> {args.out}"
+          f"{_skipped_note(report.objects_skipped)}")
     return 0
 
 
@@ -261,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(g)
     g.set_defaults(fn=cmd_gen)
 
-    g = sub.add_parser("graph", help="build per-frame scene graphs")
+    g = sub.add_parser("graph", help="write the per-frame scene graphs, one JSON line each")
     g.add_argument("--episode", required=True)
     g.add_argument("--out", required=True)
     g.add_argument("--paper-literal", action="store_true",

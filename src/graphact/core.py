@@ -166,25 +166,17 @@ def check_outputs(paths) -> list:
     """The real paths of a command's destinations, creating nothing. Raises
     InvalidSetting for two naming one file or one neither new nor a regular
     file (a device a rename would replace), IsADirectoryError for a
-    directory and NotADirectoryError for one under a regular file. Each path
-    costs one lstat, each directory one realpath and a symlink its own."""
-    reals, dirs = {}, {}
+    directory and NotADirectoryError for one under a regular file. A
+    symlink stands for its target. Each path costs one stat and one realpath."""
+    reals = {}
     for path in paths:
-        head, name = os.path.split(path)
-        if name in ("", ".", ".."):
+        if os.path.basename(path) in ("", ".", ".."):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         try:
-            mode = os.lstat(path).st_mode  # NotADirectoryError under a regular file
+            mode = os.stat(path).st_mode  # NotADirectoryError under a regular file
         except FileNotFoundError:
-            mode = 0  # a new file; a missing directory is made
-        if stat.S_ISLNK(mode):
-            real, mode = os.path.realpath(path), 0
-            with contextlib.suppress(FileNotFoundError):  # a dangling link names a new file
-                mode = os.stat(path).st_mode
-        else:
-            if head not in dirs:
-                dirs[head] = os.path.realpath(head)
-            real = os.path.join(dirs[head], name)
+            mode = 0  # a new file, or a dangling link's; a missing directory is made
+        real = os.path.realpath(path)
         if real in reals:
             raise InvalidSetting(f"two outputs name one file: {path}")
         reals[real] = path
@@ -220,8 +212,8 @@ def write_files(files) -> None:
 
 
 def fan_in_normal(rng: np.random.Generator, n_in: int, n_out: int) -> np.ndarray:
-    """(n_in, n_out) weights drawn from N(0, 1/n_in)."""
-    return rng.normal(0.0, 1.0 / np.sqrt(n_in), size=(n_in, n_out))
+    """(n_in, n_out) weights drawn from N(0, 1/n_in); none for n_in = 0."""
+    return rng.normal(0.0, 1.0 / np.sqrt(max(n_in, 1)), size=(n_in, n_out))
 
 
 class Model:
@@ -489,18 +481,19 @@ OUTFIT = InstructionScenario(
 SCENARIOS = {s.name: s for s in (FOOD, OUTFIT)}
 
 
-def _is_count(v) -> bool:
-    """v is an integer >= 1: operator.index takes it (numpy ints too) and it is no bool."""
+def _is_count(v, least: int = 1) -> bool:
+    """v is an integer >= least: operator.index takes it (numpy ints too) and it is no bool."""
     try:
-        return not isinstance(v, bool) and operator.index(v) >= 1
+        return not isinstance(v, bool) and operator.index(v) >= least
     except TypeError:
         return False
 
 
-def check_count(name: str, v) -> None:
-    """Raise InvalidSetting naming name unless v is a count, as a config's counts are."""
-    if not _is_count(v):
-        raise InvalidSetting(f"{name} must be an integer >= 1, got {v!r}")
+def check_count(name: str, v, least: int = 1) -> None:
+    """Raise InvalidSetting naming name unless v is an integer >= least (a
+    count by default, as a config's counts are)."""
+    if not _is_count(v, least):
+        raise InvalidSetting(f"{name} must be an integer >= {least}, got {v!r}")
 
 
 @dataclass
@@ -541,8 +534,7 @@ class PipelineConfig:
         checks += [("sigma", "finite and >= 0", 0 <= self.sigma < np.inf),
                    ("joint_limits", "(lo, hi) with lo < hi",
                     self.joint_limits[0] < self.joint_limits[1]),
-                   ("gnn_dims", "3 integers >= 1", len(dims) == 3 and all(
-                       isinstance(v, int) and v >= 1 for v in dims))]
+                   ("gnn_dims", "3 integers >= 1", len(dims) == 3 and all(map(_is_count, dims)))]
         bad = [f"{name} must be {what}, got {getattr(self, name)!r}"
                for name, what, ok in checks if not ok]
         if not bad:

@@ -288,6 +288,7 @@ def init_cot_head(vocab: TokenVocab, context_dim: int, rng: np.random.Generator,
     projections, N(0, 0.1^2) token embeddings, zero biases."""
     for name, v in (("window", window), ("embed", embed), ("hidden", hidden)):
         check_count(f"cot head {name}", v)
+    check_count("cot head context_dim", context_dim, least=0)
     V = len(vocab)
     wc = fan_in_normal(rng, context_dim, CTX_EMBED)
     emb = rng.normal(0.0, 0.1, size=(V, embed))

@@ -131,6 +131,7 @@ def init_flow_expert(rng: np.random.Generator, horizon: int, j_dim: int,
                      context_dim: int, hidden: int = 64, **hyper) -> FlowExpert:
     for name, v in (("horizon", horizon), ("j_dim", j_dim), ("hidden", hidden)):
         check_count(f"expert {name}", v)
+    check_count("expert context_dim", context_dim, least=0)
     d_a = horizon * j_dim
     return FlowExpert(horizon=horizon, j_dim=j_dim, context_dim=context_dim,
                       w1=fan_in_normal(rng, d_a + context_dim + 1, hidden), b1=np.zeros(hidden),

@@ -2,7 +2,6 @@
 robot nodes from forward kinematics, and the bipartite object/end-effector
 edge set (plus optional kinematic-chain edges)."""
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,8 +9,6 @@ import numpy as np
 from .core import NODE_KINDS, CameraIntrinsics, InvalidSetting, RigidTransform
 from .kinematics import DofMismatch, chain_positions
 from .projection import NoValidDepth, backproject, bbox_center, depth_at
-
-log = logging.getLogger(__name__)
 
 OBJECT, END_EFFECTOR, JOINT = NODE_KINDS
 
@@ -52,8 +49,9 @@ def build_graph(frame, K: CameraIntrinsics, T: RigidTransform, chains: list,
 
     Node order is deterministic: objects in detection order, then per chain in
     config order (joint origins base-to-tip unless paper_literal, then end
-    effector). Detections with no valid depth get no node, with a warning;
-    a box whose center is not a pixel of the image raises InvalidSetting.
+    effector). A detection with no valid depth at its box center gets no
+    node (objects_skipped counts them); a box whose center is not a pixel
+    of the image raises InvalidSetting.
     """
     if positions is None:
         positions = [p[0] for p in chain_positions(joint_matrix([frame], chains), chains)]
@@ -63,7 +61,6 @@ def build_graph(frame, K: CameraIntrinsics, T: RigidTransform, chains: list,
         try:
             depths.append(depth_at(frame.depth, center))
         except NoValidDepth:
-            log.warning("skipping object '%s': no valid depth at %s", det.label, center)
             continue
         centers.append(center)
         labels.append(det.label)
@@ -102,6 +99,17 @@ def episode_graphs(frames: list, K: CameraIntrinsics, T: RigidTransform, chains:
     return [build_graph(frame, K, T, chains, paper_literal,
                         positions=[p[i] for p in positions])
             for i, frame in enumerate(frames)]
+
+
+def objects_skipped(frames: list, graphs: list, chains: list,
+                    paper_literal: bool = False) -> int:
+    """The count of the frames' detections that got no object node in their
+    graphs (build_graph's, one per frame, in the same mode): detections minus
+    object nodes, read from lengths, as every graph holds the same robot
+    nodes after its objects."""
+    robot = len(chains) if paper_literal else sum(c.dof + 1 for c in chains)
+    return (sum(len(frame.detections) for frame in frames)
+            - sum(len(g.nodes) - robot for g in graphs))
 
 
 def adjacency_matrix(g: PoseObjectGraph) -> np.ndarray:

@@ -15,7 +15,7 @@ from .core import (SCENARIOS, InvalidSetting, Model, PipelineConfig, PipelineErr
 from .cot import CotHead, detokenize, generate_cot
 from .flow import FlowExpert, sample_actions
 from .gnn import GnnWeights, encode_pooled
-from .graph import episode_graphs, joint_matrix
+from .graph import episode_graphs, joint_matrix, objects_skipped
 from .sim import EmptyEpisode, Episode
 
 
@@ -72,10 +72,12 @@ class InferenceSchedule:
 class BenchReport:
     """Measured wall-clock timings in milliseconds: stage -> one sample per
     run of the stage (one per block of frames for graph_build, encode and
-    action_sampling, one per reasoning decode), and one sample per frame."""
+    action_sampling, one per reasoning decode), and one sample per frame.
+    objects_skipped counts the detections that got no graph node."""
 
     stage_samples: dict = field(default_factory=dict)  # stage -> [ms]
     frame_samples: list = field(default_factory=list)  # [ms], one per frame
+    objects_skipped: int = 0
 
 
 @dataclass
@@ -112,18 +114,20 @@ def frame_blocks(frames: list):
 
 def _block_contexts(episode: Episode, gnn_w: GnnWeights, cfg: PipelineConfig, frames: list,
                     onehot: np.ndarray):
-    """For each of frame_blocks(frames), yield (lo, contexts, t_graphs): the
-    block's (len(block), context_dim) contexts and the perf_counter time at
-    which its graphs were built. Forward kinematics, graph building and
+    """For each of frame_blocks(frames), yield (lo, contexts, t_graphs,
+    skipped): the block's (len(block), context_dim) contexts, the
+    perf_counter time at which its graphs were built and their
+    objects_skipped. Forward kinematics, graph building and
     encoding run once per block, and the block's graphs are dropped before
     the next block is built."""
     for lo, block in frame_blocks(frames):
         graphs = episode_graphs(block, episode.K, episode.T, cfg.chains)
+        skipped = objects_skipped(block, graphs, cfg.chains)
         t_graphs = time.perf_counter()
         contexts = make_context(encode_pooled(graphs, gnn_w), joint_matrix(block, cfg.chains),
                                 onehot)
         del graphs
-        yield lo, contexts, t_graphs
+        yield lo, contexts, t_graphs, skipped
 
 
 def episode_contexts(episode: Episode, gnn_w: GnnWeights, cfg: PipelineConfig,
@@ -131,8 +135,8 @@ def episode_contexts(episode: Episode, gnn_w: GnnWeights, cfg: PipelineConfig,
     """(F, context_dim) contexts of frames, some or all of the episode's,
     built block by block as run_inference_loop builds them."""
     out = np.empty((len(frames), cfg.context_dim))
-    for lo, contexts, _ in _block_contexts(episode, gnn_w, cfg, frames,
-                                           scenario_onehot(episode.scenario.name)):
+    for lo, contexts, *_ in _block_contexts(episode, gnn_w, cfg, frames,
+                                            scenario_onehot(episode.scenario.name)):
         out[lo:lo + len(contexts)] = contexts
     return out
 
@@ -154,7 +158,8 @@ def run_inference_loop(episode: Episode, gnn_w: GnnWeights, expert: FlowExpert,
     (reasoning text only on scheduled frames) and a BenchReport with one
     sample per block for each block stage, one per decode, and one per
     frame: the frame's share (1/B of a B-frame block) of its block's time
-    outside the decodes, plus its own decode.
+    outside the decodes, plus its own decode. Its objects_skipped counts the
+    episode's detections that got no graph node (no valid depth).
     """
     frames = episode.frames
     if not frames:
@@ -162,10 +167,10 @@ def run_inference_loop(episode: Episode, gnn_w: GnnWeights, expert: FlowExpert,
     onehot = scenario_onehot(episode.scenario.name)
     rng = make_rng(seed)
     stages = {"graph_build": [], "encode": [], "cot_generation": [], "action_sampling": []}
-    outputs, frame_samples = [], []
+    outputs, frame_samples, n_skipped = [], [], 0
 
     t_block = time.perf_counter()
-    for lo, contexts, t_graphs in _block_contexts(episode, gnn_w, cfg, frames, onehot):
+    for lo, contexts, t_graphs, skipped in _block_contexts(episode, gnn_w, cfg, frames, onehot):
         t_encode = time.perf_counter()
         block = range(lo, lo + len(contexts))
         texts, cot_ms, t_cot = {}, {}, t_encode
@@ -188,8 +193,10 @@ def run_inference_loop(episode: Episode, gnn_w: GnnWeights, expert: FlowExpert,
         stages["action_sampling"].append((t_end - t_cot) * 1e3)
         shared = ((t_end - t_block) * 1e3 - sum(cot_ms.values())) / len(block)
         frame_samples += [shared + cot_ms.get(i, 0.0) for i in block]
+        n_skipped += skipped
         t_block = t_end
-    return outputs, BenchReport(stage_samples=stages, frame_samples=frame_samples)
+    return outputs, BenchReport(stage_samples=stages, frame_samples=frame_samples,
+                                objects_skipped=n_skipped)
 
 
 def frame_json(o: FrameOutput) -> str:

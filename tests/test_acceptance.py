@@ -283,7 +283,7 @@ def test_criterion_12_cli_determinism(tmp_path):
                              "--episodes", "1", "--frames", "8", "--seed", "5",
                              "--out", str(data)]) == 0
             episode = data / "food_v0_000.jsonl"
-            graphs = base / "graphs"
+            graphs = base / "graphs.jsonl"
             assert cli_main(["graph", "--episode", str(episode),
                              "--out", str(graphs)]) == 0
             expert = base / "expert.json"

@@ -88,10 +88,10 @@ def test_graph_paper_literal_edge_count(tmp_path, workspace):
     data = tmp_path / "28data"
     assert main(["gen", "--scenario", "food", "--variant", "2", "--episodes", "1",
                  "--frames", "2", "--seed", "5", "--out", str(data)]) == 0
-    out = tmp_path / "graphs"
+    out = tmp_path / "graphs.jsonl"
     assert main(["graph", "--episode", str(data / "food_v2_000.jsonl"),
                  "--out", str(out), "--paper-literal"]) == 0
-    doc = json.loads((out / "graph_00000.json").read_text())
+    doc = json.loads(out.read_text().splitlines()[0])
     assert len(doc["nodes"]) == 4
     assert len(doc["edges"]) == 4
     kinds = {n["kind"] for n in doc["nodes"]}
@@ -99,20 +99,20 @@ def test_graph_paper_literal_edge_count(tmp_path, workspace):
 
 
 def test_graph_full_mode(tmp_path, workspace):
-    out = tmp_path / "graphs"
+    out = tmp_path / "graphs.jsonl"
     assert main(["graph", "--episode", str(workspace["episode"]), "--out", str(out)]) == 0
-    files = sorted(os.listdir(out))
-    assert len(files) == 6
-    doc = json.loads((out / files[0]).read_text())
+    lines = out.read_text().splitlines()
+    assert len(lines) == 6
+    doc = json.loads(lines[0])
     assert len(doc["nodes"]) == 4 + 2 * 8
 
 
 def test_graph_deterministic(tmp_path, workspace):
-    a, b = tmp_path / "a", tmp_path / "b"
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     for out in (a, b):
         assert main(["graph", "--episode", str(workspace["episode"]), "--out", str(out)]) == 0
-    for name in sorted(os.listdir(a)):
-        assert (a / name).read_bytes() == (b / name).read_bytes()
+    assert len(a.read_text().splitlines()) == 6
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_init_weights_load(workspace):
@@ -712,7 +712,8 @@ def test_graph_refuses_detection_boxes_outside_the_image(what, tmp_path, workspa
     lines = workspace["episode"].read_text().splitlines()
     episode = tmp_path / "bad.jsonl"
     episode.write_text("\n".join(_corrupt(lines, what)) + "\n")
-    _assert_refused(_run(["graph", "--episode", str(episode), "--out", str(tmp_path / "graphs")]),
+    _assert_refused(_run(["graph", "--episode", str(episode),
+                          "--out", str(tmp_path / "graphs.jsonl")]),
                     2, "MalformedEpisode", ["line 2: detection box"], tmp_path, ["bad.jsonl"])
 
 
@@ -956,6 +957,43 @@ def _episode_argv(command, workspace, episode, out):
     return ["train-expert", "--data", str(episode.parent), "--steps", "1", "--out", str(out)]
 
 
+def _depth_holed(episode, out):
+    """episode copied to out with an invalid-depth square over frame 0's
+    first box centre, so that detection gets no graph node."""
+    lines = episode.read_text().splitlines()
+    frame = json.loads(lines[1])
+    x0, y0, x1, y1 = frame["detections"][0]["box"]
+    cx, cy = round((x0 + x1) / 2), round((y0 + y1) / 2)
+    frame["depth"].append([cx - 3, cy - 3, cx + 4, cy + 4, 0.0])
+    out.write_text("\n".join([lines[0], json.dumps(frame), *lines[2:]]) + "\n")
+    return out
+
+
+@pytest.mark.parametrize("command", ["graph", "infer"])
+def test_a_skipped_object_is_counted_on_stdout_with_stderr_empty(command, tmp_path, workspace):
+    """A detection with no valid depth at its box centre gets no node: the
+    command exits 0, says how many it skipped on its summary line, and
+    leaves stderr empty."""
+    episode = _depth_holed(workspace["episode"], tmp_path / "holed.jsonl")
+    out = tmp_path / "out.jsonl"
+    code, stdout, stderr = _run(_episode_argv(command, workspace, episode, out),
+                                fresh_process=True)
+    assert (code, stderr) == (0, "")
+    assert stdout.rstrip("\n").endswith("; 1 object(s) skipped for no valid depth")
+    if command == "graph":
+        kinds = [[n["kind"] for n in json.loads(line)["nodes"]]
+                 for line in out.read_text().splitlines()]
+        assert [k.count("object") for k in kinds] == [3, 4, 4, 4, 4, 4]
+
+
+def test_graph_checks_its_file_before_reading_the_episode(tmp_path):
+    """--out naming a directory exits 3 even when --episode is missing."""
+    (tmp_path / "graphs").mkdir()
+    _assert_refused(_run(["graph", "--episode", str(tmp_path / "missing.jsonl"),
+                          "--out", str(tmp_path / "graphs")]),
+                    3, "IsADirectoryError", ["graphs"], tmp_path, ["graphs"])
+
+
 @pytest.mark.parametrize("lines", [0, 1], ids=["empty", "header_only"])
 @pytest.mark.parametrize("command", ["graph", "infer", "train-expert"])
 def test_empty_episode_exits_2(command, lines, tmp_path, workspace):
@@ -1049,8 +1087,9 @@ NON_FINITE_WRITES = {
 
 @pytest.mark.parametrize("command", sorted(NON_FINITE_WRITES))
 def test_non_finite_json_output_is_refused(command, tmp_path, workspace):
-    """A number strict JSON cannot carry is refused before its file is
-    opened: exit 2, one JSON line on stderr, and no file left behind."""
+    """A number strict JSON cannot carry is refused before its file is put
+    in place (graph's streamed file is opened first, as a temporary):
+    exit 2, one JSON line on stderr, and no file left behind."""
     edit, argv, message = NON_FINITE_WRITES[command]
     doc = to_json(default_config())
     edit(doc)
@@ -1078,7 +1117,8 @@ def test_train_refuses_non_finite_loss(command, argv, word, tmp_path, workspace)
 
 def test_graph_refused_at_a_later_frame_writes_no_graph(tmp_path):
     """Two huge link offsets make frame 71's graph, in the third block, not
-    finite: graph exits 2 and leaves none of the 71 graphs before it."""
+    finite: graph exits 2 and leaves no file, not even the 71 graph lines
+    before it."""
     data = tmp_path / "data"
     assert main(["gen", "--scenario", "food", "--variant", "0", "--frames", "90", "--seed", "1",
                  "--out", str(data)]) == 0
@@ -1088,7 +1128,7 @@ def test_graph_refused_at_a_later_frame_writes_no_graph(tmp_path):
     (tmp_path / "cfg.json").write_text(json.dumps(doc))
     err = _assert_refused(_run(["graph", "--episode", str(data / "food_v0_000.jsonl"),
                                 "--config", str(tmp_path / "cfg.json"),
-                                "--out", str(tmp_path / "graphs")]),
+                                "--out", str(tmp_path / "graphs.jsonl")]),
                           2, "NonFiniteOutput", folder=tmp_path, left=["cfg.json", "data"])
     assert err["message"] == "graph of frame 71 has a non-finite entry"
 
@@ -1120,7 +1160,7 @@ def _must_not_run(name):
 # command -> (the function in cli that does its work, the name of its first
 # file under --out, or None when --out names the file itself)
 COMMAND_WORK = {"gen": ("gen_episode", "food_v0_000.jsonl"),
-                "graph": ("episode_graphs", "graph_00000.json"),
+                "graph": ("episode_graphs", None),
                 "init-weights": ("init_gnn_weights", None),
                 "train-expert": ("train_step", None),
                 "train-cot": ("train_cot_head", None),

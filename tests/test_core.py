@@ -2,17 +2,20 @@ import dataclasses
 import errno
 import json
 import os
+import re
 import zipfile
 
 import numpy as np
 import pytest
 
 from graphact import (SCENARIOS, CameraIntrinsics, CotHead, DhLink, FlowExpert,
-                      InferenceSchedule, KinematicChain, PipelineConfig, RigidTransform,
-                      TokenVocab, build_default_vocab, derive_seed, episode_text, gen_episode,
-                      generate_cot, init_cot_head, init_flow_expert, init_gnn_weights, make_rng,
-                      sample_actions)
-from graphact.core import InvalidSetting, NonFiniteOutput, reader, to_json, write_files
+                      InferenceSchedule, KinematicChain, PipelineConfig, RigidTransform, Scene,
+                      TokenVocab, build_default_vocab, derive_seed, episode_text, future_indices,
+                      gen_episode, generate_cot, grad_check, graph_conv, init_cot_head,
+                      init_flow_expert, init_gnn_weights, make_rng, sample_actions, total_loss,
+                      train_step)
+from graphact.core import (InvalidSetting, NonFiniteOutput, ShapeMismatch, reader, to_json,
+                           write_files)
 from conftest import random_rotation
 
 
@@ -96,6 +99,16 @@ def test_library_config_refuses_a_count_that_is_no_integer(cfg, value):
 
 def test_library_config_takes_a_numpy_integer_count(cfg):
     assert dataclasses.replace(cfg, flow_horizon=np.int64(10)).flow_horizon == 10
+    dims = (np.int64(32), 32, 32)
+    assert dataclasses.replace(cfg, gnn_dims=dims).context_dim == cfg.context_dim
+
+
+@pytest.mark.parametrize("dims", [(True, 32, 32), (32, 32.0, 32), (32, 32, 0)],
+                         ids=["bool", "integral_float", "zero"])
+def test_library_config_holds_gnn_dims_to_the_count_rule(cfg, dims):
+    message = f"gnn_dims must be 3 integers >= 1, got {dims!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dataclasses.replace(cfg, gnn_dims=dims)
 
 
 # The library's counts, by the name each refusal gives: (cfg, n) -> the result
@@ -134,6 +147,72 @@ def test_library_counts_follow_the_config_count_rule(name, value, cfg):
 @pytest.mark.parametrize("name", sorted(LIBRARY_COUNTS))
 def test_library_counts_take_a_numpy_integer(name, cfg):
     assert LIBRARY_COUNTS[name](cfg, np.int64(2)) == LIBRARY_COUNTS[name](cfg, 2)
+
+
+# The library's sizes that may be 0, by the name each refusal gives: (rng, n)
+# -> the parameters drawn from rng with the size set to n.
+LIBRARY_SIZES = {
+    "expert context_dim": lambda rng, n: [p.tolist() for _, p in init_flow_expert(
+        rng, 2, 2, n, hidden=3).params()],
+    "cot head context_dim": lambda rng, n: [p.tolist() for _, p in init_cot_head(
+        build_default_vocab(2), n, rng, window=2, embed=2, hidden=3).params()],
+}
+
+
+@pytest.mark.parametrize("value", [2.5, True, -1], ids=["fraction", "bool", "negative"])
+@pytest.mark.parametrize("name", sorted(LIBRARY_SIZES))
+def test_library_sizes_are_refused_before_any_draw(name, value):
+    """A size that is no integer >= 0 is refused by name, with the
+    generator as it was."""
+    rng = make_rng(4)
+    state = rng.bit_generator.state
+    with pytest.raises(InvalidSetting, match=f"^{name} must be an integer >= 0, got {value!r}$"):
+        LIBRARY_SIZES[name](rng, value)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY_SIZES))
+def test_library_sizes_take_zero_and_a_numpy_integer(name):
+    assert LIBRARY_SIZES[name](make_rng(4), np.int64(2)) == LIBRARY_SIZES[name](make_rng(4), 2)
+    assert LIBRARY_SIZES[name](make_rng(4), 0)
+
+
+def _small_expert():
+    return init_flow_expert(make_rng(1), 2, 2, 3, hidden=3)  # input width 2 * 2 + 3 + 1
+
+
+_SAMPLE = (np.zeros((2, 2)), np.zeros(3))  # (chunk, context) for _small_expert
+
+# Library refusals, by name: (call, error, the whole message).
+REFUSALS = {
+    "train_step lr": (lambda: train_step(_small_expert(), [_SAMPLE], -1.0, make_rng(2)),
+                      InvalidSetting, "learning rate must be finite and >= 0, got -1.0"),
+    "grad_check h": (lambda: grad_check(_small_expert(), _SAMPLE, make_rng(2), h=0.0),
+                     InvalidSetting, "h must be positive"),
+    "forward input width": (lambda: _small_expert().forward(np.zeros((1, 7))),
+                            ShapeMismatch, "expected input dim 8, got 7"),
+    "graph_conv weight": (lambda: graph_conv(np.zeros((2, 3)), np.eye(2), np.zeros((4, 1)),
+                                             np.zeros(1)),
+                          ShapeMismatch, "features (2, 3) do not match weight (4, 1)"),
+    "future_indices t": (lambda: future_indices(-1, 30), InvalidSetting,
+                         "need t >= 0 and dt >= 1"),
+    "future_indices dt": (lambda: future_indices(0, 0), InvalidSetting,
+                          "need t >= 0 and dt >= 1"),
+    "TokenVocab duplicate": (lambda: TokenVocab(["a", "b", "a"]), ValueError,
+                             "vocabulary tokens must be unique"),
+    "total_loss d": (lambda: total_loss(1.0, 2.0, 2, 0.5, 0.5), InvalidSetting,
+                     "d must be 0 or 1"),
+    "Scene.position_of": (lambda: Scene([], ((0, 1),) * 3).position_of("egg"), KeyError,
+                          "'egg'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_library_refusals(name):
+    call, error, message = REFUSALS[name]
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error and str(err.value) == message
 
 
 def test_sample_actions_refusing_its_steps_leaves_the_generator():

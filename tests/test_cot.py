@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -101,6 +102,19 @@ def test_label_deterministic():
     a = make_cot_label(ep.scene, ep.scenario, ep, 7, dt=30)
     b = make_cot_label(ep.scene, ep.scenario, ep, 7, dt=30)
     assert a.to_text() == b.to_text()
+
+
+def test_label_of_an_empty_desk():
+    """A scene with no objects is described as empty, with nothing to plan
+    and nothing ahead, in words the default vocabulary holds."""
+    ep = _episode(0)
+    label = make_cot_label(dataclasses.replace(ep.scene, objects=[]), ep.scenario, ep, 0, dt=30)
+    assert label.scene_description == "the desk is empty ."
+    assert label.feasibility_feedback == "missing: fish , pepper . task not feasible ."
+    assert (label.branch, label.subtask_plan) == (NONE_PRESENT, "plan : none .")
+    assert label.future_objects == "in 30 frames : nothing ."
+    vocab = build_default_vocab()
+    assert detokenize(tokenize(label.to_text(), vocab), vocab) == label.to_text()
 
 
 def test_label_empty_episode():

@@ -7,7 +7,7 @@ import pytest
 from graphact import (BoundingBox, DepthGrid, FrameRecord, SampleStream, adjacency_matrix,
                       align_streams, build_graph, default_config, gen_episode)
 from graphact.core import InvalidSetting, to_json
-from graphact.graph import END_EFFECTOR, JOINT, OBJECT, episode_graphs
+from graphact.graph import END_EFFECTOR, JOINT, OBJECT, episode_graphs, objects_skipped
 from graphact.kinematics import DofMismatch
 from graphact.projection import NoValidDepth
 from graphact.sim import SCENARIOS
@@ -115,6 +115,20 @@ def test_object_skipped_without_valid_depth():
     assert objects == []
     assert len(frame.detections) - len(objects) == 2
     assert g.edges == []
+
+
+@pytest.mark.parametrize("paper_literal", [False, True], ids=["full", "paper_literal"])
+def test_objects_skipped_counts_detections_without_a_node(paper_literal):
+    """objects_skipped, read from lengths, equals detections less object
+    nodes, whether a frame's detections all have depth, none has or one
+    box centre lies in a hole."""
+    holed = _frame(3)
+    holed.depth.patches.append((57, 67, 64, 74, 0.0))  # over the first box centre
+    frames = [_frame(2), _frame(2, depth_value=-1.0), holed, _frame(0)]
+    graphs = episode_graphs(frames, CFG.intrinsics, CFG.extrinsics, CFG.chains, paper_literal)
+    objects = sum(n.kind == OBJECT for g in graphs for n in g.nodes)
+    assert objects == 2 + 0 + 2
+    assert objects_skipped(frames, graphs, CFG.chains, paper_literal) == 7 - objects == 3
 
 
 def test_dof_mismatch_propagates():

@@ -68,6 +68,20 @@ def test_report_samples_are_measured_once_and_add_up(artifacts):
         assert sum(report.frame_samples) == pytest.approx(total, rel=1e-9, abs=0)
 
 
+def test_report_counts_the_objects_skipped_in_every_block(artifacts):
+    """A depth hole over one box centre in each of two blocks: the report
+    counts both detections that got no graph node."""
+    ep = gen_episode(SCENARIOS["food"], 0, BLOCK_FRAMES + 2, seed=38, cfg=CFG)
+    _, report = run_inference_loop(ep, *artifacts, InferenceSchedule(), CFG)
+    assert report.objects_skipped == 0
+    for frame in (ep.frames[0], ep.frames[BLOCK_FRAMES + 1]):
+        box = frame.detections[0]
+        cx, cy = round((box.x_min + box.x_max) / 2), round((box.y_min + box.y_max) / 2)
+        frame.depth.patches.append((cx - 3, cy - 3, cx + 4, cy + 4, 0.0))
+    _, report = run_inference_loop(ep, *artifacts, InferenceSchedule(), CFG)
+    assert report.objects_skipped == 2
+
+
 def test_blocks_give_the_bits_of_a_frame_by_frame_reference(artifacts):
     """Over two blocks and three frames, with decodes in every block, each
     chunk and text equals a reference built from build_graph and encode frame

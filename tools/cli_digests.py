@@ -7,12 +7,15 @@ Usage: python3 tools/cli_digests.py SRC WORKDIR
 SRC is the directory holding the graphact package (a checkout's src/), and
 WORKDIR a directory the matrix may fill; it is emptied first. Every command
 runs in its own process at OPENBLAS_NUM_THREADS=1, with WORKDIR written as W
-in every digest. infer's stdout carries wall-clock timings and is left out.
-Two checkouts give the same bytes when `diff` of their listings is empty.
+in every digest. infer's stdout carries wall-clock timings and is left out,
+but a summary line that counts skipped objects is listed whole, its
+timings masked. Two checkouts give the same bytes when `diff` of their listings is empty.
 """
 
 import hashlib
+import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -38,9 +41,9 @@ def matrix(w):
                         "--seed", "4", "--out", f"{w}/data"]),
         ("gen small", ["gen", "--scenario", "food", "--variant", "2", "--frames", "12",
                        "--out", f"{w}/data_small", *small]),
-        ("graph", ["graph", "--episode", ep, "--out", f"{w}/graphs"]),
+        ("graph", ["graph", "--episode", ep, "--out", f"{w}/graphs.jsonl"]),
         ("graph paper-literal", ["graph", "--episode", ep, "--paper-literal",
-                                 "--out", f"{w}/graphs_literal"]),
+                                 "--out", f"{w}/graphs_literal.jsonl"]),
         *[(f"init-weights {kind}", ["init-weights", "--kind", kind, "--seed", "3",
                                     "--out", f"{w}/init/{kind}.npz"])
           for kind in ("gnn", "expert", "cot")],
@@ -74,6 +77,10 @@ def matrix(w):
                          "--gnn", f"{w}/small_gnn.npz", "--expert", f"{w}/small_expert.npz",
                          "--cot-head", f"{w}/small_cot.npz", "--out", f"{w}/infer_small.json",
                          *small]),
+        ("graph depth hole", ["graph", "--episode", f"{w}/depth_hole.jsonl",
+                              "--out", f"{w}/graphs_hole.jsonl"]),
+        ("infer depth hole", ["infer", "--episode", f"{w}/depth_hole.jsonl", *artifacts,
+                              "--out", f"{w}/infer_hole.json"]),
         ("refuse non-JSON config", ["gen", "--scenario", "food", "--variant", "0",
                                     "--config", f"{w}/not_json.json", "--out", f"{w}/refused"]),
         ("refuse non-UTF-8 config", ["gen", "--scenario", "food", "--variant", "0",
@@ -120,9 +127,15 @@ def main(argv) -> int:
         env=env, check=True, capture_output=True).stdout.splitlines(True)
     # Inputs that are not JSON text: a cut-short document, a config opening
     # with a UTF-16 byte-order mark, and a 5-frame episode whose line 4 is cut
-    # short or holds a byte that is not UTF-8.
-    line = episode[3]
-    inputs = {"not_json.json": b'{"sigma": 1.0,', "not_utf8.json": b'\xff\xfe{}',
+    # short or holds a byte that is not UTF-8. Beside them, the episode with
+    # an invalid-depth square over frame 0's first box centre.
+    line, frame = episode[3], json.loads(episode[1])
+    x0, y0, x1, y1 = frame["detections"][0]["box"]
+    cx, cy = round((x0 + x1) / 2), round((y0 + y1) / 2)
+    frame["depth"].append([cx - 3, cy - 3, cx + 4, cy + 4, 0.0])
+    inputs = {"depth_hole.jsonl": b"".join([episode[0], json.dumps(frame).encode() + b"\n",
+                                            *episode[2:]]),
+              "not_json.json": b'{"sigma": 1.0,', "not_utf8.json": b'\xff\xfe{}',
               "cut_short.jsonl": b"".join([*episode[:3], line[:40] + b"\n", *episode[4:]]),
               "not_utf8.jsonl": b"".join([*episode[:3], line[:20] + b"\xff" + line[21:],
                                           *episode[4:]])}
@@ -138,6 +151,8 @@ def main(argv) -> int:
               f"{err.decode(errors='replace').strip()}")
         if args[0] != "infer":
             print(f"{name}: stdout {digest(out)}")
+        if b"skipped" in out:
+            print(f"{name}: stdout {re.sub(rb'[0-9.]+ ms', b'X ms', out).decode().strip()}")
     for root, dirs, files in sorted(os.walk(work)):
         dirs.sort()
         for file in sorted(files):
