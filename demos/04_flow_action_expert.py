@@ -1,10 +1,10 @@
 """Train the flow-matching action expert on a two-context toy problem.
 
 Each training step interpolates a target chunk with fresh Gaussian noise at a
-random time coefficient and regresses the network toward the displacement
-noise - target. Sampling then Euler-integrates the learned field from pure
-noise back to an action chunk. After training, samples land on the correct
-per-context target from any noise seed.
+random time coefficient and regresses the network toward the clean target
+(data prediction). Sampling then Euler-integrates the velocity that
+prediction implies from pure noise back to an action chunk. After training,
+samples land on the correct per-context target from any noise seed.
 """
 
 import numpy as np

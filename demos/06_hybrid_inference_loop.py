@@ -19,7 +19,7 @@ cfg = default_config()
 episode = gen_episode(SCENARIOS["food"], variant=1, n_frames=60, seed=4, cfg=cfg)
 
 gnn_w = init_gnn_weights(make_rng(0), *cfg.gnn_dims)
-expert = init_flow_expert(make_rng(1), horizon=cfg.flow_horizon, j_dim=cfg.j_total,
+expert = init_flow_expert(make_rng(1), horizon=cfg.action_terms, j_dim=cfg.j_total,
                           context_dim=cfg.context_dim, hidden=cfg.flow_hidden,
                           sigma=cfg.sigma)
 

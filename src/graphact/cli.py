@@ -24,8 +24,9 @@ from .cot import (CotHead, build_default_vocab, cot_dataset_text, init_cot_head,
 from .flow import FlowExpert, init_flow_expert, train_step
 from .gnn import GnnWeights, init_gnn_weights
 from .graph import episode_graphs, joint_matrix, objects_skipped
-from .inference import (ArtifactLoadError, InferenceSchedule, check_artifacts, episode_contexts,
-                        frame_blocks, output_text, run_inference_loop)
+from .inference import (ArtifactLoadError, InferenceSchedule, check_artifacts,
+                        chunk_coefficients, episode_contexts, frame_blocks, output_text,
+                        run_inference_loop)
 from .selfcheck import run_selfcheck
 from .sim import default_config, episode_text, gen_episode, load_episode
 
@@ -46,18 +47,38 @@ def _load_named(error, load, path):
         raise error(str(exc)) from exc
 
 
+def _openblas(name: str, argtypes: list, restype):
+    """The scipy-openblas function name (without its 64_ suffix) in the
+    library numpy loaded, or None for a BLAS without it."""
+    try:  # dlsym on numpy's core module also searches the libraries it loaded
+        fn = getattr(ctypes.CDLL(np._core._multiarray_umath.__file__), f"scipy_openblas_{name}64_")
+    except (AttributeError, OSError):
+        return None
+    fn.argtypes, fn.restype = argtypes, restype
+    return fn
+
+
+def kernel_fingerprint() -> str:
+    """The kernels a run's bytes depend on beyond its inputs: the OpenBLAS core
+    picked at load time and the library's config, then numpy's version and
+    the SIMD dispatch targets it enabled at import."""
+    core, config = (_openblas(name, [], ctypes.c_char_p) for name in ("get_corename",
+                                                                      "get_config"))
+    umath = np._core._multiarray_umath
+    targets = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    blas = (f"OpenBLAS {core().decode()} ({' '.join(config().decode().split())})"
+            if core and config else "BLAS without scipy-openblas")
+    return f"{blas}; numpy {np.__version__} dispatch {' '.join(targets) or 'none'}"
+
+
 @contextlib.contextmanager
 def _one_blas_thread():
     """Run the block with numpy's BLAS on one thread, then restore the
     caller's count. A threaded product sums in another order, so train-cot
     and train-expert at --batch >= 32 would give bytes that depend on it."""
-    try:  # dlsym on numpy's core module also searches the libraries it loaded
-        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-        get, set_threads = (lib.scipy_openblas_get_num_threads64_,
-                            lib.scipy_openblas_set_num_threads64_)
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-    except (AttributeError, OSError):  # a BLAS without the setter keeps its own count
+    get = _openblas("get_num_threads", [], ctypes.c_int)
+    set_threads = _openblas("set_num_threads", [ctypes.c_int], None)
+    if get is None or set_threads is None:  # a BLAS without the setter keeps its own count
         get = set_threads = lambda *count: None
     threads = get()
     set_threads(1)
@@ -108,7 +129,7 @@ def _new_gnn(cfg: PipelineConfig, rng: np.random.Generator) -> GnnWeights:
 
 
 def _new_expert(cfg: PipelineConfig, rng: np.random.Generator) -> FlowExpert:
-    return init_flow_expert(rng, horizon=cfg.flow_horizon, j_dim=cfg.j_total,
+    return init_flow_expert(rng, horizon=cfg.action_terms, j_dim=cfg.j_total,
                             context_dim=cfg.context_dim, hidden=cfg.flow_hidden,
                             alpha=cfg.flow_alpha, beta=cfg.flow_beta, sigma=cfg.sigma)
 
@@ -159,7 +180,8 @@ def cmd_train_expert(args, cfg: PipelineConfig) -> int:
         contexts = episode_contexts(ep, gnn_w, cfg, ep.frames)
         q, n = joint_matrix(ep.frames, cfg.chains), len(ep.frames)
         # frame t's chunk: q at t+1..t+H, holding the last frame at the end
-        dataset.extend((q[np.minimum(t + ahead, n - 1)], contexts[t]) for t in range(n))
+        chunks = q[np.minimum(np.arange(n)[:, None] + ahead, n - 1)]
+        dataset.extend(zip(chunk_coefficients(chunks, q, cfg.action_terms), contexts))
     expert = _new_expert(cfg, make_rng(derive_seed(args.seed, 0)))
     rng = make_rng(derive_seed(args.seed, 1))
     rows = []
@@ -286,8 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("train-expert", help="train the action expert on episodes")
     g.add_argument("--data", required=True)
     g.add_argument("--steps", type=POSITIVE_INT, default=500)
-    g.add_argument("--lr", type=NON_NEGATIVE_FLOAT, default=5e-4,
-                   help="plain-GD step; scale inversely with action dimension")
+    g.add_argument("--lr", type=NON_NEGATIVE_FLOAT, default=5e-3,
+                   help="plain-GD step on the squared error of the predicted clean "
+                        "offset, in its action_terms cosine coefficients per joint")
     g.add_argument("--seed", type=NON_NEGATIVE_INT, default=0)
     g.add_argument("--batch", type=POSITIVE_INT, default=16)
     g.add_argument("--gnn", default=None, help="GNN weights file (default: derived from --seed)")

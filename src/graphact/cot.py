@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (CTX_EMBED, SCENARIOS, InstructionScenario, InvalidSetting, Model,
-                   PipelineError, ShapeMismatch, check_count, check_finite, check_shapes,
-                   fan_in_normal, jsonl_text, max_grad_error)
+                   PipelineError, ShapeMismatch, check_count, check_difference_step,
+                   check_finite, check_shapes, fan_in_normal, jsonl_text, max_grad_error)
 from .sim import EmptyEpisode, Episode, Scene
 
 PAD, END, SEP = "<pad>", "<end>", "<sep>"
@@ -325,7 +325,9 @@ def train_cot_head(head: CotHead, dataset: list, lr: float, epochs: int,
 
 def grad_check_cot(head: CotHead, sample, rng: np.random.Generator, h: float = 1e-5,
                    n_params: int = 100) -> float:
-    """Max relative error of analytic vs central-difference gradients."""
+    """Max relative error of analytic vs central-difference gradients; a step
+    h outside 0 < h < inf is refused before any draw."""
+    check_difference_step(h)
     args = (*sample, head.windows(sample[1]))  # (context, token ids, windows)
     _, grads = head.loss_and_grads(*args)
     return max_grad_error(head, grads, lambda: head.loss_and_grads(*args)[0], h, n_params, rng)

@@ -1,10 +1,15 @@
-"""Flow-matching action expert.
+"""Flow-matching action expert, in data prediction.
 
-Training regresses a vector field v(A_tau, context, tau) toward the
-displacement eps - A along interpolants A_tau = tau*A + (1-tau)*eps, with
-tau ~ Beta(alpha, beta) and eps ~ N(0, sigma^2 I). Sampling integrates
-dA/dtau = -v with Euler steps from pure noise at tau = 0: the interpolant
-path has derivative A - eps, i.e. minus the regression target.
+Training regresses the clean target A from interpolants A_tau =
+tau*A + (1-tau)*eps, with tau ~ Beta(alpha, beta) and eps ~ N(0, sigma^2 I):
+the MLP outputs x_hat(A_tau, context, tau) and minimises ||x_hat - A||^2
+(Li & He, arXiv:2511.13720). Sampling integrates dA/dtau = -v with Euler
+steps from pure noise at tau = 0, where v = (A_tau - x_hat)/(1 - tau) is the
+velocity eps - A the prediction implies, since A_tau - A = (1-tau)(eps - A).
+So a step is A <- (1 - alpha)*A + alpha*x_hat with alpha = dtau/(1 - tau),
+and the last step's alpha is 1: the sample is the last prediction.
+The expert is generic: what A is (the pipeline feeds it cosine
+coefficients of a chunk's offset) is the caller's business.
 
 The network is a small MLP (two tanh hidden layers) trained by plain
 gradient descent with optional momentum; gradients are hand-derived and
@@ -16,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (InvalidSetting, Model, PipelineError, ShapeMismatch, check_count,
-                   check_shapes, fan_in_normal, max_grad_error)
+                   check_difference_step, check_shapes, fan_in_normal, max_grad_error)
 
 # Redraws sample_tau allows before it gives up; an ordinary Beta draw lands
 # strictly inside (0, 1) on the first try.
@@ -29,9 +34,9 @@ class DegenerateTau(PipelineError):
 
 @dataclass
 class FlowExpert(Model):
-    """Vector-field MLP: input [A_flat, context, tau] -> velocity (D_a,)."""
+    """Data-prediction MLP: input [A_tau_flat, context, tau] -> x_hat (D_a,)."""
 
-    horizon: int                 # H_a, action chunk length
+    horizon: int                 # rows of a target; the pipeline's cosine terms
     j_dim: int                   # joint dims per action step
     context_dim: int
     w1: np.ndarray
@@ -50,7 +55,7 @@ class FlowExpert(Model):
 
     PARAMS = ("w1", "b1", "w2", "b2", "w3", "b3")
     NAME = "expert"
-    TIES = {"horizon": "flow_horizon", "j_dim": "j_total", "context_dim": "context_dim",
+    TIES = {"horizon": "action_terms", "j_dim": "j_total", "context_dim": "context_dim",
             "sigma": "sigma"}
 
     def __post_init__(self):
@@ -70,19 +75,18 @@ class FlowExpert(Model):
     def input_dim(self) -> int:
         return self.action_dim + self.context_dim + 1
 
-    def fused_operator(self) -> tuple:
-        """(M, c) = (w3, b3) @ w1[:D_a], kept with w1, w3 and b3 read-only (an
-        edit raises ValueError) until drop_fused_operator, as train_step does."""
+    def fused_operator(self) -> np.ndarray:
+        """M = w3 @ w1[:D_a], kept with w1 and w3 read-only (an edit raises
+        ValueError) until drop_fused_operator, as train_step does."""
         if self._fused is None:
-            held = [p for p in (self.w1, self.w3, self.b3) if p.flags.writeable]
+            held = [p for p in (self.w1, self.w3) if p.flags.writeable]
             for p in held:
                 p.flags.writeable = False
-            w1a = self.w1[:self.action_dim]
-            self._fused = (self.w3 @ w1a, self.b3 @ w1a, held)
-        return self._fused[:2]
+            self._fused = (self.w3 @ self.w1[:self.action_dim], held)
+        return self._fused[0]
 
     def drop_fused_operator(self) -> None:
-        for p in self._fused[2] if self._fused else ():
+        for p in self._fused[1] if self._fused else ():
             p.flags.writeable = True
         self._fused = None
 
@@ -167,8 +171,8 @@ def interpolate(A: np.ndarray, eps: np.ndarray, tau: float) -> np.ndarray:
 
 
 def _draw_batch(expert: FlowExpert, batch: list, rng: np.random.Generator):
-    """Fresh (tau, eps) per element; returns stacked inputs X and denoising
-    targets U = eps - A. Sizes are checked before the first draw; then each
+    """Fresh (tau, eps) per element; returns stacked inputs X and the clean
+    targets A, one row per element. Sizes are checked before the first draw; then each
     element draws its tau and then its eps, in batch order, and the whole
     batch gets interpolate's arithmetic per entry (sample_tau keeps every tau
     off interpolate's exact endpoints 0 and 1)."""
@@ -192,19 +196,18 @@ def _draw_batch(expert: FlowExpert, batch: list, rng: np.random.Generator):
     X[:, :d_a] = tau * A + (1.0 - tau) * eps
     X[:, d_a:-1] = np.concatenate(contexts, axis=None).reshape(n, d_c)
     X[:, -1:] = tau
-    return X, eps - A
+    return X, A
 
 
 def fm_loss(expert: FlowExpert, batch: list, rng: np.random.Generator) -> float:
-    """Mean over the batch of ||v(A_tau, ctx, tau) - (eps - A)||^2."""
-    X, U = _draw_batch(expert, batch, rng)
-    V = expert.forward(X)
-    return float(np.sum((V - U) ** 2) / len(batch))
+    """Mean over the batch of ||x_hat(A_tau, ctx, tau) - A||^2."""
+    X, A = _draw_batch(expert, batch, rng)
+    return float(np.sum((expert.forward(X) - A) ** 2) / len(batch))
 
 
-def _loss_and_grads(expert: FlowExpert, X: np.ndarray, U: np.ndarray):
+def _loss_and_grads(expert: FlowExpert, X: np.ndarray, A: np.ndarray):
     V, cache = expert._forward_cached(X)
-    diff = V - U
+    diff = V - A
     loss = float(np.sum(diff ** 2) / X.shape[0])
     grads = expert._backward(cache, 2.0 * diff / X.shape[0])
     return loss, grads
@@ -215,8 +218,8 @@ def train_step(expert: FlowExpert, batch: list, lr: float, rng: np.random.Genera
     if not 0 <= lr < np.inf:
         raise InvalidSetting(f"learning rate must be finite and >= 0, got {lr}")
     expert.drop_fused_operator()
-    X, U = _draw_batch(expert, batch, rng)
-    loss, grads = _loss_and_grads(expert, X, U)
+    X, A = _draw_batch(expert, batch, rng)
+    loss, grads = _loss_and_grads(expert, X, A)
     for name, p in expert.params():
         # The step's own gradient array holds lr * g, so the update makes no
         # temporary; the velocity is a separate array, updated in place.
@@ -239,28 +242,34 @@ def grad_check(expert: FlowExpert, sample, rng: np.random.Generator, h: float = 
     """Max relative error between analytic and central-difference gradients.
 
     tau and eps are drawn once, as train_step draws them, and frozen so the
-    loss is a deterministic function of the parameters.
+    loss is a deterministic function of the parameters. A step h outside
+    0 < h < inf is refused before the draw.
     """
-    if h <= 0:
-        raise InvalidSetting("h must be positive")
+    check_difference_step(h)
     expert.drop_fused_operator()
-    X, U = _draw_batch(expert, [sample], rng)
-    _, grads = _loss_and_grads(expert, X, U)
-    return max_grad_error(expert, grads, lambda: float(np.sum((expert.forward(X) - U) ** 2)),
+    X, A = _draw_batch(expert, [sample], rng)
+    _, grads = _loss_and_grads(expert, X, A)
+    return max_grad_error(expert, grads, lambda: float(np.sum((expert.forward(X) - A) ** 2)),
                           h, n_params, rng)
 
 
 def sample_actions(expert: FlowExpert, context: np.ndarray, steps: int,
                    rng: np.random.Generator) -> np.ndarray:
-    """Euler-integrate the learned field from noise; returns an (H_a, J) chunk
-    for one context, or an (F, H_a, J) stack for an (F, context_dim) stack.
+    """Euler-integrate from noise; returns an (H_a, J) sample for one context,
+    or an (F, H_a, J) stack for an (F, context_dim) stack.
 
     Start A = eps ~ N(0, sigma^2 I) at tau = 0 and repeatedly apply
-    A <- A - v(A, context, tau) * dtau. Deterministic given (rng state,
-    steps, context, weights). F contexts draw their noise as one (F, D_a)
-    block, the numbers F one-context calls sharing rng would draw in turn.
-    Steps 1..K-1 step the first layer's pre-activation z by -dtau * (a2 @ M
-    + c) (FlowExpert.fused_operator) and form the chunk once, from sum(a2).
+    A <- (1 - alpha_k)*A + alpha_k*x_hat(A, context, tau_k), the Euler step
+    of v = (A - x_hat)/(1 - tau), with tau_k = k*dtau and alpha_k =
+    dtau/(1 - tau_k) = 1/(K - k). Deterministic given (rng state, steps,
+    context, weights). F contexts draw their noise as one (F, D_a) block,
+    the numbers F one-context calls sharing rng would draw in turn.
+    Step 0 evaluates the whole MLP. Steps 1..K-1 run in the first layer's
+    pre-activation: z = w + r + tau_k*w1[tau], with r = [b3, context, 0] @ w1
+    + b1 formed once and w = (A - b3) @ w1[:D_a] stepped as w <- (1 -
+    alpha_k)*w + alpha_k*(a2 @ M) (FlowExpert.fused_operator), because
+    x_hat - b3 = a2 @ w3. Since alpha_{K-1} = 1, the sample is the last
+    step's x_hat, formed once.
     """
     check_count("steps", steps)
     ctx = np.asarray(context, dtype=float)
@@ -276,23 +285,27 @@ def sample_actions(expert: FlowExpert, context: np.ndarray, steps: int,
     X = np.zeros((n, 1, expert.input_dim))
     X[:, 0, :d_a] = rng.normal(0.0, expert.sigma, size=(n, d_a))
     X[:, 0, d_a:-1] = ctx
-    A = X[:, 0, :d_a]
-    dtau = 1.0 / steps
-    A -= dtau * expert.forward(X)[:, 0]
-    M, c = expert.fused_operator()
-    X[:, 0, -1] = dtau
-    z = X @ expert.w1 + expert.b1  # steps 1..K-1 run in z
-    w_tau, b2, c = [a.reshape(1, 1, -1) for a in (expert.w1[-1], expert.b2, c)]
-    a2_sum = np.zeros((n, 1, b2.size))
-    for k in range(1, steps):
-        a1 = np.tanh(z + (k * dtau - dtau) * w_tau)
-        a2 = a1 @ expert.w2
-        a2 += b2
-        a2_sum += np.tanh(a2, out=a2)
-        if k < steps - 1:  # the last step's z is never read
-            z -= dtau * (a2 @ M + c)
-    v = a2_sum @ expert.w3 + (steps - 1) * expert.b3
-    v *= dtau
-    A -= v[:, 0]
-    chunks = A.reshape(n, expert.horizon, expert.j_dim).copy()
+    x_hat = expert.forward(X)
+    if steps > 1:
+        alpha = 1.0 / steps
+        A = (1.0 - alpha) * X[:, :, :d_a] + alpha * x_hat
+        M, b3 = expert.fused_operator(), expert.b3.reshape(1, 1, -1)
+        X[:, 0, :d_a] = expert.b3
+        r = X @ expert.w1 + expert.b1  # steps 1..K-1 run in z = w + r + tau*w_tau
+        w = (A - b3) @ expert.w1[:d_a]
+        w_tau, b2 = expert.w1[-1].reshape(1, 1, -1), expert.b2.reshape(1, 1, -1)
+        for k in range(1, steps):
+            a1 = w + r
+            a1 += (k / steps) * w_tau
+            np.tanh(a1, out=a1)
+            a2 = a1 @ expert.w2
+            a2 += b2
+            np.tanh(a2, out=a2)
+            if k < steps - 1:  # the last step's x_hat is the sample
+                alpha = 1.0 / (steps - k)
+                w *= 1.0 - alpha
+                w += alpha * (a2 @ M)
+        x_hat = a2 @ expert.w3
+        x_hat += b3
+    chunks = x_hat.reshape(n, expert.horizon, expert.j_dim)
     return chunks if stacked else chunks[0]

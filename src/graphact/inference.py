@@ -1,17 +1,28 @@
 """Hybrid-reasoning inference: reasoning text is generated only on scheduled
 frames (by default the first), every frame gets a sampled action chunk, the
 frames run in blocks of BLOCK_FRAMES, and per-stage wall-clock timings are
-collected into a benchmark report."""
+collected into a benchmark report.
 
+The expert samples a chunk's offset from the current joints q in cosine
+coefficients: the (H, J) chunk is q + B.T @ C for the (k, J) sample C, with
+B the first k orthonormal DCT-II rows over the H-step horizon (k =
+PipelineConfig.action_terms for a trained expert), and train-expert fits C
+= B @ (chunk - q). This departs from the paper, which samples the chunk
+itself; FAST (arXiv:2501.09747) compresses action chunks with the same
+transform.
+"""
+
+import functools
 import itertools
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (SCENARIOS, InvalidSetting, Model, PipelineConfig, PipelineError, check_count,
-                   check_finite, make_rng)
+from .core import (SCENARIOS, InvalidSetting, Model, PipelineConfig, PipelineError,
+                   ShapeMismatch, check_count, check_finite, make_rng)
 from .cot import CotHead, detokenize, generate_cot
 from .flow import FlowExpert, sample_actions
 from .gnn import GnnWeights, encode_pooled
@@ -106,6 +117,35 @@ def make_context(pooled: np.ndarray, q: np.ndarray, onehot: np.ndarray) -> np.nd
     return np.concatenate([pooled, q, onehots], axis=-1)
 
 
+@functools.lru_cache(maxsize=8)
+def action_basis(terms: int, horizon: int) -> np.ndarray:
+    """The first terms orthonormal DCT-II rows over horizon steps, (terms,
+    horizon), read-only. Built from math.cos, so its bits do not depend on
+    numpy's SIMD loops."""
+    if terms > horizon:
+        raise ShapeMismatch(f"{terms} cosine terms do not fit a {horizon}-step horizon")
+    basis = np.array([[math.sqrt((2.0 if m else 1.0) / horizon)
+                       * math.cos(math.pi * (t + 0.5) * m / horizon) for t in range(horizon)]
+                      for m in range(terms)])
+    basis.flags.writeable = False
+    return basis
+
+
+def chunk_coefficients(chunks: np.ndarray, q: np.ndarray, terms: int) -> np.ndarray:
+    """B @ (chunk - q) for each (H, J) chunk of an (F, H, J) stack and the
+    (F, J) joints it starts from: the (F, terms, J) targets of train-expert."""
+    return np.matmul(action_basis(terms, chunks.shape[-2]), chunks - q[:, None, :])
+
+
+def decode_chunks(coefs: np.ndarray, q: np.ndarray, horizon: int) -> np.ndarray:
+    """q + B.T @ C for each (k, J) sample of an (F, k, J) stack and the (F, J)
+    joints: the (F, horizon, J) chunks. One product per frame, so a frame's
+    bits do not depend on F."""
+    chunks = np.matmul(action_basis(coefs.shape[-2], horizon).T, coefs)
+    chunks += q[:, None, :]
+    return chunks
+
+
 def frame_blocks(frames: list):
     """(lo, frames[lo:lo + BLOCK_FRAMES]) for each block of the frames, in
     order: the unit in which inference and the graph command hold frames."""
@@ -114,20 +154,20 @@ def frame_blocks(frames: list):
 
 def _block_contexts(episode: Episode, gnn_w: GnnWeights, cfg: PipelineConfig, frames: list,
                     onehot: np.ndarray):
-    """For each of frame_blocks(frames), yield (lo, contexts, t_graphs,
-    skipped): the block's (len(block), context_dim) contexts, the
-    perf_counter time at which its graphs were built and their
-    objects_skipped. Forward kinematics, graph building and
+    """For each of frame_blocks(frames), yield (lo, q, contexts, t_graphs,
+    skipped): the block's (len(block), j_total) joints and (len(block),
+    context_dim) contexts, the perf_counter time at which its graphs were
+    built and their objects_skipped. Forward kinematics, graph building and
     encoding run once per block, and the block's graphs are dropped before
     the next block is built."""
     for lo, block in frame_blocks(frames):
         graphs = episode_graphs(block, episode.K, episode.T, cfg.chains)
         skipped = objects_skipped(block, graphs, cfg.chains)
         t_graphs = time.perf_counter()
-        contexts = make_context(encode_pooled(graphs, gnn_w), joint_matrix(block, cfg.chains),
-                                onehot)
+        q = joint_matrix(block, cfg.chains)
+        contexts = make_context(encode_pooled(graphs, gnn_w), q, onehot)
         del graphs
-        yield lo, contexts, t_graphs, skipped
+        yield lo, q, contexts, t_graphs, skipped
 
 
 def episode_contexts(episode: Episode, gnn_w: GnnWeights, cfg: PipelineConfig,
@@ -135,8 +175,8 @@ def episode_contexts(episode: Episode, gnn_w: GnnWeights, cfg: PipelineConfig,
     """(F, context_dim) contexts of frames, some or all of the episode's,
     built block by block as run_inference_loop builds them."""
     out = np.empty((len(frames), cfg.context_dim))
-    for lo, contexts, *_ in _block_contexts(episode, gnn_w, cfg, frames,
-                                            scenario_onehot(episode.scenario.name)):
+    for lo, _, contexts, *_ in _block_contexts(episode, gnn_w, cfg, frames,
+                                               scenario_onehot(episode.scenario.name)):
         out[lo:lo + len(contexts)] = contexts
     return out
 
@@ -146,7 +186,8 @@ def run_inference_loop(episode: Episode, gnn_w: GnnWeights, expert: FlowExpert,
                        cfg: PipelineConfig, seed: int = 0) -> tuple:
     """Run the pipeline over an episode, through its camera (episode.K,
     episode.T); reasoning decodes at most cfg.cot_max_len tokens, and each
-    action chunk takes cfg.euler_steps Euler steps.
+    action chunk takes cfg.euler_steps Euler steps and is decoded from
+    expert.horizon cosine terms to cfg.flow_horizon steps (decode_chunks).
 
     The frames go through in blocks of at most BLOCK_FRAMES: forward
     kinematics, graph building, encoding and Euler sampling each run once
@@ -170,7 +211,8 @@ def run_inference_loop(episode: Episode, gnn_w: GnnWeights, expert: FlowExpert,
     outputs, frame_samples, n_skipped = [], [], 0
 
     t_block = time.perf_counter()
-    for lo, contexts, t_graphs, skipped in _block_contexts(episode, gnn_w, cfg, frames, onehot):
+    for lo, q, contexts, t_graphs, skipped in _block_contexts(episode, gnn_w, cfg, frames,
+                                                              onehot):
         t_encode = time.perf_counter()
         block = range(lo, lo + len(contexts))
         texts, cot_ms, t_cot = {}, {}, t_encode
@@ -180,7 +222,8 @@ def run_inference_loop(episode: Episode, gnn_w: GnnWeights, expert: FlowExpert,
             # each decode's sample starts where the one before ended
             t_prev, t_cot = t_cot, time.perf_counter()
             cot_ms[i] = (t_cot - t_prev) * 1e3
-        chunks = sample_actions(expert, contexts, cfg.euler_steps, rng)
+        chunks = decode_chunks(sample_actions(expert, contexts, cfg.euler_steps, rng), q,
+                               cfg.flow_horizon)
         outputs += [FrameOutput(index=i, t=frames[i].t, actions=chunk, cot_text=texts.get(i))
                     for i, chunk in zip(block, chunks)]
         t_end = time.perf_counter()

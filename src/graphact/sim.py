@@ -57,7 +57,7 @@ class Scene:
         for o in self.objects:
             if o.label == label:
                 return o.position
-        raise KeyError(label)
+        raise InvalidSetting(f"scene has no object {label!r}; its labels are {self.labels()}")
 
 
 _TABLE = ((0.30, 0.80), (-0.35, 0.35), (0.0, 0.25))

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -12,8 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from graphact import CotHead, cli, default_config, init_gnn_weights, make_rng
+from graphact import (CotHead, FlowExpert, GnnWeights, InferenceSchedule, cli, default_config,
+                      init_gnn_weights, load_episode, make_rng, run_inference_loop)
 from graphact.cli import build_parser, main
+from graphact.graph import joint_matrix
 from graphact.core import to_json
 from graphact.sim import look_at
 
@@ -116,12 +119,11 @@ def test_graph_deterministic(tmp_path, workspace):
 
 
 def test_init_weights_load(workspace):
-    from graphact import CotHead, FlowExpert, GnnWeights
     cfg = default_config()
     w = GnnWeights.load(workspace["gnn"])
     assert w.dims == cfg.gnn_dims
     e = FlowExpert.load(workspace["expert"])
-    assert e.horizon == cfg.flow_horizon and e.context_dim == cfg.context_dim
+    assert e.horizon == cfg.action_terms == 4 and e.context_dim == cfg.context_dim
     h = CotHead.load(workspace["head"])
     assert h.context_dim == cfg.context_dim
 
@@ -139,6 +141,41 @@ def test_train_expert_deterministic(tmp_path, workspace):
     csv1 = outs[1].with_suffix(".loss.csv").read_text()
     assert csv0 == csv1
     assert csv0.startswith("step,loss\n") and len(csv0.splitlines()) == 9
+
+
+def test_a_trained_expert_beats_holding_the_joints_on_held_out_episodes(tmp_path):
+    """train-expert at its default --lr and --steps on 2 x 90 training frames
+    (food and outfit v0, seed 2) samples chunks closer, in mean L2, to two
+    held-out episodes (food v0 and outfit v1, seed 9) than holding the current
+    joints over the horizon; one Euler step is clearly worse than the config's
+    10, so the chunk L2 can tell a cheaper sampler."""
+    def run(*argv):
+        code, _, stderr = _run(list(argv))
+        assert code == 0, stderr
+    for scenario, variant, seed, folder in (("food", 0, 2, "data"), ("outfit", 0, 2, "data"),
+                                            ("food", 0, 9, "held"), ("outfit", 1, 9, "held")):
+        run("gen", "--scenario", scenario, "--variant", str(variant), "--frames", "90",
+            "--seed", str(seed), "--out", str(tmp_path / folder))
+    for kind in ("gnn", "cot"):
+        run("init-weights", "--kind", kind, "--out", str(tmp_path / f"{kind}.npz"))
+    run("train-expert", "--data", str(tmp_path / "data"), "--gnn", str(tmp_path / "gnn.npz"),
+        "--out", str(tmp_path / "expert.npz"))
+    cfg = default_config()
+    models = [cls.load(tmp_path / name) for cls, name in (
+        (GnnWeights, "gnn.npz"), (FlowExpert, "expert.npz"), (CotHead, "cot.npz"))]
+    held, ten, one = [], [], []
+    for path in sorted((tmp_path / "held").iterdir()):
+        ep = load_episode(path)
+        q, n = joint_matrix(ep.frames, cfg.chains), len(ep.frames)
+        truth = q[np.minimum(np.arange(n)[:, None] + np.arange(1, cfg.flow_horizon + 1), n - 1)]
+        held += list(np.linalg.norm(truth - q[:, None], axis=(1, 2)))
+        for steps, l2 in ((10, ten), (1, one)):
+            outputs, _ = run_inference_loop(ep, *models, InferenceSchedule(cot_on_first_frame=False),
+                                            dataclasses.replace(cfg, euler_steps=steps))
+            l2 += [np.linalg.norm(o.actions - truth[o.index]) for o in outputs]
+    held, ten, one = np.mean(held), np.mean(ten), np.mean(one)  # 0.626, 0.376, 0.915
+    assert ten < 0.8 * held, (ten, held)
+    assert one > 1.5 * ten, (one, ten)
 
 
 def test_train_cot_runs_and_writes_csv(tmp_path, workspace):
@@ -190,15 +227,22 @@ def test_infer_default_schedule_and_determinism(tmp_path, workspace):
     assert np.array(frames[0]["actions"]).shape == (cfg.flow_horizon, cfg.j_total)
 
 
+# The pinned digests below hold for the kernels they were recorded under, as
+# cli.kernel_fingerprint() names them (tools/cli_digests.py prints it first):
+# OpenBLAS SkylakeX (OpenBLAS 0.3.31.188.0 USE64BITINT DYNAMIC_ARCH NO_AFFINITY SkylakeX
+# MAX_THREADS=64); numpy 2.4.6 dispatch X86_V3 X86_V4 AVX512_ICL AVX512_SPR.
+# Another OpenBLAS core or numpy dispatch rounds products otherwise.
+
 # sha256 of the infer output below. Recorded again when labels began to name
 # future frames by offset, which changed the random head's vocabulary and so
-# its reasoning text, and when Euler steps 2..K moved into the expert's first
-# hidden layer, which moved the actions by rounding (at most ~2e-15).
-INFER_GOLDEN_SHA256 = "58166e4b7d60db9d033011953233d909993746e25478bae0069148602f936c85"
+# its reasoning text, when Euler steps 2..K moved into the expert's first
+# hidden layer, which moved the actions by rounding (at most ~2e-15), and
+# when the expert began to predict the chunk's offset in cosine terms.
+INFER_GOLDEN_SHA256 = "aa396d4d4fd955ce13e261dd1101e0ba42581ad2b833e6eab067a5bfe6a19533"
 # sha256 of json.dumps of that output's per-frame actions, recorded before the
 # offset labels (the reasoning head's vocabulary must not move an action's
-# bits) and again with the hidden-layer Euler steps.
-INFER_ACTIONS_GOLDEN_SHA256 = "74973f62816b89de69982a22c0dbb4bdddf91e9204ecd8b8047c2a85ff652486"
+# bits), again with the hidden-layer Euler steps and again with the cosine terms.
+INFER_ACTIONS_GOLDEN_SHA256 = "d92b3b33ac51f4120d1fd98bba0307032ef95d979ac583b78f5249b98a21ce2c"
 
 
 def test_infer_golden_sha256(tmp_path):
@@ -221,10 +265,11 @@ def test_infer_golden_sha256(tmp_path):
 # sha256 of the infer output below: 100 frames at --cot-period 7 span several
 # blocks of the loop, a partial last block among them, with decodes in each.
 # Recorded by running these commands at commit d563f52, whose loop ran every
-# stage once over all frames, and again when Euler steps 2..K moved into the
-# expert's first hidden layer.
+# stage once over all frames, again when Euler steps 2..K moved into the
+# expert's first hidden layer, and again with the cosine terms, under the
+# fingerprint above.
 INFER_MULTI_BLOCK_GOLDEN_SHA256 = \
-    "f270bc1d8b22854652baaa93f7b85c5ae8a4820876b7cc58495f9b92638299a2"
+    "1b8ab2d4990b539ee4cdfbd3f88c58df570f2428a9858bea0cf56070d47de3e7"
 
 
 def test_infer_multi_block_golden_sha256(tmp_path):
@@ -457,10 +502,11 @@ def test_train_cot_deterministic(tmp_path, workspace):
             == outs[1].with_suffix(".loss.csv").read_bytes())
 
 
-# sha256 of the weight files of the BLAS-thread test's two commands
+# sha256 of the weight files of the BLAS-thread test's two commands, under the
+# fingerprint above; expert.npz recorded again with the cosine terms.
 ONE_THREAD_SHA256 = {
     "cot.npz": "17ab1c638632c0b18138ec4f5e038af6747d9c6d7b2d3f79e997705060f462ee",
-    "expert.npz": "404cc576ee77d90a95960636c222989746b27598a58ed276f2d5c96aab4c27d1"}
+    "expert.npz": "8ae819422681def53423fd6e886c5b0d70e51f9a9351ae8caa320bfe2218fc1e"}
 
 
 def test_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
@@ -843,7 +889,11 @@ ARTIFACT_CASES = {
                           "FlowExpert.sigma"),
     "expert_horizon_float": ("expert", lambda h, a: h.update(horizon=30.0), {},
                              "ArtifactLoadError", "FlowExpert.horizon"),
-    "config_flow_horizon": (None, None, {"flow_horizon": 4}, "ArtifactMismatch", "horizon"),
+    "config_flow_horizon": (None, None, {"flow_horizon": 3}, "ArtifactMismatch",
+                            "expert horizon 4 does not match config action_terms 3"),
+    "expert_30_step_chunk": ("expert", lambda h, a: (h.update(horizon=30), a.update(
+        w1=np.zeros((30 * 14 + 49, 64)), w3=np.zeros((64, 30 * 14)), b3=np.zeros(30 * 14))), {},
+        "ArtifactMismatch", "expert horizon 30 does not match config action_terms 4"),
     "config_gnn_dims": (None, None, {"gnn_dims": (16, 16, 32)}, "ArtifactMismatch", "gnn dims"),
     "config_cot_window": (None, None, {"cot_window": 4}, "ArtifactMismatch", "window"),
     "config_sigma": (None, None, {"sigma": 0.5}, "ArtifactMismatch", "sigma"),

@@ -11,11 +11,12 @@ import pytest
 from graphact import (SCENARIOS, CameraIntrinsics, CotHead, DhLink, FlowExpert,
                       InferenceSchedule, KinematicChain, PipelineConfig, RigidTransform, Scene,
                       TokenVocab, build_default_vocab, derive_seed, episode_text, future_indices,
-                      gen_episode, generate_cot, grad_check, graph_conv, init_cot_head,
-                      init_flow_expert, init_gnn_weights, make_rng, sample_actions, total_loss,
-                      train_step)
+                      gen_episode, generate_cot, grad_check, grad_check_cot, graph_conv,
+                      init_cot_head, init_flow_expert, init_gnn_weights, make_rng,
+                      sample_actions, total_loss, train_step)
 from graphact.core import (InvalidSetting, NonFiniteOutput, ShapeMismatch, reader, to_json,
                            write_files)
+from graphact.sim import SceneObject
 from conftest import random_rotation
 
 
@@ -188,7 +189,7 @@ REFUSALS = {
     "train_step lr": (lambda: train_step(_small_expert(), [_SAMPLE], -1.0, make_rng(2)),
                       InvalidSetting, "learning rate must be finite and >= 0, got -1.0"),
     "grad_check h": (lambda: grad_check(_small_expert(), _SAMPLE, make_rng(2), h=0.0),
-                     InvalidSetting, "h must be positive"),
+                     InvalidSetting, "h must be finite and > 0, got 0.0"),
     "forward input width": (lambda: _small_expert().forward(np.zeros((1, 7))),
                             ShapeMismatch, "expected input dim 8, got 7"),
     "graph_conv weight": (lambda: graph_conv(np.zeros((2, 3)), np.eye(2), np.zeros((4, 1)),
@@ -202,8 +203,9 @@ REFUSALS = {
                              "vocabulary tokens must be unique"),
     "total_loss d": (lambda: total_loss(1.0, 2.0, 2, 0.5, 0.5), InvalidSetting,
                      "d must be 0 or 1"),
-    "Scene.position_of": (lambda: Scene([], ((0, 1),) * 3).position_of("egg"), KeyError,
-                          "'egg'"),
+    "Scene.position_of": (lambda: Scene([SceneObject("plate", np.zeros(3), 0.0)],
+                                        ((0, 1),) * 3).position_of("egg"), InvalidSetting,
+                          "scene has no object 'egg'; its labels are ['plate']"),
 }
 
 
@@ -213,6 +215,23 @@ def test_library_refusals(name):
     with pytest.raises(error) as err:
         call()
     assert type(err.value) is error and str(err.value) == message
+
+
+@pytest.mark.parametrize("h", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("check", ["grad_check", "grad_check_cot"])
+def test_grad_checks_refuse_a_step_outside_zero_to_inf_before_any_draw(check, h):
+    """A difference step that is not finite and > 0 is refused by name, with
+    the generator as it was: at h = nan every central difference is NaN, and
+    the comparison would report a perfect gradient."""
+    rng = make_rng(2)
+    state = rng.bit_generator.state
+    with pytest.raises(InvalidSetting, match=re.escape(f"h must be finite and > 0, got {h!r}")):
+        if check == "grad_check":
+            grad_check(_small_expert(), _SAMPLE, rng, h=h)
+        else:
+            grad_check_cot(init_cot_head(build_default_vocab(2), 3, make_rng(3)),
+                           (np.zeros(3), [0, 1]), rng, h=h)
+    assert rng.bit_generator.state == state
 
 
 def test_sample_actions_refusing_its_steps_leaves_the_generator():

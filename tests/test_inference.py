@@ -1,4 +1,5 @@
 import collections
+import ctypes
 import dataclasses
 import importlib
 import json
@@ -13,10 +14,11 @@ from graphact import (FrameRecord, InferenceSchedule, SCENARIOS, SampleStream, a
                       episode_contexts, gen_episode, generate_cot, init_cot_head,
                       init_flow_expert, init_gnn_weights, make_context, make_rng,
                       pooled_embedding, run_inference_loop, sample_actions, scenario_onehot)
-from graphact.core import InvalidSetting, to_json, write_files
+from graphact import cli
+from graphact.core import InvalidSetting, ShapeMismatch, to_json, write_files
 from graphact.flow import FlowExpert
-from graphact.inference import (BLOCK_FRAMES, check_artifacts, frame_json,
-                                output_text)
+from graphact.inference import (BLOCK_FRAMES, action_basis, check_artifacts, chunk_coefficients,
+                                decode_chunks, frame_json, output_text)
 from graphact.sim import EmptyEpisode, Episode
 from graphact.stream_sync import CONTROL_STREAM
 
@@ -47,10 +49,29 @@ def test_default_schedule_single_cot(artifacts):
     assert len(outputs) == 10
     assert outputs[0].cot_text is not None
     assert all(o.cot_text is None for o in outputs[1:])
-    assert all(o.actions.shape == (4, CFG.j_total) for o in outputs)
+    assert all(o.actions.shape == (CFG.flow_horizon, CFG.j_total) for o in outputs)
     assert set(report.stage_samples) == {"graph_build", "encode", "cot_generation",
                                          "action_sampling"}
     assert len(report.stage_samples["cot_generation"]) == 1
+
+
+def test_action_basis_is_the_orthonormal_dct_ii():
+    """The basis rows are orthonormal, read-only and the DCT-II's; a chunk
+    whose offset lies in their span comes back from its coefficients to
+    rounding, and a horizon shorter than the terms is refused."""
+    basis = action_basis(4, 30)
+    assert np.abs(basis @ basis.T - np.eye(4)).max() < 1e-15
+    assert not basis.flags.writeable and action_basis(4, 30) is basis
+    t = np.arange(30)
+    assert np.allclose(basis[2], np.sqrt(2 / 30) * np.cos(np.pi * (t + 0.5) * 2 / 30),
+                       rtol=0, atol=1e-15)
+    q = make_rng(3).normal(size=(5, 14))
+    coefs = make_rng(4).normal(size=(5, 4, 14))
+    chunks = decode_chunks(coefs, q, 30)
+    assert chunks.shape == (5, 30, 14)
+    assert np.abs(chunk_coefficients(chunks, q, 4) - coefs).max() < 1e-14
+    with pytest.raises(ShapeMismatch, match="5 cosine terms do not fit a 4-step horizon"):
+        decode_chunks(make_rng(5).normal(size=(1, 5, 2)), np.zeros((1, 2)), 4)
 
 
 def test_report_samples_are_measured_once_and_add_up(artifacts):
@@ -85,7 +106,8 @@ def test_report_counts_the_objects_skipped_in_every_block(artifacts):
 def test_blocks_give_the_bits_of_a_frame_by_frame_reference(artifacts):
     """Over two blocks and three frames, with decodes in every block, each
     chunk and text equals a reference built from build_graph and encode frame
-    by frame and one sample_actions call over the whole context stack."""
+    by frame, one sample_actions call over the whole context stack and each
+    frame's own decode of its coefficients."""
     gnn_w, expert, head = artifacts
     n = 2 * BLOCK_FRAMES + 3
     ep = gen_episode(SCENARIOS["outfit"], 0, n, seed=39, cfg=CFG)
@@ -96,13 +118,34 @@ def test_blocks_give_the_bits_of_a_frame_by_frame_reference(artifacts):
         make_context(pooled_embedding(encode(build_graph(f, ep.K, ep.T, CFG.chains), gnn_w)),
                      f.q, onehot)
         for f in ep.frames])
-    chunks = sample_actions(expert, contexts, CFG.euler_steps, make_rng(5))
+    coefs = sample_actions(expert, contexts, CFG.euler_steps, make_rng(5))
+    chunks = [decode_chunks(c[None], f.q[None], CFG.flow_horizon)[0]
+              for c, f in zip(coefs, ep.frames)]
     assert [o.index for o in outputs] == list(range(n))
     assert max(i for i in range(n) if schedule.wants_cot(i)) >= 2 * BLOCK_FRAMES
     for o, context, chunk in zip(outputs, contexts, chunks):
         assert np.array_equal(o.actions, chunk)
         assert o.cot_text == (detokenize(generate_cot(head, context, CFG.cot_max_len), head.vocab)
                               if schedule.wants_cot(o.index) else None)
+
+
+def test_chunks_do_not_depend_on_the_blas_thread_count(artifacts):
+    """Over two blocks, the loop's chunks have the same bits with numpy's
+    BLAS on one thread and on two: every product is one frame's."""
+    get = cli._openblas("get_num_threads", [], ctypes.c_int)
+    set_threads = cli._openblas("set_num_threads", [ctypes.c_int], None)
+    if get is None or set_threads is None:
+        pytest.skip("numpy's BLAS has no thread-count setter")
+    ep = gen_episode(SCENARIOS["food"], 0, BLOCK_FRAMES + 8, seed=41, cfg=CFG)
+    threads, chunks = get(), []
+    try:
+        for n in (1, 2):
+            set_threads(n)
+            outputs, _ = run_inference_loop(ep, *artifacts, InferenceSchedule(), CFG, seed=4)
+            chunks.append(np.array([o.actions for o in outputs]))
+    finally:
+        set_threads(threads)
+    assert chunks[0].tobytes() == chunks[1].tobytes()
 
 
 def _infer_peaks(artifacts, n_frames, path):

@@ -5,7 +5,11 @@ sha256 of every file the matrix leaves.
 Usage: python3 tools/cli_digests.py SRC WORKDIR
 
 SRC is the directory holding the graphact package (a checkout's src/), and
-WORKDIR a directory the matrix may fill; it is emptied first. Every command
+WORKDIR a directory the matrix may fill; it is emptied first. The first line
+is the kernel fingerprint, as this checkout's graphact.cli.kernel_fingerprint
+reads it whatever SRC is: the OpenBLAS core and config, numpy's version and
+its enabled SIMD dispatch targets. The digests hold for those kernels; another
+core or dispatch rounds products otherwise. Every command
 runs in its own process at OPENBLAS_NUM_THREADS=1, with WORKDIR written as W
 in every digest. infer's stdout carries wall-clock timings and is left out,
 but a summary line that counts skipped objects is listed whole, its
@@ -19,6 +23,8 @@ import re
 import shutil
 import subprocess
 import sys
+
+OWN_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 # Configs other than the built-in rig, by file name: a shorter action chunk and
 # reasoning window, and noise-free flow training (sigma 0, where eps is all +0.0).
@@ -116,6 +122,10 @@ def main(argv) -> int:
     shutil.rmtree(work, ignore_errors=True)
     os.makedirs(work)
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    print("kernels: " + subprocess.run(
+        [sys.executable, "-c", "from graphact.cli import kernel_fingerprint; "
+         "print(kernel_fingerprint())"], env=dict(env, PYTHONPATH=OWN_SRC),
+        check=True, capture_output=True, text=True).stdout.strip())
     for name, edit in CONFIGS.items():
         subprocess.run([sys.executable, "-c", "from graphact import default_config; "
                         f"c = default_config(); {edit}; c.save({f'{work}/{name}'!r})"],
