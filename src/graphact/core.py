@@ -236,6 +236,33 @@ class Model:
         """[(name, array)] in PARAMS order; the arrays, not copies."""
         return [(name, getattr(self, name)) for name in self.PARAMS]
 
+    def hold(self, names, build):
+        """build()'s value, built on the first call and returned again until
+        release; a model holds one value at a time. Meanwhile the parameters
+        it is built from, named by names, are read-only, so an edit that
+        would leave it stale raises ValueError."""
+        held = self.__dict__.get("_held")
+        if held is None:
+            value = build()
+            frozen = [p for p in (getattr(self, n) for n in names) if p.flags.writeable]
+            for p in frozen:
+                p.flags.writeable = False
+            self._held = held = (value, frozen)
+        return held[0]
+
+    def release(self) -> None:
+        """Drop what hold keeps and make its parameters writable again."""
+        _, frozen = self.__dict__.pop("_held", None) or (None, ())
+        for p in frozen:
+            p.flags.writeable = True
+
+    def __setattr__(self, name, value):
+        # Read-only arrays catch edits in place; a parameter replaced whole
+        # would leave the held value stale, so it ends the hold.
+        if name in self.PARAMS:
+            self.release()
+        object.__setattr__(self, name, value)
+
     def check_finite_params(self, what: str, error=NonFiniteOutput) -> None:
         """check_finite on each parameter in PARAMS order, named
         "<what> parameter <name>"."""

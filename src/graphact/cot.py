@@ -21,6 +21,8 @@ PAD, END, SEP = "<pad>", "<end>", "<sep>"
 
 VALUE_RANGE = 3.2  # the vocabulary's number tokens span +-VALUE_RANGE
 
+ACC_STEPS = 256  # generate_cot's pre-activation rows, before it moves them to the front
+
 ALL_PRESENT = "all_present"
 SOME_MISSING = "some_missing"
 NONE_PRESENT = "none_present"
@@ -230,6 +232,30 @@ class CotHead(Model):
             "w1": (self.w1, (ctx_embed + self.window * embed, hidden)),
             "b1": (self.b1, (hidden,)), "w2": (self.w2, (hidden, V)), "b2": (self.b2, (V,))})
 
+    def decode_table(self):
+        """(S, rows, pad_terms), held with emb and w1 read-only (Model.hold)
+        until drop_decode_table. Token v's term in the hidden pre-activation
+        k + 1 steps after it is emitted is emb[v] @ the w1 rows of window slot
+        window - 1 - k; S (embed, window * hidden) is those rows, ordered by
+        k. rows maps a token id to its (window, hidden) terms: generate_cot
+        adds a token's the first time it emits it, so a process pays only for
+        the tokens it decodes. pad_terms[t] is the leading pads' sum at step
+        t < window."""
+        def build():
+            embed, W, hidden = self.emb.shape[1], self.window, np.size(self.b1)
+            slots = self.w1[self.wc.shape[1]:].reshape(W, embed, hidden)[::-1]
+            S = np.ascontiguousarray(slots.transpose(1, 0, 2)).reshape(embed, W * hidden)
+            pad = (self.emb[self.vocab.pad_id] @ S).reshape(W, hidden)
+            # The pad j + 1 places before the first step adds pad[k] at step k - j.
+            pad_terms = np.zeros((W, hidden))
+            for j in range(W):
+                pad_terms[:W - j] += pad[j:]
+            return S, {self.vocab.pad_id: pad}, pad_terms
+        return self.hold(("emb", "w1"), build)
+
+    def drop_decode_table(self) -> None:
+        self.release()
+
     def windows(self, token_ids) -> np.ndarray:
         """(T, window) matrix of the previous tokens for each position."""
         padded = [self.vocab.pad_id] * self.window + list(token_ids[:-1])
@@ -305,6 +331,7 @@ def train_cot_head(head: CotHead, dataset: list, lr: float, epochs: int,
     raises NonFiniteOutput before the next epoch runs."""
     if not dataset:
         raise InvalidSetting("CoT training needs at least one sample")
+    head.drop_decode_table()
     # Each sample's token windows depend only on its ids: built once per run.
     samples = [(context, token_ids, head.windows(token_ids)) for context, token_ids in dataset]
     curve = []
@@ -328,6 +355,7 @@ def grad_check_cot(head: CotHead, sample, rng: np.random.Generator, h: float = 1
     """Max relative error of analytic vs central-difference gradients; a step
     h outside 0 < h < inf is refused before any draw."""
     check_difference_step(h)
+    head.drop_decode_table()
     args = (*sample, head.windows(sample[1]))  # (context, token ids, windows)
     _, grads = head.loss_and_grads(*args)
     return max_grad_error(head, grads, lambda: head.loss_and_grads(*args)[0], h, n_params, rng)
@@ -335,39 +363,61 @@ def grad_check_cot(head: CotHead, sample, rng: np.random.Generator, h: float = 1
 
 def generate_cot(head: CotHead, context, max_len: int) -> list:
     """Greedy argmax decoding until <end> or max_len; ties break to the
-    lowest token id, so decoding is deterministic.
+    lowest token id, so decoding is deterministic. A context without
+    head.context_dim entries raises ShapeMismatch, and one with a non-finite
+    entry NonFiniteOutput, before the first token.
 
-    The input row [context projection, window embeddings], the hidden row
-    and the logits row are allocated once per call, so a token allocates
-    no array: the projection is written once, and each token shifts the
-    embedding slots by one and writes the new token's embedding at the end.
-    Each step runs the operations of tanh(x @ w1 + b1) @ w2 + b2 in that
-    order, on the row that concatenating the projection and the window's
-    embeddings would build, so the decoded ids do not change.
+    The hidden pre-activation x @ w1 + b1 of the window row x is a sum of
+    one term per window slot, and a token stays in the window for the next
+    window steps. So the decode keeps acc, the pre-activations of the steps
+    ahead: each starts as (context @ wc + bc) @ w1[:CTX_EMBED] + b1, the
+    first window ones plus the leading pads' terms, and an emitted token
+    adds its terms to the next window of them. A token's terms come from the
+    head's decode table (CotHead.decode_table), built the first time a
+    decode emits it and kept across calls. A step whose token the table
+    holds runs five calls and allocates no array: tanh of its row, the
+    product with w2 into the logits row, the b2 add, the argmax and the add
+    of the emitted token's terms. That is about a fifth less per token than
+    multiplying the whole window row by w1 (BENCH_33_decode_table.json).
+    The sum runs in another order than the window row's matmul, so a logit
+    can differ in its last bits and an id only where two logits tie within
+    rounding. acc covers at most ACC_STEPS steps and its pending rows move
+    to its front when it is used up, so a long decode holds no more.
     """
     check_count("max_len", max_len)
-    w1, w2, emb = head.w1, head.w2, head.emb
-    b1, b2 = head.b1.reshape(1, -1), head.b2.reshape(1, -1)
-    n_ctx, embed = head.wc.shape[1], emb.shape[1]
-    x = np.empty((1, w1.shape[0]))
-    x[0, :n_ctx] = np.ravel(context) @ head.wc + head.bc
-    x[0, n_ctx:] = np.tile(emb[head.vocab.pad_id], head.window)
-    h, logits = np.empty((1, w1.shape[1])), np.empty((1, w2.shape[1]))
-    shifted, kept, newest = x[0, n_ctx:-embed], x[0, n_ctx + embed:], x[0, -embed:]
+    ctx = np.ravel(context)
+    if ctx.size != head.context_dim:
+        raise ShapeMismatch(f"context has {ctx.size} entries, cot head expects "
+                            f"{head.context_dim}")
+    check_finite("cot context", ctx)
+    S, rows, pad_terms = head.decode_table()
+    W, emb, w2, b2 = head.window, head.emb, head.w2, head.b2
+    start = (ctx @ head.wc + head.bc) @ head.w1[:head.wc.shape[1]]
+    start += head.b1
+    block = min(max_len, ACC_STEPS)
+    acc = np.empty((block + W, start.size))
+    acc[:] = start
+    acc[:W] += pad_terms
+    h, logits = np.empty(start.size), np.empty(b2.size)
     end_id = head.vocab.end_id
-    out = []
+    out, j = [], 0
     for _ in range(max_len):
-        np.matmul(x, w1, out=h)
-        h += b1
-        np.tanh(h, out=h)
-        np.matmul(h, w2, out=logits)
+        if j == block:  # the last W rows are the next W steps'
+            acc[:W] = acc[block:]
+            acc[W:] = start
+            j = 0
+        np.tanh(acc[j], out=h)
+        np.dot(h, w2, out=logits)
         logits += b2
         nxt = int(logits.argmax())
         if nxt == end_id:
             break
         out.append(nxt)
-        shifted[:] = kept
-        newest[:] = emb[nxt]
+        terms = rows.get(nxt)
+        if terms is None:
+            terms = rows[nxt] = (emb[nxt] @ S).reshape(W, -1)
+        j += 1
+        acc[j:j + W] += terms
     return out
 
 

@@ -51,7 +51,6 @@ class FlowExpert(Model):
     sigma: float = 1.0
     _velocity: dict = field(default_factory=dict, repr=False)  # momentum buffers
     _grad_w1: np.ndarray = field(default=None, init=False, repr=False, compare=False)  # _backward
-    _fused: tuple = field(default=None, init=False, repr=False, compare=False)  # fused_operator
 
     PARAMS = ("w1", "b1", "w2", "b2", "w3", "b3")
     NAME = "expert"
@@ -77,18 +76,11 @@ class FlowExpert(Model):
 
     def fused_operator(self) -> np.ndarray:
         """M = w3 @ w1[:D_a], kept with w1 and w3 read-only (an edit raises
-        ValueError) until drop_fused_operator, as train_step does."""
-        if self._fused is None:
-            held = [p for p in (self.w1, self.w3) if p.flags.writeable]
-            for p in held:
-                p.flags.writeable = False
-            self._fused = (self.w3 @ self.w1[:self.action_dim], held)
-        return self._fused[0]
+        ValueError) until drop_fused_operator, as train_step does (Model.hold)."""
+        return self.hold(("w1", "w3"), lambda: self.w3 @ self.w1[:self.action_dim])
 
     def drop_fused_operator(self) -> None:
-        for p in self._fused[1] if self._fused else ():
-            p.flags.writeable = True
-        self._fused = None
+        self.release()
 
     def forward(self, X: np.ndarray) -> np.ndarray:
         """Batched field evaluation; X is (B, input_dim) or (F, B, input_dim)."""

@@ -203,6 +203,15 @@ REFUSALS = {
                              "vocabulary tokens must be unique"),
     "total_loss d": (lambda: total_loss(1.0, 2.0, 2, 0.5, 0.5), InvalidSetting,
                      "d must be 0 or 1"),
+    "generate_cot context size": (lambda: generate_cot(init_cot_head(
+        build_default_vocab(2), 4, make_rng(1)), np.zeros(3), 5), ShapeMismatch,
+        "context has 3 entries, cot head expects 4"),
+    "generate_cot context nan": (lambda: generate_cot(init_cot_head(
+        build_default_vocab(2), 4, make_rng(1)), [0.0, np.nan, 0.0, 0.0], 5),
+        NonFiniteOutput, "cot context has a non-finite entry"),
+    "generate_cot context inf": (lambda: generate_cot(init_cot_head(
+        build_default_vocab(2), 4, make_rng(1)), [0.0, 0.0, -np.inf, 0.0], 5),
+        NonFiniteOutput, "cot context has a non-finite entry"),
     "Scene.position_of": (lambda: Scene([SceneObject("plate", np.zeros(3), 0.0)],
                                         ((0, 1),) * 3).position_of("egg"), InvalidSetting,
                           "scene has no object 'egg'; its labels are ['plate']"),
@@ -215,6 +224,32 @@ def test_library_refusals(name):
     with pytest.raises(error) as err:
         call()
     assert type(err.value) is error and str(err.value) == message
+
+
+# What each model holds, by name: (model, a call that builds and uses it,
+# the parameter to replace whole).
+HOLDERS = {
+    "expert": (lambda: init_flow_expert(make_rng(1), 2, 2, 3),
+               lambda e: sample_actions(e, np.ones(3), 10, make_rng(2)).tolist(), "w3"),
+    "cot head": (lambda: init_cot_head(build_default_vocab(2), 3, make_rng(3)),
+                 lambda h: generate_cot(h, np.ones(3), 12), "emb"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOLDERS))
+def test_replacing_a_held_parameter_ends_the_hold(name):
+    """A parameter assigned whole, not edited in place, drops what the model
+    holds: the next call gives what a model built from the new arrays gives,
+    and the old array is writable again."""
+    make, call, param = HOLDERS[name]
+    model = make()
+    call(model)
+    old = getattr(model, param)
+    assert not old.flags.writeable
+    setattr(model, param, old[::-1].copy())
+    assert old.flags.writeable
+    fresh = dataclasses.replace(model, **{n: p.copy() for n, p in model.params()})
+    assert call(model) == call(fresh)
 
 
 @pytest.mark.parametrize("h", [float("nan"), float("inf"), 0.0, -1.0])

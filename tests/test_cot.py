@@ -10,8 +10,9 @@ from graphact import (SCENARIOS, build_default_vocab, ce_loss,
                       generate_cot, init_cot_head, make_cot_label, make_rng,
                       sample_dropout, tokenize, total_loss, train_cot_head)
 from graphact.core import InvalidSetting
-from graphact.cot import (ALL_PRESENT, NONE_PRESENT, SOME_MISSING, UnknownToken, bin_token,
-                          cot_dataset_text)
+from graphact import cot
+from graphact.cot import (ALL_PRESENT, NONE_PRESENT, SOME_MISSING, CotHead, UnknownToken,
+                          bin_token, cot_dataset_text, grad_check_cot)
 from graphact.sim import EmptyEpisode
 
 CFG = default_config()
@@ -324,9 +325,10 @@ def test_generate_untrained_emits_max_len():
 
 
 def test_generate_cot_leaves_the_head_intact():
-    """The per-call buffers alias no weight and carry nothing between calls:
-    decodes on different contexts leave every parameter's bytes as they were,
-    and a context seen before decodes to its first ids again."""
+    """The per-call buffers alias no weight, and what the decode table keeps
+    between calls does not depend on the contexts decoded: decodes on
+    different contexts leave every parameter's bytes as they were, and a
+    context seen before decodes to its first ids again."""
     vocab, samples = _memorization_setup()
     head = init_cot_head(vocab, context_dim=4, window=8, rng=make_rng(33))
     train_cot_head(head, samples, lr=0.5, epochs=60, rng=make_rng(31))
@@ -338,6 +340,69 @@ def test_generate_cot_leaves_the_head_intact():
     for ctx, ids in zip(contexts[::-1], first[::-1]):
         assert generate_cot(head, ctx, 40) == ids
     assert {name: p.tobytes() for name, p in head.params()} == before
+
+
+def test_decode_table_rows_are_the_window_slot_terms():
+    """Each held row is the token's embedding times the w1 rows of the
+    window slot it sits in k + 1 steps after it is emitted, and one decode
+    adds the rows of its distinct ids only, to <pad>'s."""
+    vocab, _ = _memorization_setup()
+    head = init_cot_head(vocab, context_dim=4, window=5, rng=make_rng(60))
+    head.b2[vocab.end_id] = -1e6
+    out = generate_cot(head, make_rng(61).normal(size=4), 40)
+    _, rows, _ = head.decode_table()
+    assert set(rows) == set(out) | {vocab.pad_id}
+    n_ctx, (_, embed) = head.wc.shape[1], head.emb.shape
+    for v, terms in rows.items():
+        for k in range(head.window):
+            slot = n_ctx + (head.window - 1 - k) * embed
+            want = head.emb[v] @ head.w1[slot:slot + embed]
+            assert np.abs(terms[k] - want).max() < 1e-12
+
+
+def test_weights_are_read_only_while_the_decode_table_is_held():
+    vocab, samples = _memorization_setup()
+    head = init_cot_head(vocab, context_dim=4, window=8, rng=make_rng(62))
+    ctx = samples[0][0]
+    generate_cot(head, ctx, 20)
+    for name in ("emb", "w1"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(head, name)[0, 0] = 1.0
+    head.drop_decode_table()
+    head.emb[:] = make_rng(63).normal(0.0, 0.1, size=head.emb.shape)
+    head.w1[0, 0] = 1.0
+    assert generate_cot(head, ctx, 20) == _concat_decode(head, ctx, 20)
+
+
+@pytest.mark.parametrize("update", ["train_cot_head", "grad_check_cot"])
+def test_updates_drop_the_decode_table(update, tmp_path):
+    """Training and the gradient check edit parameters in place on a head
+    that has decoded: the next decode is that of the saved head loaded
+    afresh, so no row of the old table survives."""
+    vocab, samples = _memorization_setup()
+    head = init_cot_head(vocab, context_dim=4, window=8, rng=make_rng(64))
+    contexts = [ctx for ctx, _ in samples]
+    for ctx in contexts:
+        generate_cot(head, ctx, 60)
+    if update == "train_cot_head":
+        train_cot_head(head, samples, lr=0.5, epochs=3, rng=make_rng(65))
+    else:
+        grad_check_cot(head, samples[0], make_rng(65), h=0.5, n_params=200)
+    head.save(tmp_path / "cot.npz")
+    fresh = CotHead.load(tmp_path / "cot.npz")
+    for ctx in contexts:
+        assert generate_cot(head, ctx, 60) == generate_cot(fresh, ctx, 60)
+
+
+def test_a_decode_longer_than_its_buffer_moves_the_pending_rows(monkeypatch):
+    vocab, _ = _memorization_setup()
+    for acc_steps in (1, 3, 7):
+        monkeypatch.setattr(cot, "ACC_STEPS", acc_steps)
+        for window in (1, 4, 9):
+            head = init_cot_head(vocab, context_dim=4, window=window, rng=make_rng(66))
+            head.b2[vocab.end_id] = -1e6
+            ctx = make_rng(window).normal(size=4)
+            assert generate_cot(head, ctx, 30) == _concat_decode(head, ctx, 30)
 
 
 def test_generate_tie_break_lowest_id():
