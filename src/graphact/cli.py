@@ -96,7 +96,7 @@ def _loss_csv(out: str, rows=()) -> tuple:
 
 def cmd_gen(args, cfg: PipelineConfig) -> int:
     paths = check_outputs([os.path.join(args.out, f"{args.scenario}_v{args.variant}_{i:03d}.jsonl")
-                           for i in range(args.episodes)])
+                           for i in range(args.episodes)], [args.config])
     scen_idx = list(SCENARIOS).index(args.scenario)
     seeds = [derive_seed(args.seed, scen_idx, args.variant, i) for i in range(args.episodes)]
     write_files((path, episode_text(gen_episode(SCENARIOS[args.scenario], args.variant,
@@ -117,7 +117,7 @@ def cmd_graph(args, cfg: PipelineConfig) -> int:
             graphs = episode_graphs(block, ep.K, ep.T, cfg.chains, args.paper_literal)
             skipped.append(objects_skipped(block, graphs, cfg.chains, args.paper_literal))
             yield jsonl_text([(f"graph of frame {i}", g) for i, g in enumerate(graphs, lo)])
-    check_outputs([args.out])
+    check_outputs([args.out], [args.config, args.episode])
     ep, skipped = load_episode(args.episode), []
     write_files([(args.out, lines(ep, skipped))])
     print(f"wrote {len(ep.frames)} graph(s) to {args.out}{_skipped_note(sum(skipped))}")
@@ -142,7 +142,7 @@ def _new_head(cfg: PipelineConfig, rng: np.random.Generator) -> CotHead:
 
 
 def cmd_init_weights(args, cfg: PipelineConfig) -> int:
-    check_outputs([args.out])
+    check_outputs([args.out], [args.config])
     new = {"gnn": _new_gnn, "expert": _new_expert, "cot": _new_head}[args.kind]
     new(cfg, make_rng(args.seed)).save(args.out)
     print(f"wrote {args.kind} weights to {args.out}")
@@ -172,10 +172,11 @@ def _episode_files(data_dir: str) -> list:
 
 
 def cmd_train_expert(args, cfg: PipelineConfig) -> int:
-    check_outputs([args.out, _loss_csv(args.out)[0]])
+    files = _episode_files(args.data)
+    check_outputs([args.out, _loss_csv(args.out)[0]], [args.config, args.gnn, *files])
     gnn_w = _train_gnn(args, cfg)
     dataset, ahead = [], np.arange(1, cfg.flow_horizon + 1)
-    for path in _episode_files(args.data):
+    for path in files:
         ep = load_episode(path)
         contexts = episode_contexts(ep, gnn_w, cfg, ep.frames)
         q, n = joint_matrix(ep.frames, cfg.chains), len(ep.frames)
@@ -197,12 +198,14 @@ def cmd_train_expert(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_train_cot(args, cfg: PipelineConfig) -> int:
-    check_outputs([args.out, _loss_csv(args.out)[0], *filter(None, [args.dump_dataset])])
+    files = _episode_files(args.data)
+    check_outputs([args.out, _loss_csv(args.out)[0], *filter(None, [args.dump_dataset])],
+                  [args.config, args.gnn, *files])
     gnn_w = _train_gnn(args, cfg)
     head = _new_head(cfg, make_rng(derive_seed(args.seed, 0)))
     vocab = head.vocab
     samples = []
-    for path in _episode_files(args.data):
+    for path in files:
         ep = load_episode(path)
         frames = range(0, len(ep.frames), args.stride) if args.stride > 0 else [0]
         contexts = episode_contexts(ep, gnn_w, cfg, [ep.frames[t] for t in frames])
@@ -222,7 +225,7 @@ def cmd_train_cot(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_infer(args, cfg: PipelineConfig) -> int:
-    check_outputs([args.out])
+    check_outputs([args.out], [args.config, args.episode, args.gnn, args.expert, args.cot_head])
     schedule = InferenceSchedule(cot_on_first_frame=not args.no_first_cot,
                                  cot_period=args.cot_period)
     ep = load_episode(args.episode)

@@ -169,13 +169,14 @@ def jsonl_text(docs) -> str:
     return "".join([json.dumps(to_json(obj, what)) + "\n" for what, obj in docs])
 
 
-def check_outputs(paths) -> list:
+def check_outputs(paths, inputs=()) -> list:
     """The real paths of a command's destinations, creating nothing. Raises
-    InvalidSetting for two naming one file or one neither new nor a regular
-    file (a device a rename would replace), IsADirectoryError for a
+    InvalidSetting for two naming one file, one naming a file of inputs (the
+    command's input paths, None for one not given) or one neither new nor a
+    regular file (a device a rename would replace), IsADirectoryError for a
     directory and NotADirectoryError for one under a regular file. A
     symlink stands for its target. Each path costs one stat and one realpath."""
-    reals = {}
+    reals, sources = {}, {os.path.realpath(p) for p in inputs if p}
     for path in paths:
         if os.path.basename(path) in ("", ".", ".."):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
@@ -186,6 +187,8 @@ def check_outputs(paths) -> list:
         real = os.path.realpath(path)
         if real in reals:
             raise InvalidSetting(f"two outputs name one file: {path}")
+        if real in sources:
+            raise InvalidSetting(f"an output names an input file: {path}")
         reals[real] = path
         if stat.S_ISDIR(mode):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
@@ -237,31 +240,28 @@ class Model:
         return [(name, getattr(self, name)) for name in self.PARAMS]
 
     def hold(self, names, build):
-        """build()'s value, built on the first call and returned again until
-        release; a model holds one value at a time. Meanwhile the parameters
-        it is built from, named by names, are read-only, so an edit that
-        would leave it stale raises ValueError."""
+        """build()'s value, kept while the parameters named by names are the
+        array objects it was built from; a model holds one value at a time.
+        Those arrays are read-only from then on, so an edit in place raises
+        ValueError, and a parameter assigned whole makes the next call build
+        again."""
+        arrays = [getattr(self, n) for n in names]
         held = self.__dict__.get("_held")
-        if held is None:
+        if held is None or any(map(operator.is_not, arrays, held[1])):
             value = build()
-            frozen = [p for p in (getattr(self, n) for n in names) if p.flags.writeable]
-            for p in frozen:
+            for p in arrays:
                 p.flags.writeable = False
-            self._held = held = (value, frozen)
+            self._held = held = (value, arrays)
         return held[0]
 
     def release(self) -> None:
-        """Drop what hold keeps and make its parameters writable again."""
-        _, frozen = self.__dict__.pop("_held", None) or (None, ())
-        for p in frozen:
-            p.flags.writeable = True
-
-    def __setattr__(self, name, value):
-        # Read-only arrays catch edits in place; a parameter replaced whole
-        # would leave the held value stale, so it ends the hold.
-        if name in self.PARAMS:
-            self.release()
-        object.__setattr__(self, name, value)
+        """Drop what hold keeps and give each read-only parameter a writable
+        copy: another model may share the array and still hold a value built
+        from it, so it stays read-only."""
+        self.__dict__.pop("_held", None)
+        for name, p in self.params():
+            if not p.flags.writeable:
+                setattr(self, name, p.copy())
 
     def check_finite_params(self, what: str, error=NonFiniteOutput) -> None:
         """check_finite on each parameter in PARAMS order, named
@@ -289,8 +289,9 @@ class Model:
     @classmethod
     def load(cls, path):
         """Inverse of save. A file that is not a whole zip archive raises
-        BadZipFile. A missing member raises KeyError; a non-float64 array or
-        a header that reader(_header_fields()) refuses raises ValueError.
+        BadZipFile. A missing member raises KeyError; a member other than
+        the header and PARAMS, a non-float64 array or a header that
+        reader(_header_fields()) refuses raises ValueError.
         Then the model's own checks run."""
         with open(path, "rb") as f:
             # Check every member's CRC before numpy parses any of it; a damaged
@@ -306,6 +307,9 @@ class Model:
             with np.load(f, allow_pickle=False) as npz:
                 header = reader(cls._header_fields(), cls.__name__)(
                     json.loads(npz["header"].item()))
+                extra = set(npz.files) - {"header", *cls.PARAMS}
+                if extra:
+                    raise ValueError(f"{cls.__name__}: unknown member(s) {sorted(extra)}")
                 arrays = {name: npz[name] for name in cls.PARAMS}
         bad = [f"{k} has dtype {a.dtype}, not float64" for k, a in arrays.items()
                if a.dtype != np.float64]
@@ -327,7 +331,9 @@ def max_grad_error(model: Model, grads: dict, loss, h: float, n_params: int,
     analytic gradients grads[name] and central differences of loss(), a
     function of the model's current parameters. n_params is split evenly
     over the PARAMS arrays, at least one entry each, so every layer is
-    probed; each array's entries are drawn without replacement."""
+    probed; each array's entries are drawn without replacement. The model
+    is released first (Model.release), as the probes edit it in place."""
+    model.release()
     params = model.params()
     worst = 0.0
     for k, (name, p) in enumerate(params):

@@ -233,14 +233,14 @@ class CotHead(Model):
             "b1": (self.b1, (hidden,)), "w2": (self.w2, (hidden, V)), "b2": (self.b2, (V,))})
 
     def decode_table(self):
-        """(S, rows, pad_terms), held with emb and w1 read-only (Model.hold)
-        until drop_decode_table. Token v's term in the hidden pre-activation
-        k + 1 steps after it is emitted is emb[v] @ the w1 rows of window slot
-        window - 1 - k; S (embed, window * hidden) is those rows, ordered by
-        k. rows maps a token id to its (window, hidden) terms: generate_cot
-        adds a token's the first time it emits it, so a process pays only for
-        the tokens it decodes. pad_terms[t] is the leading pads' sum at step
-        t < window."""
+        """(S, rows, pad_terms), kept while emb and w1 are the read-only
+        arrays it was built from (Model.hold). Token v's term in the hidden
+        pre-activation k + 1 steps after it is emitted is emb[v] @ the w1 rows
+        of window slot window - 1 - k; S (embed, window * hidden) is those
+        rows, ordered by k. rows maps a token id to its (window, hidden)
+        terms: generate_cot adds a token's the first time it emits it, so a
+        process pays only for the tokens it decodes. pad_terms[t] is the
+        leading pads' sum at step t < window."""
         def build():
             embed, W, hidden = self.emb.shape[1], self.window, np.size(self.b1)
             slots = self.w1[self.wc.shape[1]:].reshape(W, embed, hidden)[::-1]
@@ -252,9 +252,6 @@ class CotHead(Model):
                 pad_terms[:W - j] += pad[j:]
             return S, {self.vocab.pad_id: pad}, pad_terms
         return self.hold(("emb", "w1"), build)
-
-    def drop_decode_table(self) -> None:
-        self.release()
 
     def windows(self, token_ids) -> np.ndarray:
         """(T, window) matrix of the previous tokens for each position."""
@@ -331,7 +328,7 @@ def train_cot_head(head: CotHead, dataset: list, lr: float, epochs: int,
     raises NonFiniteOutput before the next epoch runs."""
     if not dataset:
         raise InvalidSetting("CoT training needs at least one sample")
-    head.drop_decode_table()
+    head.release()  # SGD edits the weights in place
     # Each sample's token windows depend only on its ids: built once per run.
     samples = [(context, token_ids, head.windows(token_ids)) for context, token_ids in dataset]
     curve = []
@@ -355,7 +352,6 @@ def grad_check_cot(head: CotHead, sample, rng: np.random.Generator, h: float = 1
     """Max relative error of analytic vs central-difference gradients; a step
     h outside 0 < h < inf is refused before any draw."""
     check_difference_step(h)
-    head.drop_decode_table()
     args = (*sample, head.windows(sample[1]))  # (context, token ids, windows)
     _, grads = head.loss_and_grads(*args)
     return max_grad_error(head, grads, lambda: head.loss_and_grads(*args)[0], h, n_params, rng)

@@ -74,14 +74,6 @@ class FlowExpert(Model):
     def input_dim(self) -> int:
         return self.action_dim + self.context_dim + 1
 
-    def fused_operator(self) -> np.ndarray:
-        """M = w3 @ w1[:D_a], kept with w1 and w3 read-only (an edit raises
-        ValueError) until drop_fused_operator, as train_step does (Model.hold)."""
-        return self.hold(("w1", "w3"), lambda: self.w3 @ self.w1[:self.action_dim])
-
-    def drop_fused_operator(self) -> None:
-        self.release()
-
     def forward(self, X: np.ndarray) -> np.ndarray:
         """Batched field evaluation; X is (B, input_dim) or (F, B, input_dim)."""
         v, _ = self._forward_cached(X)
@@ -209,7 +201,7 @@ def train_step(expert: FlowExpert, batch: list, lr: float, rng: np.random.Genera
     """One gradient-descent step on fm_loss; returns the pre-step loss."""
     if not 0 <= lr < np.inf:
         raise InvalidSetting(f"learning rate must be finite and >= 0, got {lr}")
-    expert.drop_fused_operator()
+    expert.release()  # the update edits the weights in place
     X, A = _draw_batch(expert, batch, rng)
     loss, grads = _loss_and_grads(expert, X, A)
     for name, p in expert.params():
@@ -238,7 +230,6 @@ def grad_check(expert: FlowExpert, sample, rng: np.random.Generator, h: float = 
     0 < h < inf is refused before the draw.
     """
     check_difference_step(h)
-    expert.drop_fused_operator()
     X, A = _draw_batch(expert, [sample], rng)
     _, grads = _loss_and_grads(expert, X, A)
     return max_grad_error(expert, grads, lambda: float(np.sum((expert.forward(X) - A) ** 2)),
@@ -259,9 +250,10 @@ def sample_actions(expert: FlowExpert, context: np.ndarray, steps: int,
     Step 0 evaluates the whole MLP. Steps 1..K-1 run in the first layer's
     pre-activation: z = w + r + tau_k*w1[tau], with r = [b3, context, 0] @ w1
     + b1 formed once and w = (A - b3) @ w1[:D_a] stepped as w <- (1 -
-    alpha_k)*w + alpha_k*(a2 @ M) (FlowExpert.fused_operator), because
-    x_hat - b3 = a2 @ w3. Since alpha_{K-1} = 1, the sample is the last
-    step's x_hat, formed once.
+    alpha_k)*w + alpha_k*(a2 @ M), because x_hat - b3 = a2 @ w3. M = w3 @
+    w1[:D_a] is kept between calls, with w1 and w3 read-only, while they
+    are the same arrays (Model.hold). Since alpha_{K-1} = 1, the sample is
+    the last step's x_hat, formed once.
     """
     check_count("steps", steps)
     ctx = np.asarray(context, dtype=float)
@@ -281,7 +273,8 @@ def sample_actions(expert: FlowExpert, context: np.ndarray, steps: int,
     if steps > 1:
         alpha = 1.0 / steps
         A = (1.0 - alpha) * X[:, :, :d_a] + alpha * x_hat
-        M, b3 = expert.fused_operator(), expert.b3.reshape(1, 1, -1)
+        M = expert.hold(("w1", "w3"), lambda: expert.w3 @ expert.w1[:d_a])
+        b3 = expert.b3.reshape(1, 1, -1)
         X[:, 0, :d_a] = expert.b3
         r = X @ expert.w1 + expert.b1  # steps 1..K-1 run in z = w + r + tau*w_tau
         w = (A - b3) @ expert.w1[:d_a]

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -877,6 +878,8 @@ ARTIFACT_CASES = {
     "expert_horizon": ("expert", lambda h, a: h.update(horizon=29), {}, "ShapeMismatch", "w1"),
     "expert_horizon_fraction": ("expert", lambda h, a: h.update(horizon=29.5), {},
                                 "ArtifactLoadError", "horizon"),
+    "expert_extra_member": ("expert", lambda h, a: a.update(bogus=np.zeros(2)), {},
+                            "ArtifactLoadError", "FlowExpert: unknown member(s) ['bogus']"),
     "expert_missing_array": ("expert", lambda h, a: a.pop("b2"), {}, "ArtifactLoadError",
                              "b2"),
     "expert_int64_array": ("expert", lambda h, a: a.update(b3=a["b3"].astype(np.int64)), {},
@@ -1241,6 +1244,38 @@ def test_a_bad_destination_costs_no_work(command, case, tmp_path, workspace, mon
     _assert_refused(_run(_valid_argv(command, workspace, out)), 3,
                     {"directory": "IsADirectoryError", "under_a_file": "NotADirectoryError"}[case])
     assert _tree(tmp_path) == before
+
+
+# (command, the input its output names): the config, an artifact, the
+# episode, or an episode under --data
+OWN_INPUTS = [("gen", "--config"), ("graph", "--episode"), ("init-weights", "--config"),
+              ("train-expert", "--gnn"), ("train-expert", "--data"), ("train-cot", "--data"),
+              ("infer", "--episode"), ("infer", "--gnn"), ("infer", "--expert"),
+              ("infer", "--cot-head")]
+
+
+@pytest.mark.parametrize("command, flag", OWN_INPUTS)
+def test_no_command_overwrites_its_own_input(command, flag, tmp_path, workspace, monkeypatch):
+    """An output that names one of the command's input files exits 2 before
+    the work, naming the output, and the input keeps its bytes."""
+    work, first = COMMAND_WORK[command]
+    monkeypatch.setattr(cli, work, _must_not_run(work))
+    w = {k: tmp_path / os.path.relpath(v, workspace["root"]) for k, v in workspace.items()}
+    shutil.copytree(workspace["data"], w["data"])
+    for k in ("gnn", "expert", "head"):
+        shutil.copy(workspace[k], w[k])
+    w["config"] = tmp_path / "out" / (first or "cfg.json")
+    w["config"].parent.mkdir()
+    default_config().save(w["config"])
+    target = w[{"--config": "config", "--episode": "episode", "--data": "episode",
+                "--gnn": "gnn", "--expert": "expert", "--cot-head": "head"}[flag]]
+    argv = _valid_argv(command, w, target.parent if first else target)
+    if flag == "--config" or (flag == "--gnn" and command != "infer"):
+        argv += [flag, str(target)]
+    before = target.read_bytes()
+    _assert_refused(_run(argv), 2, "InvalidSetting",
+                    [f"an output names an input file: {target}"])
+    assert target.read_bytes() == before
 
 
 @pytest.mark.parametrize("dump", ["h.npz", "h.loss.csv"], ids=["weights", "loss_csv"])

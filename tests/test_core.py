@@ -13,7 +13,7 @@ from graphact import (SCENARIOS, CameraIntrinsics, CotHead, DhLink, FlowExpert,
                       TokenVocab, build_default_vocab, derive_seed, episode_text, future_indices,
                       gen_episode, generate_cot, grad_check, grad_check_cot, graph_conv,
                       init_cot_head, init_flow_expert, init_gnn_weights, make_rng,
-                      sample_actions, total_loss, train_step)
+                      sample_actions, total_loss, train_cot_head, train_step)
 from graphact.core import (InvalidSetting, NonFiniteOutput, ShapeMismatch, reader, to_json,
                            write_files)
 from graphact.sim import SceneObject
@@ -227,29 +227,53 @@ def test_library_refusals(name):
 
 
 # What each model holds, by name: (model, a call that builds and uses it,
-# the parameter to replace whole).
+# the parameter to replace whole, the parameters it holds read-only, an
+# update that trains it in place).
 HOLDERS = {
     "expert": (lambda: init_flow_expert(make_rng(1), 2, 2, 3),
-               lambda e: sample_actions(e, np.ones(3), 10, make_rng(2)).tolist(), "w3"),
+               lambda e: sample_actions(e, np.ones(3), 10, make_rng(2)).tolist(), "w3",
+               ("w1", "w3"), lambda e: train_step(e, [(np.ones((2, 2)), np.ones(3))], 0.1,
+                                                  make_rng(4))),
     "cot head": (lambda: init_cot_head(build_default_vocab(2), 3, make_rng(3)),
-                 lambda h: generate_cot(h, np.ones(3), 12), "emb"),
+                 lambda h: generate_cot(h, np.ones(3), 12), "emb",
+                 ("emb", "w1"), lambda h: train_cot_head(h, [(np.ones(3), [4, 5, 1])], 0.5, 2,
+                                                         make_rng(5))),
 }
 
 
 @pytest.mark.parametrize("name", sorted(HOLDERS))
 def test_replacing_a_held_parameter_ends_the_hold(name):
-    """A parameter assigned whole, not edited in place, drops what the model
-    holds: the next call gives what a model built from the new arrays gives,
-    and the old array is writable again."""
-    make, call, param = HOLDERS[name]
+    """A parameter assigned whole, not edited in place, ends what the model
+    holds: the next call gives what a model built from the new arrays gives.
+    The old array stays read-only, since another model may share it."""
+    make, call, param, _, _ = HOLDERS[name]
     model = make()
     call(model)
     old = getattr(model, param)
     assert not old.flags.writeable
     setattr(model, param, old[::-1].copy())
-    assert old.flags.writeable
+    assert not old.flags.writeable
     fresh = dataclasses.replace(model, **{n: p.copy() for n, p in model.params()})
     assert call(model) == call(fresh)
+
+
+@pytest.mark.parametrize("update", ["release", "train"])
+@pytest.mark.parametrize("name", sorted(HOLDERS))
+def test_a_model_sharing_held_arrays_keeps_its_hold(name, update):
+    """dataclasses.replace gives a second model on the same arrays. When the
+    first releases them or trains, the second's held arrays stay read-only
+    and its next call is that of a model built from copies of its arrays."""
+    make, call, _, held, train = HOLDERS[name]
+    model = make()
+    shared = dataclasses.replace(model)
+    call(model)
+    call(shared)
+    model.release() if update == "release" else train(model)
+    for n in held:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(shared, n)[0] = 1.0
+    fresh = dataclasses.replace(shared, **{n: p.copy() for n, p in shared.params()})
+    assert call(shared) == call(fresh)
 
 
 @pytest.mark.parametrize("h", [float("nan"), float("inf"), 0.0, -1.0])

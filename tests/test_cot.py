@@ -368,7 +368,7 @@ def test_weights_are_read_only_while_the_decode_table_is_held():
     for name in ("emb", "w1"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(head, name)[0, 0] = 1.0
-    head.drop_decode_table()
+    head.release()
     head.emb[:] = make_rng(63).normal(0.0, 0.1, size=head.emb.shape)
     head.w1[0, 0] = 1.0
     assert generate_cot(head, ctx, 20) == _concat_decode(head, ctx, 20)

@@ -284,7 +284,7 @@ def test_weights_are_read_only_while_a_sample_holds_them():
             getattr(expert, name)[0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         expert.w3[0, 0] = 1.0
-    expert.drop_fused_operator()
+    expert.release()
     expert.w3[0, 0] = 1.0
 
 

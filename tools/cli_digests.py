@@ -106,6 +106,13 @@ def matrix(w):
         ("refuse mismatched artifact", ["infer", "--episode", ep, *artifacts,
                                         "--out", f"{w}/refused/o.json", *small]),
         ("refuse --out directory", ["init-weights", "--kind", "gnn", "--out", f"{w}/data"]),
+        ("refuse --out naming its --episode", ["graph", "--episode", f"{w}/depth_hole.jsonl",
+                                               "--out", f"{w}/depth_hole.jsonl"]),
+        ("refuse artifact with an extra member", ["infer", "--episode", ep, "--gnn",
+                                                  f"{w}/gnn.npz", "--expert",
+                                                  f"{w}/extra_member.npz", "--cot-head",
+                                                  f"{w}/cot_gnn.npz", "--out",
+                                                  f"{w}/refused/o.json"]),
         ("selfcheck", ["selfcheck"]),
     ]
 
@@ -153,6 +160,13 @@ def main(argv) -> int:
         with open(f"{work}/{name}", "wb") as f:
             f.write(data)
     os.makedirs(f"{work}/no_episodes")
+    # An expert archive with one member beyond its header and parameters.
+    subprocess.run([sys.executable, "-c", "import sys\nimport numpy as np\n"
+                    "from graphact.cli import main\n"
+                    "main(['init-weights', '--kind', 'expert', '--out', sys.argv[1]])\n"
+                    "with np.load(sys.argv[1]) as npz:\n    members = dict(npz)\n"
+                    "np.savez(sys.argv[1], **members, bogus=np.zeros(2))",
+                    f"{work}/extra_member.npz"], env=env, check=True, capture_output=True)
     for name, args in matrix(work):
         proc = subprocess.run([sys.executable, "-m", "graphact.cli", *args], env=env,
                               capture_output=True, timeout=600)
