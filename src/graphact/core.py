@@ -26,8 +26,8 @@ RNG_ALGORITHM = "numpy.random.Generator(PCG64)"
 ORTHONORMAL_TOL = 1e-9
 _FLOAT_MAX = sys.float_info.max
 
-# The most entries a config lets one weight matrix hold: 2**24 float64
-# values, 128 MiB. PipelineConfig refuses size keys that would pass it.
+# The most entries a config lets one weight matrix hold, 2**24 float64 values (128 MiB):
+# PipelineConfig refuses size keys that would pass it, the head's whole vocabulary counted.
 MAX_WEIGHT_ENTRIES = 2 ** 24
 
 # The widths no config key sets, read by the models and by that bound: the
@@ -228,8 +228,8 @@ def fan_in_normal(rng: np.random.Generator, n_in: int, n_out: int) -> np.ndarray
 
 class Model:
     """A learned model: a dataclass whose float arrays are named by PARAMS,
-    in a fixed order. Its other public fields are its header: dimensions and
-    hyperparameters. save and load are the one weight-file format."""
+    in a fixed order. Its other fields are its header (dimensions and hyper-
+    parameters); scratch is no field. save and load are the one file format."""
 
     PARAMS = ()
     NAME = "model"  # the model in messages
@@ -272,8 +272,7 @@ class Model:
     @classmethod
     def _header_fields(cls) -> dict:
         """The header's reader spec: field name -> type, in field order."""
-        return {f.name: f.type for f in fields(cls)
-                if f.name not in cls.PARAMS and not f.name.startswith("_")}
+        return {f.name: f.type for f in fields(cls) if f.name not in cls.PARAMS}
 
     def save(self, path, *files) -> None:
         """Write one uncompressed .npz to exactly path, with the (path, text)
@@ -323,6 +322,12 @@ def check_difference_step(h) -> None:
     max_grad_error at h = nan compare as a perfect gradient."""
     if not 0 < h < np.inf:
         raise InvalidSetting(f"h must be finite and > 0, got {h!r}")
+
+
+def check_learning_rate(lr) -> None:
+    """Raise InvalidSetting unless 0 <= lr < inf: a negative rate climbs the loss."""
+    if not 0 <= lr < np.inf:
+        raise InvalidSetting(f"learning rate must be finite and >= 0, got {lr}")
 
 
 def max_grad_error(model: Model, grads: dict, loss, h: float, n_params: int,
@@ -570,9 +575,9 @@ class PipelineConfig:
 
     def __post_init__(self):
         """Raise ValueError naming every value the pipeline cannot run with, or
-        else the keys that size a weight matrix of over MAX_WEIGHT_ENTRIES
-        entries (the head's vocabulary counted as its cot_dt_frames + 1 offsets,
-        and the (action_terms, flow_horizon) cosine basis as the expert's)."""
+        else the keys that size a weight matrix of over MAX_WEIGHT_ENTRIES entries
+        (the head's whole vocabulary counted, build_default_vocab(0) and offsets
+        1..cot_dt_frames, and the expert's (action_terms, flow_horizon) basis)."""
         dims = self.gnn_dims
         checks = [(name, "an integer >= 1", _is_count(getattr(self, name))) for name in (
             "flow_horizon", "flow_hidden", "euler_steps", "cot_dt_frames",
@@ -586,6 +591,7 @@ class PipelineConfig:
         bad = [f"{name} must be {what}, got {getattr(self, name)!r}"
                for name, what, ok in checks if not ok]
         if not bad:
+            from .cot import build_default_vocab  # cot imports this module
             (d, h, d_out), e, hid, hf = dims, self.cot_embed, self.cot_hidden, self.flow_hidden
             d_in = self.action_terms * self.j_total + self.context_dim + 1
             # keys -> entries of the largest weight matrix they size
@@ -596,7 +602,7 @@ class PipelineConfig:
                      ("cot_window, cot_embed, cot_hidden",
                       (CTX_EMBED + self.cot_window * e) * hid),
                      ("cot_dt_frames, cot_embed, cot_hidden",
-                      (self.cot_dt_frames + 1) * max(e, hid))]
+                      (len(build_default_vocab(0)) + self.cot_dt_frames) * max(e, hid))]
             bad = [f"a weight matrix sized by {keys} would hold {n} entries, more than "
                    f"{MAX_WEIGHT_ENTRIES}" for keys, n in sizes if n > MAX_WEIGHT_ENTRIES]
         if bad:

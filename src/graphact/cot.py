@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (CTX_EMBED, SCENARIOS, InstructionScenario, InvalidSetting, Model,
-                   PipelineError, ShapeMismatch, check_count, check_difference_step,
-                   check_finite, check_shapes, fan_in_normal, jsonl_text, max_grad_error)
+from .core import (CTX_EMBED, SCENARIOS, InstructionScenario, InvalidSetting, Model, PipelineError,
+                   ShapeMismatch, check_count, check_difference_step, check_finite,
+                   check_learning_rate, check_shapes, fan_in_normal, jsonl_text, max_grad_error)
 from .sim import EmptyEpisode, Episode, Scene
 
 PAD, END, SEP = "<pad>", "<end>", "<sep>"
@@ -324,8 +324,9 @@ def init_cot_head(vocab: TokenVocab, context_dim: int, rng: np.random.Generator,
 def train_cot_head(head: CotHead, dataset: list, lr: float, epochs: int,
                    rng: np.random.Generator) -> list:
     """Teacher-forced SGD over (context, token ids) pairs; returns the
-    per-epoch mean per-token loss curve. An epoch whose mean is not finite
-    raises NonFiniteOutput before the next epoch runs."""
+    per-epoch mean per-token loss curve. A bad lr or no data is refused before
+    the head is touched, and a non-finite epoch mean before the next epoch."""
+    check_learning_rate(lr)
     if not dataset:
         raise InvalidSetting("CoT training needs at least one sample")
     head.release()  # SGD edits the weights in place

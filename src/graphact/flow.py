@@ -16,12 +16,13 @@ gradient descent with optional momentum; gradients are hand-derived and
 verified against central differences by grad_check.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (InvalidSetting, Model, PipelineError, ShapeMismatch, check_count,
-                   check_difference_step, check_shapes, fan_in_normal, max_grad_error)
+                   check_difference_step, check_learning_rate, check_shapes, fan_in_normal,
+                   max_grad_error)
 
 # Redraws sample_tau allows before it gives up; an ordinary Beta draw lands
 # strictly inside (0, 1) on the first try.
@@ -49,8 +50,6 @@ class FlowExpert(Model):
     alpha: float = 1.5
     beta: float = 1.0
     sigma: float = 1.0
-    _velocity: dict = field(default_factory=dict, repr=False)  # momentum buffers
-    _grad_w1: np.ndarray = field(default=None, init=False, repr=False, compare=False)  # _backward
 
     PARAMS = ("w1", "b1", "w2", "b2", "w3", "b3")
     NAME = "expert"
@@ -104,13 +103,7 @@ class FlowExpert(Model):
         grads["w2"] = a1.T @ dz2
         grads["b2"] = dz2.sum(axis=0)
         dz1 = (dz2 @ self.w2.T) * (1.0 - a1 ** 2)
-        # The w1 gradient, the step's largest array, goes into one buffer the
-        # expert keeps, which the next call overwrites. Allocated afresh, it
-        # let glibc trim and regrow the heap top on every step after some
-        # dataset builds (~50k page faults in 300 steps, ~50% slower steps).
-        if self._grad_w1 is None:
-            self._grad_w1 = np.empty(self.w1.shape)
-        grads["w1"] = np.matmul(X.T, dz1, out=self._grad_w1)
+        grads["w1"] = X.T @ dz1
         grads["b1"] = dz1.sum(axis=0)
         return grads
 
@@ -199,17 +192,16 @@ def _loss_and_grads(expert: FlowExpert, X: np.ndarray, A: np.ndarray):
 
 def train_step(expert: FlowExpert, batch: list, lr: float, rng: np.random.Generator) -> float:
     """One gradient-descent step on fm_loss; returns the pre-step loss."""
-    if not 0 <= lr < np.inf:
-        raise InvalidSetting(f"learning rate must be finite and >= 0, got {lr}")
+    check_learning_rate(lr)
     expert.release()  # the update edits the weights in place
     X, A = _draw_batch(expert, batch, rng)
     loss, grads = _loss_and_grads(expert, X, A)
     for name, p in expert.params():
-        # The step's own gradient array holds lr * g, so the update makes no
-        # temporary; the velocity is a separate array, updated in place.
+        # The step's own gradient array holds lr * g, so the update makes no temporary;
+        # the velocity, per-expert scratch and no field (see Model), is updated in place.
         step = grads[name]
         if expert.momentum > 0.0:
-            buf = expert._velocity.get(name)
+            buf = expert.__dict__.setdefault("_velocity", {}).get(name)
             if buf is None:
                 expert._velocity[name] = buf = step.copy()
             else:

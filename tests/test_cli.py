@@ -377,6 +377,10 @@ HUGE_SIZES = {"cot_embed": 10 ** 17, "cot_hidden": 10 ** 17, "cot_window": 10 **
               "gnn_dims": [32, 32, 10 ** 17]}
 CONFIG_CASES.update({f"{key}_huge": (lambda d, key=key, v=v: d.update({key: v}), 2,
                                      "ConfigLoadError") for key, v in HUGE_SIZES.items()})
+# An embedding width that 31 frame-offset tokens would allow (775,000 entries)
+# and the head's whole 721-token vocabulary does not: emb would hold 18,025,000.
+CONFIG_CASES["cot_embed_wide_vocab"] = (lambda d: d.update(cot_embed=25_000, cot_hidden=1), 2,
+                                        "ConfigLoadError")
 
 # The field a row's message names, for the rows whose value the reader refuses.
 CONFIG_FIELDS = {"flow_horizon_fraction": "config.flow_horizon",
@@ -390,7 +394,8 @@ CONFIG_FIELDS = {"flow_horizon_fraction": "config.flow_horizon",
                  **{f"scenario_names_{case}": "unknown key 'scenario_names'"
                     for case in ("empty", "repeated", "retired")},
                  "joint_limits_reversed": "joint_limits",
-                 **{f"{key}_huge": key for key in HUGE_SIZES}}
+                 **{f"{key}_huge": key for key in HUGE_SIZES},
+                 "cot_embed_wide_vocab": "cot_embed"}
 
 
 @pytest.mark.parametrize("via", ["flag", "env"])

@@ -188,6 +188,9 @@ _SAMPLE = (np.zeros((2, 2)), np.zeros(3))  # (chunk, context) for _small_expert
 REFUSALS = {
     "train_step lr": (lambda: train_step(_small_expert(), [_SAMPLE], -1.0, make_rng(2)),
                       InvalidSetting, "learning rate must be finite and >= 0, got -1.0"),
+    "train_cot_head lr": (lambda: train_cot_head(init_cot_head(
+        build_default_vocab(2), 4, make_rng(1)), [(np.ones(4), [4, 5, 1])], -1.0, 2, make_rng(5)),
+        InvalidSetting, "learning rate must be finite and >= 0, got -1.0"),
     "grad_check h": (lambda: grad_check(_small_expert(), _SAMPLE, make_rng(2), h=0.0),
                      InvalidSetting, "h must be finite and > 0, got 0.0"),
     "forward input width": (lambda: _small_expert().forward(np.zeros((1, 7))),
@@ -391,6 +394,14 @@ def _small_models():
         "cot": (init_cot_head(vocab, context_dim=3, window=4, rng=make_rng(14)),
                 {"tokens": vocab.tokens, "context_dim": 3, "window": 4}),
     }
+
+
+def test_model_fields_are_its_header_and_params():
+    """Each learned model's dataclass fields are its weight file's header keys
+    and PARAMS, so save, load and dataclasses.replace see the same state."""
+    for model, header in _small_models().values():
+        names = [f.name for f in dataclasses.fields(model)]
+        assert sorted(names) == sorted([*header, *model.PARAMS]), type(model).__name__
 
 
 @pytest.mark.parametrize("kind", ["gnn", "expert", "cot"])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -165,9 +167,8 @@ def test_train_step_matches_quadratic_gd_recurrence():
 @pytest.mark.parametrize("momentum", [0.0, 0.9])
 def test_train_step_bit_equal_to_reference_update(momentum):
     """The in-place update gives the bits of v = g on the first step and
-    v = m*v + g after it, then p -= lr * v; a step's gradient array (w1's
-    is reused by every step) never becomes the velocity, so scaling it in
-    place leaves v intact."""
+    v = m*v + g after it, then p -= lr * v; a step's gradient array never
+    becomes the velocity, so scaling it in place leaves v intact."""
     data_rng = make_rng(20)
     batch = [(data_rng.normal(size=(2, 2)), data_rng.normal(size=3)) for _ in range(4)]
     fast, ref = _tiny_expert(make_rng(21), momentum=momentum), _tiny_expert(make_rng(21))
@@ -187,6 +188,22 @@ def test_train_step_bit_equal_to_reference_update(momentum):
         assert a.tobytes() == b.tobytes(), name
     for name, v in velocity.items():
         assert fast._velocity[name].tobytes() == v.tobytes(), name
+
+
+def test_replaced_expert_shares_no_momentum_buffers():
+    """An expert made by dataclasses.replace steps as a fresh copy does after
+    the original has trained with momentum: the buffers are no field."""
+    data_rng = make_rng(20)
+    batch = [(data_rng.normal(size=(2, 2)), data_rng.normal(size=3)) for _ in range(4)]
+    expert = _tiny_expert(make_rng(21), momentum=0.9)
+    replaced = dataclasses.replace(expert, **{n: p.copy() for n, p in expert.params()})
+    train_step(expert, batch, 0.05, make_rng(22))
+    fresh = _tiny_expert(make_rng(21), momentum=0.9)
+    for seed in (23, 24):
+        assert train_step(replaced, batch, 0.05, make_rng(seed)) == \
+            train_step(fresh, batch, 0.05, make_rng(seed))
+    for (name, a), (_, b) in zip(replaced.params(), fresh.params()):
+        assert a.tobytes() == b.tobytes(), name
 
 
 def test_grad_check_near_linear_regime():

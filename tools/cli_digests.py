@@ -27,10 +27,12 @@ import sys
 OWN_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 # Configs other than the built-in rig, by file name: a shorter action chunk and
-# reasoning window, and noise-free flow training (sigma 0, where eps is all +0.0).
+# reasoning window, noise-free flow training (sigma 0, where eps is all +0.0),
+# and token embeddings too wide for the head's whole vocabulary (refused).
 CONFIGS = {
     "small.json": "c.flow_horizon, c.cot_window, c.gnn_dims = 10, 4, (16, 16, 16)",
     "sigma0.json": "c.sigma = 0.0",
+    "wide_vocab.json": "c.cot_embed, c.cot_hidden = 25_000, 1",
 }
 
 
@@ -91,6 +93,9 @@ def matrix(w):
                                     "--config", f"{w}/not_json.json", "--out", f"{w}/refused"]),
         ("refuse non-UTF-8 config", ["gen", "--scenario", "food", "--variant", "0",
                                      "--config", f"{w}/not_utf8.json", "--out", f"{w}/refused"]),
+        ("refuse wide-vocabulary config", ["gen", "--scenario", "food", "--variant", "0",
+                                           "--frames", "2", "--config", f"{w}/wide_vocab.json",
+                                           "--out", f"{w}/refused_wide"]),
         ("refuse cut-short episode line", ["graph", "--episode", f"{w}/cut_short.jsonl",
                                            "--out", f"{w}/refused"]),
         ("refuse non-UTF-8 episode line", ["graph", "--episode", f"{w}/not_utf8.jsonl",
