@@ -34,13 +34,12 @@ print(f"pooled embedding ({pooled.size} dims): {np.round(pooled[:6], 4)} ...")
 rng = make_rng(1)
 perm = rng.permutation(len(graph.nodes))
 inv = np.argsort(perm)
-from graphact import GraphNode, PoseObjectGraph
+from graphact import PoseObjectGraph
 permuted = PoseObjectGraph(
     t=graph.t,
-    nodes=[GraphNode(id=i, kind=graph.nodes[inv[i]].kind,
-                     label=graph.nodes[inv[i]].label,
-                     position=graph.nodes[inv[i]].position)
-           for i in range(len(graph.nodes))],
+    positions=graph.positions[inv],
+    kinds=graph.kinds[inv],
+    labels=[graph.labels[i] for i in inv],
     edges=[tuple(sorted((int(perm[i]), int(perm[j])))) for i, j in graph.edges],
 )
 H_perm = encode(permuted, weights)

@@ -52,13 +52,23 @@ def init_gnn_weights(rng: np.random.Generator, d: int = 32, h: int = 32,
                       layer2_w=fan_in_normal(rng, h, d_out), layer2_b=np.zeros(d_out))
 
 
+# Row k is the one-hot of NODE_KINDS[k].
+_ONE_HOT = np.eye(len(NODE_KINDS))
+_ONE_HOT.flags.writeable = False
+
+
 def node_inputs(g: PoseObjectGraph) -> np.ndarray:
     """Raw per-node inputs: [x, y, z, one-hot(kind)] in NODE_KINDS order."""
-    if not g.nodes:
+    return _stacked_inputs([g])[0]
+
+
+def _stacked_inputs(graphs: list) -> np.ndarray:
+    """node_inputs of graphs of one node count n, as a (G, n, GNN_INPUT_DIM) stack."""
+    if not len(graphs[0].positions):
         raise EmptyGraph("graph has no nodes")
-    X = np.zeros((len(g.nodes), GNN_INPUT_DIM))
-    X[:, :3] = [n.position for n in g.nodes]
-    X[np.arange(len(g.nodes)), [3 + NODE_KINDS.index(n.kind) for n in g.nodes]] = 1.0
+    X = np.empty((len(graphs), len(graphs[0].positions), GNN_INPUT_DIM))
+    X[..., :3] = [g.positions for g in graphs]
+    X[..., 3:] = _ONE_HOT[[g.kinds for g in graphs]]
     return X
 
 
@@ -100,7 +110,7 @@ def encode(g: PoseObjectGraph, w: GnnWeights, X: np.ndarray = None) -> np.ndarra
     edges). X defaults to g's node inputs (n, GNN_INPUT_DIM) and gives (n, d_out);
     a stack (G, n, GNN_INPUT_DIM) of graphs with g's edges gives (G, n, d_out),
     each graph with the bits of its own call."""
-    shape = (len(g.nodes), tuple(g.edges))
+    shape = (len(g.positions), tuple(g.edges))
     if (A_hat := _ADJACENCIES.get(shape)) is None:
         if len(_ADJACENCIES) >= 16:
             _ADJACENCIES.pop(next(iter(_ADJACENCIES)))
@@ -120,10 +130,10 @@ def encode_pooled(graphs: list, w: GnnWeights) -> np.ndarray:
     """
     groups = {}
     for i, g in enumerate(graphs):
-        groups.setdefault((len(g.nodes), tuple(g.edges)), []).append(i)
+        groups.setdefault((len(g.positions), tuple(g.edges)), []).append(i)
     out = np.empty((len(graphs), w.dims[2]))
     for members in groups.values():
-        X = np.array([node_inputs(graphs[i]) for i in members])
+        X = _stacked_inputs([graphs[i] for i in members])
         out[members] = pooled_embedding(encode(graphs[members[0]], w, X))
     return out
 

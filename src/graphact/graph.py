@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NODE_KINDS, CameraIntrinsics, InvalidSetting, RigidTransform
+from .core import NODE_KINDS, CameraIntrinsics, InvalidSetting, RigidTransform, ShapeMismatch
 from .kinematics import DofMismatch, chain_positions
 from .projection import NoValidDepth, backproject, bbox_center, depth_at
 
@@ -24,8 +24,18 @@ class GraphNode:
 @dataclass
 class PoseObjectGraph:
     t: float
-    nodes: list
+    positions: np.ndarray  # (n, 3) base frame
+    kinds: np.ndarray      # (n,) indices into NODE_KINDS
+    labels: list           # n names
     edges: list  # list[(i, j)] with i < j, no duplicates, no self-loops
+
+    JSON = ("t", "nodes", "edges")
+
+    @property
+    def nodes(self) -> list:
+        """A GraphNode per node, in id order, each position a row of positions."""
+        return [GraphNode(id=i, kind=NODE_KINDS[k], label=label, position=p)
+                for i, (k, label, p) in enumerate(zip(self.kinds, self.labels, self.positions))]
 
 
 def joint_matrix(frames: list, chains: list) -> np.ndarray:
@@ -39,22 +49,73 @@ def joint_matrix(frames: list, chains: list) -> np.ndarray:
     return np.array(qs).reshape(len(qs), total_dof)
 
 
+# The robot part of a graph by (chain ids, paper_literal), first in first out
+# past 4; a CLI command meets one. Each entry holds its chains,
+# as kinematics._GROUPS does, so no other object can take their ids.
+_ROBOTS = {}
+
+
+def _robot_part(chains: list, paper_literal: bool, n_objects: int) -> tuple:
+    """(labels, kinds, edges) of a graph whose robot nodes follow n_objects
+    objects: the R robot node labels in node order, and the graph's
+    read-only (n,) kind indices and edge list, every object to every end
+    effector, then each joint to the next node of its chain. Every object id
+    is below every robot id, so the list is sorted, with i < j and no
+    duplicates. Within an entry, object counts are kept first in first out
+    past 16."""
+    key = (tuple(map(id, chains)), paper_literal)
+    if (robot := _ROBOTS.get(key)) is None:
+        kinds, labels = [], []
+        for chain in chains:
+            names = [] if paper_literal else [f"j{k}" for k in range(chain.dof)]
+            kinds += [JOINT] * len(names) + [END_EFFECTOR]
+            labels += [f"{chain.name}/{name}" for name in names + ["ee"]]
+        if len(_ROBOTS) >= 4:
+            _ROBOTS.pop(next(iter(_ROBOTS)))
+        robot = _ROBOTS[key] = (kinds, labels, {}, tuple(chains))
+    kinds, labels, by_count, _ = robot
+    if (part := by_count.get(n_objects)) is None:
+        ids = np.array([NODE_KINDS.index(k) for k in [OBJECT] * n_objects + kinds], dtype=np.intp)
+        ids.flags.writeable = False
+        ee_ids = [n_objects + r for r, k in enumerate(kinds) if k == END_EFFECTOR]
+        edges = ([(i, j) for i in range(n_objects) for j in ee_ids]
+                 + [(n_objects + r, n_objects + r + 1) for r, k in enumerate(kinds) if k == JOINT])
+        if len(by_count) >= 16:
+            by_count.pop(next(iter(by_count)))
+        part = by_count[n_objects] = (labels, ids, edges)
+    return part
+
+
+def _robot_positions(frames: list, chains: list, paper_literal: bool) -> np.ndarray:
+    """(F, R, 3) positions of the frames' robot nodes in node order, from one
+    chain_positions call: per chain its dof + 1 joint origins base to tip,
+    the last the end effector, or in paper_literal mode that last alone."""
+    per_chain = chain_positions(joint_matrix(frames, chains), chains)
+    if paper_literal:
+        per_chain = [p[:, -1:] for p in per_chain]
+    return (np.concatenate(per_chain, axis=1) if per_chain
+            else np.empty((len(frames), 0, 3)))
+
+
 def build_graph(frame, K: CameraIntrinsics, T: RigidTransform, chains: list,
-                paper_literal: bool = False, positions: list = None) -> PoseObjectGraph:
+                paper_literal: bool = False, positions: np.ndarray = None) -> PoseObjectGraph:
     """Assemble the scene graph for one aligned frame. paper_literal gives the
     paper's minimal form: end-effector nodes, object/end-effector edges only.
-    positions holds the frame's (dof + 1, 3) joint origins per chain, as
-    episode_graphs passes them from one chain_positions call; without it the
-    frame's own joints go through that call.
+    positions holds the frame's (R, 3) robot node positions, as
+    episode_graphs passes them from one chain_positions call per block;
+    without it the frame's own joints go through that call. Any other shape
+    raises ShapeMismatch.
 
     Node order is deterministic: objects in detection order, then per chain in
     config order (joint origins base-to-tip unless paper_literal, then end
     effector). A detection with no valid depth at its box center gets no
     node (objects_skipped counts them); a box whose center is not a pixel
-    of the image raises InvalidSetting.
+    of the image raises InvalidSetting. The graph's positions, labels and
+    edges are its own; its read-only kinds are shared by every graph of its
+    object count.
     """
     if positions is None:
-        positions = [p[0] for p in chain_positions(joint_matrix([frame], chains), chains)]
+        positions = _robot_positions([frame], chains, paper_literal)[0]
     centers, depths, labels = [], [], []
     for det in frame.detections:
         center = bbox_center(det)
@@ -64,41 +125,24 @@ def build_graph(frame, K: CameraIntrinsics, T: RigidTransform, chains: list,
             continue
         centers.append(center)
         labels.append(det.label)
-    nodes = []
-    if labels:
-        points = T.apply(backproject(np.array(centers), np.array(depths), K))
-        nodes = [GraphNode(id=i, kind=OBJECT, label=label, position=p)
-                 for i, (label, p) in enumerate(zip(labels, points))]
-
-    n_objects = len(nodes)
-    ee_ids, chain_edges = [], []
-    for chain, origins in zip(chains, positions):
-        first_id = len(nodes)
-        if not paper_literal:
-            for k, pos in enumerate(origins[:-1]):
-                nodes.append(GraphNode(id=len(nodes), kind=JOINT,
-                                       label=f"{chain.name}/j{k}", position=pos))
-        ee_id = len(nodes)
-        nodes.append(GraphNode(id=ee_id, kind=END_EFFECTOR,
-                               label=f"{chain.name}/ee", position=origins[-1]))
-        ee_ids.append(ee_id)
-        if not paper_literal:
-            chain_edges.extend((i, i + 1) for i in range(first_id, ee_id))
-
-    # Every object id is below every robot id, and robot ids grow chain by
-    # chain, so this list is already sorted, with i < j and no duplicates.
-    edges = [(obj_id, ee_id) for obj_id in range(n_objects) for ee_id in ee_ids] + chain_edges
-    return PoseObjectGraph(t=frame.t, nodes=nodes, edges=edges)
+    robot_labels, kinds, edges = _robot_part(chains, paper_literal, len(labels))
+    shape = getattr(positions, "shape", type(positions).__name__)
+    if shape != (len(robot_labels), 3):
+        raise ShapeMismatch(f"robot positions of chains {[c.name for c in chains]}: expected "
+                            f"shape {(len(robot_labels), 3)}, got {shape}")
+    points = (T.apply(backproject(np.array(centers), np.array(depths), K)) if labels
+              else np.empty((0, 3)))
+    return PoseObjectGraph(t=frame.t, positions=np.concatenate([points, positions]),
+                           kinds=kinds, labels=labels + robot_labels, edges=list(edges))
 
 
 def episode_graphs(frames: list, K: CameraIntrinsics, T: RigidTransform, chains: list,
                    paper_literal: bool = False) -> list:
-    """build_graph of every frame, with each chain's forward kinematics run
+    """build_graph of every frame, with the chains' forward kinematics run
     once for all frames."""
-    positions = chain_positions(joint_matrix(frames, chains), chains)
-    return [build_graph(frame, K, T, chains, paper_literal,
-                        positions=[p[i] for p in positions])
-            for i, frame in enumerate(frames)]
+    positions = _robot_positions(frames, chains, paper_literal)
+    return [build_graph(frame, K, T, chains, paper_literal, positions=p)
+            for frame, p in zip(frames, positions)]
 
 
 def objects_skipped(frames: list, graphs: list, chains: list,
@@ -109,12 +153,12 @@ def objects_skipped(frames: list, graphs: list, chains: list,
     nodes after its objects."""
     robot = len(chains) if paper_literal else sum(c.dof + 1 for c in chains)
     return (sum(len(frame.detections) for frame in frames)
-            - sum(len(g.nodes) - robot for g in graphs))
+            - sum(len(g.positions) - robot for g in graphs))
 
 
 def adjacency_matrix(g: PoseObjectGraph) -> np.ndarray:
     """Symmetric 0/1 adjacency without self-loops."""
-    n = len(g.nodes)
+    n = len(g.positions)
     A = np.zeros((n, n), dtype=float)
     for i, j in g.edges:
         if i == j or not (0 <= i < n and 0 <= j < n):
@@ -122,4 +166,3 @@ def adjacency_matrix(g: PoseObjectGraph) -> np.ndarray:
         A[i, j] = 1.0
         A[j, i] = 1.0
     return A
-

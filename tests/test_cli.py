@@ -244,6 +244,12 @@ INFER_GOLDEN_SHA256 = "aa396d4d4fd955ce13e261dd1101e0ba42581ad2b833e6eab067a5bfe
 # offset labels (the reasoning head's vocabulary must not move an action's
 # bits), again with the hidden-layer Euler steps and again with the cosine terms.
 INFER_ACTIONS_GOLDEN_SHA256 = "d92b3b33ac51f4120d1fd98bba0307032ef95d979ac583b78f5249b98a21ce2c"
+# sha256 of the graph output of test_infer_golden_sha256's episode, in each
+# mode, recorded at commit ff592fa, whose graphs held one GraphNode per node.
+GRAPH_GOLDEN_SHA256 = {
+    "full": "91f5699fc00634e7740c02a19ec277cbb30cf5b11b3f637cd0b77a16b4b5b0a8",
+    "paper_literal": "7719ab3fe4d19bb48ebe5c536cba60bdf54d3e77d7fb722c38f6df523dc7d0e3",
+}
 
 
 def test_infer_golden_sha256(tmp_path):
@@ -261,6 +267,17 @@ def test_infer_golden_sha256(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == INFER_GOLDEN_SHA256
     actions = json.dumps([f["actions"] for f in json.loads(out.read_text())["frames"]])
     assert hashlib.sha256(actions.encode()).hexdigest() == INFER_ACTIONS_GOLDEN_SHA256
+
+
+@pytest.mark.parametrize("mode", sorted(GRAPH_GOLDEN_SHA256))
+def test_graph_golden_sha256(tmp_path, mode):
+    data = tmp_path / "data"
+    assert main(["gen", "--scenario", "food", "--variant", "0", "--frames", "12",
+                 "--seed", "5", "--out", str(data)]) == 0
+    out = tmp_path / "graphs.jsonl"
+    assert main(["graph", "--episode", str(data / "food_v0_000.jsonl"), "--out", str(out),
+                 *(["--paper-literal"] if mode == "paper_literal" else [])]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GRAPH_GOLDEN_SHA256[mode]
 
 
 # sha256 of the infer output below: 100 frames at --cot-period 7 span several

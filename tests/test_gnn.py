@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from graphact import (BoundingBox, DepthGrid, FrameRecord, GnnWeights, GraphNode,
+from graphact import (BoundingBox, DepthGrid, FrameRecord, GnnWeights,
                       PoseObjectGraph, build_graph, default_config, encode, graph_conv,
                       init_gnn_weights, layer_norm, make_rng, pooled_embedding)
 from graphact.gnn import LN_EPS, EmptyGraph, encode_pooled, node_inputs, normalized_adjacency
@@ -13,9 +13,9 @@ from graphact.core import GNN_INPUT_DIM, NODE_KINDS, ShapeMismatch
 
 
 def _graph(positions, kinds, edges):
-    nodes = [GraphNode(id=i, kind=k, label=f"n{i}", position=np.asarray(p, dtype=float))
-             for i, (p, k) in enumerate(zip(positions, kinds))]
-    return PoseObjectGraph(t=0.0, nodes=nodes, edges=list(edges))
+    return PoseObjectGraph(t=0.0, positions=np.asarray(positions, dtype=float).reshape(-1, 3),
+                           kinds=np.array([NODE_KINDS.index(k) for k in kinds], dtype=np.intp),
+                           labels=[f"n{i}" for i in range(len(kinds))], edges=list(edges))
 
 
 def _random_graph(rng, n):
@@ -192,7 +192,8 @@ def test_pooled_embedding():
 
 
 def test_empty_graph_errors():
-    g = PoseObjectGraph(t=0.0, nodes=[], edges=[])
+    g = PoseObjectGraph(t=0.0, positions=np.empty((0, 3)), kinds=np.empty(0, dtype=np.intp),
+                        labels=[], edges=[])
     with pytest.raises(EmptyGraph):
         node_inputs(g)
     with pytest.raises(EmptyGraph):

@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from graphact import (BoundingBox, DepthGrid, FrameRecord, SampleStream, adjacency_matrix,
-                      align_streams, build_graph, default_config, gen_episode)
-from graphact.core import InvalidSetting, to_json
-from graphact.graph import END_EFFECTOR, JOINT, OBJECT, episode_graphs, objects_skipped
-from graphact.kinematics import DofMismatch
-from graphact.projection import NoValidDepth
-from graphact.sim import SCENARIOS
+from graphact import (BoundingBox, DepthGrid, FrameRecord, GraphNode, SampleStream,
+                      adjacency_matrix, align_streams, build_graph, default_config, gen_episode)
+from graphact.core import InvalidSetting, ShapeMismatch, to_json
+from graphact.graph import (END_EFFECTOR, JOINT, OBJECT, episode_graphs, joint_matrix,
+                            objects_skipped)
+from graphact.kinematics import DofMismatch, chain_positions
+from graphact.projection import NoValidDepth, backproject, bbox_center, depth_at
+from graphact.sim import SCENARIOS, Scene, SceneObject, render_frame
 from graphact.stream_sync import CONTROL_STREAM
 
 CFG = default_config()
@@ -194,3 +195,96 @@ def test_build_graph_refuses_a_box_center_off_the_image(box):
         with pytest.raises(InvalidSetting, match="off the 640x480 image") as err:
             build_graph(frame, K, CFG.extrinsics, CFG.chains)
         assert not isinstance(err.value, NoValidDepth)
+
+
+def _reference_nodes(frame, paper_literal):
+    """The frame's nodes built one GraphNode at a time, each object point by
+    its own backproject and apply call and each chain's origins by a
+    one-frame chain_positions call: the node list build_graph once kept."""
+    K, T, nodes = CFG.intrinsics, CFG.extrinsics, []
+    for det in frame.detections:
+        center = bbox_center(det)
+        try:
+            depth = depth_at(frame.depth, center)
+        except NoValidDepth:
+            continue
+        point = T.apply(backproject(center, depth, K))
+        nodes.append(GraphNode(len(nodes), OBJECT, det.label, point))
+    per_chain = chain_positions(joint_matrix([frame], CFG.chains), CFG.chains)
+    for chain, origins in zip(CFG.chains, per_chain):
+        if not paper_literal:
+            for k, pos in enumerate(origins[0, :-1]):
+                nodes.append(GraphNode(len(nodes), JOINT, f"{chain.name}/j{k}", pos))
+        nodes.append(GraphNode(len(nodes), END_EFFECTOR, f"{chain.name}/ee", origins[0, -1]))
+    return nodes
+
+
+def _control_frame():
+    """A frame of 16 objects on a 4x4 pixel grid at depths from 0.5 to 3 m,
+    with the arms away from zero, like the benchmark's control scene."""
+    K, T = CFG.intrinsics, CFG.extrinsics
+    pixels = [(80.0 + 150 * (i % 4), 60.0 + 110 * (i // 4)) for i in range(16)]
+    objects = [SceneObject(f"o{i}", T.apply(backproject(p, 0.5 + 2.5 * i / 15, K)), 0.0)
+               for i, p in enumerate(pixels)]
+    q = [0.6 * math.sin(0.4 * j) for j in range(CFG.j_total)]
+    return render_frame(Scene(objects=objects, table_bounds=((0, 1),) * 3), q, 0.5, K, T)
+
+
+def _node_bits(nodes):
+    return [(n.id, type(n.id), n.kind, n.label, n.position.dtype, n.position.tobytes())
+            for n in nodes]
+
+
+@pytest.mark.parametrize("paper_literal", [False, True], ids=["full", "paper_literal"])
+def test_nodes_equal_the_one_node_at_a_time_reference(paper_literal):
+    """g.nodes, views of the graph's arrays, holds the ids, kinds, labels and
+    position bits of the reference's GraphNode list, for the frames of the
+    tests above and a 16-object frame, from build_graph and episode_graphs."""
+    holed = _frame(3)
+    holed.depth.patches.append((57, 67, 64, 74, 0.0))
+    control = _control_frame()
+    assert len(control.detections) == 16
+    frames = [_frame(0), _frame(1), _frame(2), _frame(4), holed, control,
+              *gen_episode(SCENARIOS["outfit"], 1, 3, seed=22, cfg=CFG).frames]
+    graphs = episode_graphs(frames, CFG.intrinsics, CFG.extrinsics, CFG.chains, paper_literal)
+    for frame, g in zip(frames, graphs):
+        reference = _node_bits(_reference_nodes(frame, paper_literal))
+        assert _node_bits(g.nodes) == reference
+        single = build_graph(frame, CFG.intrinsics, CFG.extrinsics, CFG.chains, paper_literal)
+        assert _node_bits(single.nodes) == reference
+        assert all(np.shares_memory(n.position, g.positions) for n in g.nodes)
+
+
+def test_graphs_of_one_block_share_no_mutable_state():
+    """Appending to one graph's edges or writing to its positions or labels
+    leaves every other graph of the block as it was; the kinds that graphs
+    of one object count share cannot be written."""
+    frames = [_frame(2), _frame(2), _frame(2)]
+    for paper_literal in (False, True):
+        first, *others = episode_graphs(frames, CFG.intrinsics, CFG.extrinsics, CFG.chains,
+                                        paper_literal)
+        before = [json.dumps(to_json(g)) for g in others]
+        first.edges.append((0, 1))
+        first.positions[:] = 7.0
+        first.labels[0] = "moved"
+        assert [json.dumps(to_json(g)) for g in others] == before
+        assert all(g.edges != first.edges for g in others)
+        with pytest.raises(ValueError, match="read-only"):
+            first.kinds[0] = 1
+
+
+@pytest.mark.parametrize("paper_literal", [False, True], ids=["full", "paper_literal"])
+def test_build_graph_refuses_robot_positions_of_the_wrong_shape(paper_literal):
+    """Robot positions are the frame's (R, 3) node rows, R = 16 for two
+    7-dof chains (2 in paper-literal mode); any other shape, or a per-chain
+    list, is refused by name, not built into a smaller graph."""
+    R = len(CFG.chains) if paper_literal else sum(c.dof + 1 for c in CFG.chains)
+    good = np.zeros((R, 3))
+    g = build_graph(_frame(1), CFG.intrinsics, CFG.extrinsics, CFG.chains, paper_literal,
+                    positions=good)
+    assert len(g.nodes) == 1 + R
+    for bad in ([np.zeros((3, 3))] * 2, np.zeros((3, 3)), np.zeros((R, 2)), np.zeros((1, R, 3)),
+                list(good)):
+        with pytest.raises(ShapeMismatch, match=rf"expected shape \({R}, 3\)"):
+            build_graph(_frame(1), CFG.intrinsics, CFG.extrinsics, CFG.chains, paper_literal,
+                        positions=bad)
